@@ -85,7 +85,7 @@ def run_from_arguments(arguments: argparse.Namespace) -> int:
     if arguments.list:
         for pair in all_pairs():
             kind = "generated programs" if pair.uses_program else "fixed workload"
-            print(f"{pair.name:<22} [{kind}] {pair.description}")
+            print(f"{pair.name:<30} [{kind}] {pair.description}")
         return 0
 
     failed = False

@@ -5,7 +5,8 @@ probe dynamically:
 
 ``nondet-call``
     No wall-clock, entropy or unseeded randomness in the deterministic
-    core (``machine/``, ``core/``, ``predictors/``, ``profiling/``):
+    core (``machine/``, ``core/``, ``predictors/``, ``profiling/``,
+    ``ilp/``):
     ``time.time``, ``os.urandom``, ``uuid.uuid4`` and module-level
     ``random.*`` calls are flagged (``random.Random(seed)`` instances
     are fine — seeded RNGs are how the repo *does* randomness).
@@ -44,7 +45,7 @@ from ..telemetry.metrics import is_known_metric
 
 #: Top-level packages under ``src/repro/`` whose behaviour must be a pure
 #: function of (program, inputs, seed).
-DETERMINISTIC_PACKAGES = ("machine", "core", "predictors", "profiling")
+DETERMINISTIC_PACKAGES = ("machine", "core", "predictors", "profiling", "ilp")
 
 _NONDET_CALLS = {
     ("time", "time"): "wall-clock time.time()",

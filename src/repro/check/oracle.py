@@ -31,6 +31,20 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     ``REPRO_NO_NUMPY`` forced — on the generated case (which exercises
     mid-run demotion: generated programs always produce floats) *and*
     on an all-integer twin of it (which exercises the actual fold).
+``ilp-batch-vs-record``
+    ``measure_ilp_many`` scheduling from trace batches — freshly
+    captured, captured into a store and replayed from it — against one
+    :class:`~repro.ilp.WindowScheduler` per label fed record by record,
+    over an engine grid with finite and infinite stride tables, ``step``
+    fallback engines and no-VP machines; at the default machine, a
+    narrow high-penalty machine without memory dependencies, and a
+    budget overrun that must raise the same error.  A replay of the
+    run captured in tiny batches puts every batch boundary under test.
+``phase-profiles-batch-vs-record``
+    ``collect_phase_profiles`` over batch columns (fresh, replayed and
+    replayed from tiny batches) against the per-record loop it
+    replaced, at ``sample_every`` 1 and 3, down to byte-identical
+    profile dumps.
 ``capture-shard-vs-serial``
     ``capture_sharded`` at ``jobs=2`` against a serial capture of the
     same input sets, compared by store-directory fingerprint and
@@ -734,6 +748,243 @@ def _check_simulate_vec(case: CheckCase, budget: int):
     return None
 
 
+def _ilp_grid(program):
+    """The ILP pair's machines: every simulate engine family plus no-VP.
+
+    Infinite and finite stride tables take the inlined consumer; the
+    last-value, two-delta and hybrid engines fall back to ``step``; two
+    ``None`` labels schedule without value prediction.
+    """
+    from ..core.schemes import HardwareClassification, ProfileClassification
+    from ..core.simulate import PredictionEngine
+    from ..predictors import StridePredictor
+
+    engines = dict(_engine_grid(program))
+    engines["finite/fsm"] = PredictionEngine(
+        program, StridePredictor(8, 2), HardwareClassification()
+    )
+    engines["finite/profile"] = PredictionEngine(
+        program,
+        StridePredictor(4, 1),
+        ProfileClassification.from_directives(
+            {address: Directive.STRIDE for address in program.candidate_addresses}
+        ),
+    )
+    engines["novp"] = None
+    engines["novp-2"] = None
+    return engines
+
+
+def _ilp_observation(measure, case: CheckCase, budget: int, config, configs):
+    """One ILP run over a fresh grid: results (or the error) + engine state."""
+    engines = _ilp_grid(case.program)
+    outcome: Tuple[str, ...] = ("halt",)
+    results = {}
+    try:
+        results = {
+            label: result.to_dict()
+            for label, result in measure(
+                engines, list(case.inputs), budget, config, configs
+            ).items()
+        }
+    except ExecutionError as exc:
+        outcome = ("error", type(exc).__name__, str(exc))
+    return {
+        "outcome": outcome,
+        "results": results,
+        "engines": {
+            label: _observe_engine(engine)
+            for label, engine in engines.items()
+            if engine is not None
+        },
+    }
+
+
+def _ilp_by_record(case: CheckCase):
+    """Reference: one ``WindowScheduler.feed`` per record per label."""
+    from ..ilp.model import WindowScheduler
+    from ..machine import trace_program
+
+    def measure(engines, inputs, budget, config, configs):
+        schedulers = {
+            label: WindowScheduler(
+                case.program, engine=engine, config=configs.get(label, config)
+            )
+            for label, engine in engines.items()
+        }
+        for record in trace_program(case.program, inputs, max_instructions=budget):
+            for scheduler in schedulers.values():
+                scheduler.feed(record)
+        return {label: scheduler.result() for label, scheduler in schedulers.items()}
+
+    return measure
+
+
+def _ilp_by_batch(case: CheckCase, store=None):
+    from ..ilp import measure_ilp_many
+
+    def measure(engines, inputs, budget, config, configs):
+        return measure_ilp_many(
+            case.program,
+            inputs,
+            engines,
+            config=config,
+            configs=configs,
+            max_instructions=budget,
+            store=store,
+        )
+
+    return measure
+
+
+#: Records per batch of :func:`_small_batch_store`'s capture: small
+#: enough that every generated run spans many batches.
+_SMALL_CHUNK = 7
+
+
+def _small_batch_store(case: CheckCase, budget: int) -> TraceStore:
+    """A store holding the case's run captured in tiny batches.
+
+    Replay yields the stored batches as captured, so consumers replaying
+    from it see state carried across many batch boundaries.
+    """
+    store = TraceStore()
+    try:
+        for _batch in store.batches(
+            case.program,
+            list(case.inputs),
+            max_instructions=budget,
+            chunk_size=_SMALL_CHUNK,
+        ):
+            pass
+    except ExecutionError:
+        pass
+    return store
+
+
+def _check_ilp_batch_vs_record(case: CheckCase, budget: int):
+    # Machines: the paper's default; a narrow, high-penalty machine that
+    # ignores memory dependencies, with per-label overrides; and a budget
+    # small enough that most runs overrun it and must fault identically.
+    from ..ilp import IlpConfig
+
+    custom = IlpConfig(
+        window_size=3, misprediction_penalty=4, track_memory_dependencies=False
+    )
+    machines = (
+        ("default", budget, None, {}),
+        ("custom", budget, custom, {"novp": IlpConfig(window_size=1)}),
+        ("overrun", 64, None, {}),
+    )
+    for name, run_budget, config, configs in machines:
+        reference = _ilp_observation(
+            _ilp_by_record(case), case, run_budget, config, configs
+        )
+        store = TraceStore()
+        sides = (
+            ("capture", _ilp_by_batch(case)),
+            ("store-capture", _ilp_by_batch(case, store)),
+            ("store-replay", _ilp_by_batch(case, store)),
+            (
+                "small-batches",
+                _ilp_by_batch(case, _small_batch_store(case, run_budget)),
+            ),
+        )
+        for side, measure in sides:
+            fast = _ilp_observation(measure, case, run_budget, config, configs)
+            found = first_divergence(fast, reference, f"$ilp[{name}].{side}")
+            if found is not None:
+                return found
+    return None
+
+
+def _phase_profiles_by_record(case: CheckCase, budget: int, sample_every: int):
+    """Reference phase-split profile: one ``TraceRecord`` at a time."""
+    from ..machine import trace_program
+    from ..predictors import StridePredictor
+    from ..profiling.collector import ProfileImage
+
+    program = case.program
+    predictor = StridePredictor()
+    images = {}
+    is_candidate = [
+        instruction.is_prediction_candidate for instruction in program.instructions
+    ]
+    categories = [instruction.category for instruction in program.instructions]
+    records = trace_program(program, list(case.inputs), max_instructions=budget)
+    for position, record in enumerate(records):
+        if sample_every > 1 and position % sample_every:
+            continue
+        address = record.address
+        if not is_candidate[address]:
+            continue
+        phase = record.phase
+        image = images.get(phase)
+        if image is None:
+            image = ProfileImage(program.name, run_label=f"test#{phase}")
+            images[phase] = image
+        result = predictor.access(address, record.value)
+        profile = image.profile_for(address)
+        profile.executions += 1
+        group = image.group_slot(categories[address], phase, address)
+        group[0] += 1
+        if result.hit:
+            profile.attempts += 1
+            group[1] += 1
+            if result.correct:
+                profile.correct += 1
+                group[2] += 1
+                if result.nonzero_stride:
+                    profile.nonzero_stride_correct += 1
+    return images
+
+
+def _observe_phase_profiles(collect) -> Dict[str, object]:
+    try:
+        images = collect()
+    except ExecutionError as exc:
+        return {"outcome": ("error", type(exc).__name__, str(exc))}
+    return {
+        "outcome": ("halt",),
+        "phases": list(images),
+        "images": {
+            phase: {"image": _observe_image(image), "dump": dumps_profile(image)}
+            for phase, image in images.items()
+        },
+    }
+
+
+def _check_phase_profiles(case: CheckCase, budget: int):
+    from ..profiling import collect_phase_profiles
+
+    store = TraceStore()
+    stores = {
+        "capture": None,
+        "store-capture": store,
+        "store-replay": store,
+        "small-batches": _small_batch_store(case, budget),
+    }
+    for k in (1, 3):
+        reference = _observe_phase_profiles(
+            lambda: _phase_profiles_by_record(case, budget, k)
+        )
+        for side, side_store in stores.items():
+            fast = _observe_phase_profiles(
+                lambda: collect_phase_profiles(
+                    case.program,
+                    list(case.inputs),
+                    run_label="test",
+                    max_instructions=budget,
+                    sample_every=k,
+                    store=side_store,
+                )
+            )
+            found = first_divergence(fast, reference, f"$phases[k={k}].{side}")
+            if found is not None:
+                return found
+    return None
+
+
 def _store_fingerprint(directory) -> Dict[str, str]:
     """Relative path -> content hash for every file under ``directory``."""
     import hashlib
@@ -906,6 +1157,16 @@ _PAIRS: Tuple[OraclePair, ...] = (
         True, _check_simulate_vec,
     ),
     OraclePair(
+        "ilp-batch-vs-record",
+        "batch ILP scheduler (capture and replay) vs WindowScheduler.feed",
+        True, _check_ilp_batch_vs_record,
+    ),
+    OraclePair(
+        "phase-profiles-batch-vs-record",
+        "phase-split profiles over batch columns vs the per-record loop",
+        True, _check_phase_profiles,
+    ),
+    OraclePair(
         "capture-shard-vs-serial",
         "sharded multi-process capture vs a serial capture of the same sets",
         True, _check_capture_shard,
@@ -1048,7 +1309,7 @@ class OracleReport:
         for result in self.results:
             status = "ok" if result.passed else "DIVERGED"
             suffix = f"{result.cases} cases" if result.pair.uses_program else "1 run"
-            lines.append(f"  {result.pair.name:<22} {status:<8} ({suffix})")
+            lines.append(f"  {result.pair.name:<30} {status:<8} ({suffix})")
             if result.divergence is not None:
                 lines.append("    " + result.divergence.format().replace("\n", "\n    "))
         verdict = "PASS" if self.passed else "FAIL"

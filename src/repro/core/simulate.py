@@ -13,7 +13,9 @@ plays one step of the predictor + classification-scheme protocol:
 
 The same driver serves the infinite-table classification-accuracy study
 (Figures 5.1/5.2), the finite-table pressure study (Figures 5.3/5.4,
-Table 5.1) and, through :class:`PredictionEngine`, the ILP model.
+Table 5.1) and, through :func:`engine_consumer`, the ILP model, which
+reads each candidate's (taken, correct) outcome back from the same
+batch consumers.
 
 The trace is consumed in columnar batches
 (:meth:`~repro.machine.Executor.run_batches`, optionally captured
@@ -47,7 +49,8 @@ from collections import OrderedDict
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ..isa import Directive, Number, Program
-from ..machine import DEFAULT_BUDGET, Executor, TraceStore
+from ..machine import TraceStore
+from ..machine.tracestore import replay_or_run
 from ..predictors import HybridPredictor, StridePredictor, ValuePredictor
 from ..predictors.stride import StrideEntry
 from ..telemetry import get_registry
@@ -181,6 +184,7 @@ def simulate_prediction_many(
     """
     if not engines:
         raise ValueError("need at least one engine")
+    check_distinct_engines(engines)
     engine_list = list(engines.values())
     is_candidate = engine_list[0]._is_candidate
     vec = build_vec_plan(program, engine_list)
@@ -188,14 +192,8 @@ def simulate_prediction_many(
     finishers: list = []
     if vec is None:
         consumers, finishers = _build_consumers(engine_list)
-    budget = max_instructions if max_instructions is not None else DEFAULT_BUDGET
     started = time.perf_counter()
-    if store is not None:
-        batches = store.batches(program, inputs, max_instructions=budget)
-    else:
-        batches = Executor(
-            program, inputs=inputs, max_instructions=budget
-        ).run_batches()
+    batches = replay_or_run(program, inputs, max_instructions, store)
     try:
         for batch in batches:
             if vec is not None:
@@ -300,14 +298,61 @@ def _build_consumers(engine_list):
 
 
 def _generic_consumer(engine: PredictionEngine):
-    """Batch consumer for arbitrary engines: one ``step`` per candidate."""
+    """Batch consumer for arbitrary engines: one ``step`` per candidate.
 
-    def consume(pairs) -> None:
+    Like the inlined consumers, it writes each candidate's outcome code
+    into ``outcomes`` when given (see :func:`engine_consumer`).
+    """
+
+    def consume(pairs, outcomes=None) -> None:
         step = engine.step
-        for address, value in pairs:
-            step(address, value)
+        if outcomes is None:
+            for address, value in pairs:
+                step(address, value)
+            return
+        for index, (address, value) in enumerate(pairs):
+            taken, correct = step(address, value)
+            if taken:
+                outcomes[index] = 1 if correct else 2
 
     return consume
+
+
+def engine_consumer(engine: PredictionEngine):
+    """``(consume, finish)`` driving one engine on its own.
+
+    ``consume(pairs, outcomes)`` walks a batch's candidate pairs and
+    writes one code per candidate into the zero-filled ``outcomes``
+    bytearray: 0 = not taken, 1 = taken and correct, 2 = taken and
+    wrong.  Eligible engines run the inlined stride consumer that
+    :func:`simulate_prediction_many` uses; the rest fall back to
+    ``step``.  ``finish`` (``None`` for the fallback) folds the inlined
+    consumer's accumulators into the engine's statistics and must run
+    once after the last batch, even when the trace raised.
+    """
+    plan = _fast_stride_consumer(engine)
+    if plan is None:
+        return _generic_consumer(engine), None
+    return plan[0], plan[1]
+
+
+def check_distinct_engines(engines) -> None:
+    """Reject one engine object registered under two labels.
+
+    Every label steps its own engine once per candidate, so a shared
+    engine would be stepped twice and report wrong statistics for both
+    labels.  ``None`` (no value prediction) may repeat.
+    """
+    seen = {}
+    for label, engine in engines.items():
+        if engine is None:
+            continue
+        other = seen.setdefault(id(engine), label)
+        if other != label:
+            raise ValueError(
+                f"labels {other!r} and {label!r} share one PredictionEngine; "
+                "give each label its own engine"
+            )
 
 
 class _SharedStride:
@@ -396,7 +441,9 @@ def _fast_stride_consumer(engine: PredictionEngine):
 
     Returns ``(consume, finish, shared)`` where ``shared`` is a
     :class:`_SharedStride` handle when the engine qualifies for
-    leader/follower sharing, else ``None``.
+    leader/follower sharing, else ``None``.  ``consume(pairs, outcomes)``
+    also writes each taken candidate's outcome code into ``outcomes``
+    when one is passed (see :func:`engine_consumer`).
     """
     if type(engine.predictor) is not StridePredictor:
         return None
@@ -449,12 +496,12 @@ def _fast_stride_consumer(engine: PredictionEngine):
                 take_members=take_members,
             )
 
-        def consume(pairs) -> None:
+        def consume(pairs, outcomes=None) -> None:
             executions = attempts = would = taken_n = taken_c = allocs = 0
             hits = 0
             get_entry = entries.get
             get_slot = acc.get
-            for address, value in pairs:
+            for position, (address, value) in enumerate(pairs):
                 slot = get_slot(address)
                 if slot is None:
                     slot = acc[address] = [0, 0, 0, 0, 0, 0]
@@ -488,6 +535,8 @@ def _fast_stride_consumer(engine: PredictionEngine):
                     if correct:
                         taken_c += 1
                         slot[4] += 1
+                    if outcomes is not None:
+                        outcomes[position] = 1 if correct else 2
                 if record_call is not None:
                     record_call(address, correct)
             totals[0] += executions
@@ -504,11 +553,11 @@ def _fast_stride_consumer(engine: PredictionEngine):
         ways = table.ways
         sets = table._sets
 
-        def consume(pairs) -> None:
+        def consume(pairs, outcomes=None) -> None:
             executions = attempts = would = taken_n = taken_c = allocs = 0
             hits = evictions = 0
             get_slot = acc.get
-            for address, value in pairs:
+            for position, (address, value) in enumerate(pairs):
                 slot = get_slot(address)
                 if slot is None:
                     slot = acc[address] = [0, 0, 0, 0, 0, 0]
@@ -554,6 +603,8 @@ def _fast_stride_consumer(engine: PredictionEngine):
                     if correct:
                         taken_c += 1
                         slot[4] += 1
+                    if outcomes is not None:
+                        outcomes[position] = 1 if correct else 2
                 if record_call is not None:
                     record_call(address, correct)
             totals[0] += executions

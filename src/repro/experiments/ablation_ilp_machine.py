@@ -67,7 +67,11 @@ def run(context: ExperimentContext) -> ExperimentTable:
             engines[f"vp-p{penalty}"] = fresh_engine()
 
         results = measure_ilp_many(
-            annotated, context.test_inputs(name), engines, configs=configs
+            annotated,
+            context.test_inputs(name),
+            engines,
+            configs=configs,
+            store=context.traces,
         )
         window_gains = [
             ilp_increase(results[f"vp-w{w}"], results[f"base-w{w}"]) for w in WINDOWS

@@ -42,7 +42,9 @@ def run(context: ExperimentContext) -> ExperimentTable:
     )
     for workload in all_workloads():
         program = workload.compile()
-        stats = collect_statistics(program, workload.test_inputs(scale=context.scale))
+        stats = collect_statistics(
+            program, workload.test_inputs(scale=context.scale), store=context.traces
+        )
         loads = stats.category_fraction(Category.INT_LOAD) + stats.category_fraction(
             Category.FP_LOAD
         )

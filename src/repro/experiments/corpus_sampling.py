@@ -141,7 +141,10 @@ def run(context: ExperimentContext) -> ExperimentTable:
                 scheme=ProfileClassification(annotated),
             )
         results = measure_ilp_many(
-            program, workload.test_inputs(scale=context.scale), engines
+            program,
+            workload.test_inputs(scale=context.scale),
+            engines,
+            store=context.traces,
         )
         baseline = results["novp"]
         for rate in SAMPLE_RATES:

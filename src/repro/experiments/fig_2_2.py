@@ -49,7 +49,9 @@ def run(context: ExperimentContext) -> ExperimentTable:
         if workload.suite == "fp":
             # Phase-split presentation, as in the paper's SPEC-FP panel.
             images = collect_phase_profiles(
-                workload.compile(), workload.test_inputs(scale=context.scale)
+                workload.compile(),
+                workload.test_inputs(scale=context.scale),
+                store=context.traces,
             )
             for phase in sorted(images):
                 if phase == 0:

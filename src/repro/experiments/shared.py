@@ -245,6 +245,7 @@ def ilp_results(
             scheme=ProfileClassification(annotated),
         )
     results = measure_ilp_many(
-        program, context.test_inputs(name), engines, config=config
+        program, context.test_inputs(name), engines, config=config,
+        store=context.traces,
     )
     return _finish(context, memo_key, "ilp", cache_key, results)

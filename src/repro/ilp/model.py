@@ -28,19 +28,37 @@ disambiguation with store-to-load forwarding); disable
 a pure register-dataflow limit study.
 
 :func:`measure_ilp_many` schedules several machine configurations (e.g.
-no-VP, VP+SC, VP+Prof at five thresholds) against a *single* execution of
-the program — the trace is by far the dominant cost.
+no-VP, VP+SC, VP+Prof at five thresholds) against a *single* trace, in
+columnar batches — replayed from a :class:`~repro.machine.TraceStore`
+when one is passed (the simulation studies have usually captured the
+same run already), executed otherwise.  Per batch, each engine runs
+once over the batch's candidates through the same consumers as
+:func:`~repro.core.simulate.simulate_prediction_many` and leaves one
+outcome code per candidate; each machine then schedules the batch in one
+tight loop over its columns.  No engine reads scheduler state, so an
+engine's (taken, correct) outcomes depend on the candidate stream alone
+and running it a batch ahead of the scheduler changes no result.
+:class:`WindowScheduler` is the per-record reference the
+``ilp-batch-vs-record`` oracle pair holds the batch path to.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import NUM_REGISTERS, Number, Opcode, Program, RA, ZERO
-from ..machine import TraceRecord, trace_program
-from ..core.simulate import PredictionEngine
+from ..machine import TraceRecord, TraceStore
+from ..machine.tracestore import replay_or_run
+from ..core.simulate import (
+    PredictionEngine,
+    _candidate_pairs,
+    check_distinct_engines,
+    engine_consumer,
+)
+from ..telemetry import get_registry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,8 +144,9 @@ class WindowScheduler:
     """Schedules one dynamic instruction stream on the abstract machine.
 
     Feed it records in program order via :meth:`feed`, then read
-    :meth:`result`.  Several schedulers (different engines/configs) can
-    consume the same trace.
+    :meth:`result`.  This is the per-record reference implementation;
+    :func:`measure_ilp_many` computes the same results from trace
+    batches.
     """
 
     def __init__(
@@ -227,6 +246,7 @@ def measure_ilp(
     engine: Optional[PredictionEngine] = None,
     config: Optional[IlpConfig] = None,
     max_instructions: Optional[int] = None,
+    store: Optional[TraceStore] = None,
 ) -> IlpResult:
     """Schedule one run on the abstract machine and measure its ILP.
 
@@ -238,6 +258,7 @@ def measure_ilp(
             pure dataflow baseline the paper's Table 5.2 normalizes to.
         config: machine parameters.
         max_instructions: optional dynamic-instruction cap.
+        store: optional trace store for capture-once/replay-many runs.
     """
     results = measure_ilp_many(
         program,
@@ -245,8 +266,146 @@ def measure_ilp(
         engines={"only": engine},
         config=config,
         max_instructions=max_instructions,
+        store=store,
     )
     return results["only"]
+
+
+#: One static instruction as the batch scheduler sees it:
+#: ``(src1, src2, dest, memory, candidate)``.  Missing sources are
+#: padded with ``ZERO``, whose ready cycle is never written; ``dest`` is
+#: 0 when the instruction writes no register (or writes ``ZERO``);
+#: ``memory`` is 1 for a load, 2 for a store (the records carrying a
+#: ``mems`` entry) and 0 otherwise — or 0 throughout when memory
+#: dependencies are not tracked; ``candidate`` marks instructions whose
+#: outcome code the engine wrote.
+_Slot = Tuple[int, int, int, int, bool]
+
+
+def _scheduling_table(
+    decoded: List[_Decoded], track_memory: bool, predicting: bool
+) -> List[_Slot]:
+    table: List[_Slot] = []
+    for srcs, dest, reads_memory, writes_memory, is_candidate in decoded:
+        src1, src2 = (tuple(srcs) + (ZERO, ZERO))[:2]
+        memory = 0
+        if track_memory:
+            memory = 1 if reads_memory else 2 if writes_memory else 0
+        table.append(
+            (
+                src1,
+                src2,
+                dest if dest is not None else ZERO,
+                memory,
+                predicting and is_candidate,
+            )
+        )
+    return table
+
+
+class _BatchMachine:
+    """One machine configuration scheduling a trace batch by batch.
+
+    Holds the :class:`WindowScheduler` state between batches; the
+    per-record work is :meth:`schedule`, one loop over a batch's columns
+    with that state in locals.  ``window`` starts full of zeros, so
+    ``window[0]`` is the retire cycle of the instruction ``window_size``
+    positions earlier — or 0 while the window is filling — exactly the
+    reference's pop-when-full rule, since retire cycles are never
+    negative.
+    """
+
+    __slots__ = (
+        "table",
+        "penalty",
+        "register_ready",
+        "memory_ready",
+        "window",
+        "retire",
+        "instructions",
+        "taken",
+        "correct",
+        "mispredicted",
+    )
+
+    def __init__(self, table: List[_Slot], config: IlpConfig) -> None:
+        self.table = table
+        self.penalty = config.misprediction_penalty
+        self.register_ready = [0] * NUM_REGISTERS
+        self.memory_ready: Dict[int, int] = {}
+        self.window = deque([0] * config.window_size, maxlen=config.window_size)
+        self.retire = 0
+        self.instructions = 0
+        self.taken = 0
+        self.correct = 0
+        self.mispredicted = 0
+
+    def schedule(self, addresses, mems, outcomes) -> None:
+        """Schedule one batch; ``outcomes`` holds its candidates' codes."""
+        table = self.table
+        penalty = self.penalty
+        register_ready = self.register_ready
+        memory_ready = self.memory_ready
+        memory_get = memory_ready.get
+        window = self.window
+        append = window.append
+        retire = self.retire
+        mem_cursor = 0
+        candidate_cursor = 0
+        for address in addresses:
+            src1, src2, dest, memory, candidate = table[address]
+            enter = window[0]
+            ready = enter
+            source_ready = register_ready[src1]
+            if source_ready > ready:
+                ready = source_ready
+            source_ready = register_ready[src2]
+            if source_ready > ready:
+                ready = source_ready
+            if memory:
+                location = mems[mem_cursor]
+                mem_cursor += 1
+                if memory == 1:
+                    source_ready = memory_get(location, 0)
+                    if source_ready > ready:
+                        ready = source_ready
+            complete = ready + 1
+            if candidate:
+                code = outcomes[candidate_cursor]
+                candidate_cursor += 1
+                if dest:
+                    if code == 1:
+                        # Collapsed dependence: consumers see the predicted
+                        # value as soon as the producer is in flight.
+                        register_ready[dest] = enter
+                    elif code == 2:
+                        register_ready[dest] = complete + penalty
+                    else:
+                        register_ready[dest] = complete
+            elif dest:
+                register_ready[dest] = complete
+            if memory == 2:
+                memory_ready[location] = complete
+            if complete > retire:
+                retire = complete
+            append(retire)
+        self.retire = retire
+        self.instructions += len(addresses)
+        if candidate_cursor:
+            correct = outcomes.count(1)
+            mispredicted = outcomes.count(2)
+            self.correct += correct
+            self.mispredicted += mispredicted
+            self.taken += correct + mispredicted
+
+    def result(self) -> IlpResult:
+        return IlpResult(
+            instructions=self.instructions,
+            cycles=self.retire,
+            taken_predictions=self.taken,
+            correct_predictions=self.correct,
+            mispredictions=self.mispredicted,
+        )
 
 
 def measure_ilp_many(
@@ -256,41 +415,72 @@ def measure_ilp_many(
     config: Optional[IlpConfig] = None,
     configs: Optional[Mapping[str, IlpConfig]] = None,
     max_instructions: Optional[int] = None,
+    store: Optional[TraceStore] = None,
 ) -> Dict[str, IlpResult]:
     """Schedule several machine configurations against one execution.
 
     ``engines`` maps a label to a :class:`PredictionEngine` or ``None``
-    (no value prediction).  All schedulers consume the same trace, so the
-    program executes exactly once.  ``configs`` optionally overrides the
-    shared ``config`` per label — e.g. to sweep window sizes or penalties
-    in the same pass.
+    (no value prediction); each label needs its own engine object
+    (``ValueError`` otherwise).  All schedulers consume the same trace,
+    so the program executes at most once — and not at all when
+    ``store`` already holds the trace.  ``configs`` optionally overrides
+    the shared ``config`` per label — e.g. to sweep window sizes or
+    penalties in the same pass.
+
+    Results equal feeding every record to a :class:`WindowScheduler`
+    per label; an :class:`~repro.machine.ExecutionError` raised by the
+    run propagates after the engines have observed every retired
+    candidate, as it does there.
     """
     if engines is None:
         engines = {"baseline": None}
+    check_distinct_engines(engines)
     configs = configs or {}
     decoded = _decode_for_scheduling(program)
-    schedulers = {
-        label: WindowScheduler(
-            program,
-            engine=engine,
-            config=configs.get(label, config),
-            decoded=decoded,
-        )
-        for label, engine in engines.items()
-    }
-    kwargs = {}
-    if max_instructions is not None:
-        kwargs["max_instructions"] = max_instructions
-    feeders = [scheduler.feed for scheduler in schedulers.values()]
-    if len(feeders) == 1:
-        feed = feeders[0]
-        for record in trace_program(program, inputs, **kwargs):
-            feed(record)
-    else:
-        for record in trace_program(program, inputs, **kwargs):
-            for feed in feeders:
-                feed(record)
-    return {label: scheduler.result() for label, scheduler in schedulers.items()}
+    is_candidate = [slot[4] for slot in decoded]
+    tables: Dict[Tuple[bool, bool], List[_Slot]] = {}
+    machines: Dict[str, _BatchMachine] = {}
+    lanes = []  # (machine, consume or None), one per label
+    finishers = []
+    for label, engine in engines.items():
+        machine_config = configs.get(label, config) or IlpConfig()
+        variant = (machine_config.track_memory_dependencies, engine is not None)
+        table = tables.get(variant)
+        if table is None:
+            table = tables[variant] = _scheduling_table(decoded, *variant)
+        machine = machines[label] = _BatchMachine(table, machine_config)
+        consume = None
+        if engine is not None:
+            consume, finish = engine_consumer(engine)
+            if finish is not None:
+                finishers.append(finish)
+        lanes.append((machine, consume))
+    predicting = any(consume is not None for _, consume in lanes)
+    started = time.perf_counter()
+    batches = replay_or_run(program, inputs, max_instructions, store)
+    try:
+        for batch in batches:
+            addresses = batch.addresses
+            mems = batch.mems
+            pairs = _candidate_pairs(batch, is_candidate) if predicting else ()
+            for machine, consume in lanes:
+                outcomes = None
+                if consume is not None:
+                    outcomes = bytearray(len(pairs))
+                    if pairs:
+                        consume(pairs, outcomes)
+                machine.schedule(addresses, mems, outcomes)
+    finally:
+        for finish in finishers:
+            finish()
+        telemetry = get_registry()
+        if telemetry.enabled:
+            telemetry.timer("ilp.schedule").add(time.perf_counter() - started)
+            telemetry.counter("ilp.runs").add(1)
+            telemetry.counter("ilp.records").add(
+                sum(machine.instructions for machine in machines.values())
+            )
+    return {label: machine.result() for label, machine in machines.items()}
 
 
 def ilp_increase(with_prediction: IlpResult, baseline: IlpResult) -> float:

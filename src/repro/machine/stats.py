@@ -9,11 +9,12 @@ working-set sizes that the experiment harness reports per workload.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from itertools import islice
 from typing import Dict, Iterable, Optional, Set
 
 from ..isa import Category, Number, Opcode, Program
-from .executor import trace_program
-from .trace import TraceRecord
+from .tracestore import TraceStore, replay_or_run
 
 
 @dataclasses.dataclass
@@ -69,41 +70,51 @@ def collect_statistics(
     program: Program,
     inputs: Iterable[Number] = (),
     max_instructions: Optional[int] = None,
+    store: Optional[TraceStore] = None,
 ) -> RunStatistics:
-    """Execute ``program`` once and aggregate its dynamic statistics."""
+    """Execute ``program`` once and aggregate its dynamic statistics.
+
+    ``store`` replays the run from a :class:`~repro.machine.TraceStore`
+    (capturing it on a miss) instead of executing it.
+    """
     stats = RunStatistics()
-    categories = [instruction.category for instruction in program.instructions]
-    candidates = [
-        instruction.is_prediction_candidate for instruction in program.instructions
-    ]
     branch_targets = [
         instruction.target if instruction.opcode in (Opcode.BEQZ, Opcode.BNEZ) else None
         for instruction in program.instructions
     ]
-    kwargs = {}
-    if max_instructions is not None:
-        kwargs["max_instructions"] = max_instructions
+    batches = replay_or_run(program, inputs, max_instructions, store)
 
-    previous_branch: Optional[TraceRecord] = None
-    previous_target: Optional[int] = None
-    for record in trace_program(program, inputs, **kwargs):
-        address = record.address
-        stats.instructions += 1
-        category = categories[address]
-        stats.by_category[category] = stats.by_category.get(category, 0) + 1
-        stats.static_addresses.add(address)
-        if candidates[address]:
-            stats.candidate_instructions += 1
-            stats.static_candidates.add(address)
-        if record.mem_address is not None:
-            stats.memory_addresses.add(record.mem_address)
-        # A branch is taken iff the next retired address is its target.
-        if previous_branch is not None:
+    # Per-address execution counts, keyed in first-execution order.
+    executions: Dict[int, int] = {}
+    pending_target: Optional[int] = None  # target of a branch ending a batch
+    for batch in batches:
+        addresses = batch.addresses
+        for address, count in Counter(addresses).items():
+            executions[address] = executions.get(address, 0) + count
+        stats.memory_addresses.update(batch.mems)
+        # A branch is taken iff the next retired address is its target; a
+        # branch that retires last in the run has no successor and is not
+        # counted.
+        if pending_target is not None:
             stats.branches += 1
-            if address == previous_target:
+            if addresses[0] == pending_target:
                 stats.taken_branches += 1
-            previous_branch = None
-        if branch_targets[address] is not None:
-            previous_branch = record
-            previous_target = branch_targets[address]
+        for address, following in zip(addresses, islice(addresses, 1, None)):
+            target = branch_targets[address]
+            if target is not None:
+                stats.branches += 1
+                if following == target:
+                    stats.taken_branches += 1
+        pending_target = branch_targets[addresses[-1]]
+
+    instructions = program.instructions
+    for address, count in executions.items():
+        instruction = instructions[address]
+        stats.instructions += count
+        category = instruction.category
+        stats.by_category[category] = stats.by_category.get(category, 0) + count
+        stats.static_addresses.add(address)
+        if instruction.is_prediction_candidate:
+            stats.candidate_instructions += count
+            stats.static_candidates.add(address)
     return stats

@@ -359,6 +359,25 @@ class PackedTrace:
         )
 
 
+def replay_or_run(
+    program: Program,
+    inputs: Iterable[Number] = (),
+    max_instructions: Optional[int] = None,
+    store: Optional["TraceStore"] = None,
+) -> Iterator[TraceBatch]:
+    """One run's trace batches for an analysis layer.
+
+    Replayed from ``store`` when it holds the run (captured into it on a
+    miss); executed by :meth:`Executor.run_batches` when no store is
+    given.  ``max_instructions=None`` means :data:`DEFAULT_BUDGET`, so
+    both sources key and bound the run the same way.
+    """
+    budget = max_instructions if max_instructions is not None else DEFAULT_BUDGET
+    if store is not None:
+        return store.batches(program, inputs, max_instructions=budget)
+    return Executor(program, inputs=inputs, max_instructions=budget).run_batches()
+
+
 class TraceStore:
     """LRU of packed traces, optionally backed by an on-disk directory.
 

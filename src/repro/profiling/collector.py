@@ -16,7 +16,8 @@ import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import Category, Number, Program
-from ..machine import DEFAULT_BUDGET, Executor, TraceStore
+from ..machine import TraceStore
+from ..machine.tracestore import replay_or_run
 from ..predictors import StridePredictor, ValuePredictor
 from ..predictors.stride import StrideEntry
 from ..telemetry import get_registry
@@ -315,13 +316,7 @@ def collect_profiles(
                         if result.nonzero_stride:
                             profile.nonzero_stride_correct += 1
     else:
-        budget = max_instructions if max_instructions is not None else DEFAULT_BUDGET
-        if store is not None:
-            batches = store.batches(program, inputs, max_instructions=budget)
-        else:
-            batches = Executor(
-                program, inputs=inputs, max_instructions=budget
-            ).run_batches()
+        batches = replay_or_run(program, inputs, max_instructions, store)
         consumers = []
         finishers = []
         for name, predictor in pairs:

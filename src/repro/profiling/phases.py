@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from ..isa import Number, Program
-from ..machine import trace_program
+from ..machine import TraceStore
+from ..machine.tracestore import replay_or_run
 from ..predictors import StridePredictor, ValuePredictor
 from .collector import ProfileImage
 
@@ -26,6 +27,7 @@ def collect_phase_profiles(
     run_label: str = "",
     max_instructions: Optional[int] = None,
     sample_every: int = 1,
+    store: Optional[TraceStore] = None,
 ) -> Dict[int, ProfileImage]:
     """Profile one run, splitting the accounting by execution phase.
 
@@ -34,7 +36,9 @@ def collect_phase_profiles(
 
     ``sample_every=k`` keeps only every ``k``-th record of the dynamic
     stream, under the same global-position rule as
-    :func:`~repro.profiling.collector.collect_profiles`.
+    :func:`~repro.profiling.collector.collect_profiles`.  ``store``
+    replays the run from a :class:`~repro.machine.TraceStore` (capturing
+    it on a miss) instead of executing it.
     """
     if (
         isinstance(sample_every, bool)
@@ -43,37 +47,42 @@ def collect_phase_profiles(
     ):
         raise ValueError(f"sample_every must be an int >= 1, got {sample_every!r}")
     predictor = predictor or StridePredictor()
+    access = predictor.access
     images: Dict[int, ProfileImage] = {}
     is_candidate = [
         instruction.is_prediction_candidate for instruction in program.instructions
     ]
     categories = [instruction.category for instruction in program.instructions]
 
-    kwargs = {}
-    if max_instructions is not None:
-        kwargs["max_instructions"] = max_instructions
-    for position, record in enumerate(trace_program(program, inputs, **kwargs)):
-        if sample_every > 1 and position % sample_every:
-            continue
-        address = record.address
-        if not is_candidate[address]:
-            continue
-        phase = record.phase
-        image = images.get(phase)
-        if image is None:
-            image = ProfileImage(program.name, run_label=f"{run_label}#{phase}")
-            images[phase] = image
-        result = predictor.access(address, record.value)
-        profile = image.profile_for(address)
-        profile.executions += 1
-        group = image.group_slot(categories[address], phase, address)
-        group[0] += 1
-        if result.hit:
-            profile.attempts += 1
-            group[1] += 1
-            if result.correct:
-                profile.correct += 1
-                group[2] += 1
-                if result.nonzero_stride:
-                    profile.nonzero_stride_correct += 1
+    batches = replay_or_run(program, inputs, max_instructions, store)
+    offset = 0  # global position of the batch's first record
+    for batch in batches:
+        addresses = batch.addresses
+        values = batch.record_values()
+        for start, end, phase in batch.phase_segments():
+            # First kept record of the segment: global position = 0 (mod k).
+            start += -(offset + start) % sample_every
+            image = images.get(phase)
+            for index in range(start, end, sample_every):
+                address = addresses[index]
+                if not is_candidate[address]:
+                    continue
+                if image is None:
+                    image = images[phase] = ProfileImage(
+                        program.name, run_label=f"{run_label}#{phase}"
+                    )
+                result = access(address, values[index])
+                profile = image.profile_for(address)
+                profile.executions += 1
+                group = image.group_slot(categories[address], phase, address)
+                group[0] += 1
+                if result.hit:
+                    profile.attempts += 1
+                    group[1] += 1
+                    if result.correct:
+                        profile.correct += 1
+                        group[2] += 1
+                        if result.nonzero_stride:
+                            profile.nonzero_stride_correct += 1
+        offset += len(addresses)
     return images

@@ -51,6 +51,10 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "core.taken_correct",
         "core.would_correct",
         "core.allocations",
+        # ilp: the abstract-machine scheduler (one add per measure call).
+        "ilp.schedule",
+        "ilp.runs",
+        "ilp.records",
         # simulate.vec: the vectorized (numpy) analysis backend.
         "simulate.vec.runs",
         "simulate.vec.records",

@@ -213,6 +213,13 @@ class TestLintRules:
         source = "def f(xs):\n    for x in sorted(set(xs)):\n        print(x)\n"
         assert self._rules(source, DETERMINISTIC_PATH) == []
 
+    def test_ilp_package_is_deterministic(self):
+        # The ILP scheduler is held to the deterministic-core rules.
+        clock = "import time\n\ndef f():\n    return time.time()\n"
+        assert self._rules(clock, "repro/ilp/model.py") == ["nondet-call"]
+        loop = "def f(xs):\n    for x in set(xs):\n        print(x)\n"
+        assert self._rules(loop, "repro/ilp/model.py") == ["set-iteration"]
+
     def test_set_comprehension_source_flagged(self):
         source = "def f(xs):\n    return [x for x in {x for x in xs}]\n"
         assert self._rules(source, DETERMINISTIC_PATH) == ["set-iteration"]

@@ -229,3 +229,176 @@ class TestPerLabelConfigs:
         individual_w64 = measure_ilp(program, config=IlpConfig(window_size=64))
         assert swept["w4"].cycles == individual_w4.cycles
         assert swept["w64"].cycles == individual_w64.cycles
+
+
+MEMORY_CHAIN = """
+.text
+    li r1, 3
+    mul r1, r1, r1
+    mul r1, r1, r1
+    mul r1, r1, r1
+    mul r1, r1, r1
+    st r1, gp, 0
+    li r4, 1
+    ld r2, gp, 0
+    addi r3, r2, 1
+    halt
+"""
+
+
+def _reference_results(program, engines, config=None, configs=None, **run_options):
+    """One ``WindowScheduler.feed`` per record per label."""
+    from repro.ilp import WindowScheduler
+    from repro.machine import trace_program
+
+    configs = configs or {}
+    schedulers = {
+        label: WindowScheduler(
+            program, engine=engine, config=configs.get(label, config)
+        )
+        for label, engine in engines.items()
+    }
+    for record in trace_program(program, **run_options):
+        for scheduler in schedulers.values():
+            scheduler.feed(record)
+    return {label: scheduler.result() for label, scheduler in schedulers.items()}
+
+
+class TestBatchScheduler:
+    @staticmethod
+    def grid(program):
+        from repro.predictors import HybridPredictor
+
+        return {
+            "novp": None,
+            "stride": PredictionEngine(
+                program, StridePredictor(), AlwaysClassification()
+            ),
+            "finite": PredictionEngine(
+                program, StridePredictor(4, 2), HardwareClassification()
+            ),
+            "hybrid": PredictionEngine(
+                program, HybridPredictor(), HardwareClassification()
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            None,
+            IlpConfig(window_size=3, misprediction_penalty=5),
+            IlpConfig(track_memory_dependencies=False),
+        ],
+    )
+    def test_matches_record_reference(self, config):
+        program = assemble(STRIDE_LOOP)
+        batch = measure_ilp_many(program, (), self.grid(program), config=config)
+        assert batch == _reference_results(program, self.grid(program), config)
+
+    def test_store_dependence_binds(self):
+        program = assemble(MEMORY_CHAIN)
+        tracked = measure_ilp(program)
+        untracked = measure_ilp(
+            program, config=IlpConfig(track_memory_dependencies=False)
+        )
+        # The load waits for the store, which waits for the mul chain.
+        assert tracked.cycles > untracked.cycles
+        for config in (IlpConfig(), IlpConfig(track_memory_dependencies=False)):
+            assert measure_ilp(program, config=config) == _reference_results(
+                program, {"only": None}, config
+            )["only"]
+
+    def test_replay_matches_capture_across_batch_boundaries(self):
+        from repro.machine import TraceStore
+
+        program = assemble(STRIDE_LOOP)
+        store = TraceStore()
+        # Capture in 5-record batches: replay hands the scheduler state
+        # across every boundary.
+        for _batch in store.batches(program, (), chunk_size=5):
+            pass
+        replayed = measure_ilp_many(program, (), self.grid(program), store=store)
+        assert replayed == _reference_results(program, self.grid(program))
+
+    def test_replay_does_not_execute(self):
+        from repro.machine import TraceStore
+        from repro.telemetry import Telemetry, use_registry
+
+        program = assemble(STRIDE_LOOP)
+        store = TraceStore()
+        measure_ilp_many(program, (), self.grid(program), store=store)
+        registry = Telemetry()
+        with use_registry(registry):
+            measure_ilp_many(program, (), self.grid(program), store=store)
+        counters = registry.snapshot()["counters"]
+        assert counters.get("machine.instructions", 0) == 0
+        assert counters["machine.trace.replays"] == 1
+
+    def test_budget_overrun_raises_like_reference(self):
+        from repro.machine import InstructionBudgetExceeded
+
+        program = assemble(STRIDE_LOOP)
+        with pytest.raises(InstructionBudgetExceeded) as batch_error:
+            measure_ilp_many(
+                program, (), self.grid(program), max_instructions=100
+            )
+        with pytest.raises(InstructionBudgetExceeded) as record_error:
+            _reference_results(program, self.grid(program), max_instructions=100)
+        assert str(batch_error.value) == str(record_error.value)
+
+    def test_engine_statistics_fold_on_error(self):
+        from repro.machine import InstructionBudgetExceeded
+
+        program = assemble(STRIDE_LOOP)
+        batch_engines = self.grid(program)
+        record_engines = self.grid(program)
+        for engines, run in (
+            (batch_engines, lambda e: measure_ilp_many(
+                program, (), e, max_instructions=100)),
+            (record_engines, lambda e: _reference_results(
+                program, e, max_instructions=100)),
+        ):
+            with pytest.raises(InstructionBudgetExceeded):
+                run(engines)
+        for label, engine in batch_engines.items():
+            if engine is not None:
+                assert engine.stats == record_engines[label].stats
+
+    def test_telemetry_published_once_per_call(self):
+        from repro.telemetry import Telemetry, use_registry
+
+        program = assemble(STRIDE_LOOP)
+        registry = Telemetry()
+        with use_registry(registry):
+            results = measure_ilp_many(program, (), self.grid(program))
+        snapshot = registry.snapshot()
+        counters = snapshot["counters"]
+        assert counters["ilp.runs"] == 1
+        assert counters["ilp.records"] == sum(
+            result.instructions for result in results.values()
+        )
+        assert snapshot["timers"]["ilp.schedule"]["count"] == 1
+        # Engine statistics stay out of the simulate counters.
+        assert "core.candidates" not in counters
+        assert "predictor.lookups" not in counters
+
+
+class TestSharedEngineRejected:
+    def test_measure_ilp_many_rejects_shared_engine(self):
+        program = assemble(STRIDE_LOOP)
+        engine = PredictionEngine(program, StridePredictor(), AlwaysClassification())
+        with pytest.raises(ValueError, match="share one PredictionEngine"):
+            measure_ilp_many(program, (), {"a": engine, "b": engine})
+
+    def test_simulate_prediction_many_rejects_shared_engine(self):
+        from repro.core import simulate_prediction_many
+
+        program = assemble(STRIDE_LOOP)
+        engine = PredictionEngine(program, StridePredictor(), AlwaysClassification())
+        with pytest.raises(ValueError, match="share one PredictionEngine"):
+            simulate_prediction_many(program, (), {"a": engine, "b": engine})
+
+    def test_none_may_repeat(self):
+        program = assemble(STRIDE_LOOP)
+        results = measure_ilp_many(program, (), {"a": None, "b": None})
+        assert results["a"] == results["b"]

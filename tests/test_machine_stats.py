@@ -64,3 +64,56 @@ loop:
         assert stats.by_category[Category.FP_ALU] == 3
         assert stats.by_category[Category.FP_LOAD] == 1
         assert stats.by_category[Category.STORE] == 1
+
+
+class TestStoreReplay:
+    def _small_batch_store(self, program, inputs=()):
+        from repro.machine import TraceStore
+
+        store = TraceStore()
+        # 3-record batches put a branch at the end of many batches, so
+        # its taken/not-taken decision straddles a batch boundary.
+        for _batch in store.batches(program, inputs, chunk_size=3):
+            pass
+        return store
+
+    def test_replay_matches_fresh_run(self, count_program):
+        store = self._small_batch_store(count_program)
+        assert collect_statistics(count_program, store=store) == collect_statistics(
+            count_program
+        )
+
+    def test_branches_across_batch_boundaries(self):
+        from repro.telemetry import Telemetry, use_registry
+
+        program = assemble(
+            """
+.text
+    li r1, 0
+loop:
+    addi r1, r1, 1
+    slti r2, r1, 7
+    bnez r2, loop
+    halt
+"""
+        )
+        store = self._small_batch_store(program)
+        registry = Telemetry()
+        with use_registry(registry):
+            stats = collect_statistics(program, store=store)
+        assert registry.snapshot()["counters"]["machine.trace.replays"] == 1
+        assert stats.branches == 7
+        assert stats.taken_branches == 6
+        assert stats.instructions == run_program(program).instruction_count
+
+    def test_category_order_follows_first_execution(self):
+        program = assemble(
+            ".text\n st r0, gp, 0\n li r1, 1\n ld r2, gp, 0\n halt\n"
+        )
+        stats = collect_statistics(program, store=self._small_batch_store(program))
+        assert list(stats.by_category) == [
+            Category.STORE,
+            Category.INT_ALU,
+            Category.INT_LOAD,
+            program[3].category,
+        ]

@@ -101,6 +101,36 @@ class TestCollector:
         phases = {phase for _category, phase in image.groups}
         assert 1 in phases and 2 in phases
 
+    def test_phase_profiles_replay_matches_fresh_run(self):
+        from repro.machine import TraceStore
+        from repro.profiling import collect_phase_profiles
+        from repro.profiling.image_io import dumps_profile
+
+        source = """
+        void main() {
+            int i; int a;
+            phase(1);
+            a = in();
+            phase(2);
+            for (i = 0; i < 40; i = i + 1) { a = a + i; }
+            out(a);
+        }
+        """
+        program = compile_source(source)
+        store = TraceStore()
+        # Tiny batches: the sampling rule must count global positions.
+        for _batch in store.batches(program, [5], chunk_size=4):
+            pass
+        for k in (1, 3):
+            fresh = collect_phase_profiles(program, [5], sample_every=k)
+            replayed = collect_phase_profiles(
+                program, [5], sample_every=k, store=store
+            )
+            assert list(replayed) == list(fresh)
+            assert 2 in fresh
+            for phase, image in fresh.items():
+                assert dumps_profile(replayed[phase]) == dumps_profile(image)
+
     def test_only_candidates_profiled(self, count_program):
         image = collect_profile(count_program)
         for address in image.instructions:
