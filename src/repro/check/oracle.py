@@ -25,12 +25,13 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     unsampled profile, and ``sample_every=k`` over the live executor
     (columnar batch path) must equal profiling the drained record list
     thinned to ``records[::k]`` (the per-record reference path).
-``simulate-vec-vs-pure``
-    ``simulate_prediction_many`` over a ten-engine grid with the
-    vectorized (numpy) backend live against the same grid with
-    ``REPRO_NO_NUMPY`` forced — on the generated case (which exercises
-    mid-run demotion: generated programs always produce floats) *and*
-    on an all-integer twin of it (which exercises the actual fold).
+``simulate-fast-vs-step``
+    ``simulate_prediction_many`` over a fifteen-engine grid — freshly
+    captured and replayed from a capture in tiny batches — against the
+    same grid stepped with ``PredictionEngine.step`` on each candidate
+    of a per-record walk.  The grid holds finite and infinite stride
+    tables (inlined consumers, evictions, the shared leader/follower
+    fold) and ``step``-fallback engines.
 ``ilp-batch-vs-record``
     ``measure_ilp_many`` scheduling from trace batches — freshly
     captured, captured into a store and replayed from it — against one
@@ -524,12 +525,16 @@ def _check_profile_sampled(case: CheckCase, budget: int):
 
 
 def _engine_grid(program):
-    """A predictor/scheme grid covering every vectorized code path.
+    """A predictor/scheme grid covering every simulate code path.
 
-    Families: stride, last-value, two-delta and the hybrid split table;
-    schemes: unconditional, FSM-classified, profile-classified and the
-    probe-wrapped variants — so the vec backend's allocation masks, take
-    policies, FSM scan and directive routing all face their pure twins.
+    Infinite stride tables under unconditional, FSM, profile and probe
+    schemes take the inlined consumer, and the static ones among them
+    (always, probe-always, probe-profile) fold from the FSM leader's
+    accumulators.  Finite set-associative stride tables run the
+    evicting inlined loop, so ``on_evict`` reaches the FSM.  Last-value,
+    two-delta and hybrid engines fall back to ``step``.  Every third
+    candidate stays untagged, so profile allocation filters and
+    membership take policies have addresses to reject.
     """
     from ..core.schemes import (
         AlwaysClassification,
@@ -548,10 +553,14 @@ def _engine_grid(program):
     directives = {
         address: Directive.STRIDE if address % 2 == 0 else Directive.LAST_VALUE
         for address in program.candidate_addresses
+        if address % 3
     }
 
     def profile():
         return ProfileClassification.from_directives(directives)
+
+    def finite():
+        return StridePredictor(entries=8, ways=2)
 
     return {
         "stride/always": PredictionEngine(
@@ -561,9 +570,22 @@ def _engine_grid(program):
             program, StridePredictor(), HardwareClassification()
         ),
         "stride/profile": PredictionEngine(program, StridePredictor(), profile()),
+        "stride/probe-always": PredictionEngine(
+            program, StridePredictor(), ProbeScheme(AlwaysClassification())
+        ),
         "stride/probe-profile": PredictionEngine(
             program, StridePredictor(), ProbeScheme(profile())
         ),
+        "stride/probe-fsm": PredictionEngine(
+            program, StridePredictor(), ProbeScheme(HardwareClassification())
+        ),
+        "finite/always": PredictionEngine(
+            program, finite(), AlwaysClassification()
+        ),
+        "finite/fsm": PredictionEngine(
+            program, finite(), HardwareClassification()
+        ),
+        "finite/profile": PredictionEngine(program, finite(), profile()),
         "lv/always": PredictionEngine(
             program, LastValuePredictor(), AlwaysClassification()
         ),
@@ -638,15 +660,12 @@ def _observe_engine(engine) -> Dict[str, object]:
     }
 
 
-def _simulate_observation(case: CheckCase, budget: int) -> Dict[str, object]:
-    from ..core.simulate import simulate_prediction_many
-
+def _simulate_observation(case: CheckCase, run) -> Dict[str, object]:
+    """``run`` a fresh grid; its fault (if any) plus every engine's state."""
     engines = _engine_grid(case.program)
     outcome: Tuple[str, ...] = ("halt",)
     try:
-        simulate_prediction_many(
-            case.program, list(case.inputs), engines, max_instructions=budget
-        )
+        run(engines)
     except ExecutionError as exc:
         outcome = ("error", type(exc).__name__, str(exc))
     return {
@@ -657,119 +676,50 @@ def _simulate_observation(case: CheckCase, budget: int) -> Dict[str, object]:
     }
 
 
-def _forced_pure(fn):
-    """Run ``fn`` with the vectorized backend disabled via the env flag."""
-    import os
+def _check_simulate_fast(case: CheckCase, budget: int):
+    from ..core.simulate import simulate_prediction_many
+    from ..machine import trace_program
 
-    from ..core.simulate_vec import DISABLE_ENV
+    program = case.program
+    is_candidate = [
+        instruction.is_prediction_candidate for instruction in program.instructions
+    ]
 
-    previous = os.environ.get(DISABLE_ENV)
-    os.environ[DISABLE_ENV] = "1"
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop(DISABLE_ENV, None)
-        else:
-            os.environ[DISABLE_ENV] = previous
+    def by_step(engines):
+        steps = [engine.step for engine in engines.values()]
+        for record in trace_program(
+            program, list(case.inputs), max_instructions=budget
+        ):
+            if is_candidate[record.address]:
+                for step in steps:
+                    step(record.address, record.value)
 
-
-#: Opcode substitution turning a generated program into an all-integer
-#: twin: float producers become their integer counterparts, so the
-#: vectorized backend's packed-int fast fold genuinely engages (mixed
-#: int/float programs only ever exercise its demotion path).
-_INT_SUBSTITUTES = {
-    Opcode.FLI: Opcode.LI,
-    Opcode.FADD: Opcode.ADD,
-    Opcode.FSUB: Opcode.SUB,
-    Opcode.FMUL: Opcode.MUL,
-    Opcode.FDIV: Opcode.DIV,
-    Opcode.FNEG: Opcode.NEG,
-    Opcode.FMOV: Opcode.MOV,
-    Opcode.FSLT: Opcode.SLT,
-    Opcode.FSLE: Opcode.SLE,
-    Opcode.FSEQ: Opcode.SEQ,
-    Opcode.FSNE: Opcode.SNE,
-    Opcode.CVTIF: Opcode.MOV,
-    Opcode.CVTFI: Opcode.MOV,
-    Opcode.FLD: Opcode.LD,
-    Opcode.FST: Opcode.ST,
-    Opcode.FIN: Opcode.IN,
-}
-
-
-def _int_only_case(case: CheckCase) -> CheckCase:
-    """The case with every float source replaced by an integer twin.
-
-    Derived from the *current* program (not regenerated from the seed),
-    so NOP minimization shrinks the integer variant along with the
-    original.
-    """
-    from ..isa import build_program
-
-    code = []
-    for instruction in case.program.instructions:
-        replacement = _INT_SUBSTITUTES.get(instruction.opcode)
-        imm = instruction.imm
-        if isinstance(imm, float):
-            imm = int(imm)
-        if replacement is None and imm is instruction.imm:
-            code.append(instruction)
-        else:
-            code.append(
-                dataclasses.replace(
-                    instruction,
-                    opcode=replacement or instruction.opcode,
-                    imm=imm,
-                )
-            )
-    data = {address: int(value) for address, value in case.program.data.items()}
-    return CheckCase(
-        seed=case.seed,
-        program=build_program(
-            code, data=data, name=f"{case.program.name}-int"
-        ),
-        inputs=case.inputs,
+    reference = _simulate_observation(case, by_step)
+    sides = (
+        ("capture", None),
+        ("small-batches", _small_batch_store(case, budget)),
     )
-
-
-def _check_simulate_vec(case: CheckCase, budget: int):
-    # The raw case (mixed int/float traffic) exercises mid-run demotion;
-    # the integer twin exercises the actual vectorized fold.
-    for variant, label in (
-        (case, "$simulate"),
-        (_int_only_case(case), "$simulate.int"),
-    ):
-        fast = _simulate_observation(variant, budget)
-        reference = _forced_pure(lambda: _simulate_observation(variant, budget))
-        found = first_divergence(fast, reference, label)
+    for side, store in sides:
+        fast = _simulate_observation(
+            case,
+            lambda engines: simulate_prediction_many(
+                program, list(case.inputs), engines,
+                max_instructions=budget, store=store,
+            ),
+        )
+        found = first_divergence(fast, reference, f"$simulate.{side}")
         if found is not None:
             return found
     return None
 
 
 def _ilp_grid(program):
-    """The ILP pair's machines: every simulate engine family plus no-VP.
+    """The ILP pair's machines: the simulate grid plus two no-VP labels.
 
-    Infinite and finite stride tables take the inlined consumer; the
-    last-value, two-delta and hybrid engines fall back to ``step``; two
-    ``None`` labels schedule without value prediction.
+    Stride engines (infinite and finite) take the inlined consumer; the
+    last-value, two-delta and hybrid engines fall back to ``step``.
     """
-    from ..core.schemes import HardwareClassification, ProfileClassification
-    from ..core.simulate import PredictionEngine
-    from ..predictors import StridePredictor
-
     engines = dict(_engine_grid(program))
-    engines["finite/fsm"] = PredictionEngine(
-        program, StridePredictor(8, 2), HardwareClassification()
-    )
-    engines["finite/profile"] = PredictionEngine(
-        program,
-        StridePredictor(4, 1),
-        ProfileClassification.from_directives(
-            {address: Directive.STRIDE for address in program.candidate_addresses}
-        ),
-    )
     engines["novp"] = None
     engines["novp-2"] = None
     return engines
@@ -1152,9 +1102,9 @@ _PAIRS: Tuple[OraclePair, ...] = (
         True, _check_profile_sampled,
     ),
     OraclePair(
-        "simulate-vec-vs-pure",
-        "vectorized simulation backend vs the pure-Python consumers",
-        True, _check_simulate_vec,
+        "simulate-fast-vs-step",
+        "inlined stride consumers and shared fold vs PredictionEngine.step",
+        True, _check_simulate_fast,
     ),
     OraclePair(
         "ilp-batch-vs-record",

@@ -40,6 +40,11 @@ membership test, with a no-op learning rule) folds its statistics from
 the leader's per-address accumulators at the end and clones the final
 table state, paying zero per-record cost.  The six-engine Figure 5.1/5.2
 grid therefore does one predictor's work per record, not six.
+
+:meth:`PredictionEngine.step` is the reference semantics and the inlined
+consumer, with its shared fold, is the only fast path; the
+``simulate-fast-vs-step`` pair of ``repro check`` holds one against the
+other.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from ..predictors import HybridPredictor, StridePredictor, ValuePredictor
 from ..predictors.stride import StrideEntry
 from ..telemetry import get_registry
 from .results import PredictionStats
-from .simulate_vec import build_vec_plan
 from .schemes import (
     AlwaysClassification,
     ClassificationScheme,
@@ -187,27 +191,11 @@ def simulate_prediction_many(
     check_distinct_engines(engines)
     engine_list = list(engines.values())
     is_candidate = engine_list[0]._is_candidate
-    vec = build_vec_plan(program, engine_list)
-    consumers: list = []
-    finishers: list = []
-    if vec is None:
-        consumers, finishers = _build_consumers(engine_list)
+    consumers, finishers = _build_consumers(engine_list)
     started = time.perf_counter()
     batches = replay_or_run(program, inputs, max_instructions, store)
     try:
         for batch in batches:
-            if vec is not None:
-                if vec.consume(batch):
-                    continue
-                # The batch left the vectorized envelope (escaped float /
-                # bigint values, or magnitudes near the int64 guard rail):
-                # demote to the pure consumers, replaying everything the
-                # plan had accumulated, then continue record-at-a-time.
-                consumers, finishers = _build_consumers(engine_list)
-                for replayed in vec.drain_pairs():
-                    for consume in consumers:
-                        consume(replayed)
-                vec = None
             pairs = _candidate_pairs(batch, is_candidate)
             if not pairs:
                 continue
@@ -217,11 +205,8 @@ def simulate_prediction_many(
         # Fold the fast paths' accumulators even when the trace raised
         # mid-run, matching the step path's behaviour of keeping every
         # observation up to the fault.
-        if vec is not None:
-            vec.finish()
-        else:
-            for finish in finishers:
-                finish()
+        for finish in finishers:
+            finish()
     telemetry = get_registry()
     if telemetry.enabled:
         telemetry.timer("core.simulate").add(time.perf_counter() - started)

@@ -3,15 +3,14 @@
 The value column of a trace batch used to be a plain Python list with
 one slot per retired instruction — ``None`` for the ~40% of records
 whose opcode produces no destination value.  :class:`ValueColumn`
-replaces that with the layout the ISSUE calls the *packed int-values
-sidecar*:
+replaces that with a *packed int-values sidecar*:
 
 ``ints``
     an ``array('q')`` with one slot per *produced* value.  In the hot
     all-small-int case this is the entire column: capture appends C
     int64s, replay wraps the stored buffer without creating a single
-    Python object, and the numpy backend lifts it into an ndarray with
-    ``np.frombuffer``.
+    Python object, and consumers such as the simulator's candidate walk
+    index it directly instead of materialising a list.
 ``escapes``
     a position → value mapping for the rare values ``array('q')`` cannot
     hold — floats (kept as the exact float object, so ``3.0`` never

@@ -24,9 +24,8 @@ writes a ``BENCH_<rev>.json`` file in a stable schema
   in full and at the pinned sampling rate from the same captured trace;
   reports records/sec both ways and the sampled-path speedup.
 * **analysis** — multi-scheme prediction simulation: a pinned
-  all-integer trace replayed through a six-engine fig-5.1-style grid on
-  the vectorized (numpy) backend and again with the backend disabled;
-  reports records/sec both ways and the vectorization speedup.
+  all-integer trace replayed through a six-engine fig-5.1-style grid;
+  reports records/sec.
 * **suite** — one end-to-end experiment (``fig-5.1``) at small scale,
   cold cache then warm cache, with per-kind artifact-cache hit rates
   and the whole-pipeline simulated MIPS taken from the telemetry
@@ -66,7 +65,10 @@ from .registry import Telemetry, use_registry
 #: ``sampling`` section (sampled vs full profiling throughput).
 #: v5 added the ``analysis`` section (vectorized vs pure multi-scheme
 #: simulation throughput).
-SCHEMA_VERSION = "repro-bench/5"
+#: v6 reduced ``analysis`` to one timed pass through the only
+#: simulation path (the backend flag and the ``vec_*``, ``pure_*`` and
+#: ``speedup`` fields are gone).
+SCHEMA_VERSION = "repro-bench/6"
 
 #: Required ``metrics`` sections and the keys each must carry.
 REQUIRED_METRICS = {
@@ -103,16 +105,7 @@ REQUIRED_METRICS = {
         "sampled_records_per_sec",
         "speedup",
     ),
-    "analysis": (
-        "records",
-        "engines",
-        "numpy",
-        "vec_seconds",
-        "vec_records_per_sec",
-        "pure_seconds",
-        "pure_records_per_sec",
-        "speedup",
-    ),
+    "analysis": ("records", "engines", "replays", "seconds", "records_per_sec"),
     "suite": ("experiment", "cold_seconds", "warm_seconds", "simulated_mips", "cache"),
 }
 
@@ -496,21 +489,16 @@ def _analysis_engines(program) -> "Dict[str, Any]":
 
 
 def bench_analysis(iterations: int, replays: int) -> Dict[str, Any]:
-    """Time multi-scheme analysis, vectorized backend against pure Python.
+    """Time multi-scheme analysis over a replayed trace.
 
     The pinned loop is captured once into a memory
-    :class:`~repro.machine.TraceStore`; both passes then replay the same
-    packed batches through :func:`~repro.core.simulate.simulate_prediction_many`
-    over the same six-engine grid, so the timed difference is purely the
-    analysis backend — the numpy fold versus the per-record consumers
-    (forced via the backend's disable switch).  ``speedup`` is the
-    ``vec_records_per_sec`` / ``pure_records_per_sec`` ratio; without
-    numpy both passes run the pure path and it sits near 1.0.
+    :class:`~repro.machine.TraceStore`; each timed pass then replays the
+    same packed batches through
+    :func:`~repro.core.simulate.simulate_prediction_many` over a fresh
+    six-engine grid, so the timing covers candidate extraction and the
+    batch consumers, not execution.  ``seconds`` is the mean per pass.
     """
-    import os
-
     from ..core.simulate import simulate_prediction_many
-    from ..core.simulate_vec import DISABLE_ENV, numpy_or_none
     from ..isa import assemble
     from ..machine import TraceStore
 
@@ -520,36 +508,16 @@ def bench_analysis(iterations: int, replays: int) -> Dict[str, Any]:
     for batch in store.batches(program):
         records += len(batch)
 
-    def timed_pass() -> float:
-        started = time.perf_counter()
-        for _ in range(replays):
-            simulate_prediction_many(
-                program, (), _analysis_engines(program), store=store
-            )
-        return (time.perf_counter() - started) / replays
-
-    vec_seconds = timed_pass()
-    saved = os.environ.get(DISABLE_ENV)
-    os.environ[DISABLE_ENV] = "1"
-    try:
-        pure_seconds = timed_pass()
-    finally:
-        if saved is None:
-            os.environ.pop(DISABLE_ENV, None)
-        else:
-            os.environ[DISABLE_ENV] = saved
-    vec_rate = records / vec_seconds if vec_seconds else 0.0
-    pure_rate = records / pure_seconds if pure_seconds else 0.0
+    started = time.perf_counter()
+    for _ in range(replays):
+        simulate_prediction_many(program, (), _analysis_engines(program), store=store)
+    seconds = (time.perf_counter() - started) / replays
     return {
         "records": records,
         "engines": 6,
         "replays": replays,
-        "numpy": numpy_or_none() is not None,
-        "vec_seconds": vec_seconds,
-        "vec_records_per_sec": vec_rate,
-        "pure_seconds": pure_seconds,
-        "pure_records_per_sec": pure_rate,
-        "speedup": vec_rate / pure_rate if pure_rate else 0.0,
+        "seconds": seconds,
+        "records_per_sec": records / seconds if seconds else 0.0,
     }
 
 
@@ -697,10 +665,9 @@ def summary_table(payload: Dict[str, Any]) -> str:
         f"{sampling['sampled_records_per_sec'] / 1e6:>6.3f} Mrec/s  "
         f"({sampling['speedup']:.1f}x)",
         f"  analysis   {analysis['records']:>12,} recs  "
-        f"vec {analysis['vec_records_per_sec'] / 1e6:>7.3f} Mrec/s  "
-        f"pure {analysis['pure_records_per_sec'] / 1e6:>6.3f} Mrec/s  "
-        f"({analysis['speedup']:.1f}x"
-        f"{'' if analysis['numpy'] else ', no numpy'})",
+        f"{analysis['seconds']:>8.3f}s  "
+        f"{analysis['records_per_sec'] / 1e6:>7.3f} Mrec/s  "
+        f"({analysis['engines']} engines)",
         f"  suite      {suite['experiment']:<12} cold {suite['cold_seconds']:>8.2f}s  "
         f"warm {suite['warm_seconds']:>7.2f}s  "
         f"simulated {suite['simulated_mips']:.3f} MIPS",
@@ -712,6 +679,12 @@ def summary_table(payload: Dict[str, Any]) -> str:
             + (f", {entry['corrupt']} corrupt" if entry["corrupt"] else "")
         )
     return "\n".join(lines)
+
+
+def _gated_analysis_fields(baseline: Dict[str, Any]) -> List[str]:
+    """The baseline's ``analysis`` throughput fields the guard compares."""
+    analysis = baseline.get("metrics", {}).get("analysis", {})
+    return [key for key in analysis if key.endswith("_per_sec")]
 
 
 def check_regression(
@@ -743,16 +716,12 @@ def check_regression(
         )
     # Every throughput field of the analysis section is gated the same
     # way, each with its own failure report, so a lost fast path (e.g.
-    # the vectorized fold silently demoting) can't hide behind the
-    # suite-level number.  Old baselines predate the section; skip them.
+    # the inlined stride consumers or the shared fold silently falling
+    # back to ``step``) can't hide behind the suite-level number.  Old
+    # baselines predate the section; skip them.
     new_analysis = payload["metrics"].get("analysis", {})
     old_analysis = baseline.get("metrics", {}).get("analysis", {})
-    throughput_fields = [
-        key
-        for key in old_analysis
-        if key.endswith("_per_sec") or key == "speedup"
-    ]
-    for key in throughput_fields:
+    for key in _gated_analysis_fields(baseline):
         old_value = old_analysis[key]
         new_value = new_analysis.get(key)
         if not old_value:
@@ -849,11 +818,7 @@ def run_from_arguments(arguments: argparse.Namespace) -> int:
             return 1
         old_mips = baseline["metrics"]["suite"]["simulated_mips"]
         new_mips = payload["metrics"]["suite"]["simulated_mips"]
-        gated = 1 + sum(
-            1
-            for key in baseline.get("metrics", {}).get("analysis", {})
-            if key.endswith("_per_sec") or key == "speedup"
-        )
+        gated = 1 + len(_gated_analysis_fields(baseline))
         print(
             f"bench regression guard passed ({gated} gated fields): "
             f"{new_mips:.3f} MIPS vs baseline {old_mips:.3f} "

@@ -55,11 +55,6 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "ilp.schedule",
         "ilp.runs",
         "ilp.records",
-        # simulate.vec: the vectorized (numpy) analysis backend.
-        "simulate.vec.runs",
-        "simulate.vec.records",
-        "simulate.vec.candidates",
-        "simulate.vec.engines",
         # profiling: phase-2 profile collection.
         "profiling.records",
         "profiling.runs",

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main, parse_input_sets, parse_input_stream, parse_inputs_spec
 
 DEMO_SOURCE = """
@@ -180,3 +186,26 @@ class TestPipeline:
             a: (p.attempts, p.correct)
             for a, p in live_image.instructions.items()
         }
+
+
+def test_cli_and_daemon_import_without_numpy():
+    """The CLI and the service daemon load no numerical stack.
+
+    Checked in a fresh interpreter, since this test process may have
+    imported anything.  numpy would cost every CLI call and every daemon
+    its import time and resident memory.
+    """
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.service.server\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
+    )
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source_root},
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

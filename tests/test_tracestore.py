@@ -309,6 +309,23 @@ def stats_fingerprint(stats):
     return totals, per_address
 
 
+def count_calls(monkeypatch, name):
+    """Wrap ``repro.core.simulate.<name>``; return the list of non-None results."""
+    import repro.core.simulate as simulate
+
+    original = getattr(simulate, name)
+    built = []
+
+    def wrapper(*args):
+        result = original(*args)
+        if result is not None:
+            built.append(result)
+        return result
+
+    monkeypatch.setattr(simulate, name, wrapper)
+    return built
+
+
 class TestBatchedConsumerDifferential:
     def setup_method(self):
         self.program = assemble(LOOP_ASM)
@@ -333,13 +350,23 @@ class TestBatchedConsumerDifferential:
         return {label: stats_fingerprint(stats) for label, stats in results.items()}
 
     def test_fast_path_matches_step_path(self, monkeypatch):
-        fast = self.run_grid()
+        with monkeypatch.context() as patch:
+            inlined = count_calls(patch, "_fast_stride_consumer")
+            fast = self.run_grid()
+        # Every engine of the grid is eligible; without this the
+        # comparison could silently pit the step path against itself.
+        assert len(inlined) == 4
         with monkeypatch.context() as patch:
             slow = self.run_grid(monkeypatch=patch)
         assert fast == slow
 
-    def test_shared_probe_group_matches_independent_runs(self):
-        assert self.run_grid(shared=True) == self.run_grid(shared=False)
+    def test_shared_probe_group_matches_independent_runs(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            followers = count_calls(patch, "_follower_finisher")
+            shared = self.run_grid(shared=True)
+        # "always", "p1" and "p2" fold from the FSM probe's accumulators.
+        assert len(followers) == 3
+        assert shared == self.run_grid(shared=False)
 
     def test_profiler_fast_path_matches_record_path(self, monkeypatch):
         import repro.profiling.collector as collector

@@ -1,4 +1,4 @@
-"""Property tests for the packed value sidecar and the vectorized backend.
+"""Property tests for the packed value sidecar and the simulate path over it.
 
 Three layers, matching how a value travels through the analysis stack:
 
@@ -8,29 +8,22 @@ Three layers, matching how a value travels through the analysis stack:
 * ``TraceBatch.records()`` — the per-record adapter over packed columns
   must reproduce the value stream the executor produced.
 * ``simulate_prediction_many`` — over seeded random programs, the
-  vectorized backend and the pure-Python consumers must publish
-  identical statistics, table contents and classifier states (the
-  in-process mirror of the ``simulate-vec-vs-pure`` oracle pair).
-
-Tests that assert the numpy fold actually *engages* are skip-marked when
-numpy is absent; everything else runs on the pure path unchanged.
+  inlined batch consumers and the shared fold must publish the same
+  statistics, table contents and classifier states as
+  ``PredictionEngine.step`` (the in-process mirror of the
+  ``simulate-fast-vs-step`` oracle pair).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.generator import generate_case
-from repro.check.oracle import _check_simulate_vec, _int_only_case
-from repro.core.simulate_vec import DISABLE_ENV, numpy_or_none
+from repro.check.oracle import _check_simulate_fast
 from repro.machine import ExecutionError, ValueColumn, trace_batches
-
-_has_numpy = numpy_or_none() is not None
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -115,39 +108,6 @@ def test_batch_records_reproduce_produced_values(seed):
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_vec_matches_pure_on_random_programs(seed):
-    """The oracle pair, in-process: generated case + its integer twin."""
-    assert _check_simulate_vec(generate_case(seed), 5_000) is None
-
-
-@pytest.mark.skipif(not _has_numpy, reason="numpy unavailable")
-def test_vec_backend_engages_on_integer_programs():
-    """The integer twin must run the numpy fold, not just demote."""
-    from repro.telemetry import Telemetry, use_registry
-
-    registry = Telemetry()
-    with use_registry(registry):
-        assert _check_simulate_vec(generate_case(7), 5_000) is None
-    counters = registry.snapshot()["counters"]
-    assert counters.get("simulate.vec.runs", 0) > 0
-    assert counters.get("simulate.vec.candidates", 0) > 0
-
-
-@pytest.mark.skipif(not _has_numpy, reason="numpy unavailable")
-def test_disable_env_forces_pure_path():
-    from repro.telemetry import Telemetry, use_registry
-
-    case = _int_only_case(generate_case(11))
-    saved = os.environ.get(DISABLE_ENV)
-    os.environ[DISABLE_ENV] = "1"
-    try:
-        registry = Telemetry()
-        with use_registry(registry):
-            assert _check_simulate_vec(case, 5_000) is None
-        counters = registry.snapshot()["counters"]
-        assert counters.get("simulate.vec.runs", 0) == 0
-    finally:
-        if saved is None:
-            os.environ.pop(DISABLE_ENV, None)
-        else:
-            os.environ[DISABLE_ENV] = saved
+def test_fast_matches_step_on_random_programs(seed):
+    """The oracle pair, in-process, on a generated case."""
+    assert _check_simulate_fast(generate_case(seed), 5_000) is None
