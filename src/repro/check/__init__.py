@@ -29,6 +29,7 @@ from .oracle import (
     PairResult,
     all_pairs,
     first_divergence,
+    profile_records,
     run_oracle,
 )
 
@@ -42,6 +43,7 @@ __all__ = [
     "all_pairs",
     "first_divergence",
     "generate_case",
+    "profile_records",
     "run_lint",
     "run_oracle",
 ]

@@ -21,10 +21,12 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     batch ``merge_profiles``, for both ``require_common`` modes, down
     to byte-identical text dumps.
 ``profile-sampled``
-    sampled profiling: ``sample_every=1`` must be byte-identical to the
-    unsampled profile, and ``sample_every=k`` over the live executor
-    (columnar batch path) must equal profiling the drained record list
-    thinned to ``records[::k]`` (the per-record reference path).
+    ``collect_profiles`` at ``sample_every`` 1, 2, 3 and 7 (and
+    unsampled) under unbounded stride, finite stride and last-value
+    predictors — the inlined and the generic ``access`` batch consumers,
+    freshly captured and replayed from tiny batches — against
+    :func:`profile_records`, the per-record reference, down to dumped
+    bytes.
 ``simulate-fast-vs-step``
     ``simulate_prediction_many`` over a fifteen-engine grid — freshly
     captured and replayed from a capture in tiny batches — against the
@@ -43,8 +45,8 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     run captured in tiny batches puts every batch boundary under test.
 ``phase-profiles-batch-vs-record``
     ``collect_phase_profiles`` over batch columns (fresh, replayed and
-    replayed from tiny batches) against the per-record loop it
-    replaced, at ``sample_every`` 1 and 3, down to byte-identical
+    replayed from tiny batches) against :func:`profile_records` with
+    ``by_phase``, at ``sample_every`` 1 and 3, down to byte-identical
     profile dumps.
 ``capture-shard-vs-serial``
     ``capture_sharded`` at ``jobs=2`` against a serial capture of the
@@ -79,7 +81,7 @@ from ..isa import Directive, Instruction, Opcode, disassemble
 from ..machine import Executor, TraceStore
 from ..machine.errors import ExecutionError
 from ..machine.tracestore import trace_key
-from ..profiling import collect_profile, merge_profiles
+from ..profiling import merge_profiles
 from ..profiling.fusion import MergeAccumulator
 from ..profiling.image_io import dumps_profile, loads_profile
 from ..profiling.sketch import ProfileSketch, dumps_sketch, loads_sketch
@@ -325,6 +327,69 @@ def _drain_records(case: CheckCase, inputs: Sequence, budget: int) -> List:
     return records
 
 
+def profile_records(
+    program,
+    records: Iterable,
+    predictor=None,
+    *,
+    run_label: str = "",
+    sample_every: int = 1,
+    by_phase: bool = False,
+):
+    """Reference phase-2 profile: one ``predictor.access`` per record.
+
+    The per-record definition that the batch consumers behind
+    :func:`~repro.profiling.collect_profiles` and
+    :func:`~repro.profiling.collect_phase_profiles` are differenced
+    against.  ``records`` is any ``TraceRecord`` iterable — a live
+    ``trace_program`` walk, a drained fault prefix, an address-filtered
+    list.  Records whose 0-based position is not a multiple of
+    ``sample_every`` are skipped before the candidate filter.  The
+    default predictor is an unbounded stride predictor.
+
+    Returns one :class:`~repro.profiling.ProfileImage`, or with
+    ``by_phase`` a phase -> image dict (labelled
+    ``f"{run_label}#{phase}"``, in first-seen phase order).
+    """
+    from ..predictors import StridePredictor
+    from ..profiling import ProfileImage
+
+    predictor = predictor or StridePredictor()
+    is_candidate = [
+        instruction.is_prediction_candidate for instruction in program.instructions
+    ]
+    images: Dict[Optional[int], ProfileImage] = {}
+    if not by_phase:
+        images[None] = ProfileImage(program.name, run_label=run_label)
+    for position, record in enumerate(records):
+        if position % sample_every:
+            continue
+        address = record.address
+        if not is_candidate[address]:
+            continue
+        phase = record.phase
+        key = phase if by_phase else None
+        image = images.get(key)
+        if image is None:
+            image = images[key] = ProfileImage(
+                program.name, run_label=f"{run_label}#{phase}"
+            )
+        result = predictor.access(address, record.value)
+        profile = image.profile_for(address)
+        profile.executions += 1
+        group = image.group_slot(program[address].category, phase, address)
+        group[0] += 1
+        if result.hit:
+            profile.attempts += 1
+            group[1] += 1
+            if result.correct:
+                profile.correct += 1
+                group[2] += 1
+                if result.nonzero_stride:
+                    profile.nonzero_stride_correct += 1
+    return images if by_phase else images[None]
+
+
 def _reference_merge_obs(images, require_common: bool) -> Dict[str, object]:
     """Independent first-principles merge, as a canonical observation.
 
@@ -380,7 +445,7 @@ def _check_profile_io_merge(case: CheckCase, budget: int):
         if record.address <= cutoff
     ]
     images = [
-        collect_profile(case.program, records=records, run_label=f"train-{index}")
+        profile_records(case.program, records, run_label=f"train-{index}")
         for index, records in enumerate((records_full, records_partial))
     ]
     for require_common in (False, True):
@@ -428,7 +493,7 @@ def _check_fuse_stream_vs_batch(case: CheckCase, budget: int):
         record for record in records_full if record.address >= cutoff
     ]
     images = [
-        collect_profile(case.program, records=records, run_label=f"train-{index}")
+        profile_records(case.program, records, run_label=f"train-{index}")
         for index, records in enumerate((records_full, records_low, records_high))
     ]
     for require_common in (False, True):
@@ -463,64 +528,79 @@ def _check_fuse_stream_vs_batch(case: CheckCase, budget: int):
     return None
 
 
+def _observe_images(collect) -> Dict[str, object]:
+    """``collect()``'s fault, or its key -> image dict in order, exactly."""
+    try:
+        images = collect()
+    except ExecutionError as exc:
+        return {"outcome": ("error", type(exc).__name__, str(exc))}
+    return {
+        "outcome": ("halt",),
+        "keys": list(images),
+        "images": {
+            key: {"image": _observe_image(image), "dump": dumps_profile(image)}
+            for key, image in images.items()
+        },
+    }
+
+
 def _check_profile_sampled(case: CheckCase, budget: int):
     # The sampling rule is defined over the *full* dynamic stream
-    # (global record position modulo k, before the candidate filter),
-    # so profiling with ``sample_every=k`` must equal profiling the
-    # drained record list thinned to ``records[::k]`` — and k=1 must be
-    # byte-for-byte the unsampled image.
-    records = _drain_records(case, list(case.inputs), budget)
-    full = collect_profile(case.program, records=records, run_label="train")
-    k1 = collect_profile(
-        case.program, records=records, run_label="train", sample_every=1
-    )
-    if dumps_profile(k1) != dumps_profile(full):
-        return ("$sampled[k=1].dump_bytes", "<differs>", "<unsampled dump>")
-    for k in (2, 3, 7):
-        reference = collect_profile(
-            case.program, records=records[::k], run_label="train"
+    # (global record position modulo k, before the candidate filter).
+    # For every k the batch consumers — the inlined stride consumer and
+    # the generic ``access`` consumer, fed by a fresh capture and by a
+    # replay of tiny batches — must equal the per-record reference over
+    # a live record walk, down to dumped bytes; and with no
+    # ``sample_every`` at all the image must be the k=1 reference.
+    from ..machine import trace_program
+    from ..predictors import LastValuePredictor, StridePredictor
+    from ..profiling import collect_profiles
+
+    def predictors():
+        return {
+            "stride": StridePredictor(),
+            "finite": StridePredictor(entries=8, ways=2),
+            "lv": LastValuePredictor(),
+        }
+
+    def reference(k):
+        # Draining the walk first raises the run's fault, if any.
+        records = list(
+            trace_program(case.program, list(case.inputs), max_instructions=budget)
         )
-        via_records = collect_profile(
-            case.program, records=records, run_label="train", sample_every=k
-        )
-        found = first_divergence(
-            _observe_image(via_records),
-            _observe_image(reference),
-            f"$sampled[k={k}].records",
-        )
-        if found is not None:
-            return found
-    # The live-executor path takes the columnar batch fast path; it must
-    # land on the same image as the record-list reference for every k.
-    # A faulting case is skipped here — its record prefix is already
-    # covered above, and the executor path surfaces the fault instead.
-    for k in (1, 4):
-        try:
-            via_executor = collect_profile(
-                case.program,
-                list(case.inputs),
-                run_label="train",
-                sample_every=k,
-                max_instructions=budget,
+        return {
+            name: profile_records(
+                case.program, records, predictor, run_label="train", sample_every=k
             )
-        except ExecutionError:
-            return None
-        reference = collect_profile(
-            case.program, records=records[::k], run_label="train"
+            for name, predictor in predictors().items()
+        }
+
+    def batched(store, **sampling):
+        return collect_profiles(
+            case.program,
+            list(case.inputs),
+            predictors(),
+            run_label="train",
+            max_instructions=budget,
+            store=store,
+            **sampling,
         )
-        found = first_divergence(
-            _observe_image(via_executor),
-            _observe_image(reference),
-            f"$sampled[k={k}].executor",
-        )
-        if found is not None:
-            return found
-        if dumps_profile(via_executor) != dumps_profile(reference):
-            return (
-                f"$sampled[k={k}].executor.dump_bytes",
-                "<differs>",
-                "<records[::k] dump>",
+
+    small = _small_batch_store(case, budget)
+    for k in (1, 2, 3, 7):
+        expected = _observe_images(lambda: reference(k))
+        sides = {
+            "executor": lambda: batched(None, sample_every=k),
+            "small-batches": lambda: batched(small, sample_every=k),
+        }
+        if k == 1:
+            sides["unsampled"] = lambda: batched(None)
+        for side, collect in sides.items():
+            found = first_divergence(
+                _observe_images(collect), expected, f"$sampled[k={k}].{side}"
             )
+            if found is not None:
+                return found
     return None
 
 
@@ -848,63 +928,8 @@ def _check_ilp_batch_vs_record(case: CheckCase, budget: int):
     return None
 
 
-def _phase_profiles_by_record(case: CheckCase, budget: int, sample_every: int):
-    """Reference phase-split profile: one ``TraceRecord`` at a time."""
-    from ..machine import trace_program
-    from ..predictors import StridePredictor
-    from ..profiling.collector import ProfileImage
-
-    program = case.program
-    predictor = StridePredictor()
-    images = {}
-    is_candidate = [
-        instruction.is_prediction_candidate for instruction in program.instructions
-    ]
-    categories = [instruction.category for instruction in program.instructions]
-    records = trace_program(program, list(case.inputs), max_instructions=budget)
-    for position, record in enumerate(records):
-        if sample_every > 1 and position % sample_every:
-            continue
-        address = record.address
-        if not is_candidate[address]:
-            continue
-        phase = record.phase
-        image = images.get(phase)
-        if image is None:
-            image = ProfileImage(program.name, run_label=f"test#{phase}")
-            images[phase] = image
-        result = predictor.access(address, record.value)
-        profile = image.profile_for(address)
-        profile.executions += 1
-        group = image.group_slot(categories[address], phase, address)
-        group[0] += 1
-        if result.hit:
-            profile.attempts += 1
-            group[1] += 1
-            if result.correct:
-                profile.correct += 1
-                group[2] += 1
-                if result.nonzero_stride:
-                    profile.nonzero_stride_correct += 1
-    return images
-
-
-def _observe_phase_profiles(collect) -> Dict[str, object]:
-    try:
-        images = collect()
-    except ExecutionError as exc:
-        return {"outcome": ("error", type(exc).__name__, str(exc))}
-    return {
-        "outcome": ("halt",),
-        "phases": list(images),
-        "images": {
-            phase: {"image": _observe_image(image), "dump": dumps_profile(image)}
-            for phase, image in images.items()
-        },
-    }
-
-
 def _check_phase_profiles(case: CheckCase, budget: int):
+    from ..machine import trace_program
     from ..profiling import collect_phase_profiles
 
     store = TraceStore()
@@ -915,11 +940,17 @@ def _check_phase_profiles(case: CheckCase, budget: int):
         "small-batches": _small_batch_store(case, budget),
     }
     for k in (1, 3):
-        reference = _observe_phase_profiles(
-            lambda: _phase_profiles_by_record(case, budget, k)
+        reference = _observe_images(
+            lambda: profile_records(
+                case.program,
+                trace_program(case.program, list(case.inputs), max_instructions=budget),
+                run_label="test",
+                sample_every=k,
+                by_phase=True,
+            )
         )
         for side, side_store in stores.items():
-            fast = _observe_phase_profiles(
+            fast = _observe_images(
                 lambda: collect_phase_profiles(
                     case.program,
                     list(case.inputs),
@@ -1098,7 +1129,7 @@ _PAIRS: Tuple[OraclePair, ...] = (
     ),
     OraclePair(
         "profile-sampled",
-        "sampled profiling (k=1 byte-identical; executor vs records[::k])",
+        "sampled batch consumers (stride, finite, last-value) vs profile_records",
         True, _check_profile_sampled,
     ),
     OraclePair(
@@ -1113,7 +1144,7 @@ _PAIRS: Tuple[OraclePair, ...] = (
     ),
     OraclePair(
         "phase-profiles-batch-vs-record",
-        "phase-split profiles over batch columns vs the per-record loop",
+        "phase-split profiles over batch columns vs profile_records(by_phase)",
         True, _check_phase_profiles,
     ),
     OraclePair(

@@ -55,7 +55,7 @@ from typing import List, Optional, Sequence, Union
 from .annotate import AnnotationPolicy, annotate_program, annotation_report
 from .isa import Program, assemble, disassemble
 from .lang import compile_source
-from .machine import run_program, save_trace, read_trace
+from .machine import ExecutionError, run_program, save_trace
 from .profiling import collect_profile, merge_profiles, read_profile, save_profile
 
 Number = Union[int, float]
@@ -155,21 +155,10 @@ def _command_profile(arguments: argparse.Namespace) -> int:
     sample_every = getattr(arguments, "sample_every", 1)
     jobs = getattr(arguments, "jobs", 1)
     store_dir = getattr(arguments, "store", None)
-    images = []
-    for index, path in enumerate(arguments.trace or []):
-        images.append(
-            collect_profile(
-                program,
-                records=read_trace(path),
-                run_label=f"trace-{index}",
-                sample_every=sample_every,
-            )
-        )
-    input_specs = arguments.inputs or ([] if images else [""])
-    input_sets = parse_input_sets(input_specs)
+    input_sets = parse_input_sets(arguments.inputs or [""])
     with contextlib.ExitStack() as stack:
         store = None
-        if input_sets and (jobs > 1 or store_dir):
+        if jobs > 1 or store_dir:
             # Capture the training runs across worker processes into one
             # shared TraceStore, then profile by (in-process) replay.  A
             # --store directory persists the traces; otherwise they live
@@ -192,7 +181,7 @@ def _command_profile(arguments: argparse.Namespace) -> int:
                     )
                 return 1
             store = TraceStore(directory=store_dir)
-        images.extend(
+        images = [
             collect_profile(
                 program,
                 inputs,
@@ -201,7 +190,7 @@ def _command_profile(arguments: argparse.Namespace) -> int:
                 store=store,
             )
             for index, inputs in enumerate(input_sets)
-        )
+        ]
     image = images[0] if len(images) == 1 else merge_profiles(images)
     if arguments.output:
         save_profile(image, arguments.output)
@@ -418,7 +407,7 @@ def _command_trace(arguments: argparse.Namespace) -> int:
     if arguments.store:
         # Sharded capture: each --inputs flag is its own run, captured
         # into one content-addressed TraceStore across --jobs workers.
-        from .machine import capture_sharded
+        from .machine import DEFAULT_BUDGET, capture_sharded
 
         if arguments.output:
             print(
@@ -433,7 +422,13 @@ def _command_trace(arguments: argparse.Namespace) -> int:
             input_sets,
             directory=arguments.store,
             jobs=arguments.jobs,
-            max_instructions=arguments.max_instructions,
+            # No --max-instructions means the default budget: the key
+            # that `repro profile --store` replays.
+            max_instructions=(
+                DEFAULT_BUDGET
+                if arguments.max_instructions is None
+                else arguments.max_instructions
+            ),
         )
         for failure in report.failures:
             print(
@@ -457,12 +452,16 @@ def _command_trace(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    count = save_trace(
-        program,
-        arguments.output,
-        inputs=parse_input_stream(arguments.inputs or []),
-        max_instructions=arguments.max_instructions,
-    )
+    try:
+        count = save_trace(
+            program,
+            arguments.output,
+            inputs=parse_input_stream(arguments.inputs or []),
+            max_instructions=arguments.max_instructions,
+        )
+    except ExecutionError as error:
+        print(f"trace: {type(error).__name__}: {error}", file=sys.stderr)
+        return 1
     print(f"wrote {count} records to {arguments.output}", file=sys.stderr)
     return 0
 
@@ -689,10 +688,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_experiment_arguments(experiments_parser)
     experiments_parser.set_defaults(handler=_command_experiments)
 
+    bench_help = (
+        "run the pinned performance suite and write a BENCH_<rev>.json "
+        "report (schema repro-bench/6)"
+    )
     bench_parser = commands.add_parser(
-        "bench",
-        help="run the pinned performance suite and write a BENCH_<rev>.json "
-        "report (schema repro-bench/4)",
+        "bench", help=bench_help, description=bench_help
     )
     add_bench_arguments(bench_parser)
     bench_parser.set_defaults(handler=_command_bench)
@@ -834,11 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--inputs",
         action="append",
         help="one training input stream per flag (repeatable)",
-    )
-    profile_parser.add_argument(
-        "--trace",
-        action="append",
-        help="profile a stored trace file instead of executing (repeatable)",
     )
     profile_parser.add_argument(
         "--sample-every",
@@ -994,7 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "-o", "--output",
-        help="trace file (.gz suffix compresses); required without --store",
+        help="text trace export (.gz suffix compresses); required without "
+        "--store",
     )
     trace_parser.add_argument(
         "--store",

@@ -28,7 +28,7 @@ from .executor import (
 from .sharding import ShardReport, ShardResult, capture_sharded, parallel_runs
 from .state import MachineState
 from .stats import RunStatistics, collect_statistics
-from .tracefile import TraceFormatError, read_trace, save_trace, write_trace
+from .tracefile import save_trace, write_trace
 from .tracestore import (
     PackedTrace,
     TraceStore,
@@ -54,7 +54,6 @@ __all__ = [
     "ShardReport",
     "ShardResult",
     "TraceBatch",
-    "TraceFormatError",
     "TraceRecord",
     "TraceStore",
     "ValueColumn",
@@ -65,7 +64,6 @@ __all__ = [
     "mem_flags",
     "parallel_runs",
     "program_digest",
-    "read_trace",
     "run_program",
     "save_trace",
     "trace_batches",

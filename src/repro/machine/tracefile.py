@@ -1,75 +1,55 @@
-"""Trace files: persist and replay dynamic instruction traces.
+"""Text trace export.
 
-SHADE-style workflows separate *tracing* (run once, expensive) from
-*analysis* (replay many times, cheap).  This module gives the
-reproduction the same split: :func:`save_trace` executes a program and
-streams its trace to disk (optionally gzip-compressed), and
-:func:`read_trace` replays it as :class:`TraceRecord` objects that any
-consumer — the profiler, the ILP scheduler — accepts in place of a live
-execution.
+Every analysis layer replays traces from the packed
+:class:`~repro.machine.TraceStore` (``repro trace --store`` captures
+into one).  This module exports one run's trace as portable text for
+tools outside the reproduction; nothing here reads it back.
 
-Format (text, one record per line)::
+Format (one record per line)::
 
     # repro-trace v1
     # program: 126.gcc
     <address> <value|-> <phase> <mem_address|->
 
-Values serialize via ``repr`` so integers and floats replay exactly.
+Values serialize via ``repr`` so integers and floats are exact.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import os
+import tempfile
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 from ..isa import Number, Program
-from .executor import trace_program
-from .trace import TraceRecord
+from .batch import TraceBatch
+from .tracestore import replay_or_run
 
 _MAGIC = "# repro-trace v1"
-
-
-class TraceFormatError(ValueError):
-    """Raised when a trace file is malformed."""
-
-
-def _open_text(path: Union[str, Path], mode: str) -> IO[str]:
-    path = Path(path)
-    if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, mode + "b"), encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
 
 
 def _render_value(value: Optional[Number]) -> str:
     return "-" if value is None else repr(value)
 
 
-def _parse_value(text: str) -> Optional[Number]:
-    if text == "-":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def write_trace(
-    records: Iterable[TraceRecord],
+    batches: Iterable[TraceBatch],
     stream: IO[str],
     program_name: str = "",
 ) -> int:
-    """Write ``records`` to ``stream``; returns the record count."""
+    """Write the records of ``batches`` to ``stream``; returns the count."""
     stream.write(f"{_MAGIC}\n")
     stream.write(f"# program: {program_name}\n")
     count = 0
-    for record in records:
-        stream.write(
-            f"{record.address} {_render_value(record.value)} "
-            f"{record.phase} {_render_value(record.mem_address)}\n"
-        )
-        count += 1
+    for batch in batches:
+        for record in batch.records():
+            stream.write(
+                f"{record.address} {_render_value(record.value)} "
+                f"{record.phase} {_render_value(record.mem_address)}\n"
+            )
+        count += len(batch)
     return count
 
 
@@ -79,47 +59,38 @@ def save_trace(
     inputs: Iterable[Number] = (),
     max_instructions: Optional[int] = None,
 ) -> int:
-    """Execute ``program`` once, streaming its trace to ``path``.
+    """Execute ``program`` once, writing its trace to ``path``.
 
-    A ``.gz`` suffix selects gzip compression.  Returns the number of
+    A ``.gz`` suffix selects gzip compression.  The trace streams into a
+    temporary file beside ``path`` that is renamed into place only after
+    the run halts; if it raises instead (an
+    :class:`~repro.machine.ExecutionError`), the temporary file is
+    removed and ``path`` is left untouched.  Returns the number of
     records written.
     """
-    kwargs = {}
-    if max_instructions is not None:
-        kwargs["max_instructions"] = max_instructions
-    with _open_text(path, "w") as stream:
-        return write_trace(
-            trace_program(program, inputs, **kwargs), stream, program.name
-        )
-
-
-def read_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
-    """Replay a stored trace as :class:`TraceRecord` objects.
-
-    Raises:
-        TraceFormatError: on a bad header or malformed record line.
-    """
-    with _open_text(path, "r") as stream:
-        header = stream.readline().rstrip("\n")
-        if header != _MAGIC:
-            raise TraceFormatError(f"not a trace file (header {header!r})")
-        for line_number, line in enumerate(stream, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise TraceFormatError(
-                    f"line {line_number}: expected 4 fields, got {len(fields)}"
+    path = Path(path)
+    parent = path.parent if str(path.parent) else Path(".")
+    handle, tmp_name = tempfile.mkstemp(
+        dir=str(parent), prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(handle, "wb") as raw:
+            binary = raw
+            if path.suffix == ".gz":
+                binary = gzip.GzipFile(
+                    filename=path.name, mode="wb", fileobj=raw, mtime=0
                 )
-            try:
-                yield TraceRecord(
-                    address=int(fields[0]),
-                    value=_parse_value(fields[1]),
-                    phase=int(fields[2]),
-                    mem_address=_parse_value(fields[3]),  # type: ignore[arg-type]
+            with io.TextIOWrapper(binary, encoding="utf-8") as stream:
+                count = write_trace(
+                    replay_or_run(program, inputs, max_instructions),
+                    stream,
+                    program.name,
                 )
-            except ValueError:
-                raise TraceFormatError(
-                    f"line {line_number}: malformed record {line!r}"
-                ) from None
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:  # pragma: no cover - already renamed or removed
+            pass
+        raise
+    return count

@@ -22,10 +22,10 @@ granularity:
   overrun, say) re-raises the same error type and message after its last
   batch, so replay is observationally identical to fresh execution.
 
-The packed format is the columnar sibling of the textual
-``# repro-trace v1`` format in :mod:`repro.machine.tracefile`: addresses
-and effective addresses are stored as raw ``array('q')`` bytes, produced
-values as an ``array('q')``/``array('d')`` when the batch is uniformly
+The packed format is the only stored trace format (the textual
+``# repro-trace v1`` of :mod:`repro.machine.tracefile` is export only):
+addresses and effective addresses are stored as raw ``array('q')`` bytes,
+produced values as an ``array('q')``/``array('d')`` when the batch is uniformly
 int64/float (the overwhelmingly common case), and as a tagged
 int64/float/bigint section otherwise, so arbitrary-precision integers
 and exact float identity survive the round trip.  Batches carry no

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..isa import Category, Number, Program
-from ..machine import TraceStore
+from ..machine import TraceBatch, TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import StridePredictor, ValuePredictor
 from ..predictors.stride import StrideEntry
@@ -175,7 +175,6 @@ def collect_profile(
     predictor: Optional[ValuePredictor] = None,
     run_label: str = "",
     max_instructions: Optional[int] = None,
-    records=None,
     store: Optional[TraceStore] = None,
     sample_every: int = 1,
     address_buckets: int = 1,
@@ -207,7 +206,6 @@ def collect_profile(
         predictors={"default": predictor or StridePredictor()},
         run_label=run_label,
         max_instructions=max_instructions,
-        records=records,
         store=store,
         sample_every=sample_every,
         address_buckets=address_buckets,
@@ -222,7 +220,6 @@ def collect_profiles(
     predictors: Optional[Mapping[str, ValuePredictor]] = None,
     run_label: str = "",
     max_instructions: Optional[int] = None,
-    records=None,
     store: Optional[TraceStore] = None,
     sample_every: int = 1,
     address_buckets: int = 1,
@@ -232,35 +229,21 @@ def collect_profiles(
 
     A single execution of the program feeds every predictor, so comparing
     last-value against stride (Table 2.1) costs one simulation, not two.
-
-    The native consumption path walks the executor's columnar trace
-    batches (optionally captured into / replayed from ``store``), with a
-    batch-walking fast path for unbounded stride predictors that is
-    bit-identical to driving ``predictor.access`` record by record.
-
-    Pass ``records`` (an iterable of
-    :class:`~repro.machine.trace.TraceRecord`, e.g. from
-    :func:`repro.machine.read_trace`) to profile a *stored* trace instead
-    of executing the program — the SHADE-style trace/analyze split.
+    The run's columnar trace batches come from the executor, or from
+    ``store`` (replayed on a hit, captured into it on a miss).
 
     ``sample_every=k`` keeps only dynamic records whose 0-based position
     in the run's full trace is a multiple of ``k`` — the sampled phase-2
     mode.  The rule is applied to the *unfiltered* dynamic stream (before
-    the candidate filter), identically across the ``records``, batch and
-    fast-stride consumption paths, so profiling with ``sample_every=k``
-    equals profiling ``records[::k]`` and ``k=1`` is byte-identical to
-    full profiling (the ``profile-sampled-k1`` oracle pair enforces
-    this).  ``address_buckets``/``address_bucket`` optionally restrict
-    collection to candidate addresses with ``address % address_buckets
-    == address_bucket`` — the bucketed profiles of one run partition the
-    full profile.
+    the candidate filter), so profiling with ``sample_every=k`` equals
+    profiling ``records[::k]`` record by record
+    (:func:`repro.check.profile_records`), and ``k=1`` is byte-identical
+    to full profiling.  ``address_buckets``/``address_bucket`` optionally
+    restrict collection to candidate addresses with ``address %
+    address_buckets == address_bucket`` — the bucketed profiles of one
+    run partition the full profile.
     """
-    if (
-        isinstance(sample_every, bool)
-        or not isinstance(sample_every, int)
-        or sample_every < 1
-    ):
-        raise ValueError(f"sample_every must be an int >= 1, got {sample_every!r}")
+    _check_sample_every(sample_every)
     if (
         isinstance(address_buckets, bool)
         or not isinstance(address_buckets, int)
@@ -286,100 +269,15 @@ def collect_profiles(
             flag and address % address_buckets == address_bucket
             for address, flag in enumerate(is_candidate)
         ]
-    categories = [instruction.category for instruction in program.instructions]
-    pairs = [(name, predictor) for name, predictor in predictors.items()]
-
     started = time.perf_counter()
-    if records is not None:
-        for position, record in enumerate(records):
-            if sample_every > 1 and position % sample_every:
-                continue
-            address = record.address
-            if not is_candidate[address]:
-                continue
-            value = record.value
-            phase = record.phase
-            category = categories[address]
-            for name, predictor in pairs:
-                result = predictor.access(address, value)
-                image = images[name]
-                profile = image.profile_for(address)
-                profile.executions += 1
-                group = image.group_slot(category, phase, address)
-                group[0] += 1
-                if result.hit:
-                    profile.attempts += 1
-                    group[1] += 1
-                    if result.correct:
-                        profile.correct += 1
-                        group[2] += 1
-                        if result.nonzero_stride:
-                            profile.nonzero_stride_correct += 1
-    else:
-        batches = replay_or_run(program, inputs, max_instructions, store)
-        consumers = []
-        finishers = []
-        for name, predictor in pairs:
-            fast = _fast_stride_profiler(predictor, images[name], categories)
-            if fast is not None:
-                consume, finish = fast
-                consumers.append(consume)
-                finishers.append(finish)
-            else:
-                consumers.append(
-                    _generic_profiler(predictor, images[name], categories)
-                )
-        try:
-            # 0-based position of the current batch's first record within
-            # the run's full dynamic stream — the sampling rule is global,
-            # not per batch, so a record boundary mid-batch cannot shift
-            # which records a sampled profile keeps.
-            offset = 0
-            for batch in batches:
-                addresses = batch.addresses
-                triples: List[Tuple[int, Optional[Number], int]] = []
-                if sample_every > 1:
-                    # Sampling indexes records at arbitrary positions, so
-                    # rebuild the aligned one-slot-per-record view (the
-                    # sampled rows are a small fraction of the batch).
-                    values = batch.record_values()
-                    for start, end, phase in batch.phase_segments():
-                        first = -(-(offset + start) // sample_every) * sample_every
-                        triples.extend(
-                            (addresses[position], values[position], phase)
-                            for position in range(
-                                first - offset, end, sample_every
-                            )
-                            if is_candidate[addresses[position]]
-                        )
-                else:
-                    # Full profiling: cursor-walk the packed produced-value
-                    # column (candidates are always producers).
-                    vflags = batch.value_flags
-                    column = batch.values
-                    produced = (
-                        column.ints if column.is_pure_int else column.tolist()
-                    )
-                    append = triples.append
-                    cursor = 0
-                    for start, end, phase in batch.phase_segments():
-                        for position in range(start, end):
-                            address = addresses[position]
-                            if vflags[address]:
-                                if is_candidate[address]:
-                                    append((address, produced[cursor], phase))
-                                cursor += 1
-                offset += len(batch)
-                if not triples:
-                    continue
-                for consume in consumers:
-                    consume(triples)
-        finally:
-            # Fold the fast paths' accumulators even when the trace raised
-            # mid-run, matching the record path's behaviour of keeping
-            # every observation up to the fault.
-            for finish in finishers:
-                finish()
+    _profile_run(
+        program,
+        replay_or_run(program, inputs, max_instructions, store),
+        predictors,
+        lambda name, phase: images[name],
+        is_candidate,
+        sample_every,
+    )
     telemetry = get_registry()
     if telemetry.enabled:
         # Candidate records observed = per-image executions (identical
@@ -396,67 +294,148 @@ def collect_profiles(
     return images
 
 
-def _generic_profiler(predictor, image: ProfileImage, categories):
+def _check_sample_every(sample_every) -> None:
+    if (
+        isinstance(sample_every, bool)
+        or not isinstance(sample_every, int)
+        or sample_every < 1
+    ):
+        raise ValueError(f"sample_every must be an int >= 1, got {sample_every!r}")
+
+
+def _profile_run(
+    program: Program,
+    batches: Iterable[TraceBatch],
+    predictors: Mapping[str, ValuePredictor],
+    image_for: Callable[[str, int], ProfileImage],
+    is_candidate: Sequence[bool],
+    sample_every: int,
+) -> None:
+    """Feed one run's ``batches`` to every predictor; fold the counts.
+
+    The one profiling loop behind :func:`collect_profiles` and
+    :func:`~repro.profiling.phases.collect_phase_profiles`.  Each
+    predictor's consumer writes only into its own ``(address, phase) ->
+    [executions, attempts, correct, nonzero_stride_correct]`` dict, and
+    one fold — run even when the trace raises mid-run — adds those
+    counts into ``image_for(name, phase)``.  Candidates are the records
+    whose address is flagged in ``is_candidate``; ``sample_every`` keeps
+    records at global positions that are multiples of it.
+    """
+    categories = [instruction.category for instruction in program.instructions]
+    counts: Dict[str, Dict[Tuple[int, int], List[int]]] = {
+        name: {} for name in predictors
+    }
+    consumers = [
+        _fast_stride_profiler(predictor, counts[name])
+        or _generic_profiler(predictor, counts[name])
+        for name, predictor in predictors.items()
+    ]
+    try:
+        # 0-based position of the current batch's first record within
+        # the run's full dynamic stream — the sampling rule is global,
+        # not per batch, so a record boundary mid-batch cannot shift
+        # which records a sampled profile keeps.
+        offset = 0
+        for batch in batches:
+            addresses = batch.addresses
+            triples: List[Tuple[int, Optional[Number], int]] = []
+            if sample_every > 1:
+                # Sampling indexes records at arbitrary positions, so
+                # rebuild the aligned one-slot-per-record view (the
+                # sampled rows are a small fraction of the batch).
+                values = batch.record_values()
+                for start, end, phase in batch.phase_segments():
+                    first = start + (-(offset + start) % sample_every)
+                    triples.extend(
+                        (addresses[position], values[position], phase)
+                        for position in range(first, end, sample_every)
+                        if is_candidate[addresses[position]]
+                    )
+            else:
+                # Full profiling: cursor-walk the packed produced-value
+                # column (candidates are always producers).
+                vflags = batch.value_flags
+                column = batch.values
+                produced = column.ints if column.is_pure_int else column.tolist()
+                append = triples.append
+                cursor = 0
+                for start, end, phase in batch.phase_segments():
+                    for position in range(start, end):
+                        address = addresses[position]
+                        if vflags[address]:
+                            if is_candidate[address]:
+                                append((address, produced[cursor], phase))
+                            cursor += 1
+            offset += len(batch)
+            if triples:
+                for consume in consumers:
+                    consume(triples)
+    finally:
+        # Keep every observation up to a mid-run fault, as a record-by-
+        # record profile of the same prefix would.
+        for name, slots in counts.items():
+            for (address, phase), slot in slots.items():
+                image = image_for(name, phase)
+                profile = image.profile_for(address)
+                profile.executions += slot[0]
+                profile.attempts += slot[1]
+                profile.correct += slot[2]
+                profile.nonzero_stride_correct += slot[3]
+                group = image.group_slot(categories[address], phase, address)
+                group[0] += slot[0]
+                group[1] += slot[1]
+                group[2] += slot[2]
+
+
+def _generic_profiler(predictor: ValuePredictor, counts):
     """Batch consumer for arbitrary predictors: one ``access`` per record."""
 
     def consume(triples) -> None:
         access = predictor.access
-        profile_for = image.profile_for
-        group_slot = image.group_slot
+        get_slot = counts.get
         for address, value, phase in triples:
+            key = (address, phase)
+            slot = get_slot(key)
+            if slot is None:
+                slot = counts[key] = [0, 0, 0, 0]
+            slot[0] += 1
             result = access(address, value)
-            profile = profile_for(address)
-            profile.executions += 1
-            group = group_slot(categories[address], phase, address)
-            group[0] += 1
             if result.hit:
-                profile.attempts += 1
-                group[1] += 1
+                slot[1] += 1
                 if result.correct:
-                    profile.correct += 1
-                    group[2] += 1
+                    slot[2] += 1
                     if result.nonzero_stride:
-                        profile.nonzero_stride_correct += 1
+                        slot[3] += 1
 
     return consume
 
 
-def _fast_stride_profiler(predictor, image: ProfileImage, categories):
+def _fast_stride_profiler(predictor: ValuePredictor, counts):
     """Inlined batch consumer for an unbounded stride predictor.
 
-    Operates directly on the predictor's (single, unbounded) table set
-    with local counter accumulators, folding them into the profile image
-    and the table's lookup/hit counters when finished.  Results are
-    bit-identical to the generic path; the only divergence is internal —
-    the table set's LRU order is not refreshed on hits, which is
-    unobservable for a table that never evicts.
+    Operates directly on the predictor's (single, unbounded) table set,
+    adding to the table's lookup/hit counters after each batch.  Results
+    are bit-identical to the generic consumer; the only divergence is
+    internal — the table set's LRU order is not refreshed on hits, which
+    is unobservable for a table that never evicts.  Returns ``None`` for
+    any other predictor.
     """
     if type(predictor) is not StridePredictor or not predictor.table.is_infinite:
         return None
     table = predictor.table
     entries = table._set_for(0)
-    counts: Dict[int, List[int]] = {}
-    #: (address, phase) -> [executions, attempts, correct]; the category
-    #: is static per address and re-attached when folding into the image.
-    group_counts: Dict[Tuple[int, int], List[int]] = {}
-    meters = [0, 0]  # lookups, hits
 
     def consume(triples) -> None:
-        lookups = hits = 0
+        hits = 0
         get_entry = entries.get
-        get_count = counts.get
-        get_group = group_counts.get
+        get_slot = counts.get
         for address, value, phase in triples:
-            slot = get_count(address)
+            key = (address, phase)
+            slot = get_slot(key)
             if slot is None:
-                slot = counts[address] = [0, 0, 0, 0]
-            group_key = (address, phase)
-            group = get_group(group_key)
-            if group is None:
-                group = group_counts[group_key] = [0, 0, 0]
+                slot = counts[key] = [0, 0, 0, 0]
             slot[0] += 1
-            group[0] += 1
-            lookups += 1
             entry = get_entry(address)
             if entry is None:
                 entries[address] = StrideEntry(value)
@@ -467,31 +446,11 @@ def _fast_stride_profiler(predictor, image: ProfileImage, categories):
             entry.stride = value - last
             entry.last_value = value
             slot[1] += 1
-            group[1] += 1
             if last + stride == value:
                 slot[2] += 1
-                group[2] += 1
                 if stride != 0:
                     slot[3] += 1
-        meters[0] += lookups
-        meters[1] += hits
+        table.lookups += len(triples)
+        table.hits += hits
 
-    def finish() -> None:
-        table.lookups += meters[0]
-        table.hits += meters[1]
-        meters[0] = meters[1] = 0
-        for address, slot in counts.items():
-            profile = image.profile_for(address)
-            profile.executions += slot[0]
-            profile.attempts += slot[1]
-            profile.correct += slot[2]
-            profile.nonzero_stride_correct += slot[3]
-        counts.clear()
-        for (address, phase), group in group_counts.items():
-            stats = image.group_slot(categories[address], phase, address)
-            stats[0] += group[0]
-            stats[1] += group[1]
-            stats[2] += group[2]
-        group_counts.clear()
-
-    return consume, finish
+    return consume

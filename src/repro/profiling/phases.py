@@ -17,7 +17,7 @@ from ..isa import Number, Program
 from ..machine import TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import StridePredictor, ValuePredictor
-from .collector import ProfileImage
+from .collector import ProfileImage, _check_sample_every, _profile_run
 
 
 def collect_phase_profiles(
@@ -31,58 +31,33 @@ def collect_phase_profiles(
 ) -> Dict[int, ProfileImage]:
     """Profile one run, splitting the accounting by execution phase.
 
-    Returns phase -> image.  Programs that never execute a ``phase``
-    instruction yield a single image under phase 0.
+    Returns phase -> image (labelled ``f"{run_label}#{phase}"``), in the
+    order the phases are first observed.  Programs that never execute a
+    ``phase`` instruction yield a single image under phase 0.
 
-    ``sample_every=k`` keeps only every ``k``-th record of the dynamic
-    stream, under the same global-position rule as
-    :func:`~repro.profiling.collector.collect_profiles`.  ``store``
-    replays the run from a :class:`~repro.machine.TraceStore` (capturing
-    it on a miss) instead of executing it.
+    The run goes through the same batch consumers and fold as
+    :func:`~repro.profiling.collector.collect_profiles`, including its
+    global-position ``sample_every`` rule; ``store`` replays the run
+    from a :class:`~repro.machine.TraceStore` (capturing it on a miss)
+    instead of executing it.
     """
-    if (
-        isinstance(sample_every, bool)
-        or not isinstance(sample_every, int)
-        or sample_every < 1
-    ):
-        raise ValueError(f"sample_every must be an int >= 1, got {sample_every!r}")
-    predictor = predictor or StridePredictor()
-    access = predictor.access
+    _check_sample_every(sample_every)
     images: Dict[int, ProfileImage] = {}
-    is_candidate = [
-        instruction.is_prediction_candidate for instruction in program.instructions
-    ]
-    categories = [instruction.category for instruction in program.instructions]
 
-    batches = replay_or_run(program, inputs, max_instructions, store)
-    offset = 0  # global position of the batch's first record
-    for batch in batches:
-        addresses = batch.addresses
-        values = batch.record_values()
-        for start, end, phase in batch.phase_segments():
-            # First kept record of the segment: global position = 0 (mod k).
-            start += -(offset + start) % sample_every
-            image = images.get(phase)
-            for index in range(start, end, sample_every):
-                address = addresses[index]
-                if not is_candidate[address]:
-                    continue
-                if image is None:
-                    image = images[phase] = ProfileImage(
-                        program.name, run_label=f"{run_label}#{phase}"
-                    )
-                result = access(address, values[index])
-                profile = image.profile_for(address)
-                profile.executions += 1
-                group = image.group_slot(categories[address], phase, address)
-                group[0] += 1
-                if result.hit:
-                    profile.attempts += 1
-                    group[1] += 1
-                    if result.correct:
-                        profile.correct += 1
-                        group[2] += 1
-                        if result.nonzero_stride:
-                            profile.nonzero_stride_correct += 1
-        offset += len(addresses)
+    def image_for(_name: str, phase: int) -> ProfileImage:
+        image = images.get(phase)
+        if image is None:
+            image = images[phase] = ProfileImage(
+                program.name, run_label=f"{run_label}#{phase}"
+            )
+        return image
+
+    _profile_run(
+        program,
+        replay_or_run(program, inputs, max_instructions, store),
+        {"default": predictor or StridePredictor()},
+        image_for,
+        [instruction.is_prediction_candidate for instruction in program.instructions],
+        sample_every,
+    )
     return images

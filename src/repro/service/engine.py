@@ -36,7 +36,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..annotate import AnnotationPolicy, annotate_program, annotation_report
 from ..isa import assemble, disassemble
 from ..lang import CompileError, compile_source
-from ..machine import DEFAULT_BUDGET, ExecutionError, TraceStore
+from ..machine import DEFAULT_BUDGET, ExecutionError, TraceStore, write_trace
 from ..machine.tracestore import trace_key
 from ..profiling import (
     MergeAccumulator,
@@ -156,14 +156,12 @@ class ServiceEngine:
         program = self._assemble(job.program, job.name)
         budget = DEFAULT_BUDGET if job.max_instructions is None else job.max_instructions
         buffer = io.StringIO()
-        buffer.write("# repro-trace v1\n")
-        buffer.write(f"# program: {program.name}\n")
-        count = 0
         try:
-            for batch in self.traces.batches(
-                program, job.inputs, max_instructions=budget
-            ):
-                count += write_trace_records(batch, buffer)
+            count = write_trace(
+                self.traces.batches(program, job.inputs, max_instructions=budget),
+                buffer,
+                program.name,
+            )
         except ExecutionError as error:
             raise ApiError(
                 EXECUTION_ERROR, f"{type(error).__name__}: {error}"
@@ -295,22 +293,6 @@ class ServiceEngine:
                 context.traces = self.traces
                 self._contexts[key] = context
             return context
-
-
-def write_trace_records(batch, stream: io.StringIO) -> int:
-    """Append one :class:`~repro.machine.TraceBatch`'s records to ``stream``.
-
-    Emits exactly the body lines :func:`repro.machine.write_trace`
-    writes, so a streamed service trace concatenates to the batch CLI's
-    file format.
-    """
-    count = 0
-    for record in batch.records():
-        value = "-" if record.value is None else repr(record.value)
-        mem = "-" if record.mem_address is None else repr(record.mem_address)
-        stream.write(f"{record.address} {value} {record.phase} {mem}\n")
-        count += 1
-    return count
 
 
 __all__ = ["ServiceEngine"]

@@ -158,34 +158,61 @@ class TestPipeline:
         assert "overall accuracy" in out
 
     def test_trace_and_offline_profile(self, demo, capsys):
+        # Trace once into a store, then profile by replaying it: the
+        # profile is byte-identical to a live one and the replay
+        # captures nothing new.
         directory, source = demo
         assembly = directory / "demo.asm"
-        trace = directory / "demo.trace.gz"
-        profile = directory / "offline.profile"
+        store = directory / "traces"
+        offline = directory / "offline.profile"
+        live = directory / "live.profile"
         main(["compile", str(source), "-o", str(assembly)])
         assert main(
             ["trace", str(assembly), "--inputs", "1,2,3,4,5,6,7,8",
-             "-o", str(trace)]
+             "--store", str(store)]
         ) == 0
-        assert trace.exists()
+        captured = sorted(store.rglob("*"))
+        assert captured
         assert main(
-            ["profile", str(assembly), "--trace", str(trace), "-o", str(profile)]
+            ["profile", str(assembly), "--inputs", "1,2,3,4,5,6,7,8",
+             "--store", str(store), "-o", str(offline)]
         ) == 0
-        # Offline profile matches a live one on the same input.
-        live = directory / "live.profile"
-        main(["profile", str(assembly), "--inputs", "1,2,3,4,5,6,7,8",
-              "-o", str(live)])
-        from repro.profiling import read_profile
+        assert sorted(store.rglob("*")) == captured
+        assert main(
+            ["profile", str(assembly), "--inputs", "1,2,3,4,5,6,7,8",
+             "-o", str(live)]
+        ) == 0
+        assert offline.read_bytes() == live.read_bytes()
 
-        offline_image = read_profile(profile)
-        live_image = read_profile(live)
-        assert {
-            a: (p.attempts, p.correct)
-            for a, p in offline_image.instructions.items()
-        } == {
-            a: (p.attempts, p.correct)
-            for a, p in live_image.instructions.items()
-        }
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--inputs", "1,2,3,4,5,6,7,8", "--max-instructions", "20"],
+             "InstructionBudgetExceeded"),
+            (["--inputs", "1,2,3"], "InputExhausted"),
+        ],
+    )
+    def test_faulting_trace_leaves_no_file(self, demo, capsys, flags, error):
+        directory, source = demo
+        assembly = directory / "demo.asm"
+        main(["compile", str(source), "-o", str(assembly)])
+        out = directory / "out"
+        out.mkdir()
+        trace = out / "part.trace"
+        capsys.readouterr()
+        assert main(["trace", str(assembly), *flags, "-o", str(trace)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"trace: {error}: ")
+        assert list(out.iterdir()) == []
+
+    def test_bench_help_names_current_schema(self, capsys, monkeypatch):
+        from repro.telemetry.bench import SCHEMA_VERSION
+
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert SCHEMA_VERSION in capsys.readouterr().out
 
 
 def test_cli_and_daemon_import_without_numpy():

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check import profile_records
 from repro.machine import Executor
 from repro.profiling import (
     ProfileSketch,
-    collect_profile,
     dumps_profile,
     read_any_profile,
     save_profile,
@@ -32,7 +32,7 @@ def image():
     workload = generate_corpus(1997, 1)[0]
     program = workload.compile()
     records = list(Executor(program, inputs=workload.test_inputs()).run())
-    return collect_profile(program, records=records, run_label="train")
+    return profile_records(program, records, run_label="train")
 
 
 @pytest.fixture()

@@ -349,3 +349,113 @@ comp:
         addi_phase1 = images[1].instructions[3]
         # Phase 1 runs the addi 3 times: allocate + train + 1 correct.
         assert addi_phase1.correct >= 1
+
+
+PHASED_LOOP_ASM = """
+.text
+    li r1, 0
+    li r2, 3
+    phase 1
+init:
+    addi r1, r1, 1
+    slt r3, r1, r2
+    bnez r3, init
+    phase 2
+    li r2, 40
+comp:
+    addi r1, r1, 2
+    slt r3, r1, r2
+    bnez r3, comp
+    halt
+"""
+
+
+def count_consumers(monkeypatch):
+    """Wrap the collector's two consumer factories; count what they build."""
+    import repro.profiling.collector as collector
+
+    built = {"inlined": 0, "access": 0}
+    fast = collector._fast_stride_profiler
+    generic = collector._generic_profiler
+
+    def fast_wrapper(*args):
+        result = fast(*args)
+        if result is not None:
+            built["inlined"] += 1
+        return result
+
+    def generic_wrapper(*args):
+        built["access"] += 1
+        return generic(*args)
+
+    monkeypatch.setattr(collector, "_fast_stride_profiler", fast_wrapper)
+    monkeypatch.setattr(collector, "_generic_profiler", generic_wrapper)
+    return built
+
+
+class TestSharedConsumers:
+    """Whole-run and phase-split profiles share one loop and one fold."""
+
+    def setup_method(self):
+        self.program = assemble(PHASED_LOOP_ASM)
+
+    def test_phase_profiles_take_inlined_stride_consumer(self, monkeypatch):
+        from repro.profiling import collect_phase_profiles
+
+        built = count_consumers(monkeypatch)
+        images = collect_phase_profiles(self.program)
+        assert built == {"inlined": 1, "access": 0}
+        assert list(images) == [0, 1, 2]
+        assert [image.run_label for image in images.values()] == ["#0", "#1", "#2"]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "make_predictor",
+        [lambda: StridePredictor(entries=8), LastValuePredictor],
+        ids=["finite-stride", "last-value"],
+    )
+    def test_other_predictors_take_access_consumer(
+        self, monkeypatch, make_predictor, k
+    ):
+        from repro.check import profile_records
+        from repro.machine import trace_program
+        from repro.profiling import collect_phase_profiles
+
+        records = list(trace_program(self.program))
+        built = count_consumers(monkeypatch)
+        whole = collect_profile(
+            self.program, predictor=make_predictor(), run_label="r", sample_every=k
+        )
+        phases = collect_phase_profiles(
+            self.program, predictor=make_predictor(), run_label="r", sample_every=k
+        )
+        assert built == {"inlined": 0, "access": 2}
+        reference = profile_records(
+            self.program, records, make_predictor(), run_label="r", sample_every=k
+        )
+        assert dumps_profile(whole) == dumps_profile(reference)
+        by_phase = profile_records(
+            self.program,
+            records,
+            make_predictor(),
+            run_label="r",
+            sample_every=k,
+            by_phase=True,
+        )
+        assert list(phases) == list(by_phase)
+        for phase, image in by_phase.items():
+            assert dumps_profile(phases[phase]) == dumps_profile(image)
+
+    def test_phase_profiles_leave_profiling_counters_alone(self):
+        from repro.profiling import collect_phase_profiles
+        from repro.telemetry import Telemetry, use_registry
+
+        registry = Telemetry()
+        with use_registry(registry):
+            collect_phase_profiles(self.program)
+        counters = registry.snapshot()["counters"]
+        assert "profiling.records" not in counters
+        assert "profiling.runs" not in counters
+        with use_registry(registry):
+            collect_profile(self.program)
+        assert registry.counter("profiling.runs").value == 1

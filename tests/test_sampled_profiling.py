@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.annotate import AnnotationPolicy, plan_directives
+from repro.check import profile_records
 from repro.cli import main as cli_main
 from repro.machine import Executor, TraceStore
 from repro.profiling import collect_profile, dumps_profile, merge_profiles
@@ -38,22 +39,18 @@ def records(program, inputs):
 
 
 class TestValidation:
-    def test_sample_every_must_be_positive_int(self, program, records):
+    def test_sample_every_must_be_positive_int(self, program, inputs):
         for bad in (0, -1, 1.5, True, "2"):
             with pytest.raises(ValueError):
-                collect_profile(program, records=records, sample_every=bad)
+                collect_profile(program, inputs, sample_every=bad)
 
-    def test_bucket_validation(self, program, records):
+    def test_bucket_validation(self, program, inputs):
         with pytest.raises(ValueError):
-            collect_profile(program, records=records, address_buckets=0)
+            collect_profile(program, inputs, address_buckets=0)
         with pytest.raises(ValueError):
-            collect_profile(
-                program, records=records, address_buckets=4, address_bucket=4
-            )
+            collect_profile(program, inputs, address_buckets=4, address_bucket=4)
         with pytest.raises(ValueError):
-            collect_profile(
-                program, records=records, address_buckets=4, address_bucket=-1
-            )
+            collect_profile(program, inputs, address_buckets=4, address_bucket=-1)
 
     def test_phases_validation(self, program, inputs):
         with pytest.raises(ValueError):
@@ -61,12 +58,10 @@ class TestValidation:
 
 
 class TestByteIdentity:
-    def test_k1_records_path(self, program, records):
-        full = collect_profile(program, records=records, run_label="r")
-        k1 = collect_profile(
-            program, records=records, run_label="r", sample_every=1
-        )
-        assert dumps_profile(k1) == dumps_profile(full)
+    def test_k1_records_path(self, program, inputs, records):
+        reference = profile_records(program, records, run_label="r")
+        k1 = collect_profile(program, inputs, run_label="r", sample_every=1)
+        assert dumps_profile(k1) == dumps_profile(reference)
 
     def test_k1_executor_path(self, program, inputs):
         full = collect_profile(program, inputs, run_label="r")
@@ -94,11 +89,9 @@ class TestByteIdentity:
 class TestSampledEquivalence:
     @pytest.mark.parametrize("k", [2, 3, 7, 10])
     def test_all_paths_match_thinned_records(self, program, inputs, records, k):
-        reference = collect_profile(
-            program, records=records[::k], run_label="r"
-        )
-        via_records = collect_profile(
-            program, records=records, run_label="r", sample_every=k
+        reference = profile_records(program, records[::k], run_label="r")
+        via_records = profile_records(
+            program, records, run_label="r", sample_every=k
         )
         via_executor = collect_profile(
             program, inputs, run_label="r", sample_every=k
@@ -113,16 +106,16 @@ class TestSampledEquivalence:
         assert dumps_profile(via_executor) == expected
         assert dumps_profile(via_store) == expected
 
-    def test_sampling_applies_before_candidate_filter(self, program, records):
+    def test_sampling_applies_before_candidate_filter(
+        self, program, inputs, records
+    ):
         # The rule is global-position modulo k over the *unfiltered*
         # stream, so the kept count equals the candidates among
         # records[::k] — not the thinned candidate-only stream, which
         # lands on different positions (the two counts differ on this
         # pinned workload, so the ordering is actually exercised).
         k = 3
-        sampled = collect_profile(
-            program, records=records, run_label="r", sample_every=k
-        )
+        sampled = collect_profile(program, inputs, run_label="r", sample_every=k)
         kept = sum(p.executions for p in sampled.instructions.values())
         candidate_only = [
             record
@@ -143,9 +136,7 @@ class TestSampledEquivalence:
         inputs = workload.test_inputs(scale=0.05)
         records = list(Executor(program, inputs=inputs).run())
         for k in (1, 5):
-            reference = collect_profile(
-                program, records=records[::k], run_label="r"
-            )
+            reference = profile_records(program, records[::k], run_label="r")
             sampled = collect_profile(
                 program, inputs, run_label="r", sample_every=k
             )
@@ -182,9 +173,9 @@ class TestAddressBuckets:
             address_buckets=2,
             address_bucket=1,
         )
-        reference = collect_profile(
+        reference = profile_records(
             program,
-            records=[r for r in records[::2] if r.address % 2 == 1],
+            [r for r in records[::2] if r.address % 2 == 1],
             run_label="r",
         )
         assert dumps_profile(sampled) == dumps_profile(reference)
@@ -248,9 +239,7 @@ class TestProfileCli:
              "-o", str(k5_path)]
         ) == 0
         assert k1_path.read_bytes() == full_path.read_bytes()
-        reference = collect_profile(
-            program, records=records[::5], run_label="run-0"
-        )
+        reference = profile_records(program, records[::5], run_label="run-0")
         assert k5_path.read_text(encoding="utf-8") == dumps_profile(reference)
 
 
