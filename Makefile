@@ -23,7 +23,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 perf:
-	$(PYTHON) -m repro bench
+	$(PYTHON) perfbench/run.py --workload paper-cold --seed 1 --seconds 30 --trace 0
 
 experiments:
 	$(PYTHON) -m repro experiments all --scale $(SCALE) --jobs $(JOBS) \

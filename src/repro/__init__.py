@@ -26,7 +26,7 @@ Subpackages
 * :mod:`repro.runner` — the parallel experiment engine and its
   content-addressed artifact cache.
 * :mod:`repro.telemetry` — counters/timers/spans threaded through every
-  layer above, plus the ``python -m repro bench`` suite.
+  layer above.
 
 This module is the stable facade: everything in ``__all__`` is supported
 API, re-exported from the subpackages above.  Prefer ``from repro import
@@ -106,7 +106,6 @@ _LAZY = {
     "Telemetry": ("repro.telemetry", "Telemetry"),
     "Span": ("repro.telemetry", "Span"),
     "get_registry": ("repro.telemetry", "get_registry"),
-    "bench_main": ("repro.telemetry.bench", "bench_main"),
 }
 
 
@@ -154,7 +153,6 @@ __all__ = [
     "Telemetry",
     "annotate_program",
     "assemble",
-    "bench_main",
     "collect_profile",
     "compile_source",
     "default_cache_dir",

@@ -16,8 +16,7 @@ net that keeps those equivalences honest:
   undeclared telemetry metric names and unpicklable objects crossing
   the worker boundary, with an allowlist for grandfathered findings.
 
-Both run in CI as ``repro check --smoke`` next to the bench regression
-guard.
+Both run in CI as ``repro check --smoke``.
 """
 
 from .generator import CheckCase, generate_case

@@ -16,11 +16,6 @@ and exposes the whole experiment suite through the same entry point::
     python -m repro experiments all --jobs 4 --retries 2 --job-timeout 600 \\
         --report-json run-report.json
 
-plus the pinned performance suite::
-
-    python -m repro bench --output BENCH.json
-    python -m repro bench --smoke
-
 and the correctness tooling (differential oracle + invariant lint)::
 
     python -m repro check
@@ -638,12 +633,6 @@ def _command_experiments(arguments: argparse.Namespace) -> int:
     return run_from_arguments(arguments)
 
 
-def _command_bench(arguments: argparse.Namespace) -> int:
-    from .telemetry.bench import run_from_arguments
-
-    return run_from_arguments(arguments)
-
-
 def _command_check(arguments: argparse.Namespace) -> int:
     from .check.cli import run_from_arguments
 
@@ -671,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
         add_client_arguments,
         add_serve_arguments,
     )
-    from .telemetry.bench import add_arguments as add_bench_arguments
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -687,16 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_experiment_arguments(experiments_parser)
     experiments_parser.set_defaults(handler=_command_experiments)
-
-    bench_help = (
-        "run the pinned performance suite and write a BENCH_<rev>.json "
-        "report (schema repro-bench/6)"
-    )
-    bench_parser = commands.add_parser(
-        "bench", help=bench_help, description=bench_help
-    )
-    add_bench_arguments(bench_parser)
-    bench_parser.set_defaults(handler=_command_bench)
 
     check_parser = commands.add_parser(
         "check",

@@ -33,13 +33,9 @@ Typical use::
     with use_registry(registry):
         run_experiments(["fig-5.1"], context)
     print(registry.snapshot()["counters"]["machine.instructions"])
-
-``python -m repro bench`` (:mod:`repro.telemetry.bench`) builds the
-pinned performance suite on top and writes the ``BENCH_<rev>.json``
-trajectory files.
 """
 
-from .export import cache_summary, format_text, hit_rate, to_json
+from .export import format_text, to_json
 from .metrics import KNOWN_METRIC_PREFIXES, KNOWN_METRICS, is_known_metric
 from .registry import (
     Counter,
@@ -65,24 +61,11 @@ __all__ = [
     "Span",
     "Telemetry",
     "Timer",
-    "bench_main",
-    "cache_summary",
     "enable",
     "format_text",
     "get_registry",
-    "hit_rate",
     "is_known_metric",
     "set_registry",
     "to_json",
     "use_registry",
 ]
-
-
-def __getattr__(name: str):
-    # The bench suite pulls in the experiments layer; load it lazily so
-    # `import repro.telemetry` stays cheap for the hot instrumented paths.
-    if name == "bench_main":
-        from .bench import bench_main
-
-        return bench_main
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

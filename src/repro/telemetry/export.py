@@ -54,35 +54,3 @@ def format_text(source: Union[Telemetry, Dict[str, Any]]) -> str:
         )
     return "\n".join(lines) if lines else "(no telemetry recorded)"
 
-
-def hit_rate(hits: int, misses: int) -> float:
-    """Hit percentage of a hit/miss counter pair (0.0 when untouched)."""
-    total = hits + misses
-    return 100.0 * hits / total if total else 0.0
-
-
-def cache_summary(source: Union[Telemetry, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    """Per-kind artifact-cache statistics from ``cache.*`` counters.
-
-    Returns ``{kind: {"hits": n, "misses": n, "corrupt": n, "stores": n,
-    "hit_rate": pct}}`` for every artifact kind that appears in the
-    snapshot's ``cache.hit.<kind>`` / ``cache.miss.<kind>`` /
-    ``cache.corrupt.<kind>`` / ``cache.store.<kind>`` counters.
-    """
-    counters = _snapshot_of(source).get("counters", {})
-    kinds: Dict[str, Dict[str, Any]] = {}
-    for name, value in counters.items():
-        parts = name.split(".")
-        if len(parts) != 3 or parts[0] != "cache":
-            continue
-        _, event, kind = parts
-        if event not in ("hit", "miss", "corrupt", "store"):
-            continue
-        entry = kinds.setdefault(
-            kind, {"hits": 0, "misses": 0, "corrupt": 0, "stores": 0}
-        )
-        key = {"hit": "hits", "miss": "misses", "corrupt": "corrupt", "store": "stores"}
-        entry[key[event]] += value
-    for entry in kinds.values():
-        entry["hit_rate"] = hit_rate(entry["hits"], entry["misses"])
-    return dict(sorted(kinds.items()))

@@ -206,14 +206,6 @@ class TestPipeline:
         assert lines[0].startswith(f"trace: {error}: ")
         assert list(out.iterdir()) == []
 
-    def test_bench_help_names_current_schema(self, capsys, monkeypatch):
-        from repro.telemetry.bench import SCHEMA_VERSION
-
-        monkeypatch.setenv("COLUMNS", "200")
-        with pytest.raises(SystemExit):
-            main(["bench", "--help"])
-        assert SCHEMA_VERSION in capsys.readouterr().out
-
 
 def test_cli_and_daemon_import_without_numpy():
     """The CLI and the service daemon load no numerical stack.

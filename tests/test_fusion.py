@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import io
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa import Category
 from repro.profiling import (
     MergeAccumulator,
     ProfileSketch,
@@ -158,10 +160,27 @@ class TestSketchCodec:
         assert errors == sorted(errors)
 
     def test_compression_beats_text_dump_by_5x(self):
-        from repro.telemetry.bench import bench_fuse
-
-        metrics = bench_fuse(24, 96)
-        assert metrics["compression_ratio"] >= 5.0
+        """A collector-shaped fleet: executions in the thousands, attempts
+        one training miss behind, accuracy bimodal, two groups."""
+        rng = random.Random(1997)
+        text_bytes = sketch_bytes = 0
+        for index in range(24):
+            image = ProfileImage("fleet", run_label=f"edge-{index}")
+            for slot in range(96):
+                address = slot * 2
+                executions = 1_000 + rng.randrange(0, 4_000)
+                attempts = executions - 1
+                correct = int(attempts * (0.95 if slot % 3 else 0.15))
+                nonzero = correct if slot % 2 else 0
+                image.instructions[address] = InstructionProfile(
+                    address, executions, attempts, correct, nonzero
+                )
+                category = Category.INT_LOAD if slot % 2 else Category.INT_ALU
+                detail = image.group_detail.setdefault((category, 0), {})
+                detail[address] = [executions, attempts, correct]
+            text_bytes += len(dumps_profile(image).encode("utf-8"))
+            sketch_bytes += len(dumps_sketch(ProfileSketch.from_image(image)))
+        assert text_bytes >= 5 * sketch_bytes
 
     def test_truncated_sketch_rejected(self):
         payload = dumps_sketch(ProfileSketch.from_image(simple_image("p", [1, 2])))

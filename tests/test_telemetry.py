@@ -11,11 +11,9 @@ import pytest
 from repro.telemetry import (
     NullTelemetry,
     Telemetry,
-    cache_summary,
     enable,
     format_text,
     get_registry,
-    hit_rate,
     set_registry,
     to_json,
     use_registry,
@@ -230,23 +228,6 @@ class TestExport:
 
     def test_format_text_empty(self):
         assert format_text(Telemetry()) == "(no telemetry recorded)"
-
-    def test_hit_rate(self):
-        assert hit_rate(3, 1) == pytest.approx(75.0)
-        assert hit_rate(0, 0) == 0.0
-
-    def test_cache_summary_parses_counters(self):
-        registry = Telemetry()
-        registry.counter("cache.hit.profile").add(3)
-        registry.counter("cache.miss.profile").add(1)
-        registry.counter("cache.store.profile").add(1)
-        registry.counter("cache.corrupt.experiment").add(2)
-        registry.counter("unrelated.counter").add(9)
-        summary = cache_summary(registry)
-        assert summary["profile"]["hits"] == 3
-        assert summary["profile"]["hit_rate"] == pytest.approx(75.0)
-        assert summary["experiment"]["corrupt"] == 2
-        assert "unrelated" not in summary
 
 
 class TestPipelineWiring:
