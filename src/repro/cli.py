@@ -34,6 +34,12 @@ plus the profiling service (one shared trace store, many tenants)::
     python -m repro client profile demo.asm --inputs 1,2,3 -o demo.profile
     python -m repro client shutdown
 
+``repro client`` prefixes a batch command line: the daemon parses it with
+this module's parser and runs the same handler in-process.  A handler
+takes ``(arguments, io)``.  Its :class:`CommandIO` reads the input files
+and takes the output and the stderr log: the disk and the terminal for
+``main``, the job's uploaded files and two buffers in the service.
+
 Programs on disk are stored in the textual assembly format
 (:mod:`repro.isa.assembler`); ``compile`` turns mini-C into it, and every
 other command consumes it.  Inputs may be given inline (``--inputs 1,2,3``)
@@ -43,29 +49,131 @@ or as a whitespace-separated file (``--inputs @file``).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import glob
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .annotate import AnnotationPolicy, annotate_program, annotation_report
 from .isa import Program, assemble, disassemble
 from .lang import compile_source
-from .machine import ExecutionError, run_program, save_trace
-from .profiling import collect_profile, merge_profiles, read_profile, save_profile
+from .machine import ExecutionError, run_program
+from .machine.tracefile import trace_output, write_trace
+from .machine.tracestore import replay_or_run
+from .profiling import (
+    ProfileImage,
+    collect_profile,
+    dumps_profile,
+    loads_profile,
+    merge_profiles,
+    save_profile,
+)
 
 Number = Union[int, float]
 
 
-def _load_program(path: str) -> Program:
-    text = Path(path).read_text(encoding="utf-8")
-    return assemble(text, name=Path(path).stem)
+class InputFile(str):
+    """A command-line value that names a file the command reads.
+
+    The parser marks each such argument with ``type=InputFile``, so
+    ``repro client`` knows which files to upload with a service job.
+    ``path`` is the file name without the value's ``prefix`` (the ``@``
+    of an ``--inputs @file`` spec).
+    """
+
+    prefix = ""
+
+    @property
+    def path(self) -> str:
+        return self[len(self.prefix):]
 
 
-def _write_output(text: str, output: Optional[str]) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+class _InputsFile(InputFile):
+    prefix = "@"
+
+
+def _inputs_spec(spec: str) -> str:
+    """The ``type=`` of ``--inputs``: an ``@file`` spec names an input file."""
+    return _InputsFile(spec) if spec.startswith("@") else spec
+
+
+def input_files(arguments: argparse.Namespace) -> List[InputFile]:
+    """Every parsed value that names a file the command reads."""
+    return [
+        item
+        for value in vars(arguments).values()
+        for item in (value if isinstance(value, list) else [value])
+        if isinstance(item, InputFile)
+    ]
+
+
+class CommandIO:
+    """Where a command reads its input files and writes its output and log.
+
+    :func:`main` uses the default: files on disk, the process's stdout
+    and stderr, and no shared trace store.  The service
+    (:mod:`repro.service.engine`) passes a job's uploaded files (name ->
+    text), two string buffers and its shared
+    :class:`~repro.machine.TraceStore`; every ``-o`` output then goes to
+    the ``stdout`` buffer.
+    """
+
+    def __init__(
+        self,
+        files: Optional[Dict[str, str]] = None,
+        stdout=None,
+        stderr=None,
+        traces=None,
+    ) -> None:
+        self.files = files
+        self.stdout = sys.stdout if stdout is None else stdout
+        self.stderr = sys.stderr if stderr is None else stderr
+        self.traces = traces
+
+    def read_text(self, path: str) -> str:
+        if self.files is None:
+            return Path(path).read_text(encoding="utf-8")
+        return self.files[path]
+
+    def read_bytes(self, path: str) -> bytes:
+        if self.files is None:
+            return Path(path).read_bytes()
+        # Bytes that are not UTF-8 (a binary sketch) travel as surrogate escapes.
+        return self.files[path].encode("utf-8", "surrogateescape")
+
+    def glob(self, pattern: str) -> List[str]:
+        if self.files is None:
+            return sorted(glob.glob(pattern))
+        return [pattern] if pattern in self.files else []
+
+    def write_output(self, text: str, output: Optional[str]) -> None:
+        """``-o`` output: the file ``output``, or stdout when it is absent or ``-``."""
+        if output is None or output == "-" or self.files is not None:
+            self.stdout.write(text)
+        else:
+            Path(output).write_text(text, encoding="utf-8")
+
+    def save_profile(self, image: ProfileImage, output: Optional[str]) -> None:
+        """Like :meth:`write_output`, but a file is published atomically."""
+        if output is None or output == "-" or self.files is not None:
+            self.stdout.write(dumps_profile(image))
+        else:
+            save_profile(image, output)
+
+    def open_output(self, output: str):
+        """A text stream for a streamed ``-o`` output (``trace``).
+
+        On disk it is :func:`~repro.machine.trace_output`: published only
+        if the command completes, gzip-compressed for a ``.gz`` suffix.
+        """
+        if self.files is not None:
+            return contextlib.nullcontext(self.stdout)
+        return trace_output(output)
+
+
+def _load_program(io: CommandIO, path: str) -> Program:
+    return assemble(io.read_text(path), name=Path(path).stem)
 
 
 def _parse_number(token: str) -> Number:
@@ -75,23 +183,26 @@ def _parse_number(token: str) -> Number:
         return float(token)
 
 
-def parse_inputs_spec(spec: Optional[str]) -> List[Number]:
-    """One ``--inputs`` value: ``1,2,3.5`` inline or ``@file`` on disk.
+def parse_inputs_spec(
+    spec: Optional[str], read_text: Optional[Callable[[str], str]] = None
+) -> List[Number]:
+    """One ``--inputs`` value: ``1,2,3.5`` inline or ``@file``.
 
-    The single parser behind every subcommand's ``--inputs`` flag —
-    ``run``/``trace``/``profile`` here and the ``repro client`` mirror
-    commands (:mod:`repro.service.cli`) all route through it, so the
-    spec syntax cannot drift between commands.
+    The single parser behind every subcommand's ``--inputs`` flag, so the
+    spec syntax cannot drift between commands.  ``read_text`` reads the
+    ``@file`` (default: from disk; a service job reads its uploads).
     """
     if not spec:
         return []
     if spec.startswith("@"):
-        text = Path(spec[1:]).read_text(encoding="utf-8")
+        text = (read_text or CommandIO().read_text)(spec[1:])
         return [_parse_number(token) for token in text.split()]
     return [_parse_number(token) for token in spec.split(",") if token]
 
 
-def parse_input_stream(specs: Sequence[Optional[str]]) -> List[Number]:
+def parse_input_stream(
+    specs: Sequence[Optional[str]], read_text: Optional[Callable[[str], str]] = None
+) -> List[Number]:
     """Repeated ``--inputs`` flags as *one* stream (``run``/``trace``).
 
     These commands execute the program once, so repeated flags
@@ -99,60 +210,62 @@ def parse_input_stream(specs: Sequence[Optional[str]]) -> List[Number]:
     """
     stream: List[Number] = []
     for spec in specs:
-        stream.extend(parse_inputs_spec(spec))
+        stream.extend(parse_inputs_spec(spec, read_text))
     return stream
 
 
-def parse_input_sets(specs: Sequence[Optional[str]]) -> List[List[Number]]:
+def parse_input_sets(
+    specs: Sequence[Optional[str]], read_text: Optional[Callable[[str], str]] = None
+) -> List[List[Number]]:
     """Repeated ``--inputs`` flags as one stream *each* (``profile``).
 
     Profiling runs the program once per training stream, so every flag
     stays its own input set.
     """
-    return [parse_inputs_spec(spec) for spec in specs]
+    return [parse_inputs_spec(spec, read_text) for spec in specs]
 
 
-def _command_compile(arguments: argparse.Namespace) -> int:
-    source = Path(arguments.source).read_text(encoding="utf-8")
+def _command_compile(arguments: argparse.Namespace, io: CommandIO) -> int:
     program = compile_source(
-        source, name=Path(arguments.source).stem, optimize=not arguments.no_optimize
+        io.read_text(arguments.source),
+        name=Path(arguments.source).stem,
+        optimize=not arguments.no_optimize,
     )
-    _write_output(disassemble(program), arguments.output)
+    io.write_output(disassemble(program), arguments.output)
     print(
         f"compiled {arguments.source}: {len(program)} instructions, "
         f"{len(program.candidate_addresses)} prediction candidates",
-        file=sys.stderr,
+        file=io.stderr,
     )
     return 0
 
 
-def _command_run(arguments: argparse.Namespace) -> int:
-    program = _load_program(arguments.program)
+def _command_run(arguments: argparse.Namespace, io: CommandIO) -> int:
+    program = _load_program(io, arguments.program)
     result = run_program(
         program,
-        inputs=parse_input_stream(arguments.inputs or []),
+        inputs=parse_input_stream(arguments.inputs or [], io.read_text),
         max_instructions=arguments.max_instructions,
     )
     for value in result.outputs:
-        print(value)
+        print(value, file=io.stdout)
     print(
         f"retired {result.instruction_count} instructions",
-        file=sys.stderr,
+        file=io.stderr,
     )
     return 0
 
 
-def _command_profile(arguments: argparse.Namespace) -> int:
-    import contextlib
+def _command_profile(arguments: argparse.Namespace, io: CommandIO) -> int:
     import tempfile
 
-    program = _load_program(arguments.program)
+    program = _load_program(io, arguments.program)
     sample_every = getattr(arguments, "sample_every", 1)
     jobs = getattr(arguments, "jobs", 1)
     store_dir = getattr(arguments, "store", None)
-    input_sets = parse_input_sets(arguments.inputs or [""])
+    input_sets = parse_input_sets(arguments.inputs or [""], io.read_text)
     with contextlib.ExitStack() as stack:
-        store = None
+        store = io.traces
         if jobs > 1 or store_dir:
             # Capture the training runs across worker processes into one
             # shared TraceStore, then profile by (in-process) replay.  A
@@ -172,7 +285,7 @@ def _command_profile(arguments: argparse.Namespace) -> int:
                     print(
                         f"profile: input set {failure.index} faulted: "
                         f"{failure.error}",
-                        file=sys.stderr,
+                        file=io.stderr,
                     )
                 return 1
             store = TraceStore(directory=store_dir)
@@ -187,61 +300,55 @@ def _command_profile(arguments: argparse.Namespace) -> int:
             for index, inputs in enumerate(input_sets)
         ]
     image = images[0] if len(images) == 1 else merge_profiles(images)
+    io.save_profile(image, arguments.output)
     if arguments.output:
-        save_profile(image, arguments.output)
         print(
             f"profiled {len(image)} instructions over {len(images)} run(s) "
             f"-> {arguments.output}",
-            file=sys.stderr,
+            file=io.stderr,
         )
-    else:
-        from .profiling import dumps_profile
-
-        sys.stdout.write(dumps_profile(image))
     return 0
 
 
-def _command_fuse(arguments: argparse.Namespace) -> int:
+def _command_fuse(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Merge many profile images/sketches into one, streaming."""
-    import glob as glob_module
     import json
 
     from .profiling import (
         MergeAccumulator,
         ProfileSketch,
-        dumps_profile,
         fidelity_report,
-        read_any_profile,
+        loads_any_profile,
         save_sketch,
     )
 
     paths: List[str] = []
     for pattern in arguments.patterns:
-        matches = sorted(glob_module.glob(pattern))
+        matches = io.glob(pattern)
         if not matches:
-            print(f"fuse: no profiles match {pattern!r}", file=sys.stderr)
+            print(f"fuse: no profiles match {pattern!r}", file=io.stderr)
             return 2
         paths.extend(match for match in matches if match not in paths)
+
+    def images():
+        return (loads_any_profile(io.read_bytes(path), path) for path in paths)
 
     make_sketch = arguments.sketch or arguments.quantize > 0
     if make_sketch and (not arguments.output or arguments.output == "-"):
         print("fuse: --sketch output is binary; -o PATH is required",
-              file=sys.stderr)
+              file=io.stderr)
         return 2
 
     if arguments.batch:
-        image = merge_profiles(
-            (read_any_profile(path) for path in paths),
-            require_common=arguments.require_common,
-        )
+        image = merge_profiles(images(), require_common=arguments.require_common)
     else:
         accumulator = MergeAccumulator(require_common=arguments.require_common)
-        for path in paths:
-            accumulator.fold(read_any_profile(path))
+        for source in images():
+            accumulator.fold(source)
         image = accumulator.result()
 
     if arguments.report:
-        report = fidelity_report(read_any_profile(path) for path in paths)
+        report = fidelity_report(images())
         Path(arguments.report).write_text(
             json.dumps(report, indent=2) + "\n", encoding="utf-8"
         )
@@ -250,23 +357,21 @@ def _command_fuse(arguments: argparse.Namespace) -> int:
         save_sketch(
             ProfileSketch.from_image(image, arguments.quantize), arguments.output
         )
-        destination = arguments.output
-    elif arguments.output and arguments.output != "-":
-        save_profile(image, arguments.output)
-        destination = arguments.output
     else:
-        sys.stdout.write(dumps_profile(image))
-        destination = "stdout"
+        io.save_profile(image, arguments.output)
+    destination = (
+        arguments.output if arguments.output and arguments.output != "-" else "stdout"
+    )
     engine = "batch" if arguments.batch else "streaming"
     print(
         f"fused {len(paths)} profile(s) into {len(image)} instructions "
         f"({engine}) -> {destination}",
-        file=sys.stderr,
+        file=io.stderr,
     )
     return 0
 
 
-def _command_corpus(arguments: argparse.Namespace) -> int:
+def _command_corpus(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Generate a seeded mini-C workload corpus; compile and verify it."""
     import json
 
@@ -280,7 +385,7 @@ def _command_corpus(arguments: argparse.Namespace) -> int:
             arguments.seed, arguments.count, mix, name_prefix=arguments.prefix
         )
     except ValueError as error:
-        print(f"corpus: {error}", file=sys.stderr)
+        print(f"corpus: {error}", file=io.stderr)
         return 2
     out_dir = Path(arguments.out_dir) if arguments.out_dir else None
     if out_dir is not None:
@@ -343,7 +448,7 @@ def _command_corpus(arguments: argparse.Namespace) -> int:
                     print(
                         f"corpus: {workload.name} failed on input set "
                         f"{index}: {error_text}",
-                        file=sys.stderr,
+                        file=io.stderr,
                     )
                     return 1
                 dynamic += count
@@ -373,32 +478,32 @@ def _command_corpus(arguments: argparse.Namespace) -> int:
         f"generated {len(manifest)} workloads (seed {arguments.seed}, "
         f"suites {'+'.join(sorted(suites))}, {verified})"
         + (f" -> {out_dir}" if out_dir is not None else ""),
-        file=sys.stderr,
+        file=io.stderr,
     )
     return 0
 
 
-def _command_annotate(arguments: argparse.Namespace) -> int:
-    program = _load_program(arguments.program)
-    image = read_profile(arguments.profile)
+def _command_annotate(arguments: argparse.Namespace, io: CommandIO) -> int:
+    program = _load_program(io, arguments.program)
+    image = loads_profile(io.read_text(arguments.profile))
     policy = AnnotationPolicy(
         accuracy_threshold=arguments.threshold,
         stride_threshold=arguments.stride_threshold,
     )
     annotated = annotate_program(program, image, policy)
     report = annotation_report(program, image, policy)
-    _write_output(disassemble(annotated), arguments.output)
+    io.write_output(disassemble(annotated), arguments.output)
     print(
         f"tagged {report.stride_tagged} stride + {report.last_value_tagged} "
         f"last-value of {report.candidates} candidates "
         f"(threshold {arguments.threshold:g}%)",
-        file=sys.stderr,
+        file=io.stderr,
     )
     return 0
 
 
-def _command_trace(arguments: argparse.Namespace) -> int:
-    program = _load_program(arguments.program)
+def _command_trace(arguments: argparse.Namespace, io: CommandIO) -> int:
+    program = _load_program(io, arguments.program)
     if arguments.store:
         # Sharded capture: each --inputs flag is its own run, captured
         # into one content-addressed TraceStore across --jobs workers.
@@ -408,10 +513,10 @@ def _command_trace(arguments: argparse.Namespace) -> int:
             print(
                 "trace: choose one of -o (single trace file) or "
                 "--store (sharded capture directory)",
-                file=sys.stderr,
+                file=io.stderr,
             )
             return 2
-        input_sets = parse_input_sets(arguments.inputs or [""])
+        input_sets = parse_input_sets(arguments.inputs or [""], io.read_text)
         report = capture_sharded(
             program,
             input_sets,
@@ -429,48 +534,53 @@ def _command_trace(arguments: argparse.Namespace) -> int:
             print(
                 f"trace: input set {failure.index} faulted: {failure.error} "
                 "(partial trace stored; it replays the same fault)",
-                file=sys.stderr,
+                file=io.stderr,
             )
         print(
             f"captured {len(report.results)} run(s), {report.records} records "
             f"({report.jobs} job(s), {report.elapsed:.2f}s) "
             f"-> {arguments.store}",
-            file=sys.stderr,
+            file=io.stderr,
         )
         return 0
     if not arguments.output:
-        print("trace: -o is required without --store", file=sys.stderr)
+        print("trace: -o is required without --store", file=io.stderr)
         return 2
     if arguments.jobs != 1:
         print(
             "trace: --jobs needs --store (a single trace file is one run)",
-            file=sys.stderr,
+            file=io.stderr,
         )
         return 2
     try:
-        count = save_trace(
-            program,
-            arguments.output,
-            inputs=parse_input_stream(arguments.inputs or []),
-            max_instructions=arguments.max_instructions,
-        )
+        with io.open_output(arguments.output) as stream:
+            count = write_trace(
+                replay_or_run(
+                    program,
+                    parse_input_stream(arguments.inputs or [], io.read_text),
+                    arguments.max_instructions,
+                    store=io.traces,
+                ),
+                stream,
+                program.name,
+            )
     except ExecutionError as error:
-        print(f"trace: {type(error).__name__}: {error}", file=sys.stderr)
+        print(f"trace: {type(error).__name__}: {error}", file=io.stderr)
         return 1
-    print(f"wrote {count} records to {arguments.output}", file=sys.stderr)
+    print(f"wrote {count} records to {arguments.output}", file=io.stderr)
     return 0
 
 
-def _command_disasm(arguments: argparse.Namespace) -> int:
-    program = _load_program(arguments.program)
-    _write_output(disassemble(program), arguments.output)
+def _command_disasm(arguments: argparse.Namespace, io: CommandIO) -> int:
+    program = _load_program(io, arguments.program)
+    io.write_output(disassemble(program), arguments.output)
     return 0
 
 
-def _command_report(arguments: argparse.Namespace) -> int:
+def _command_report(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Rank instructions by profiled value predictability."""
-    program = _load_program(arguments.program)
-    image = read_profile(arguments.profile)
+    program = _load_program(io, arguments.program)
+    image = loads_profile(io.read_text(arguments.profile))
     rows = []
     for address, profile in image.instructions.items():
         if profile.attempts < arguments.min_attempts:
@@ -480,16 +590,18 @@ def _command_report(arguments: argparse.Namespace) -> int:
     limit = arguments.top
 
     def print_section(title: str, section) -> None:
-        print(title)
-        print(f"  {'addr':>6s} {'exec':>8s} {'acc%':>7s} {'stride%':>8s}  instruction")
+        print(title, file=io.stdout)
+        print(f"  {'addr':>6s} {'exec':>8s} {'acc%':>7s} {'stride%':>8s}  instruction",
+              file=io.stdout)
         for accuracy, stride_ratio, profile, address in section:
             print(
                 f"  {address:6d} {profile.executions:8d} {accuracy:7.1f} "
-                f"{stride_ratio:8.1f}  {program[address].render()}"
+                f"{stride_ratio:8.1f}  {program[address].render()}",
+                file=io.stdout,
             )
 
     print_section(f"most predictable ({limit}):", rows[:limit])
-    print()
+    print(file=io.stdout)
     print_section(f"least predictable ({limit}):", rows[-limit:][::-1])
     executed = sum(profile.executions for _, _, profile, _ in rows)
     correct = sum(profile.correct for _, _, profile, _ in rows)
@@ -497,7 +609,8 @@ def _command_report(arguments: argparse.Namespace) -> int:
     overall = 100.0 * correct / attempts if attempts else 0.0
     print(
         f"\n{len(rows)} instructions, {executed} dynamic executions, "
-        f"overall accuracy {overall:.1f}%"
+        f"overall accuracy {overall:.1f}%",
+        file=io.stdout,
     )
     return 0
 
@@ -525,7 +638,7 @@ def _classify_policy(arguments: argparse.Namespace) -> AnnotationPolicy:
     )
 
 
-def _command_classify_train(arguments: argparse.Namespace) -> int:
+def _command_classify_train(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Train the predictability model on the corpus training slice."""
     from .classify import (
         build_dataset,
@@ -549,17 +662,17 @@ def _command_classify_train(arguments: argparse.Namespace) -> int:
         max_depth=arguments.max_depth,
         min_leaf=arguments.min_leaf,
     )
-    _write_output(dumps_model(model), arguments.output)
+    io.write_output(dumps_model(model), arguments.output)
     print(
         f"trained on {len(labeled)} programs ({model.training_rows} rows): "
         f"{model.node_count} nodes, depth {model.depth}, "
         f"digest {model_digest(model)[:16]}",
-        file=sys.stderr,
+        file=io.stderr,
     )
     return 0
 
 
-def _command_classify_predict(arguments: argparse.Namespace) -> int:
+def _command_classify_predict(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Re-tag a program with model-predicted directives (no profile)."""
     from .classify import (
         ModelFormatError,
@@ -569,23 +682,23 @@ def _command_classify_predict(arguments: argparse.Namespace) -> int:
     )
 
     try:
-        model = loads_model(Path(arguments.model).read_text(encoding="utf-8"))
+        model = loads_model(io.read_text(arguments.model))
     except ModelFormatError as error:
-        print(f"classify: bad model: {error}", file=sys.stderr)
+        print(f"classify: bad model: {error}", file=io.stderr)
         return 2
-    program = _load_program(arguments.program)
+    program = _load_program(io, arguments.program)
     annotated = annotate_with_model(model, program)
-    _write_output(disassemble(annotated), arguments.output)
+    io.write_output(disassemble(annotated), arguments.output)
     print(
         f"tagged {len(annotated.directives())} of "
         f"{len(program.candidate_addresses)} candidates "
         f"(model digest {model_digest(model)[:16]})",
-        file=sys.stderr,
+        file=io.stderr,
     )
     return 0
 
 
-def _command_classify_eval(arguments: argparse.Namespace) -> int:
+def _command_classify_eval(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Held-out per-instruction label accuracy vs the majority baseline."""
     from .classify import (
         LABEL_NAMES,
@@ -597,9 +710,9 @@ def _command_classify_eval(arguments: argparse.Namespace) -> int:
     )
 
     try:
-        model = loads_model(Path(arguments.model).read_text(encoding="utf-8"))
+        model = loads_model(io.read_text(arguments.model))
     except ModelFormatError as error:
-        print(f"classify: bad model: {error}", file=sys.stderr)
+        print(f"classify: bad model: {error}", file=io.stderr)
         return 2
     _training, held_out = _classify_corpus(arguments)
     labeled = build_dataset(
@@ -610,48 +723,57 @@ def _command_classify_eval(arguments: argparse.Namespace) -> int:
     )
     rows = dataset_rows(labeled)
     if not rows:
-        print("classify: held-out slice has no candidates", file=sys.stderr)
+        print("classify: held-out slice has no candidates", file=io.stderr)
         return 1
     baseline = majority_label(rows)
     learned = sum(1 for features, label in rows if model.predict(features) == label)
     majority = sum(1 for _, label in rows if label == baseline)
     print(
         f"held-out: {len(held_out)} programs, {len(rows)} candidate "
-        f"instructions"
+        f"instructions",
+        file=io.stdout,
     )
-    print(f"learned accuracy:  {100.0 * learned / len(rows):.1f}%")
+    print(f"learned accuracy:  {100.0 * learned / len(rows):.1f}%", file=io.stdout)
     print(
         f"majority baseline: {100.0 * majority / len(rows):.1f}% "
-        f"(always {LABEL_NAMES[baseline]!r})"
+        f"(always {LABEL_NAMES[baseline]!r})",
+        file=io.stdout,
     )
     return 0 if learned > majority else 1
 
 
-def _command_experiments(arguments: argparse.Namespace) -> int:
+def _command_experiments(arguments: argparse.Namespace, io: CommandIO) -> int:
     from .experiments.runner import run_from_arguments
 
-    return run_from_arguments(arguments)
+    return run_from_arguments(
+        arguments, stdout=io.stdout, stderr=io.stderr, traces=io.traces
+    )
 
 
-def _command_check(arguments: argparse.Namespace) -> int:
+def _command_check(arguments: argparse.Namespace, io: CommandIO) -> int:
     from .check.cli import run_from_arguments
 
     return run_from_arguments(arguments)
 
 
-def _command_serve(arguments: argparse.Namespace) -> int:
+def _command_serve(arguments: argparse.Namespace, io: CommandIO) -> int:
     from .service.cli import run_serve
 
     return run_serve(arguments)
 
 
-def _command_client(arguments: argparse.Namespace) -> int:
+def _command_client(arguments: argparse.Namespace, io: CommandIO) -> int:
     from .service.cli import run_client
 
     return run_client(arguments)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The ``repro`` parser; every subparser is a ``parser_class`` too.
+
+    Each argument naming a file the command reads has ``type=InputFile``
+    (``--inputs`` marks its ``@file`` specs).
+    """
     # Imported here so `import repro.cli` stays light and the
     # cli -> experiments dependency exists only at parser-build time.
     from .check.cli import add_arguments as add_check_arguments
@@ -661,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_serve_arguments,
     )
 
-    parser = argparse.ArgumentParser(
+    parser = parser_class(
         prog="repro",
         description="Toolchain for the MICRO-30 1997 profiling/value-prediction "
         "reproduction.",
@@ -751,8 +873,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="insert model-predicted directives into a program (phase 3 "
         "with no profile)",
     )
-    classify_predict_parser.add_argument("model", help="trained model file")
-    classify_predict_parser.add_argument("program", help="assembly file")
+    classify_predict_parser.add_argument(
+        "model", type=InputFile, help="trained model file"
+    )
+    classify_predict_parser.add_argument(
+        "program", type=InputFile, help="assembly file"
+    )
     classify_predict_parser.add_argument(
         "-o", "--output", help="annotated assembly output (default stdout)"
     )
@@ -763,13 +889,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="held-out label accuracy vs the majority-class baseline "
         "(non-zero exit when the model does not beat it)",
     )
-    classify_eval_parser.add_argument("model", help="trained model file")
+    classify_eval_parser.add_argument(
+        "model", type=InputFile, help="trained model file"
+    )
     add_classify_corpus_arguments(classify_eval_parser)
     classify_eval_parser.set_defaults(handler=_command_classify_eval)
 
     serve_parser = commands.add_parser(
         "serve",
-        help="run the profiling-as-a-service daemon (schema repro-serve/1, "
+        help="run the profiling-as-a-service daemon (schema repro-serve/2, "
         "shared trace store, per-tenant quotas)",
     )
     add_serve_arguments(serve_parser)
@@ -777,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     client_parser = commands.add_parser(
         "client",
-        help="submit compile/trace/profile/annotate/experiment jobs to a "
-        "running daemon",
+        help="run a compile/trace/profile/annotate/fuse/classify predict/"
+        "experiments command on a running daemon",
     )
     add_client_arguments(client_parser)
     client_parser.set_defaults(handler=_command_client)
@@ -786,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser = commands.add_parser(
         "compile", help="compile mini-C to textual assembly (phase 1)"
     )
-    compile_parser.add_argument("source", help="mini-C source file")
+    compile_parser.add_argument("source", type=InputFile, help="mini-C source file")
     compile_parser.add_argument("-o", "--output", help="assembly output (default stdout)")
     compile_parser.add_argument(
         "--no-optimize", action="store_true", help="disable -O2 stand-in passes"
@@ -794,9 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.set_defaults(handler=_command_compile)
 
     run_parser = commands.add_parser("run", help="execute a program")
-    run_parser.add_argument("program", help="assembly file")
+    run_parser.add_argument("program", type=InputFile, help="assembly file")
     run_parser.add_argument(
-        "--inputs", action="append",
+        "--inputs", action="append", type=_inputs_spec,
         help="input stream: '1,2,3' inline or '@file' (repeatable; "
         "streams concatenate)",
     )
@@ -808,10 +936,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser = commands.add_parser(
         "profile", help="collect a profile image (phase 2)"
     )
-    profile_parser.add_argument("program", help="assembly file")
+    profile_parser.add_argument("program", type=InputFile, help="assembly file")
     profile_parser.add_argument(
         "--inputs",
         action="append",
+        type=_inputs_spec,
         help="one training input stream per flag (repeatable)",
     )
     profile_parser.add_argument(
@@ -894,6 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse_parser.add_argument(
         "patterns",
         nargs="+",
+        type=InputFile,
         help="profile/sketch files or glob patterns (formats auto-detected)",
     )
     fuse_parser.add_argument(
@@ -933,8 +1063,8 @@ def build_parser() -> argparse.ArgumentParser:
     annotate_parser = commands.add_parser(
         "annotate", help="insert value-prediction directives (phase 3)"
     )
-    annotate_parser.add_argument("program", help="assembly file")
-    annotate_parser.add_argument("profile", help="profile image file")
+    annotate_parser.add_argument("program", type=InputFile, help="assembly file")
+    annotate_parser.add_argument("profile", type=InputFile, help="profile image file")
     annotate_parser.add_argument(
         "--threshold", type=float, default=90.0, help="accuracy threshold [%%]"
     )
@@ -950,16 +1080,16 @@ def build_parser() -> argparse.ArgumentParser:
     disasm_parser = commands.add_parser(
         "disasm", help="canonicalize/inspect an assembly file"
     )
-    disasm_parser.add_argument("program", help="assembly file")
+    disasm_parser.add_argument("program", type=InputFile, help="assembly file")
     disasm_parser.add_argument("-o", "--output", help="output (default stdout)")
     disasm_parser.set_defaults(handler=_command_disasm)
 
     trace_parser = commands.add_parser(
         "trace", help="execute and store the dynamic trace(s)"
     )
-    trace_parser.add_argument("program", help="assembly file")
+    trace_parser.add_argument("program", type=InputFile, help="assembly file")
     trace_parser.add_argument(
-        "--inputs", action="append",
+        "--inputs", action="append", type=_inputs_spec,
         help="input stream: '1,2,3' inline or '@file' (repeatable; "
         "streams concatenate with -o, one run each with --store)",
     )
@@ -989,8 +1119,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = commands.add_parser(
         "report", help="rank instructions by profiled value predictability"
     )
-    report_parser.add_argument("program", help="assembly file")
-    report_parser.add_argument("profile", help="profile image file")
+    report_parser.add_argument("program", type=InputFile, help="assembly file")
+    report_parser.add_argument("profile", type=InputFile, help="profile image file")
     report_parser.add_argument(
         "--top", type=int, default=10, help="rows per section (default 10)"
     )
@@ -1007,7 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     arguments = build_parser().parse_args(argv)
-    return arguments.handler(arguments)
+    return arguments.handler(arguments, CommandIO())
 
 
 if __name__ == "__main__":  # pragma: no cover

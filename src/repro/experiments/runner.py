@@ -119,7 +119,8 @@ def run_experiments(
     written there as ``<id>.txt`` (formatted) and ``<id>.tsv``
     (machine-readable, see :meth:`ExperimentTable.to_tsv`).  With
     ``chart=True``, an ASCII chart of the table follows it on the stream.
-    ``progress`` may be a stream for per-job progress/timing lines.
+    ``progress`` may be a stream for per-job progress/timing lines,
+    including each table's ``[<id> finished in Xs]`` line.
 
     ``retry`` is the :class:`~repro.runner.retry.RetryPolicy` for failed
     or timed-out cells and ``fault_plan`` an optional deterministic
@@ -127,7 +128,7 @@ def run_experiments(
     The run's :class:`~repro.runner.retry.RunReport` is written to
     ``report_path`` as JSON when given.  A degraded run — any cell out
     of retries — still emits every table that completed, writes the
-    report, prints its summary, and then raises
+    report, prints its summary to ``progress``, and then raises
     :class:`~repro.runner.retry.RunFailure` carrying the report.
     """
     stream = stream or sys.stdout
@@ -165,9 +166,13 @@ def run_experiments(
                         print(chart_table(table), file=stream)
                     except ValueError:
                         pass
-                suffix = " (cached)" if record is not None and record.cached else ""
-                seconds = record.seconds if record is not None else 0.0
-                print(f"[{name} finished in {seconds:.1f}s{suffix}]\n", file=stream)
+                print(file=stream)
+                if progress is not None:
+                    # Wall-clock, so on the progress stream: ``stream``
+                    # stays byte-deterministic.
+                    suffix = " (cached)" if record is not None and record.cached else ""
+                    seconds = record.seconds if record is not None else 0.0
+                    print(f"[{name} finished in {seconds:.1f}s{suffix}]", file=progress)
                 if output_dir is not None:
                     stem = name.replace(".", "_")
                     (output_dir / f"{stem}.txt").write_text(
@@ -197,7 +202,8 @@ def run_experiments(
             file=progress,
         )
     if report is not None and not report.ok:
-        print(report.format(), file=progress if progress is not None else sys.stderr)
+        if progress is not None:
+            print(report.format(), file=progress)
         raise RunFailure(report, tables=results)
     return results
 
@@ -292,19 +298,28 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def run_from_arguments(arguments: argparse.Namespace) -> int:
-    """Dispatch a parsed namespace (see :func:`add_arguments`)."""
+def run_from_arguments(
+    arguments: argparse.Namespace, stdout=None, stderr=None, traces=None
+) -> int:
+    """Dispatch a parsed namespace (see :func:`add_arguments`).
+
+    Tables go to ``stdout`` and progress to ``stderr`` (default: the
+    process's streams); ``traces`` replaces the run's own
+    :class:`~repro.machine.TraceStore` (the service shares one).
+    """
+    stdout = sys.stdout if stdout is None else stdout
+    stderr = sys.stderr if stderr is None else stderr
     names = list(arguments.experiments)
     if names == ["list"]:
         for identifier in EXPERIMENTS:
-            print(identifier)
+            print(identifier, file=stdout)
         return 0
     if names == ["report"]:
         from .report import build_markdown_report
 
         if arguments.output_dir is None:
             raise SystemExit("report requires --output-dir with saved .tsv results")
-        print(build_markdown_report(arguments.output_dir))
+        print(build_markdown_report(arguments.output_dir), file=stdout)
         return 0
     if names == ["all"]:
         names = list(EXPERIMENTS)
@@ -316,7 +331,7 @@ def run_from_arguments(arguments: argparse.Namespace) -> int:
         try:
             fault_plan = faults.resolve_plan(fault_plan)
         except (TypeError, ValueError, OSError) as error:
-            print(f"invalid --fault-plan: {error}", file=sys.stderr)
+            print(f"invalid --fault-plan: {error}", file=stderr)
             return 2
 
     context = ExperimentContext(
@@ -324,14 +339,17 @@ def run_from_arguments(arguments: argparse.Namespace) -> int:
         training_runs=arguments.training_runs,
         cache_dir=None if arguments.no_cache else arguments.cache_dir,
     )
+    if traces is not None:
+        context.traces = traces
     try:
         run_experiments(
             names,
             context,
+            stream=stdout,
             output_dir=arguments.output_dir,
             chart=arguments.chart,
             jobs=arguments.jobs,
-            progress=None if arguments.quiet else sys.stderr,
+            progress=None if arguments.quiet else stderr,
             retry=RetryPolicy.from_cli(
                 retries=arguments.retries, job_timeout=arguments.job_timeout
             ),
@@ -339,9 +357,10 @@ def run_from_arguments(arguments: argparse.Namespace) -> int:
             report_path=arguments.report_json,
         )
     except RunFailure as failure:
-        # The report (already printed by run_experiments) is the primary
-        # output of a degraded run; no traceback.
-        print(f"run failed: {failure}", file=sys.stderr)
+        # The report is the primary output of a degraded run; no traceback.
+        if arguments.quiet:
+            print(failure.report.format(), file=stderr)
+        print(f"run failed: {failure}", file=stderr)
         return 1
     return 0
 

@@ -16,12 +16,13 @@ Values serialize via ``repr`` so integers and floats are exact.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import os
 import tempfile
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from ..isa import Number, Program
 from .batch import TraceBatch
@@ -53,20 +54,14 @@ def write_trace(
     return count
 
 
-def save_trace(
-    program: Program,
-    path: Union[str, Path],
-    inputs: Iterable[Number] = (),
-    max_instructions: Optional[int] = None,
-) -> int:
-    """Execute ``program`` once, writing its trace to ``path``.
+@contextlib.contextmanager
+def trace_output(path: Union[str, Path]) -> Iterator[IO[str]]:
+    """A text stream that lands at ``path`` only if the block completes.
 
-    A ``.gz`` suffix selects gzip compression.  The trace streams into a
-    temporary file beside ``path`` that is renamed into place only after
-    the run halts; if it raises instead (an
-    :class:`~repro.machine.ExecutionError`), the temporary file is
-    removed and ``path`` is left untouched.  Returns the number of
-    records written.
+    A ``.gz`` suffix selects gzip compression.  The text streams into a
+    temporary file beside ``path`` that is renamed into place when the
+    block exits normally; if it raises instead, the temporary file is
+    removed and ``path`` is left untouched.
     """
     path = Path(path)
     parent = path.parent if str(path.parent) else Path(".")
@@ -81,11 +76,7 @@ def save_trace(
                     filename=path.name, mode="wb", fileobj=raw, mtime=0
                 )
             with io.TextIOWrapper(binary, encoding="utf-8") as stream:
-                count = write_trace(
-                    replay_or_run(program, inputs, max_instructions),
-                    stream,
-                    program.name,
-                )
+                yield stream
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -93,4 +84,22 @@ def save_trace(
         except OSError:  # pragma: no cover - already renamed or removed
             pass
         raise
-    return count
+
+
+def save_trace(
+    program: Program,
+    path: Union[str, Path],
+    inputs: Iterable[Number] = (),
+    max_instructions: Optional[int] = None,
+) -> int:
+    """Execute ``program`` once, writing its trace to ``path``.
+
+    The file is written through :func:`trace_output`: a ``.gz`` suffix
+    compresses, and a run that raises (an
+    :class:`~repro.machine.ExecutionError`) leaves ``path`` untouched.
+    Returns the number of records written.
+    """
+    with trace_output(path) as stream:
+        return write_trace(
+            replay_or_run(program, inputs, max_instructions), stream, program.name
+        )

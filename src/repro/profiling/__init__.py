@@ -38,16 +38,15 @@ from .fusion import (
     FusionSource,
     MergeAccumulator,
     fuse_images,
+    loads_any_profile,
     read_any_profile,
 )
 from .sketch import (
     DEFAULT_FIDELITY_LEVELS,
     ProfileSketch,
     SketchFormatError,
-    decode_profile_payload,
     dump_sketch,
     dumps_sketch,
-    encode_profile_payload,
     fidelity_report,
     load_sketch,
     loads_sketch,
@@ -84,18 +83,17 @@ __all__ = [
     "collect_profile",
     "collect_profiles",
     "common_addresses",
-    "decode_profile_payload",
     "dump_profile",
     "dump_sketch",
     "dumps_profile",
     "dumps_sketch",
-    "encode_profile_payload",
     "fidelity_report",
     "fuse_images",
     "interval_histogram",
     "interval_percentages",
     "load_profile",
     "load_sketch",
+    "loads_any_profile",
     "loads_profile",
     "loads_sketch",
     "max_distance_metric",

@@ -27,6 +27,7 @@ same keep-set, matching the batch semantics exactly.
 
 from __future__ import annotations
 
+import io
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple, Union
@@ -34,8 +35,8 @@ from typing import Dict, Iterable, List, Tuple, Union
 from ..isa import Category
 from ..telemetry import get_registry
 from .collector import InstructionProfile, ProfileImage
-from .image_io import load_profile, read_profile
-from .sketch import SKETCH_MAGIC, ProfileSketch, read_sketch
+from .image_io import ProfileFormatError, load_profile
+from .sketch import SKETCH_MAGIC, ProfileSketch, loads_sketch
 
 #: Anything `MergeAccumulator.fold` accepts.
 FusionSource = Union[ProfileImage, ProfileSketch, object]
@@ -225,25 +226,35 @@ def fuse_images(
     return accumulator.update(sources).result()
 
 
-def read_any_profile(path: Union[str, Path]) -> ProfileImage:
-    """Load ``path`` as a profile image, sniffing text image vs sketch.
+def loads_any_profile(data: bytes, name: str = "") -> ProfileImage:
+    """Parse ``data`` as a profile image, sniffing text image vs sketch.
 
     Any malformed content — truncated files, a mangled magic line,
     corrupt deflate bodies, binary garbage — raises a typed
     :class:`~repro.profiling.image_io.ProfileFormatError` (or its
     :class:`~repro.profiling.sketch.SketchFormatError` subclass), never
-    a bare ``zlib.error``/``UnicodeDecodeError``.
+    a bare ``zlib.error``/``UnicodeDecodeError``.  ``name`` labels the
+    error message.
     """
-    with open(path, "rb") as stream:
-        head = stream.read(len(SKETCH_MAGIC))
-    if head == SKETCH_MAGIC:
-        return read_sketch(path).to_image()
-    return read_profile(path)
+    if data.startswith(SKETCH_MAGIC):
+        return loads_sketch(data).to_image()
+    try:
+        return load_profile(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except UnicodeDecodeError as error:
+        raise ProfileFormatError(
+            f"{name}: not a text profile image (undecodable bytes: {error})"
+        ) from error
+
+
+def read_any_profile(path: Union[str, Path]) -> ProfileImage:
+    """Load ``path`` as a profile image (see :func:`loads_any_profile`)."""
+    return loads_any_profile(Path(path).read_bytes(), str(path))
 
 
 __all__ = [
     "FusionSource",
     "MergeAccumulator",
     "fuse_images",
+    "loads_any_profile",
     "read_any_profile",
 ]

@@ -43,8 +43,6 @@ the group count and per-(category, phase) member rows in the same shape.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import time
 import zlib
 from dataclasses import dataclass
@@ -58,7 +56,6 @@ from .image_io import (
     ProfileFormatError,
     _publish_atomic,
     dumps_profile,
-    loads_profile,
 )
 
 SKETCH_MAGIC = b"# repro-profile-sketch v1\n"
@@ -364,42 +361,6 @@ def read_sketch(path: Union[str, Path]) -> ProfileSketch:
 
 
 # --------------------------------------------------------------------------
-# service payload transport
-
-
-def encode_profile_payload(data: bytes) -> str:
-    """Encode raw profile/sketch file bytes as a JSON-safe string.
-
-    Text v1 images pass through verbatim; binary sketches are base64.
-    """
-    if data.startswith(b"# repro-profile-image"):
-        return data.decode("utf-8")
-    return base64.b64encode(data).decode("ascii")
-
-
-def decode_profile_payload(payload: str) -> ProfileImage:
-    """Decode a fuse-job payload entry into a profile image.
-
-    Accepts either a v1 text profile image or a base64-encoded binary
-    sketch (sniffed by magic).  Raises :class:`ProfileFormatError` when
-    the payload is neither.
-    """
-    if payload.startswith("# repro-profile-image"):
-        return loads_profile(payload)
-    try:
-        raw = base64.b64decode(payload.strip().encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError, ValueError) as exc:
-        raise ProfileFormatError(
-            f"payload is neither a v1 profile image nor a base64 sketch: {exc}"
-        ) from None
-    if not raw.startswith(SKETCH_MAGIC):
-        raise ProfileFormatError(
-            "base64 payload does not decode to a profile sketch"
-        )
-    return loads_sketch(raw).to_image()
-
-
-# --------------------------------------------------------------------------
 # size / fidelity report
 
 
@@ -489,10 +450,8 @@ __all__ = [
     "ProfileSketch",
     "SKETCH_MAGIC",
     "SketchFormatError",
-    "decode_profile_payload",
     "dump_sketch",
     "dumps_sketch",
-    "encode_profile_payload",
     "fidelity_report",
     "load_sketch",
     "loads_sketch",

@@ -2,20 +2,22 @@
 
 The paper's central economy is *profile once, reuse the result*; this
 package is that economy as a long-running service.  One process owns a
-shared :class:`~repro.machine.TraceStore` and artifact cache, accepts
-compile/trace/profile/annotate/classify/experiment jobs from many
-tenants over HTTP, and multiplexes them onto the fault-tolerant runner.
+shared :class:`~repro.machine.TraceStore` and artifact cache and runs
+batch command lines — compile, trace, profile, annotate, fuse,
+classify predict, experiments — for many tenants over HTTP.
 
-Layering — the wire contract is the single source of truth:
+Layering — the service is a thin shell over the batch CLI:
 
-* :mod:`repro.service.api` — versioned request/response dataclasses
-  (schema ``repro-serve/1``), job states and the error taxonomy.  The
-  server, the client library and the CLI all import their types from
-  here, so the three can never drift.
+* :mod:`repro.service.api` — the wire contract (schema
+  ``repro-serve/2``): a job is a batch ``argv`` plus the files it names
+  (:class:`Job`), with the submission envelope, job states and the
+  error taxonomy around it.
 * :mod:`repro.service.queue` — the priority job queue with per-tenant
   admission quotas.
-* :mod:`repro.service.engine` — executes one job against the shared
-  stores, byte-identical to the equivalent batch CLI invocation.
+* :mod:`repro.service.engine` — parses a job with the batch parser at
+  admission, refuses what the sandbox forbids, and runs the batch
+  handler in-process against the shared stores, so its output and log
+  are the batch command's stdout and stderr.
 * :mod:`repro.service.server` — the stdlib-asyncio HTTP daemon:
   streaming (chunked) result delivery and graceful drain into a
   :class:`~repro.runner.retry.RunReport`.
@@ -27,17 +29,14 @@ from .api import (
     SCHEMA,
     AnnotateJob,
     ApiError,
-    ClassifyJob,
     CompileJob,
     ErrorInfo,
-    ExperimentJob,
-    FuseJob,
+    Job,
     JobResult,
     JobStatus,
     ProfileJob,
     SubmitReply,
     SubmitRequest,
-    TraceJob,
 )
 from .client import ServiceClient
 from .server import ServiceServer
@@ -46,11 +45,9 @@ __all__ = [
     "SCHEMA",
     "AnnotateJob",
     "ApiError",
-    "ClassifyJob",
     "CompileJob",
     "ErrorInfo",
-    "ExperimentJob",
-    "FuseJob",
+    "Job",
     "JobResult",
     "JobStatus",
     "ProfileJob",
@@ -58,5 +55,4 @@ __all__ = [
     "ServiceServer",
     "SubmitReply",
     "SubmitRequest",
-    "TraceJob",
 ]

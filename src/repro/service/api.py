@@ -1,20 +1,20 @@
-"""The service wire contract (schema ``repro-serve/1``).
+"""The service wire contract (schema ``repro-serve/2``).
 
-Everything that crosses the HTTP boundary is defined here, once: job
-payloads, the submission envelope, job states, status/result shapes and
+Everything that crosses the HTTP boundary is defined here, once: the job
+payload, the submission envelope, job states, status/result shapes and
 the error taxonomy.  The server handlers (:mod:`repro.service.server`),
 the client library (:mod:`repro.service.client`) and the ``repro
 client`` CLI (:mod:`repro.service.cli`) all import these types rather
-than hand-rolling dictionaries, so the wire protocol, the Python API
-and the CLI cannot drift apart.
+than hand-rolling dictionaries.
 
 Design rules:
 
-* Payloads are text, in the repo's existing on-disk formats — mini-C
-  source, textual assembly, ``# repro-profile-image v1`` images,
-  ``# repro-trace v1`` traces.  A service result is therefore
-  byte-comparable to the equivalent batch CLI output.
-* Every envelope carries ``"schema": "repro-serve/1"``; decoding
+* A job is a batch command line plus the files it names
+  (:class:`Job`).  The daemon runs it with the batch CLI's own parser
+  and handler (:mod:`repro.service.engine`), so a result's ``output``
+  and ``log`` are the bytes the batch command writes to stdout (or its
+  ``-o`` file) and to stderr.
+* Every envelope carries ``"schema": "repro-serve/2"``; decoding
   rejects unknown schemas up front instead of failing deep in a
   handler.
 * Errors are closed-vocabulary: an :class:`ApiError` carries one of
@@ -28,12 +28,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
 #: Version tag carried by every request and response envelope.
-SCHEMA = "repro-serve/1"
+SCHEMA = "repro-serve/2"
 
 # -- job states -------------------------------------------------------------
 
@@ -142,327 +142,73 @@ def result_path(job_id: str) -> str:
 # -- job payloads -----------------------------------------------------------
 
 
-def _require_text(payload: dict, field: str, kind: str) -> str:
-    value = payload.get(field)
-    if not isinstance(value, str) or not value:
-        raise ApiError(INVALID_JOB, f"{kind} job needs a non-empty {field!r} string")
-    return value
-
-
-def _number_list(values: Any, kind: str, field: str) -> Tuple[Number, ...]:
-    if values is None:
-        return ()
-    if not isinstance(values, (list, tuple)):
-        raise ApiError(INVALID_JOB, f"{kind} job {field!r} must be a list of numbers")
-    out: List[Number] = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ApiError(
-                INVALID_JOB, f"{kind} job {field!r} must be a list of numbers"
-            )
-        out.append(value)
-    return tuple(out)
-
-
 @dataclasses.dataclass(frozen=True)
-class CompileJob:
-    """Phase 1: compile mini-C source to textual assembly."""
+class Job:
+    """One batch command line plus the files it reads.
 
-    source: str
-    name: str = "<minic>"
-    optimize: bool = True
+    ``argv`` is what follows ``python -m repro`` (``("compile",
+    "demo.mc")``); ``files`` maps each file the command line names to
+    its contents, so the daemon never reads its own disk.  A file name
+    is a plain name: not empty, with no ``/`` and no NUL.
+    """
 
-    KIND = "compile"
+    argv: Tuple[str, ...]
+    files: Dict[str, str] = dataclasses.field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        """The command (``argv[0]``); it labels job ids and reports."""
+        return self.argv[0]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "source": self.source,
-            "name": self.name,
-            "optimize": self.optimize,
-        }
+        return {"argv": list(self.argv), "files": dict(self.files)}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "CompileJob":
-        return cls(
-            source=_require_text(payload, "source", cls.KIND),
-            name=str(payload.get("name", "<minic>")),
-            optimize=bool(payload.get("optimize", True)),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class TraceJob:
-    """Execute once through the shared store; result is the textual trace."""
-
-    program: str
-    name: str = "program"
-    inputs: Tuple[Number, ...] = ()
-    max_instructions: Optional[int] = None
-
-    KIND = "trace"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "program": self.program,
-            "name": self.name,
-            "inputs": list(self.inputs),
-            "max_instructions": self.max_instructions,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TraceJob":
-        budget = payload.get("max_instructions")
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
-            raise ApiError(INVALID_JOB, "trace job max_instructions must be an int")
-        return cls(
-            program=_require_text(payload, "program", cls.KIND),
-            name=str(payload.get("name", "program")),
-            inputs=_number_list(payload.get("inputs"), cls.KIND, "inputs"),
-            max_instructions=budget,
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class ProfileJob:
-    """Phase 2: one profile image over one or more training input streams."""
-
-    program: str
-    name: str = "program"
-    input_sets: Tuple[Tuple[Number, ...], ...] = ((),)
-    max_instructions: Optional[int] = None
-    sample_every: int = 1
-
-    KIND = "profile"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "program": self.program,
-            "name": self.name,
-            "input_sets": [list(inputs) for inputs in self.input_sets],
-            "max_instructions": self.max_instructions,
-            "sample_every": self.sample_every,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ProfileJob":
-        raw_sets = payload.get("input_sets")
-        if raw_sets is None:
-            raw_sets = [[]]
-        if not isinstance(raw_sets, (list, tuple)) or not raw_sets:
-            raise ApiError(
-                INVALID_JOB, "profile job 'input_sets' must be a non-empty list"
-            )
-        input_sets = tuple(
-            _number_list(inputs, cls.KIND, "input_sets") for inputs in raw_sets
-        )
-        budget = payload.get("max_instructions")
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
-            raise ApiError(INVALID_JOB, "profile job max_instructions must be an int")
-        sample_every = payload.get("sample_every", 1)
-        if (
-            isinstance(sample_every, bool)
-            or not isinstance(sample_every, int)
-            or sample_every < 1
+    def from_dict(cls, payload: Any) -> "Job":
+        if not isinstance(payload, dict):
+            raise ApiError(BAD_REQUEST, "job payload must be an object")
+        argv = payload.get("argv")
+        if (not isinstance(argv, list) or not argv
+                or not all(isinstance(token, str) for token in argv)):
+            raise ApiError(INVALID_JOB, "job 'argv' must be a non-empty list of strings")
+        files = payload.get("files", {})
+        if not isinstance(files, dict) or not all(
+            isinstance(contents, str) for contents in files.values()
         ):
-            raise ApiError(
-                INVALID_JOB, "profile job sample_every must be an int >= 1"
-            )
-        return cls(
-            program=_require_text(payload, "program", cls.KIND),
-            name=str(payload.get("name", "program")),
-            input_sets=input_sets,
-            max_instructions=budget,
-            sample_every=sample_every,
-        )
+            raise ApiError(INVALID_JOB, "job 'files' must map names to text")
+        for name in files:
+            if not name or "/" in name or "\0" in name:
+                raise ApiError(INVALID_JOB, f"bad file name {name!r}")
+        return cls(argv=tuple(argv), files=dict(files))
 
 
-@dataclasses.dataclass(frozen=True)
-class AnnotateJob:
-    """Phase 3: re-tag a binary from a profile image."""
-
-    program: str
-    profile: str
-    name: str = "program"
-    accuracy_threshold: float = 90.0
-    stride_threshold: float = 50.0
-
-    KIND = "annotate"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "program": self.program,
-            "profile": self.profile,
-            "name": self.name,
-            "accuracy_threshold": self.accuracy_threshold,
-            "stride_threshold": self.stride_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AnnotateJob":
-        for field in ("accuracy_threshold", "stride_threshold"):
-            value = payload.get(field)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ApiError(INVALID_JOB, f"annotate job {field!r} must be a number")
-        return cls(
-            program=_require_text(payload, "program", cls.KIND),
-            profile=_require_text(payload, "profile", cls.KIND),
-            name=str(payload.get("name", "program")),
-            accuracy_threshold=float(payload.get("accuracy_threshold", 90.0)),
-            stride_threshold=float(payload.get("stride_threshold", 50.0)),
-        )
+# The three jobs of the paper's workflow, as Python callers (such as the
+# perfbench serve-sessions workload) build them.  Capitalized because they
+# replaced job classes of these names.  Each file is named after the
+# program, so its ``Path.stem`` gives back ``name`` even when ``name``
+# contains dots (corpus names such as ``gen.1997.000`` do).
 
 
-@dataclasses.dataclass(frozen=True)
-class ExperimentJob:
-    """One paper table/figure on the fault-tolerant runner."""
-
-    experiment: str
-    scale: float = 1.0
-    training_runs: int = 5
-
-    KIND = "experiment"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "experiment": self.experiment,
-            "scale": self.scale,
-            "training_runs": self.training_runs,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentJob":
-        scale = payload.get("scale", 1.0)
-        runs = payload.get("training_runs", 5)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or scale <= 0:
-            raise ApiError(INVALID_JOB, "experiment job 'scale' must be positive")
-        if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
-            raise ApiError(INVALID_JOB, "experiment job 'training_runs' must be >= 1")
-        return cls(
-            experiment=_require_text(payload, "experiment", cls.KIND),
-            scale=float(scale),
-            training_runs=runs,
-        )
+def CompileJob(source: str, name: str = "program") -> Job:  # noqa: N802
+    """``repro compile <name>.mc``."""
+    return Job(("compile", f"{name}.mc"), {f"{name}.mc": source})
 
 
-@dataclasses.dataclass(frozen=True)
-class FuseJob:
-    """Fuse tenant-uploaded profiles/sketches into one merged image.
-
-    Each ``profiles`` entry is either a ``# repro-profile-image v1``
-    text image verbatim, or a base64-encoded binary sketch
-    (:mod:`repro.profiling.sketch`) — the engine sniffs per entry.  The
-    result output is the merged image in the v1 text format, byte-
-    identical to ``repro fuse`` over the same inputs.
-    """
-
-    profiles: Tuple[str, ...]
-    name: str = "merged"
-    require_common: bool = False
-
-    KIND = "fuse"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "profiles": list(self.profiles),
-            "name": self.name,
-            "require_common": self.require_common,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FuseJob":
-        raw = payload.get("profiles")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ApiError(
-                INVALID_JOB, "fuse job 'profiles' must be a non-empty list"
-            )
-        entries: List[str] = []
-        for entry in raw:
-            if not isinstance(entry, str) or not entry:
-                raise ApiError(
-                    INVALID_JOB,
-                    "fuse job 'profiles' entries must be non-empty strings",
-                )
-            entries.append(entry)
-        return cls(
-            profiles=tuple(entries),
-            name=str(payload.get("name", "merged")),
-            require_common=bool(payload.get("require_common", False)),
-        )
+def ProfileJob(  # noqa: N802
+    program: str, name: str = "program", input_sets: Sequence[Sequence[Number]] = ((),)
+) -> Job:
+    """``repro profile <name>.asm --inputs=...``, one flag per input set."""
+    # The ``=`` form keeps a leading minus sign from reading as a flag.
+    flags = [f"--inputs={','.join(map(str, inputs))}" for inputs in input_sets]
+    return Job(("profile", f"{name}.asm", *flags), {f"{name}.asm": program})
 
 
-@dataclasses.dataclass(frozen=True)
-class ClassifyJob:
-    """Re-tag a binary with a learned predictability model.
-
-    ``model`` is a ``repro-classify-model/1`` file verbatim
-    (:mod:`repro.classify`); the result output is the annotated assembly,
-    byte-identical to ``repro classify predict`` over the same inputs.
-    """
-
-    program: str
-    model: str
-    name: str = "program"
-
-    KIND = "classify"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "program": self.program,
-            "model": self.model,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClassifyJob":
-        return cls(
-            program=_require_text(payload, "program", cls.KIND),
-            model=_require_text(payload, "model", cls.KIND),
-            name=str(payload.get("name", "program")),
-        )
-
-
-Job = Union[
-    CompileJob, TraceJob, ProfileJob, AnnotateJob, ExperimentJob, FuseJob, ClassifyJob
-]
-
-_JOB_TYPES = {
-    cls.KIND: cls
-    for cls in (
-        CompileJob,
-        TraceJob,
-        ProfileJob,
-        AnnotateJob,
-        ExperimentJob,
-        FuseJob,
-        ClassifyJob,
+def AnnotateJob(program: str, profile: str, name: str = "program") -> Job:  # noqa: N802
+    """``repro annotate <name>.asm <name>.profile``."""
+    return Job(
+        ("annotate", f"{name}.asm", f"{name}.profile"),
+        {f"{name}.asm": program, f"{name}.profile": profile},
     )
-}
-
-#: The closed set of job kinds the service accepts.
-JOB_KINDS = tuple(_JOB_TYPES)
-
-
-def job_from_dict(payload: Any) -> Job:
-    """Decode one job payload; raises :class:`ApiError` on anything off."""
-    if not isinstance(payload, dict):
-        raise ApiError(BAD_REQUEST, "job payload must be an object")
-    kind = payload.get("kind")
-    job_type = _JOB_TYPES.get(kind)
-    if job_type is None:
-        raise ApiError(
-            INVALID_JOB,
-            f"unknown job kind {kind!r} (expected one of {', '.join(JOB_KINDS)})",
-        )
-    return job_type.from_dict(payload)
 
 
 def job_digest(job: Job) -> str:
@@ -508,7 +254,7 @@ class SubmitRequest:
         if isinstance(priority, bool) or not isinstance(priority, int):
             raise ApiError(BAD_REQUEST, "priority must be an integer")
         return cls(
-            job=job_from_dict(payload.get("job")), tenant=tenant, priority=priority
+            job=Job.from_dict(payload.get("job")), tenant=tenant, priority=priority
         )
 
 
@@ -582,18 +328,15 @@ class JobStatus:
 class JobResult:
     """The terminal outcome of one job.
 
-    ``output`` is the job's primary artifact as text — exactly the bytes
-    the equivalent batch CLI command would have produced on stdout (or
-    written with ``-o``).  ``meta`` carries the side-channel facts the
-    CLI prints to stderr (instruction counts, annotation tallies, the
-    experiment ``RunReport``), keyed per job kind.
+    ``output`` is what the batch command writes to stdout or to its
+    ``-o`` file, and ``log`` is what it writes to stderr.
     """
 
     job_id: str
     kind: str
     state: str
     output: str = ""
-    meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    log: str = ""
     error: Optional[ErrorInfo] = None
 
     def to_dict(self) -> dict:
@@ -603,7 +346,7 @@ class JobResult:
             "kind": self.kind,
             "state": self.state,
             "output": self.output,
-            "meta": self.meta,
+            "log": self.log,
             "error": self.error.to_dict() if self.error else None,
         }
 
@@ -615,7 +358,7 @@ class JobResult:
             kind=str(payload["kind"]),
             state=str(payload["state"]),
             output=str(payload.get("output", "")),
-            meta=dict(payload.get("meta") or {}),
+            log=str(payload.get("log", "")),
             error=ErrorInfo.from_dict(error) if error else None,
         )
 
@@ -672,7 +415,6 @@ __all__ = [
     "AnnotateJob",
     "BAD_REQUEST",
     "CANCELLED",
-    "ClassifyJob",
     "CompileJob",
     "DEFAULT_TENANT",
     "DONE",
@@ -683,15 +425,12 @@ __all__ = [
     "EVENT_STATUS",
     "EXECUTION_ERROR",
     "ErrorInfo",
-    "ExperimentJob",
     "FAILED",
-    "FuseJob",
     "HEALTH_PATH",
     "HTTP_STATUS",
     "INTERNAL_ERROR",
     "INVALID_JOB",
     "JOBS_PATH",
-    "JOB_KINDS",
     "JOB_STATES",
     "Job",
     "JobResult",
@@ -709,10 +448,8 @@ __all__ = [
     "SubmitReply",
     "SubmitRequest",
     "TERMINAL_STATES",
-    "TraceJob",
     "UNKNOWN_JOB",
     "job_digest",
-    "job_from_dict",
     "job_path",
     "result_path",
 ]

@@ -3,11 +3,12 @@
 ``serve`` runs the daemon in the foreground until drained (SIGINT/
 SIGTERM or a client ``shutdown``), then prints the session's
 :class:`~repro.runner.retry.RunReport` summary and exits with its
-status.  ``client`` mirrors the batch toolchain commands one-for-one —
-``compile``/``trace``/``profile``/``annotate``/``classify``/``experiment``/``fuse``
-take the same flags and produce the same bytes, just computed by a
-daemon that shares one trace store across every caller — plus ``status``,
-``result``, ``stats``, ``health`` and ``shutdown``.
+status.  ``client`` takes a batch command line — ``repro client
+[--host --port --tenant --priority --timeout] compile demo.mc -o
+demo.asm`` — uploads the files it names, and writes the job's output
+and log where the batch command would write them; the daemon shares
+one trace store across every caller.  ``status``, ``result``,
+``stats``, ``health`` and ``shutdown`` talk to the daemon itself.
 
 Both sides speak exclusively through :mod:`repro.service.api` types.
 """
@@ -16,24 +17,17 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import glob
 import signal
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..cli import CommandIO, build_parser, input_files
 from ..runner.cache import default_cache_dir
 from ..runner.retry import RetryPolicy
 from ..telemetry import enable as enable_telemetry
-from .api import (
-    AnnotateJob,
-    ApiError,
-    ClassifyJob,
-    CompileJob,
-    ExperimentJob,
-    FuseJob,
-    ProfileJob,
-    TraceJob,
-)
+from .api import INVALID_JOB, ApiError, Job
 from .client import ServiceClient
 from .engine import ServiceEngine
 from .server import ServiceServer
@@ -143,6 +137,9 @@ def run_serve(arguments: argparse.Namespace) -> int:
 
 # -- client ------------------------------------------------------------------
 
+#: ``repro client`` actions that talk to the daemon rather than run a command.
+_ACTIONS = ("status", "result", "stats", "health", "shutdown")
+
 
 def add_client_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="127.0.0.1", help="server address")
@@ -159,253 +156,126 @@ def add_client_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout", type=float, default=300.0, help="per-request timeout"
     )
+    parser.add_argument(
+        "argv", nargs=argparse.REMAINDER, metavar="COMMAND ...",
+        help="a batch command line (compile, trace, profile, annotate, fuse, "
+        "classify predict, experiments), or one of: status JOB_ID, "
+        "result JOB_ID [-o PATH], stats, health, shutdown",
+    )
+
+
+def _action_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="repro client")
     actions = parser.add_subparsers(dest="action", required=True)
-
-    compile_parser = actions.add_parser(
-        "compile", help="compile mini-C to assembly on the server"
-    )
-    compile_parser.add_argument("source", help="mini-C source file")
-    compile_parser.add_argument("-o", "--output", help="assembly output (default stdout)")
-    compile_parser.add_argument(
-        "--no-optimize", action="store_true", help="disable -O2 stand-in passes"
-    )
-
-    trace_parser = actions.add_parser(
-        "trace", help="execute once on the server; result is the textual trace"
-    )
-    trace_parser.add_argument("program", help="assembly file")
-    trace_parser.add_argument(
-        "--inputs", action="append",
-        help="input stream: '1,2,3' inline or '@file' (repeatable; "
-        "streams concatenate)",
-    )
-    trace_parser.add_argument(
-        "--max-instructions", type=int, default=None, help="dynamic budget"
-    )
-    trace_parser.add_argument("-o", "--output", help="trace output (default stdout)")
-
-    profile_parser = actions.add_parser(
-        "profile", help="collect a profile image on the server (phase 2)"
-    )
-    profile_parser.add_argument("program", help="assembly file")
-    profile_parser.add_argument(
-        "--inputs", action="append",
-        help="one training input stream per flag (repeatable)",
-    )
-    profile_parser.add_argument(
-        "--max-instructions", type=int, default=None, help="dynamic budget"
-    )
-    profile_parser.add_argument(
-        "--sample-every",
-        type=int,
-        default=1,
-        metavar="K",
-        help="keep every K-th dynamic record (1 = full profile, the default)",
-    )
-    profile_parser.add_argument("-o", "--output", help="profile output (default stdout)")
-
-    annotate_parser = actions.add_parser(
-        "annotate", help="insert value-prediction directives (phase 3)"
-    )
-    annotate_parser.add_argument("program", help="assembly file")
-    annotate_parser.add_argument("profile", help="profile image file")
-    annotate_parser.add_argument(
-        "--threshold", type=float, default=90.0, help="accuracy threshold [%%]"
-    )
-    annotate_parser.add_argument(
-        "--stride-threshold", type=float, default=50.0,
-        help="stride-efficiency split [%%]",
-    )
-    annotate_parser.add_argument(
-        "-o", "--output", help="annotated assembly output (default stdout)"
-    )
-
-    experiment_parser = actions.add_parser(
-        "experiment", help="run one paper table/figure on the server"
-    )
-    experiment_parser.add_argument("experiment", help="experiment id (e.g. table-5.2)")
-    experiment_parser.add_argument(
-        "--scale", type=float, default=1.0, help="workload input scale"
-    )
-    experiment_parser.add_argument(
-        "--training-runs", type=int, default=5,
-        help="training input sets to profile (default 5)",
-    )
-
-    fuse_parser = actions.add_parser(
-        "fuse", help="fuse many profile images/sketches on the server"
-    )
-    fuse_parser.add_argument(
-        "profiles", nargs="+",
-        help="profile/sketch files or glob patterns (formats auto-detected)",
-    )
-    fuse_parser.add_argument(
-        "--require-common", action="store_true",
-        help="keep only instructions present in every input",
-    )
-    fuse_parser.add_argument(
-        "-o", "--output", help="merged profile output (default stdout)"
-    )
-
-    classify_parser = actions.add_parser(
-        "classify", help="re-tag a binary with a learned model on the server"
-    )
-    classify_parser.add_argument("model", help="repro-classify-model file")
-    classify_parser.add_argument("program", help="assembly file")
-    classify_parser.add_argument(
-        "-o", "--output", help="annotated assembly output (default stdout)"
-    )
-
-    status_parser = actions.add_parser("status", help="one job's lifecycle state")
-    status_parser.add_argument("job_id")
-
+    actions.add_parser("status", help="one job's lifecycle state").add_argument("job_id")
     result_parser = actions.add_parser(
         "result", help="stream one job's result (blocks until terminal)"
     )
     result_parser.add_argument("job_id")
     result_parser.add_argument("-o", "--output", help="output file (default stdout)")
-
     actions.add_parser("stats", help="queue/tenant snapshot")
     actions.add_parser("health", help="liveness probe")
-    actions.add_parser(
-        "shutdown", help="drain the server and print its session RunReport"
-    )
+    actions.add_parser("shutdown", help="drain the server and print its session RunReport")
+    return parser
 
 
-def _write_output(text: str, output: Optional[str]) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+def build_job(argv: List[str]) -> Tuple[Job, argparse.Namespace]:
+    """The service job for a batch command line, and its parsed arguments.
 
-
-def _build_job(arguments: argparse.Namespace):
-    from ..cli import parse_input_sets, parse_input_stream
-
-    action = arguments.action
-    if action == "compile":
-        path = Path(arguments.source)
-        return CompileJob(
-            source=path.read_text(encoding="utf-8"),
-            name=path.stem,
-            optimize=not arguments.no_optimize,
-        )
-    if action == "trace":
-        path = Path(arguments.program)
-        return TraceJob(
-            program=path.read_text(encoding="utf-8"),
-            name=path.stem,
-            inputs=tuple(parse_input_stream(arguments.inputs or [])),
-            max_instructions=arguments.max_instructions,
-        )
-    if action == "profile":
-        path = Path(arguments.program)
-        return ProfileJob(
-            program=path.read_text(encoding="utf-8"),
-            name=path.stem,
-            input_sets=tuple(
-                tuple(inputs) for inputs in parse_input_sets(arguments.inputs or [""])
-            ),
-            max_instructions=arguments.max_instructions,
-            sample_every=arguments.sample_every,
-        )
-    if action == "annotate":
-        path = Path(arguments.program)
-        return AnnotateJob(
-            program=path.read_text(encoding="utf-8"),
-            profile=Path(arguments.profile).read_text(encoding="utf-8"),
-            name=path.stem,
-            accuracy_threshold=arguments.threshold,
-            stride_threshold=arguments.stride_threshold,
-        )
-    if action == "classify":
-        path = Path(arguments.program)
-        return ClassifyJob(
-            program=path.read_text(encoding="utf-8"),
-            model=Path(arguments.model).read_text(encoding="utf-8"),
-            name=path.stem,
-        )
-    if action == "experiment":
-        return ExperimentJob(
-            experiment=arguments.experiment,
-            scale=arguments.scale,
-            training_runs=arguments.training_runs,
-        )
-    if action == "fuse":
-        import glob as glob_module
-
-        from ..profiling import encode_profile_payload
-
-        paths: List[str] = []
-        for pattern in arguments.profiles:
-            matches = sorted(glob_module.glob(pattern))
-            if not matches:
-                raise ApiError(
-                    "invalid-job", f"no profiles match {pattern!r}"
-                )
-            paths.extend(match for match in matches if match not in paths)
-        return FuseJob(
-            profiles=tuple(
-                encode_profile_payload(Path(path).read_bytes()) for path in paths
-            ),
-            require_common=arguments.require_common,
-        )
-    return None
+    Each file the command line names is uploaded under its base name, and
+    the command line is rewritten to match; a glob (``fuse``) uploads
+    every file it matches.
+    """
+    arguments = build_parser().parse_args(argv)
+    files: Dict[str, str] = {}
+    renamed: Dict[str, List[str]] = {}
+    for value in input_files(arguments):
+        paths = sorted(glob.glob(value.path)) if glob.has_magic(value.path) else [value.path]
+        names = []
+        for path in paths:
+            name = Path(path).name
+            # Bytes that are not UTF-8 (a binary sketch) travel as surrogate escapes.
+            contents = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+            if files.setdefault(name, contents) != contents:
+                raise ValueError(f"two input files are named {name!r}")
+            names.append(value.prefix + name)
+        renamed[value] = names or [value]
+    rewritten: List[str] = []
+    for token in argv:
+        flag, equals, value = token.partition("=")
+        if token in renamed:
+            rewritten.extend(renamed[token])
+        elif equals and flag.startswith("-") and value in renamed:
+            rewritten.append(f"{flag}={renamed[value][0]}")
+        else:
+            rewritten.append(token)
+    return Job(tuple(rewritten), files), arguments
 
 
 def run_client(arguments: argparse.Namespace) -> int:
+    if not arguments.argv:
+        print("repro client: give a command line or an action", file=sys.stderr)
+        return 2
     client = ServiceClient(
         host=arguments.host, port=arguments.port, timeout=arguments.timeout
     )
     try:
-        action = arguments.action
-        if action == "health":
-            payload = client.health()
-            print(f"ok state={payload.get('state')}")
-            return 0
-        if action == "stats":
-            stats = client.stats()
-            print(
-                f"state={stats.state} queued={stats.queued} "
-                f"running={stats.running} finished={stats.finished}"
-            )
-            for tenant, count in sorted(stats.tenants.items()):
-                print(f"  tenant {tenant}: {count} in flight")
-            return 0
-        if action == "status":
-            status = client.status(arguments.job_id)
-            line = f"{status.job_id} {status.state}"
-            if status.error is not None:
-                line += f" ({status.error.code}: {status.error.message})"
-            print(line)
-            return 0
-        if action == "result":
-            result = client.result(arguments.job_id)
-            _write_output(result.output, arguments.output)
-            return 0
-        if action == "shutdown":
-            report = client.shutdown()
-            print(report.format())
-            return report.exit_code
-        job = _build_job(arguments)
+        if arguments.argv[0] in _ACTIONS:
+            return _run_action(client, _action_parser().parse_args(arguments.argv))
+        try:
+            job, command = build_job(arguments.argv)
+        except (OSError, ValueError) as error:
+            print(f"repro client: {error}", file=sys.stderr)
+            return 2
         result = client.run(job, tenant=arguments.tenant, priority=arguments.priority)
-        _write_output(result.output, getattr(arguments, "output", None))
-        meta = " ".join(f"{key}={value}" for key, value in sorted(result.meta.items())
-                        if not isinstance(value, (dict, list)))
-        print(f"{result.job_id} done {meta}".rstrip(), file=sys.stderr)
+        CommandIO().write_output(result.output, getattr(command, "output", None))
+        sys.stderr.write(result.log)
         return 0
     except ApiError as error:
         print(f"error [{error.code}]: {error.message}", file=sys.stderr)
-        return 1
+        return 2 if error.code == INVALID_JOB else 1
     except ConnectionError as error:
         print(f"cannot reach {client.host}:{client.port}: {error}", file=sys.stderr)
         return 1
+
+
+def _run_action(client: ServiceClient, arguments: argparse.Namespace) -> int:
+    action = arguments.action
+    if action == "health":
+        payload = client.health()
+        print(f"ok state={payload.get('state')}")
+        return 0
+    if action == "stats":
+        stats = client.stats()
+        print(
+            f"state={stats.state} queued={stats.queued} "
+            f"running={stats.running} finished={stats.finished}"
+        )
+        for tenant, count in sorted(stats.tenants.items()):
+            print(f"  tenant {tenant}: {count} in flight")
+        return 0
+    if action == "status":
+        status = client.status(arguments.job_id)
+        line = f"{status.job_id} {status.state}"
+        if status.error is not None:
+            line += f" ({status.error.code}: {status.error.message})"
+        print(line)
+        return 0
+    if action == "result":
+        result = client.result(arguments.job_id)
+        CommandIO().write_output(result.output, arguments.output)
+        sys.stderr.write(result.log)
+        return 0
+    report = client.shutdown()
+    print(report.format())
+    return report.exit_code
 
 
 __all__ = [
     "DEFAULT_PORT",
     "add_client_arguments",
     "add_serve_arguments",
+    "build_job",
     "run_client",
     "run_serve",
 ]

@@ -8,11 +8,12 @@ by construction.  One connection per request mirrors the server's
 
 Usage::
 
-    from repro.service import ServiceClient, CompileJob
+    from repro.service import Job, ServiceClient
 
     client = ServiceClient("127.0.0.1", 8750)
-    result = client.run(CompileJob(source=minic_text, name="demo"))
+    result = client.run(Job(("compile", "demo.mc"), {"demo.mc": minic_text}))
     print(result.output)          # the textual assembly
+    print(result.log, end="")     # what `repro compile` prints to stderr
 
 :meth:`ServiceClient.run` submits and blocks on the streaming result
 endpoint; :meth:`submit` / :meth:`status` / :meth:`stream_result` give
@@ -23,6 +24,7 @@ with the taxonomy code the server chose.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 from typing import Any, Dict, Iterator, Optional, Tuple
@@ -142,16 +144,8 @@ class ServiceClient:
                 chunks.append(event.get("data", ""))
             elif kind == api.EVENT_END:
                 result = JobResult.from_dict(event["result"])
-                # The chunks are authoritative for the output bytes; the
-                # end event repeats them only for single-shot consumers.
-                return JobResult(
-                    job_id=result.job_id,
-                    kind=result.kind,
-                    state=result.state,
-                    output="".join(chunks),
-                    meta=result.meta,
-                    error=result.error,
-                )
+                # The chunks are authoritative for the output bytes.
+                return dataclasses.replace(result, output="".join(chunks))
             elif kind == api.EVENT_ERROR:
                 result = JobResult.from_dict(event["result"])
                 if result.error is not None:

@@ -1,80 +1,82 @@
-"""Job execution against the service's shared stores.
+"""Job execution: the batch CLI, in-process, against the shared stores.
 
 One :class:`ServiceEngine` owns what every tenant shares: the
 content-addressed :class:`~repro.machine.TraceStore` (capture a trace
-once, every later job replays it), the on-disk
-:class:`~repro.runner.cache.ArtifactCache`, and the
-:class:`~repro.runner.retry.RetryPolicy` under which jobs re-run.
+once, every later job replays it), the artifact-cache directory that
+experiment jobs use, and the :class:`~repro.runner.retry.RetryPolicy`
+under which the server re-runs failed attempts.
 
-Each ``run_*`` method reproduces the corresponding batch CLI command's
-computation exactly — same entry points, same ``run_label`` strings,
-same default budgets — so a service :class:`~repro.service.api.JobResult`
-``output`` is byte-identical to the bytes ``python -m repro
-compile/trace/profile/annotate/experiments`` would have produced.  The
-e2e test and the CI smoke job assert this equivalence.
+A job is a batch command line plus its files
+(:class:`~repro.service.api.Job`).  :meth:`ServiceEngine.admit` parses
+it with the batch parser (:func:`repro.cli.build_parser`, built once per
+engine), and :meth:`ServiceEngine.execute` runs the handler that
+``python -m repro`` would run, with a :class:`~repro.cli.CommandIO`
+over the job's files, two string buffers and the shared trace store.  A
+result's output and log are therefore the batch command's stdout and
+stderr, byte for byte.
 
-Experiment jobs genuinely multiplex onto the fault-tolerant runner:
-the job graph is built by :func:`repro.runner.build_experiment_graph`
-and executed by :func:`repro.runner.executor.execute_graph` under the
-engine's retry policy, and the run's
-:class:`~repro.runner.retry.RunReport` rides back in the result meta.
-
-Execution happens on worker threads (the server calls :meth:`execute`
-through an executor), so everything here is thread-safe: the trace
-store locks its LRU, experiment contexts are created under a lock, and
-per-kind telemetry uses the registry's monotonic instruments.
+Admission is the sandbox: only :data:`COMMANDS` run, every file the
+command line names must be among the job's files, and options that
+touch the server's disk, fan out processes or write binary output are
+refused.  Execution happens on worker threads (the server calls
+:meth:`execute` through an executor); a handler writes only to its
+``CommandIO``, and the trace store locks its LRU.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
-import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..annotate import AnnotationPolicy, annotate_program, annotation_report
-from ..isa import assemble, disassemble
-from ..lang import CompileError, compile_source
-from ..machine import DEFAULT_BUDGET, ExecutionError, TraceStore, write_trace
-from ..machine.tracestore import trace_key
-from ..profiling import (
-    MergeAccumulator,
-    ProfileFormatError,
-    collect_profile,
-    decode_profile_payload,
-    dumps_profile,
-    loads_profile,
-    merge_profiles,
-)
-from ..runner.cache import ArtifactCache
+from .. import cli
+from ..lang import CompileError
+from ..machine import ExecutionError, TraceStore
+from ..profiling import ProfileFormatError
 from ..runner.retry import RetryPolicy
 from ..telemetry import get_registry
-from .api import (
-    AnnotateJob,
-    ApiError,
-    ClassifyJob,
-    CompileJob,
-    EXECUTION_ERROR,
-    ExperimentJob,
-    FuseJob,
-    INVALID_JOB,
-    Job,
-    ProfileJob,
-    TraceJob,
-)
+from .api import EXECUTION_ERROR, INVALID_JOB, ApiError, Job
 
 #: Exceptions that mean the *job* is wrong, not the server — never retried.
 _JOB_FAULTS = (CompileError, ProfileFormatError, SyntaxError, ValueError, KeyError)
 
+#: The batch commands a service job may run.
+COMMANDS = (
+    "compile", "trace", "profile", "annotate", "fuse", "classify predict", "experiments",
+)
+
+#: Options a job may not set, by namespace attribute: they read or write
+#: the server's disk, or (``--sketch``/``--quantize``) write binary output.
+_DENIED = {
+    "store": "--store",
+    "output_dir": "--output-dir",
+    "report_json": "--report-json",
+    "report": "--report",
+    "fault_plan": "--fault-plan",
+    "sketch": "--sketch",
+    "quantize": "--quantize",
+}
+
+
+class _JobParser(argparse.ArgumentParser):
+    """The batch parser, raising usage errors and help as ``invalid-job``."""
+
+    def error(self, message: str):
+        raise ApiError(INVALID_JOB, f"{self.format_usage()}{self.prog}: error: {message}")
+
+    def print_help(self, file=None):
+        raise ApiError(INVALID_JOB, self.format_help().rstrip("\n"))
+
 
 class ServiceEngine:
-    """Executes decoded jobs against the shared tenant-wide resources.
+    """Admits and executes jobs against the shared tenant-wide resources.
 
     Args:
         store_dir: on-disk root for the shared trace store (``None``
             keeps traces memory-only).
-        cache_dir: on-disk root for the shared artifact cache used by
+        cache_dir: on-disk root of the artifact cache shared by
             experiment jobs (``None`` disables it).
         retry: policy under which the server re-runs failed attempts.
     """
@@ -89,210 +91,80 @@ class ServiceEngine:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.retry = retry or RetryPolicy()
         self.traces = TraceStore(self.store_dir)
-        self.artifacts = ArtifactCache(self.cache_dir) if self.cache_dir else None
-        self._contexts: Dict[Tuple[float, int], Any] = {}
-        self._context_lock = threading.Lock()
+        # Built once: building takes milliseconds, parsing microseconds.
+        self.parser = cli.build_parser(_JobParser)
+        self._default_cache_dir = self.parser.parse_args(["experiments"]).cache_dir
 
-    # -- dispatch ----------------------------------------------------
+    def admit(self, job: Job) -> argparse.Namespace:
+        """Parse and vet one job; raises an ``invalid-job`` :class:`ApiError`."""
+        arguments = self.parser.parse_args(job.argv)
+        command = arguments.command
+        if command == "classify":
+            command += f" {arguments.classify_command}"
+        if command not in COMMANDS:
+            raise ApiError(
+                INVALID_JOB,
+                f"the service runs {', '.join(COMMANDS)}; not {command!r}",
+            )
+        denied = [flag for name, flag in _DENIED.items() if getattr(arguments, name, None)]
+        if getattr(arguments, "jobs", 1) != 1:
+            denied.append("--jobs")
+        if (getattr(arguments, "output", None) or "").endswith(".gz"):
+            denied.append("-o *.gz")
+        if command == "experiments":
+            if arguments.cache_dir != self._default_cache_dir:
+                denied.append("--cache-dir")
+            # Experiment jobs share the daemon's artifact cache.
+            arguments.cache_dir = self.cache_dir
+            arguments.no_cache = arguments.no_cache or self.cache_dir is None
+        if denied:
+            raise ApiError(INVALID_JOB, f"{command}: the service refuses {', '.join(denied)}")
+        for value in cli.input_files(arguments):
+            if value.path not in job.files:
+                raise ApiError(INVALID_JOB, f"{value.path!r} is not among the job's files")
+        return arguments
 
-    def execute(self, job: Job) -> Tuple[str, Dict[str, Any]]:
-        """Run one job; returns ``(output text, meta)``.
+    def execute(self, job: Job, arguments: argparse.Namespace) -> Tuple[str, str]:
+        """Run one admitted job; returns ``(output, log)``.
 
-        Raises :class:`ApiError` — ``invalid-job`` for payloads that can
-        never succeed (never retried by the server), ``execution-error``
-        for runs the machine terminated.  Any other exception is a
-        transient server-side failure eligible for retry.
+        Raises :class:`ApiError`: ``invalid-job`` for a job that can never
+        succeed (exit status 2, a ``SystemExit`` message, or one of
+        ``_JOB_FAULTS``), ``execution-error`` for any other non-zero exit
+        status or a run the machine terminated.  The error message is
+        the command's log.  Any other exception is a transient
+        server-side failure eligible for retry.
         """
         telemetry = get_registry()
         started = time.perf_counter()
+        stdout, stderr = io.StringIO(), io.StringIO()
         try:
-            if isinstance(job, CompileJob):
-                result = self.run_compile(job)
-            elif isinstance(job, TraceJob):
-                result = self.run_trace(job)
-            elif isinstance(job, ProfileJob):
-                result = self.run_profile(job)
-            elif isinstance(job, AnnotateJob):
-                result = self.run_annotate(job)
-            elif isinstance(job, ExperimentJob):
-                result = self.run_experiment(job)
-            elif isinstance(job, FuseJob):
-                result = self.run_fuse(job)
-            elif isinstance(job, ClassifyJob):
-                result = self.run_classify(job)
-            else:  # pragma: no cover - decoding rejects unknown kinds
-                raise ApiError(INVALID_JOB, f"unsupported job type {type(job).__name__}")
+            try:
+                status = arguments.handler(
+                    arguments, cli.CommandIO(job.files, stdout, stderr, self.traces)
+                )
+            except SystemExit as exit:
+                status = exit.code
+                if isinstance(status, str):
+                    print(status, file=stderr)
+                    status = 2
+            except _JOB_FAULTS as error:
+                raise ApiError(INVALID_JOB, f"{type(error).__name__}: {error}") from error
+            except ExecutionError as error:
+                raise ApiError(EXECUTION_ERROR, f"{type(error).__name__}: {error}") from error
+            if status:
+                raise ApiError(
+                    INVALID_JOB if status == 2 else EXECUTION_ERROR,
+                    stderr.getvalue().rstrip("\n") or f"{job.kind} exited with status {status}",
+                )
         except ApiError:
             telemetry.counter("serve.jobs_failed").add(1)
             raise
-        except _JOB_FAULTS as error:
-            telemetry.counter("serve.jobs_failed").add(1)
-            raise ApiError(INVALID_JOB, f"{type(error).__name__}: {error}") from error
         finally:
             elapsed = time.perf_counter() - started
             telemetry.timer("serve.job_latency").add(elapsed)
-            telemetry.timer(f"serve.job.{job.KIND}").add(elapsed)
+            telemetry.timer(f"serve.job.{job.kind}").add(elapsed)
         telemetry.counter("serve.jobs").add(1)
-        return result
-
-    # -- per-kind computations (each mirrors one CLI command) --------
-
-    def _assemble(self, text: str, name: str):
-        try:
-            return assemble(text, name=name)
-        except Exception as error:
-            raise ApiError(INVALID_JOB, f"bad program: {error}") from error
-
-    def run_compile(self, job: CompileJob) -> Tuple[str, Dict[str, Any]]:
-        program = compile_source(job.source, name=job.name, optimize=job.optimize)
-        meta = {
-            "name": program.name,
-            "instructions": len(program),
-            "candidates": len(program.candidate_addresses),
-        }
-        return disassemble(program), meta
-
-    def run_trace(self, job: TraceJob) -> Tuple[str, Dict[str, Any]]:
-        program = self._assemble(job.program, job.name)
-        budget = DEFAULT_BUDGET if job.max_instructions is None else job.max_instructions
-        buffer = io.StringIO()
-        try:
-            count = write_trace(
-                self.traces.batches(program, job.inputs, max_instructions=budget),
-                buffer,
-                program.name,
-            )
-        except ExecutionError as error:
-            raise ApiError(
-                EXECUTION_ERROR, f"{type(error).__name__}: {error}"
-            ) from error
-        meta = {
-            "records": count,
-            "trace_key": trace_key(program, list(job.inputs), budget),
-        }
-        return buffer.getvalue(), meta
-
-    def run_profile(self, job: ProfileJob) -> Tuple[str, Dict[str, Any]]:
-        program = self._assemble(job.program, job.name)
-        try:
-            images = [
-                collect_profile(
-                    program,
-                    list(inputs),
-                    run_label=f"run-{index}",
-                    max_instructions=job.max_instructions,
-                    sample_every=job.sample_every,
-                    store=self.traces,
-                )
-                for index, inputs in enumerate(job.input_sets)
-            ]
-        except ExecutionError as error:
-            raise ApiError(
-                EXECUTION_ERROR, f"{type(error).__name__}: {error}"
-            ) from error
-        image = images[0] if len(images) == 1 else merge_profiles(images)
-        meta = {"instructions": len(image), "runs": len(images)}
-        return dumps_profile(image), meta
-
-    def run_fuse(self, job: FuseJob) -> Tuple[str, Dict[str, Any]]:
-        accumulator = MergeAccumulator(
-            run_label=job.name, require_common=job.require_common
-        )
-        sketches = 0
-        for payload in job.profiles:
-            if not payload.startswith("# repro-profile-image"):
-                sketches += 1
-            accumulator.fold(decode_profile_payload(payload))
-        image = accumulator.result()
-        meta = {
-            "images": accumulator.images_folded,
-            "sketches": sketches,
-            "instructions": len(image),
-        }
-        return dumps_profile(image), meta
-
-    def run_annotate(self, job: AnnotateJob) -> Tuple[str, Dict[str, Any]]:
-        program = self._assemble(job.program, job.name)
-        image = loads_profile(job.profile)
-        policy = AnnotationPolicy(
-            accuracy_threshold=job.accuracy_threshold,
-            stride_threshold=job.stride_threshold,
-        )
-        annotated = annotate_program(program, image, policy)
-        report = annotation_report(program, image, policy)
-        meta = {
-            "candidates": report.candidates,
-            "stride_tagged": report.stride_tagged,
-            "last_value_tagged": report.last_value_tagged,
-        }
-        return disassemble(annotated), meta
-
-    def run_classify(self, job: ClassifyJob) -> Tuple[str, Dict[str, Any]]:
-        from ..classify import ModelFormatError, annotate_with_model, loads_model, model_digest
-
-        program = self._assemble(job.program, job.name)
-        try:
-            model = loads_model(job.model)
-        except ModelFormatError as error:
-            raise ApiError(INVALID_JOB, f"bad model: {error}") from error
-        annotated = annotate_with_model(model, program)
-        directives = annotated.directives()
-        meta = {
-            "candidates": len(program.candidate_addresses),
-            "tagged": len(directives),
-            "model_digest": model_digest(model),
-        }
-        return disassemble(annotated), meta
-
-    def run_experiment(self, job: ExperimentJob) -> Tuple[str, Dict[str, Any]]:
-        from ..experiments.runner import EXPERIMENTS
-        from ..runner import build_experiment_graph
-        from ..runner.executor import execute_graph
-
-        if job.experiment not in EXPERIMENTS:
-            raise ApiError(
-                INVALID_JOB,
-                f"unknown experiment {job.experiment!r} "
-                "(see `python -m repro experiments list`)",
-            )
-        context = self._context(job.scale, job.training_runs)
-        graph = build_experiment_graph([job.experiment], context)
-        outcome = execute_graph(graph, context, jobs=1, retry=self.retry)
-        table = outcome.tables.get(job.experiment)
-        meta: Dict[str, Any] = {}
-        if outcome.report is not None:
-            meta["run_report"] = outcome.report.to_dict()
-        if table is None:
-            causes = [
-                cause
-                for entry in (outcome.report.failed if outcome.report else [])
-                for cause in entry.causes
-            ]
-            detail = causes[-1] if causes else "experiment produced no table"
-            raise ApiError(EXECUTION_ERROR, detail)
-        meta["tsv"] = table.to_tsv()
-        return table.format(), meta
-
-    def _context(self, scale: float, training_runs: int):
-        """One memoizing :class:`ExperimentContext` per (scale, runs) pair.
-
-        All contexts share the engine's trace store and artifact cache,
-        so every tenant's experiment jobs replay each other's traces.
-        """
-        from ..experiments.context import ExperimentContext
-
-        key = (scale, training_runs)
-        with self._context_lock:
-            context = self._contexts.get(key)
-            if context is None:
-                context = ExperimentContext(
-                    scale=scale,
-                    training_runs=training_runs,
-                    cache_dir=self.cache_dir,
-                )
-                context.traces = self.traces
-                self._contexts[key] = context
-            return context
+        return stdout.getvalue(), stderr.getvalue()
 
 
-__all__ = ["ServiceEngine"]
+__all__ = ["COMMANDS", "ServiceEngine"]

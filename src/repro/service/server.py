@@ -23,7 +23,7 @@ POST      ``/v1/shutdown``            drain, then the ``RunReport``
 The result stream is chunked transfer encoding, one JSON event per
 line: ``status`` events while the job progresses, then the output in
 ``chunk`` events (16 KiB apiece, so a long experiment table streams
-instead of buffering), then one ``end`` event carrying the result meta
+instead of buffering), then one ``end`` event carrying the result's log
 — or one ``error`` event.  Clients reassemble the chunks; the bytes
 equal the batch CLI's output exactly.
 
@@ -40,7 +40,7 @@ import concurrent.futures
 import json
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..runner.retry import (
     FAILED as RUN_FAILED,
@@ -68,20 +68,22 @@ class JobEntry:
     """Server-side lifecycle record of one admitted job."""
 
     __slots__ = (
-        "job_id", "job", "tenant", "priority", "state", "attempts",
-        "seconds", "output", "meta", "error",
+        "job_id", "job", "arguments", "tenant", "priority", "state", "attempts",
+        "seconds", "output", "log", "error",
     )
 
-    def __init__(self, job_id: str, job: api.Job, tenant: str, priority: int) -> None:
+    def __init__(self, job_id: str, job: api.Job, arguments, tenant: str,
+                 priority: int) -> None:
         self.job_id = job_id
         self.job = job
+        self.arguments = arguments
         self.tenant = tenant
         self.priority = priority
         self.state = api.QUEUED
         self.attempts = 0
         self.seconds = 0.0
         self.output = ""
-        self.meta: Dict[str, Any] = {}
+        self.log = ""
         self.error: Optional[ErrorInfo] = None
 
     @property
@@ -91,7 +93,7 @@ class JobEntry:
     def status(self) -> JobStatus:
         return JobStatus(
             job_id=self.job_id,
-            kind=self.job.KIND,
+            kind=self.job.kind,
             tenant=self.tenant,
             state=self.state,
             priority=self.priority,
@@ -103,10 +105,10 @@ class JobEntry:
     def result(self) -> JobResult:
         return JobResult(
             job_id=self.job_id,
-            kind=self.job.KIND,
+            kind=self.job.kind,
             state=self.state,
             output=self.output,
-            meta=self.meta,
+            log=self.log,
             error=self.error,
         )
 
@@ -118,8 +120,8 @@ class JobEntry:
             causes = (f"{self.error.code}: {self.error.message}",)
         return JobReport(
             job_id=self.job_id,
-            kind=self.job.KIND,
-            label=f"{self.tenant}/{self.job.KIND}",
+            kind=self.job.kind,
+            label=f"{self.tenant}/{self.job.kind}",
             status=status,
             attempts=self.attempts,
             seconds=self.seconds,
@@ -235,9 +237,10 @@ class ServiceServer:
     # -- job lifecycle -----------------------------------------------
 
     def _admit(self, request: api.SubmitRequest) -> SubmitReply:
+        arguments = self.engine.admit(request.job)
         digest = api.job_digest(request.job)
-        job_id = f"{request.job.KIND}-{self._sequence:05d}-{digest[:8]}"
-        entry = JobEntry(job_id, request.job, request.tenant, request.priority)
+        job_id = f"{request.job.kind}-{self._sequence:05d}-{digest[:8]}"
+        entry = JobEntry(job_id, request.job, arguments, request.tenant, request.priority)
         position = self._queue.submit(request.tenant, request.priority, entry)
         self._sequence += 1
         self._entries[job_id] = entry
@@ -259,8 +262,8 @@ class ServiceServer:
         for attempt in range(1, policy.max_attempts + 1):
             entry.attempts = attempt
             try:
-                output, meta = await self._loop.run_in_executor(
-                    self._pool, self.engine.execute, entry.job
+                output, log = await self._loop.run_in_executor(
+                    self._pool, self.engine.execute, entry.job, entry.arguments
                 )
             except ApiError as error:
                 # A typed failure is deterministic — the job payload or
@@ -278,7 +281,7 @@ class ServiceServer:
                     await asyncio.sleep(policy.backoff_seconds(entry.job_id, attempt))
             else:
                 entry.output = output
-                entry.meta = meta
+                entry.log = log
                 entry.error = None
                 break
         entry.seconds = time.perf_counter() - started
@@ -438,7 +441,7 @@ class ServiceServer:
                     },
                 )
             # The chunks above are authoritative for the output bytes;
-            # the end event carries only identity + meta.
+            # the end event carries identity and the log.
             summary = entry.result().to_dict()
             summary["output"] = ""
             await self._send_chunk(

@@ -11,6 +11,7 @@ fidelity degrading monotonically as quantization coarsens.
 from __future__ import annotations
 
 import io
+import json
 import os
 import random
 
@@ -24,12 +25,11 @@ from repro.profiling import (
     ProfileSketch,
     SketchFormatError,
     common_addresses,
-    decode_profile_payload,
     dumps_profile,
     dumps_sketch,
-    encode_profile_payload,
     fidelity_report,
     fuse_images,
+    loads_any_profile,
     loads_sketch,
     merge_profiles,
     read_any_profile,
@@ -259,51 +259,58 @@ class TestAtomicIo:
 
 
 class TestFuseJob:
-    def _payloads(self, images):
-        return tuple(
-            encode_profile_payload(dumps_profile(image).encode("utf-8"))
-            for image in images
-        )
+    """``fuse`` as a service job: text images and binary sketches as uploads."""
+
+    def _files(self, images):
+        # A text image uploads verbatim, a binary sketch as surrogate escapes.
+        return {
+            "a.profile": dumps_profile(images[0]),
+            "b.sketch": dumps_sketch(ProfileSketch.from_image(images[1])).decode(
+                "utf-8", "surrogateescape"
+            ),
+        }
 
     def test_round_trips_through_the_wire_dict(self):
-        from repro.service.api import FuseJob
+        from repro.service.api import Job
 
-        job = FuseJob(profiles=("# repro-profile-image v1\n",), name="fleet")
-        assert FuseJob.from_dict(job.to_dict()) == job
+        images = [simple_image("a", [1, 2]), simple_image("b", [2, 3])]
+        job = Job(("fuse", "a.profile", "b.sketch"), self._files(images))
+        assert Job.from_dict(json.loads(json.dumps(job.to_dict()))) == job
 
     def test_from_dict_rejects_bad_profiles(self):
-        from repro.service.api import ApiError, FuseJob
-
-        for profiles in ([], [""], [42], "not-a-list"):
-            with pytest.raises(ApiError):
-                FuseJob.from_dict(
-                    {"kind": "fuse", "profiles": profiles, "name": "x"}
-                )
-
-    def test_engine_fuse_matches_batch_bytes(self):
+        from repro.service.api import ApiError, Job
         from repro.service.engine import ServiceEngine
 
-        from repro.service.api import FuseJob
+        engine = ServiceEngine()
+        for argv, files in (
+            (("fuse",), {}),  # no inputs
+            (("fuse", "a.profile"), {}),  # not uploaded
+            (("fuse", "a.profile"), {"a.profile": ""}),  # empty
+            (("fuse", "a.profile"), {"a.profile": "not a profile"}),
+        ):
+            job = Job(argv, files)
+            with pytest.raises(ApiError) as info:
+                engine.execute(job, engine.admit(job))
+            assert info.value.code == "invalid-job"
+
+    def test_engine_fuse_matches_batch_bytes(self):
+        from repro.service.api import Job
+        from repro.service.engine import ServiceEngine
 
         images = [simple_image("a", [1, 2, 3]), simple_image("b", [2, 3, 4])]
-        # Mixed transport: one text image, one base64 sketch.
-        payloads = (
-            encode_profile_payload(dumps_profile(images[0]).encode("utf-8")),
-            encode_profile_payload(
-                dumps_sketch(ProfileSketch.from_image(images[1]))
-            ),
-        )
-        output, meta = ServiceEngine().execute(
-            FuseJob(profiles=payloads, require_common=True)
-        )
+        job = Job(("fuse", "a.profile", "b.sketch", "--require-common"),
+                  self._files(images))
+        engine = ServiceEngine()
+        output, log = engine.execute(job, engine.admit(job))
         batch = merge_profiles(images, require_common=True)
         assert output == dumps_profile(batch)
-        assert meta["images"] == 2
-        assert meta["sketches"] == 1
+        assert log == "fused 2 profile(s) into 2 instructions (streaming) -> stdout\n"
 
     def test_decode_rejects_garbage_payloads(self):
         with pytest.raises(ProfileFormatError):
-            decode_profile_payload("this is neither text image nor base64 sketch")
+            loads_any_profile(b"this is neither text image nor a sketch", "garbage")
+        with pytest.raises(ProfileFormatError):
+            loads_any_profile(b"\xff\xfe binary garbage", "garbage")
 
 
 # -- CLI ---------------------------------------------------------------------

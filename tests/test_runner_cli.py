@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -45,10 +46,11 @@ class TestCli:
             run_experiments(["no-such-thing"], tiny_context)
 
     def test_run_single_cheap_experiment(self, tiny_context, capsys):
-        tables = run_experiments(["fig-4.2"], tiny_context)
+        tables = run_experiments(["fig-4.2"], tiny_context, progress=sys.stderr)
         assert len(tables) == 1
-        out = capsys.readouterr().out
-        assert "fig-4.2" in out and "finished in" in out
+        captured = capsys.readouterr()
+        assert "fig-4.2" in captured.out and "finished in" not in captured.out
+        assert "[fig-4.2 finished in " in captured.err
 
 class TestDegradedRun:
     """A run that exhausts retries exits 1 with a report, not a traceback."""

@@ -10,7 +10,7 @@ from repro.cli import main as cli_main
 from repro.machine import Executor, TraceStore
 from repro.profiling import collect_profile, dumps_profile, merge_profiles
 from repro.profiling.phases import collect_phase_profiles
-from repro.service.api import ApiError, ProfileJob, job_from_dict
+from repro.service.api import ApiError, Job
 from repro.service.engine import ServiceEngine
 from repro.workloads import get_workload
 from repro.workloads.corpus import generate_corpus
@@ -182,35 +182,35 @@ class TestAddressBuckets:
 
 
 class TestServiceJob:
+    def _job(self, *flags):
+        return Job(("profile", "p.asm", "--inputs=1", *flags), {"p.asm": ".text\n"})
+
     def test_round_trip(self):
-        job = ProfileJob(
-            program=".text\n", name="p", input_sets=((1,),), sample_every=7
-        )
-        assert job_from_dict(job.to_dict()) == job
+        job = self._job("--sample-every", "7")
+        assert Job.from_dict(job.to_dict()) == job
+        assert ServiceEngine().admit(job).sample_every == 7
 
     def test_default_is_full_profile(self):
-        payload = ProfileJob(program=".text\n").to_dict()
-        del payload["sample_every"]
-        assert job_from_dict(payload).sample_every == 1
+        assert ServiceEngine().admit(self._job()).sample_every == 1
 
-    @pytest.mark.parametrize("bad", [0, -3, 1.5, True, "2"])
+    @pytest.mark.parametrize("bad", ["0", "-3", "1.5", "True"])
     def test_invalid_sample_every_rejected(self, bad):
-        payload = ProfileJob(program=".text\n").to_dict()
-        payload["sample_every"] = bad
-        with pytest.raises(ApiError):
-            job_from_dict(payload)
+        engine = ServiceEngine()
+        job = self._job(f"--sample-every={bad}")
+        with pytest.raises(ApiError) as info:
+            engine.execute(job, engine.admit(job))
+        assert info.value.code == "invalid-job"
 
     def test_engine_matches_collector(self, tmp_path, workload, program, inputs):
         from repro.isa import disassemble
 
         engine = ServiceEngine(store_dir=tmp_path / "traces")
-        job = ProfileJob(
-            program=disassemble(program),
-            name=program.name,
-            input_sets=(tuple(inputs),),
-            sample_every=4,
+        spec = ",".join(str(value) for value in inputs)
+        job = Job(
+            ("profile", f"{program.name}.asm", f"--inputs={spec}", "--sample-every", "4"),
+            {f"{program.name}.asm": disassemble(program)},
         )
-        payload, _meta = engine.run_profile(job)
+        payload, _log = engine.execute(job, engine.admit(job))
         local = collect_profile(
             program, inputs, run_label="run-0", sample_every=4
         )

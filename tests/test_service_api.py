@@ -8,29 +8,24 @@ from repro.service import api
 
 
 ALL_JOBS = [
-    api.CompileJob(source="void main() { out(1); }", name="demo", optimize=False),
-    api.TraceJob(program=".text\n", name="t", inputs=(1, 2.5, -3), max_instructions=100),
+    api.CompileJob(source="void main() { out(1); }", name="demo"),
+    api.Job(("trace", "t.asm", "--inputs=1,2.5,-3", "--max-instructions", "100",
+             "-o", "t.trace"), {"t.asm": ".text\n"}),
     api.ProfileJob(program=".text\n", name="p", input_sets=((1, 2), (), (3,))),
-    api.AnnotateJob(
-        program=".text\n",
-        profile="# repro-profile-image v1\n",
-        name="a",
-        accuracy_threshold=80.0,
-        stride_threshold=40.0,
-    ),
-    api.ExperimentJob(experiment="fig-5.1", scale=0.5, training_runs=3),
+    api.AnnotateJob(program=".text\n", profile="# repro-profile-image v1\n", name="a"),
+    api.Job(("experiments", "fig-5.1", "--scale", "0.5", "--training-runs", "3")),
 ]
 
 
 class TestJobRoundTrip:
-    @pytest.mark.parametrize("job", ALL_JOBS, ids=lambda j: j.KIND)
+    @pytest.mark.parametrize("job", ALL_JOBS, ids=lambda j: j.kind)
     def test_to_from_dict_identity(self, job):
-        assert api.job_from_dict(job.to_dict()) == job
+        assert api.Job.from_dict(job.to_dict()) == job
 
-    @pytest.mark.parametrize("job", ALL_JOBS, ids=lambda j: j.KIND)
+    @pytest.mark.parametrize("job", ALL_JOBS, ids=lambda j: j.kind)
     def test_digest_stable_and_distinct(self, job):
         first = api.job_digest(job)
-        assert first == api.job_digest(api.job_from_dict(job.to_dict()))
+        assert first == api.job_digest(api.Job.from_dict(job.to_dict()))
         others = [other for other in ALL_JOBS if other is not job]
         assert all(api.job_digest(other) != first for other in others)
 
@@ -39,48 +34,61 @@ class TestJobRoundTrip:
         assert api.job_digest(base) != api.job_digest(api.CompileJob(source="b"))
 
     def test_defaults_fill_in(self):
-        job = api.job_from_dict({"kind": "trace", "program": "x"})
-        assert job == api.TraceJob(program="x")
-        assert job.inputs == () and job.max_instructions is None
+        job = api.Job.from_dict({"argv": ["experiments", "list"]})
+        assert job == api.Job(("experiments", "list"))
+        assert job.files == {} and job.kind == "experiments"
 
     def test_profile_default_input_sets(self):
-        job = api.job_from_dict({"kind": "profile", "program": "x"})
-        assert job.input_sets == ((),)
+        job = api.ProfileJob(program="x")
+        assert job.argv == ("profile", "program.asm", "--inputs=")
+        assert job.files == {"program.asm": "x"}
+
+    def test_builders_name_files_after_the_program(self):
+        # Corpus names contain dots; Path.stem must give the name back.
+        job = api.AnnotateJob(program="p", profile="i", name="gen.1997.000")
+        assert job.argv == ("annotate", "gen.1997.000.asm", "gen.1997.000.profile")
+        assert api.CompileJob(source="s", name="gen.1997.000").argv[1] == "gen.1997.000.mc"
+
+    def test_profile_inputs_use_the_equals_form(self):
+        job = api.ProfileJob(program="x", input_sets=((-1, 2.5, -0.125),))
+        assert job.argv[2] == "--inputs=-1,2.5,-0.125"
 
 
 class TestJobValidation:
     def test_unknown_kind(self):
+        from repro.service.engine import ServiceEngine
+
         with pytest.raises(api.ApiError) as info:
-            api.job_from_dict({"kind": "bake-cake"})
+            ServiceEngine().admit(api.Job(("bake-cake",)))
         assert info.value.code == api.INVALID_JOB
+        assert "invalid choice: 'bake-cake'" in info.value.message
 
     def test_non_object_payload(self):
         with pytest.raises(api.ApiError) as info:
-            api.job_from_dict("compile")
+            api.Job.from_dict("compile")
         assert info.value.code == api.BAD_REQUEST
 
     @pytest.mark.parametrize(
         "payload",
         [
-            {"kind": "compile"},  # missing source
-            {"kind": "compile", "source": ""},  # empty source
-            {"kind": "trace", "program": "x", "inputs": "1,2"},  # not a list
-            {"kind": "trace", "program": "x", "inputs": [1, "two"]},
-            {"kind": "trace", "program": "x", "inputs": [True]},  # bool is not a number
-            {"kind": "trace", "program": "x", "max_instructions": 1.5},
-            {"kind": "profile", "program": "x", "input_sets": []},
-            {"kind": "profile", "program": "x", "input_sets": [[1], ["x"]]},
-            {"kind": "annotate", "program": "x"},  # missing profile
-            {"kind": "annotate", "program": "x", "profile": "p",
-             "accuracy_threshold": "high"},
-            {"kind": "experiment", "experiment": "fig-5.1", "scale": 0},
-            {"kind": "experiment", "experiment": "fig-5.1", "training_runs": 0},
-            {"kind": "experiment", "experiment": "fig-5.1", "training_runs": 1.5},
+            {},  # missing argv
+            {"argv": []},  # empty argv
+            {"argv": "compile demo.mc"},  # not a list
+            {"argv": ["compile", 7]},  # not strings
+            {"argv": ["compile", None]},
+            {"argv": ["compile", "demo.mc"], "files": ["demo.mc"]},  # not a map
+            {"argv": ["compile", "demo.mc"], "files": {"demo.mc": 42}},
+            {"argv": ["compile", "demo.mc"], "files": {"demo.mc": None}},
+            {"argv": ["compile", "demo.mc"], "files": {"demo.mc": 1.5}},
+            {"argv": ["compile", "demo.mc"], "files": {"": "x"}},  # empty name
+            {"argv": ["compile", "a/demo.mc"], "files": {"a/demo.mc": "x"}},
+            {"argv": ["compile", "../demo.mc"], "files": {"../demo.mc": "x"}},
+            {"argv": ["compile", "demo.mc"], "files": {"demo\0.mc": "x"}},
         ],
     )
     def test_invalid_payloads(self, payload):
         with pytest.raises(api.ApiError) as info:
-            api.job_from_dict(payload)
+            api.Job.from_dict(payload)
         assert info.value.code == api.INVALID_JOB
 
 
@@ -141,7 +149,7 @@ class TestEnvelopes:
         assert api.JobStatus.from_dict(status.to_dict()) == status
         result = api.JobResult(
             job_id="compile-00001-abc", kind="compile", state=api.DONE,
-            output="text", meta={"instructions": 3},
+            output="text", log="compiled demo.mc: 3 instructions\n",
         )
         assert api.JobResult.from_dict(result.to_dict()) == result
 

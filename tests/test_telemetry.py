@@ -298,21 +298,12 @@ loop:
     def test_telemetry_does_not_change_table_output(self, tiny_context):
         from repro.experiments.runner import run_experiments
 
-        def tables_only(text):
-            # The "[<id> finished in Xs]" footer is wall-clock and differs
-            # between *any* two runs; everything else must match exactly.
-            return [
-                line
-                for line in text.splitlines()
-                if not (line.startswith("[") and "finished in" in line)
-            ]
-
         plain = io.StringIO()
         run_experiments(["table-2.1"], tiny_context, stream=plain)
         instrumented = io.StringIO()
         with use_registry(Telemetry()):
             run_experiments(["table-2.1"], tiny_context, stream=instrumented)
-        assert tables_only(instrumented.getvalue()) == tables_only(plain.getvalue())
+        assert instrumented.getvalue() == plain.getvalue()
 
 
 @pytest.mark.slow
