@@ -19,13 +19,19 @@ batch consumers.
 
 The trace is consumed in columnar batches
 (:meth:`~repro.machine.Executor.run_batches`, optionally captured
-into / replayed from a :class:`~repro.machine.TraceStore`).  Engines
-whose predictor is a plain :class:`~repro.predictors.StridePredictor`
-driven by one of the stock classification schemes run an inlined
-batch-walking loop that replicates :meth:`PredictionEngine.step` —
-including table LRU/eviction order and the scheme call sequence —
+into / replayed from a :class:`~repro.machine.TraceStore`), each read
+through :meth:`~repro.machine.TraceBatch.candidates`, the candidate
+walk profiling and the ILP model share.  Engines whose predictor is a
+plain :class:`~repro.predictors.StridePredictor` driven by one of the
+stock classification schemes reduce the scheme to membership policies
+and run the stride kernel of :mod:`repro.predictors.stride` — the
+unbounded or the set-associative table walk, the same code phase-2
+profiling runs — which replicates :meth:`PredictionEngine.step`,
+including table LRU/eviction order and the scheme call sequence,
 without per-record object allocation; everything else falls back to
-``step`` per candidate.  Results are bit-identical either way, with two
+``step`` per candidate.  The kernel counts into address-keyed slots
+that one fold adds to the engine's statistics and table meters after
+the last batch.  Results are bit-identical either way, with two
 deliberate internal-only divergences on the fast path: ``may_allocate``
 is consulted only on misses (the stock schemes are pure, so skipping the
 unconditional call is unobservable) and LRU positions are not refreshed
@@ -37,11 +43,11 @@ stream — an infinite table with unconditional allocation, as in the
 additionally *share* that evolution: one leader engine walks the stream,
 and every sibling whose take policy is static (a constant or an address
 membership test, with a no-op learning rule) folds its statistics from
-the leader's per-address accumulators at the end and clones the final
-table state, paying zero per-record cost.  The six-engine Figure 5.1/5.2
-grid therefore does one predictor's work per record, not six.
+the leader's slots at the end and clones the final table state, paying
+zero per-record cost.  The six-engine Figure 5.1/5.2 grid therefore does
+one predictor's work per record, not six.
 
-:meth:`PredictionEngine.step` is the reference semantics and the inlined
+:meth:`PredictionEngine.step` is the reference semantics and the kernel
 consumer, with its shared fold, is the only fast path; the
 ``simulate-fast-vs-step`` pair of ``repro check`` holds one against the
 other.
@@ -50,14 +56,15 @@ other.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
+from collections import namedtuple
+from functools import partial
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ..isa import Directive, Number, Program
 from ..machine import TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import HybridPredictor, StridePredictor, ValuePredictor
-from ..predictors.stride import StrideEntry
+from ..predictors.stride import StrideEntry, walk_set_associative, walk_unbounded
 from ..telemetry import get_registry
 from .results import PredictionStats
 from .schemes import (
@@ -196,7 +203,7 @@ def simulate_prediction_many(
     batches = replay_or_run(program, inputs, max_instructions, store)
     try:
         for batch in batches:
-            pairs = _candidate_pairs(batch, is_candidate)
+            pairs, _ = batch.candidates(is_candidate)
             if not pairs:
                 continue
             for consume in consumers:
@@ -212,27 +219,6 @@ def simulate_prediction_many(
         telemetry.timer("core.simulate").add(time.perf_counter() - started)
         _publish_engine_metrics(telemetry, engine_list)
     return {label: engine.stats for label, engine in engines.items()}
-
-
-def _candidate_pairs(batch, is_candidate):
-    """The batch's ``(address, value)`` candidate stream as a list.
-
-    Prediction candidates are always value producers, so a cursor walk
-    over the packed produced-value column recovers each candidate's
-    value without materialising the legacy one-slot-per-record list.
-    """
-    flags = batch.value_flags
-    column = batch.values
-    produced = column.ints if column.is_pure_int else column.tolist()
-    pairs: list = []
-    append = pairs.append
-    cursor = 0
-    for address in batch.addresses:
-        if flags[address]:
-            if is_candidate[address]:
-                append((address, produced[cursor]))
-            cursor += 1
-    return pairs
 
 
 def _build_consumers(engine_list):
@@ -291,13 +277,9 @@ def _generic_consumer(engine: PredictionEngine):
 
     def consume(pairs, outcomes=None) -> None:
         step = engine.step
-        if outcomes is None:
-            for address, value in pairs:
-                step(address, value)
-            return
         for index, (address, value) in enumerate(pairs):
             taken, correct = step(address, value)
-            if taken:
+            if taken and outcomes is not None:
                 outcomes[index] = 1 if correct else 2
 
     return consume
@@ -340,23 +322,38 @@ def check_distinct_engines(engines) -> None:
             )
 
 
-class _SharedStride:
-    """Share handle exposed by a fast consumer whose table evolution is a
-    pure function of the candidate stream: infinite table, unconditional
-    allocation, starting empty.  ``static`` additionally marks a take
-    policy with no per-record state (a constant or ``take_members``
-    membership, no-op ``record``) — the whole engine is then a pure
-    function of the stream and can fold from a leader's accumulators.
-    """
+#: Share handle exposed by a fast consumer whose table evolution is a pure
+#: function of the candidate stream: infinite table, unconditional
+#: allocation, starting empty.  ``static`` additionally marks a take policy
+#: with no per-record state (a constant or ``take_members`` membership,
+#: no-op ``record``) — the whole engine is then a pure function of the
+#: stream and can fold from a leader's slots.
+_SharedStride = namedtuple("_SharedStride", "acc entries static take_members")
 
-    __slots__ = ("acc", "meters", "entries", "static", "take_members")
 
-    def __init__(self, acc, meters, entries, static, take_members) -> None:
-        self.acc = acc
-        self.meters = meters
-        self.entries = entries
-        self.static = static
-        self.take_members = take_members
+#: The engine statistics behind a kernel slot's first six counters.
+_SLOT_FIELDS = (
+    "executions", "attempts", "would_correct", "taken", "taken_correct", "allocations"
+)
+
+
+def _fold_slots(engine: PredictionEngine, acc, evictions: int = 0) -> None:
+    """Add a kernel's address-keyed slots (see :mod:`repro.predictors.stride`)
+    to ``engine``'s statistics and its table's meters."""
+    stats = engine.stats
+    sums = [0] * len(_SLOT_FIELDS)
+    for address, slot in acc.items():
+        entry_stats = stats.address_stats(address)
+        for index, name in enumerate(_SLOT_FIELDS):
+            setattr(entry_stats, name, getattr(entry_stats, name) + slot[index])
+            sums[index] += slot[index]
+    for name, total in zip(_SLOT_FIELDS, sums):
+        setattr(stats, name, getattr(stats, name) + total)
+    stats.evictions += evictions
+    table = engine.predictor.table
+    table.lookups += sums[0]
+    table.hits += sums[1]
+    table.evictions += evictions
 
 
 def _follower_finisher(engine: PredictionEngine, shared, leader):
@@ -364,42 +361,20 @@ def _follower_finisher(engine: PredictionEngine, shared, leader):
 
     The leader observed the identical candidate stream with the identical
     (unconditional-allocation, infinite-table) predictor evolution, so
-    this engine's executions/attempts/would_correct/allocations equal the
-    leader's per-address accumulators verbatim; its taken/taken_correct
-    are the attempts/would_correct of the addresses its static policy
-    takes; and its final table state is a clone of the leader's.
+    this engine's slots equal the leader's verbatim except taken and
+    taken_correct, which are the attempts and would_correct of the
+    addresses its static policy takes; and its final table state is a
+    clone of the leader's.
     """
-    table = engine.predictor.table
-    stats = engine.stats
     take_members = shared.take_members
 
     def finish() -> None:
-        executions = attempts = would = taken_n = taken_c = allocs = 0
-        address_stats = stats.address_stats
+        acc = {}
         for address, slot in leader.acc.items():
-            entry_stats = address_stats(address)
-            entry_stats.executions += slot[0]
-            entry_stats.attempts += slot[1]
-            entry_stats.would_correct += slot[2]
-            entry_stats.allocations += slot[5]
-            executions += slot[0]
-            attempts += slot[1]
-            would += slot[2]
-            allocs += slot[5]
-            if take_members is None or address in take_members:
-                entry_stats.taken += slot[1]
-                entry_stats.taken_correct += slot[2]
-                taken_n += slot[1]
-                taken_c += slot[2]
-        stats.executions += executions
-        stats.attempts += attempts
-        stats.would_correct += would
-        stats.taken += taken_n
-        stats.taken_correct += taken_c
-        stats.allocations += allocs
-        table.lookups += leader.meters[0]
-        table.hits += leader.meters[1]
-        entries = table._set_for(0)
+            took = take_members is None or address in take_members
+            acc[address] = slot[:3] + (slot[1:3] if took else [0, 0]) + slot[5:]
+        _fold_slots(engine, acc)
+        entries = engine.predictor.table._set_for(0)
         for address, entry in leader.entries.items():
             clone = entries.get(address)
             if clone is None:
@@ -415,14 +390,16 @@ _STOCK_SCHEMES = (AlwaysClassification, HardwareClassification, ProfileClassific
 
 
 def _fast_stride_consumer(engine: PredictionEngine):
-    """Inlined batch consumer for stride-predictor engines, or ``None``.
+    """Batch consumer running ``engine`` on the shared stride kernel, or
+    ``None``.
 
     Eligibility requires a plain :class:`StridePredictor` and a stock
     scheme (optionally wrapped in :class:`ProbeScheme`): those schemes'
-    ``may_allocate``/``should_take`` are pure and statically known, so the
-    loop can skip no-op ``record`` calls and miss-only allocation checks
-    while preserving the exact call order ``step`` produces for the calls
-    that remain (FSM learning, eviction callbacks).
+    ``may_allocate``/``should_take`` are pure and statically known, so
+    they reduce to the kernel's membership policies, and the kernel skips
+    no-op ``record`` calls and checks allocation on misses only, while
+    preserving the exact call order ``step`` produces for the calls that
+    remain (FSM learning, eviction callbacks).
 
     Returns ``(consume, finish, shared)`` where ``shared`` is a
     :class:`_SharedStride` handle when the engine qualifies for
@@ -440,191 +417,47 @@ def _fast_stride_consumer(engine: PredictionEngine):
         return None
 
     table = engine.predictor.table
-    stats = engine.stats
-
     # Allocation policy: every stock scheme but ProfileClassification
     # (unwrapped) allocates unconditionally.
     alloc_members = (
         scheme._directives if type(scheme) is ProfileClassification else None
     )
-    # Take policy: constant, membership, or the FSM consult.
-    if type(inner) is AlwaysClassification:
-        take_members = None
-        take_call = None
-    elif type(inner) is ProfileClassification:
-        take_members = inner._directives
-        take_call = None
-    else:
-        take_members = None
-        take_call = scheme.should_take  # preserves ProbeScheme delegation
+    # Take policy: constant (always), membership (profile), or the FSM
+    # consult (hardware), called through ``scheme`` to keep ProbeScheme's
+    # delegation.
+    take_members = inner._directives if type(inner) is ProfileClassification else None
+    take_call = scheme.should_take if type(inner) is HardwareClassification else None
     # Learning rule: skip when the effective ``record`` is the ABC no-op.
     record_call = (
         None
         if type(inner).record is ClassificationScheme.record
         else scheme.record
     )
-    on_evict = scheme.on_evict
 
     acc: "dict[int, List[int]]" = {}
-    totals = [0, 0, 0, 0, 0, 0, 0]
-    meters = [0, 0, 0]  # table lookups, hits, evictions
+    evictions = [0]
     shared = None
-
     if table.is_infinite:
         entries = table._set_for(0)
         if alloc_members is None and not entries:
-            shared = _SharedStride(
-                acc,
-                meters,
-                entries,
-                static=take_call is None and record_call is None,
-                take_members=take_members,
+            static = take_call is None and record_call is None
+            shared = _SharedStride(acc, entries, static, take_members)
+        consume = partial(
+            walk_unbounded, entries, acc, alloc_members=alloc_members,
+            take_members=take_members, take_call=take_call, record_call=record_call,
+        )
+    else:
+        on_evict = scheme.on_evict
+
+        def consume(pairs, outcomes=None) -> None:
+            evictions[0] += walk_set_associative(
+                table, acc, pairs, outcomes,
+                alloc_members, take_members, take_call, record_call, on_evict,
             )
 
-        def consume(pairs, outcomes=None) -> None:
-            executions = attempts = would = taken_n = taken_c = allocs = 0
-            hits = 0
-            get_entry = entries.get
-            get_slot = acc.get
-            for position, (address, value) in enumerate(pairs):
-                slot = get_slot(address)
-                if slot is None:
-                    slot = acc[address] = [0, 0, 0, 0, 0, 0]
-                executions += 1
-                slot[0] += 1
-                entry = get_entry(address)
-                if entry is None:
-                    if alloc_members is None or address in alloc_members:
-                        entries[address] = StrideEntry(value)
-                        allocs += 1
-                        slot[5] += 1
-                    continue
-                hits += 1
-                last = entry.last_value
-                stride = entry.stride
-                correct = last + stride == value
-                entry.stride = value - last
-                entry.last_value = value
-                attempts += 1
-                slot[1] += 1
-                if correct:
-                    would += 1
-                    slot[2] += 1
-                if take_members is None:
-                    took = True if take_call is None else take_call(address)
-                else:
-                    took = address in take_members
-                if took:
-                    taken_n += 1
-                    slot[3] += 1
-                    if correct:
-                        taken_c += 1
-                        slot[4] += 1
-                    if outcomes is not None:
-                        outcomes[position] = 1 if correct else 2
-                if record_call is not None:
-                    record_call(address, correct)
-            totals[0] += executions
-            totals[1] += attempts
-            totals[2] += would
-            totals[3] += taken_n
-            totals[4] += taken_c
-            totals[5] += allocs
-            meters[0] += executions
-            meters[1] += hits
-
-    else:
-        num_sets = table.num_sets
-        ways = table.ways
-        sets = table._sets
-
-        def consume(pairs, outcomes=None) -> None:
-            executions = attempts = would = taken_n = taken_c = allocs = 0
-            hits = evictions = 0
-            get_slot = acc.get
-            for position, (address, value) in enumerate(pairs):
-                slot = get_slot(address)
-                if slot is None:
-                    slot = acc[address] = [0, 0, 0, 0, 0, 0]
-                executions += 1
-                slot[0] += 1
-                index = address % num_sets
-                table_set = sets.get(index)
-                if table_set is None:
-                    table_set = sets[index] = OrderedDict()
-                    entry = None
-                else:
-                    entry = table_set.get(address)
-                if entry is None:
-                    if alloc_members is None or address in alloc_members:
-                        if len(table_set) >= ways:
-                            evicted, _ = table_set.popitem(last=False)
-                            evictions += 1
-                            on_evict(evicted)
-                            totals[6] += 1
-                        table_set[address] = StrideEntry(value)
-                        allocs += 1
-                        slot[5] += 1
-                    continue
-                hits += 1
-                table_set.move_to_end(address)
-                last = entry.last_value
-                stride = entry.stride
-                correct = last + stride == value
-                entry.stride = value - last
-                entry.last_value = value
-                attempts += 1
-                slot[1] += 1
-                if correct:
-                    would += 1
-                    slot[2] += 1
-                if take_members is None:
-                    took = True if take_call is None else take_call(address)
-                else:
-                    took = address in take_members
-                if took:
-                    taken_n += 1
-                    slot[3] += 1
-                    if correct:
-                        taken_c += 1
-                        slot[4] += 1
-                    if outcomes is not None:
-                        outcomes[position] = 1 if correct else 2
-                if record_call is not None:
-                    record_call(address, correct)
-            totals[0] += executions
-            totals[1] += attempts
-            totals[2] += would
-            totals[3] += taken_n
-            totals[4] += taken_c
-            totals[5] += allocs
-            meters[0] += executions
-            meters[1] += hits
-            meters[2] += evictions
-
     def finish() -> None:
-        table.lookups += meters[0]
-        table.hits += meters[1]
-        table.evictions += meters[2]
-        meters[0] = meters[1] = meters[2] = 0
-        stats.executions += totals[0]
-        stats.attempts += totals[1]
-        stats.would_correct += totals[2]
-        stats.taken += totals[3]
-        stats.taken_correct += totals[4]
-        stats.allocations += totals[5]
-        stats.evictions += totals[6]
-        for index in range(7):
-            totals[index] = 0
-        address_stats = stats.address_stats
-        for address, slot in acc.items():
-            entry_stats = address_stats(address)
-            entry_stats.executions += slot[0]
-            entry_stats.attempts += slot[1]
-            entry_stats.would_correct += slot[2]
-            entry_stats.taken += slot[3]
-            entry_stats.taken_correct += slot[4]
-            entry_stats.allocations += slot[5]
+        _fold_slots(engine, acc, evictions[0])
+        evictions[0] = 0
         acc.clear()
 
     return consume, finish, shared

@@ -32,8 +32,10 @@ no-VP, VP+SC, VP+Prof at five thresholds) against a *single* trace, in
 columnar batches — replayed from a :class:`~repro.machine.TraceStore`
 when one is passed (the simulation studies have usually captured the
 same run already), executed otherwise.  Per batch, each engine runs
-once over the batch's candidates through the same consumers as
-:func:`~repro.core.simulate.simulate_prediction_many` and leaves one
+once over the batch's candidates
+(:meth:`~repro.machine.TraceBatch.candidates`) through the same
+consumers as :func:`~repro.core.simulate.simulate_prediction_many` and
+leaves one
 outcome code per candidate; each machine then schedules the batch in one
 tight loop over its columns.  No engine reads scheduler state, so an
 engine's (taken, correct) outcomes depend on the candidate stream alone
@@ -52,12 +54,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from ..isa import NUM_REGISTERS, Number, Opcode, Program, RA, ZERO
 from ..machine import TraceRecord, TraceStore
 from ..machine.tracestore import replay_or_run
-from ..core.simulate import (
-    PredictionEngine,
-    _candidate_pairs,
-    check_distinct_engines,
-    engine_consumer,
-)
+from ..core.simulate import PredictionEngine, check_distinct_engines, engine_consumer
 from ..telemetry import get_registry
 
 
@@ -462,7 +459,7 @@ def measure_ilp_many(
         for batch in batches:
             addresses = batch.addresses
             mems = batch.mems
-            pairs = _candidate_pairs(batch, is_candidate) if predicting else ()
+            pairs = batch.candidates(is_candidate)[0] if predicting else ()
             for machine, consume in lanes:
                 outcomes = None
                 if consume is not None:

@@ -20,16 +20,19 @@ object per retired instruction:
     effective addresses of the loads/stores in the batch, in trace
     order, against the static ``mem_flags`` bitmap.
 
-Consumers that care about throughput walk the columns directly;
-:meth:`TraceBatch.records` is the compatibility adapter that rebuilds
-the per-record view, and :meth:`TraceBatch.record_values` rebuilds the
-legacy one-slot-per-record value list (``None`` for non-writers).
+Value-prediction consumers — profiling, the classified simulation and
+the ILP model — read a batch through :meth:`TraceBatch.candidates`, the
+one candidate walk: the ``(address, value)`` pairs of the batch's
+prediction candidates in trace order, their phase runs, and the sampled
+profiles' global-position rule.  :meth:`TraceBatch.records` is the
+per-record adapter the reference paths use.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Iterator, List, Sequence, Tuple
 
 from ..isa import Number
 from .columns import ValueColumn
@@ -79,16 +82,50 @@ class TraceBatch:
             if start < end:
                 yield start, end, phase
 
-    def record_values(self) -> List[Optional[Number]]:
-        """The legacy aligned value list: one slot per record, ``None``
-        for non-writers — rebuilt from the packed column and the static
-        writer flags."""
+    def candidates(
+        self, is_candidate: Sequence[bool], sample_every: int = 1, offset: int = 0
+    ) -> Tuple[List[Tuple[int, Number]], List[Tuple[int, int]]]:
+        """The batch's candidate ``(address, value)`` pairs, with phases.
+
+        Returns ``(pairs, runs)``.  ``pairs`` lists, in trace order, every
+        record whose address is flagged in ``is_candidate`` and whose
+        0-based position in the whole run — ``offset`` is the position of
+        this batch's first record — is a multiple of ``sample_every``.
+        ``runs`` holds ``(pair index, phase)`` starts in the shape of
+        :attr:`phase_runs`: the first at 0, consecutive phases distinct,
+        and no run without a pair (so ``runs`` is empty when ``pairs``
+        is).  Candidates always produce a value, so a cursor over the
+        packed value column recovers each one's value.
+        """
+        addresses = self.addresses
         flags = self.value_flags
-        produced = iter(self.values)
-        advance = produced.__next__
-        return [
-            advance() if flags[address] else None for address in self.addresses
-        ]
+        column = self.values
+        produced = column.ints if column.is_pure_int else column.tolist()
+        pairs: List[Tuple[int, Number]] = []
+        runs: List[Tuple[int, int]] = []
+        append = pairs.append
+        if sample_every > 1:
+            # Producers before each position: a sampled record's index
+            # into the value column.
+            ranks = list(accumulate((flags[a] for a in addresses), initial=0))
+        cursor = 0
+        for start, end, phase in self.phase_segments():
+            mark = len(pairs)
+            if sample_every == 1:
+                for address in addresses[start:end]:
+                    if flags[address]:
+                        if is_candidate[address]:
+                            append((address, produced[cursor]))
+                        cursor += 1
+            else:
+                first = start + (-(offset + start) % sample_every)
+                for position in range(first, end, sample_every):
+                    address = addresses[position]
+                    if is_candidate[address]:
+                        append((address, produced[ranks[position]]))
+            if len(pairs) > mark and (not runs or runs[-1][1] != phase):
+                runs.append((mark, phase))
+        return pairs, runs
 
     def records(self) -> Iterator[TraceRecord]:
         """Per-record adapter: rebuild one ``TraceRecord`` per entry."""

@@ -4,10 +4,30 @@ Each entry holds the last value and a stride — "always determined upon the
 subtraction of two recent consecutive destination values".  The prediction
 is ``last value + stride``.  A freshly allocated entry starts with a zero
 stride, so its first prediction degenerates to last-value.
+
+The module also holds the batch kernels, :func:`walk_unbounded` and
+:func:`walk_set_associative`: the inlined table walks that phase-2
+profiling and the classified simulation (and, through it, the ILP model)
+run for a plain stride predictor.  They sit here, below both, because
+``repro.core`` imports ``repro.profiling``.  Each plays
+:meth:`StridePredictor.access` over a batch's candidate ``(address,
+value)`` pairs and counts into ``acc``, a dict of address-keyed slots
+``[executions, attempts, would_correct, taken, taken_correct,
+allocations, nonzero_stride_correct]``.  Every candidate looks the table
+up and every hit is an attempt, so the table's lookup and hit meters are
+the sums of slots 0 and 1.
+
+A policy argument of ``None`` is the unconditional choice: allocate on
+every miss, take every hit, learn nothing.  ``alloc_members`` and
+``take_members`` restrict allocation and taking to member addresses;
+``take_call(address)`` asks a classifier instead; ``record_call(address,
+correct)`` is a learning rule, called after each hit.  ``outcomes``, when
+given, receives one code per taken pair: 1 correct, 2 wrong.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional
 
 from .base import AccessResult, Number, ValuePredictor
@@ -81,3 +101,113 @@ class StridePredictor(ValuePredictor):
 
     def clear(self) -> None:
         self.table.clear()
+
+
+def walk_unbounded(
+    entries, acc, pairs, outcomes=None,
+    alloc_members=None, take_members=None, take_call=None, record_call=None,
+) -> None:
+    """Walk ``pairs`` over the one set of an unbounded table.
+
+    ``entries`` is that set.  Its LRU order is not refreshed on hits, which
+    no observer can see in a table that never evicts.
+    """
+    get_entry = entries.get
+    get_slot = acc.get
+    for position, (address, value) in enumerate(pairs):
+        slot = get_slot(address)
+        if slot is None:
+            slot = acc[address] = [0, 0, 0, 0, 0, 0, 0]
+        slot[0] += 1
+        entry = get_entry(address)
+        if entry is None:
+            if alloc_members is None or address in alloc_members:
+                entries[address] = StrideEntry(value)
+                slot[5] += 1
+            continue
+        last = entry.last_value
+        stride = entry.stride
+        correct = last + stride == value
+        entry.stride = value - last
+        entry.last_value = value
+        slot[1] += 1
+        if correct:
+            slot[2] += 1
+            if stride != 0:
+                slot[6] += 1
+        if take_members is None:
+            took = True if take_call is None else take_call(address)
+        else:
+            took = address in take_members
+        if took:
+            slot[3] += 1
+            if correct:
+                slot[4] += 1
+            if outcomes is not None:
+                outcomes[position] = 1 if correct else 2
+        if record_call is not None:
+            record_call(address, correct)
+
+
+def walk_set_associative(
+    table, acc, pairs, outcomes=None,
+    alloc_members=None, take_members=None, take_call=None, record_call=None,
+    on_evict=None,
+) -> int:
+    """Walk ``pairs`` over a finite LRU ``table``; return the evictions.
+
+    Hits refresh LRU order and allocations displace the least recently
+    used entry of a full set, calling ``on_evict`` with its address, in
+    the order ``PredictionTable.lookup``/``insert`` would.
+    """
+    num_sets = table.num_sets
+    ways = table.ways
+    sets = table._sets
+    evictions = 0
+    get_slot = acc.get
+    for position, (address, value) in enumerate(pairs):
+        slot = get_slot(address)
+        if slot is None:
+            slot = acc[address] = [0, 0, 0, 0, 0, 0, 0]
+        slot[0] += 1
+        index = address % num_sets
+        table_set = sets.get(index)
+        if table_set is None:
+            table_set = sets[index] = OrderedDict()
+            entry = None
+        else:
+            entry = table_set.get(address)
+        if entry is None:
+            if alloc_members is None or address in alloc_members:
+                if len(table_set) >= ways:
+                    evicted, _ = table_set.popitem(last=False)
+                    evictions += 1
+                    if on_evict is not None:
+                        on_evict(evicted)
+                table_set[address] = StrideEntry(value)
+                slot[5] += 1
+            continue
+        table_set.move_to_end(address)
+        last = entry.last_value
+        stride = entry.stride
+        correct = last + stride == value
+        entry.stride = value - last
+        entry.last_value = value
+        slot[1] += 1
+        if correct:
+            slot[2] += 1
+            if stride != 0:
+                slot[6] += 1
+        if take_members is None:
+            took = True if take_call is None else take_call(address)
+        else:
+            took = address in take_members
+        if took:
+            slot[3] += 1
+            if correct:
+                slot[4] += 1
+            if outcomes is not None:
+                outcomes[position] = 1 if correct else 2
+        if record_call is not None:
+            record_call(address, correct)
+    return evictions

@@ -1,25 +1,37 @@
 """Profile collection: run a program under an emulated value predictor.
 
 This is phase 2 of the paper's methodology.  The tracing simulator
-(:mod:`repro.machine`) executes the program while a value predictor —
-by default an *unbounded* stride predictor, so the profile reflects pure
-value behaviour rather than table pressure — observes every dynamic
+(:mod:`repro.machine`) executes the program — or a
+:class:`~repro.machine.TraceStore` replays it — while a value predictor,
+by default an *unbounded* stride predictor so the profile reflects pure
+value behaviour rather than table pressure, observes every dynamic
 instance of every value-prediction candidate.  The result records, per
 static instruction, its prediction accuracy and stride efficiency ratio,
 and per (category, phase) the aggregate accuracies behind Table 2.1.
+
+Candidates come from :meth:`~repro.machine.TraceBatch.candidates`, the
+walk the classified simulation and the ILP model also use.  An unbounded
+stride predictor plays them through the stride kernel of
+:mod:`repro.predictors.stride`, the one the simulation's stride engines
+run; any other predictor makes one ``access`` per candidate.  Both count
+into address-keyed slots, and one fold per phase run adds them to the
+images.  :func:`repro.check.profile_records` is the per-record reference
+the ``profile-sampled`` and ``phase-profiles-batch-vs-record`` oracle
+pairs hold this loop to.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..isa import Category, Number, Program
 from ..machine import TraceBatch, TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import StridePredictor, ValuePredictor
-from ..predictors.stride import StrideEntry
+from ..predictors.stride import walk_unbounded
 from ..telemetry import get_registry
 
 
@@ -177,8 +189,6 @@ def collect_profile(
     max_instructions: Optional[int] = None,
     store: Optional[TraceStore] = None,
     sample_every: int = 1,
-    address_buckets: int = 1,
-    address_bucket: int = 0,
 ) -> ProfileImage:
     """Profile one run of ``program`` under ``predictor``.
 
@@ -197,8 +207,6 @@ def collect_profile(
         sample_every: keep only every ``k``-th dynamic trace record
             (``k = 1`` keeps everything and is byte-identical to full
             profiling; see :func:`collect_profiles`).
-        address_buckets / address_bucket: optionally restrict the profile
-            to candidate addresses in one modulo bucket.
     """
     images = collect_profiles(
         program,
@@ -208,8 +216,6 @@ def collect_profile(
         max_instructions=max_instructions,
         store=store,
         sample_every=sample_every,
-        address_buckets=address_buckets,
-        address_bucket=address_bucket,
     )
     return images["default"]
 
@@ -222,8 +228,6 @@ def collect_profiles(
     max_instructions: Optional[int] = None,
     store: Optional[TraceStore] = None,
     sample_every: int = 1,
-    address_buckets: int = 1,
-    address_bucket: int = 0,
 ) -> Dict[str, ProfileImage]:
     """Profile one run under several predictors simultaneously.
 
@@ -238,24 +242,9 @@ def collect_profiles(
     the candidate filter), so profiling with ``sample_every=k`` equals
     profiling ``records[::k]`` record by record
     (:func:`repro.check.profile_records`), and ``k=1`` is byte-identical
-    to full profiling.  ``address_buckets``/``address_bucket`` optionally
-    restrict collection to candidate addresses with ``address %
-    address_buckets == address_bucket`` — the bucketed profiles of one
-    run partition the full profile.
+    to full profiling.
     """
     _check_sample_every(sample_every)
-    if (
-        isinstance(address_buckets, bool)
-        or not isinstance(address_buckets, int)
-        or address_buckets < 1
-    ):
-        raise ValueError(
-            f"address_buckets must be an int >= 1, got {address_buckets!r}"
-        )
-    if not 0 <= address_bucket < address_buckets:
-        raise ValueError(
-            f"address_bucket must be in [0, {address_buckets}), got {address_bucket!r}"
-        )
     if predictors is None:
         predictors = {"stride": StridePredictor()}
     images = {
@@ -264,11 +253,6 @@ def collect_profiles(
     is_candidate = [
         instruction.is_prediction_candidate for instruction in program.instructions
     ]
-    if address_buckets > 1:
-        is_candidate = [
-            flag and address % address_buckets == address_bucket
-            for address, flag in enumerate(is_candidate)
-        ]
     started = time.perf_counter()
     _profile_run(
         program,
@@ -288,7 +272,7 @@ def collect_profiles(
         telemetry.counter("profiling.records").add(observed)
         telemetry.counter("profiling.runs").add(1)
         telemetry.timer("profiling.collect").add(time.perf_counter() - started)
-        if sample_every > 1 or address_buckets > 1:
+        if sample_every > 1:
             telemetry.counter("profiling.sampled.runs").add(1)
             telemetry.counter("profiling.sampled.records").add(observed)
     return images
@@ -315,90 +299,83 @@ def _profile_run(
 
     The one profiling loop behind :func:`collect_profiles` and
     :func:`~repro.profiling.phases.collect_phase_profiles`.  Each
-    predictor's consumer writes only into its own ``(address, phase) ->
-    [executions, attempts, correct, nonzero_stride_correct]`` dict, and
-    one fold — run even when the trace raises mid-run — adds those
-    counts into ``image_for(name, phase)``.  Candidates are the records
-    whose address is flagged in ``is_candidate``; ``sample_every`` keeps
-    records at global positions that are multiples of it.
+    predictor's consumer counts into its own address-keyed slots (the
+    layout of :mod:`repro.predictors.stride`'s kernels); at every change
+    of phase, and once more at the end — even when the trace raises
+    mid-run — one fold adds those counts into ``image_for(name, phase)``
+    and empties them.  Candidates and the global-position
+    ``sample_every`` rule come from :meth:`TraceBatch.candidates`.
     """
     categories = [instruction.category for instruction in program.instructions]
-    counts: Dict[str, Dict[Tuple[int, int], List[int]]] = {
-        name: {} for name in predictors
-    }
-    consumers = [
-        _fast_stride_profiler(predictor, counts[name])
-        or _generic_profiler(predictor, counts[name])
-        for name, predictor in predictors.items()
-    ]
-    try:
-        # 0-based position of the current batch's first record within
-        # the run's full dynamic stream — the sampling rule is global,
-        # not per batch, so a record boundary mid-batch cannot shift
-        # which records a sampled profile keeps.
-        offset = 0
-        for batch in batches:
-            addresses = batch.addresses
-            triples: List[Tuple[int, Optional[Number], int]] = []
-            if sample_every > 1:
-                # Sampling indexes records at arbitrary positions, so
-                # rebuild the aligned one-slot-per-record view (the
-                # sampled rows are a small fraction of the batch).
-                values = batch.record_values()
-                for start, end, phase in batch.phase_segments():
-                    first = start + (-(offset + start) % sample_every)
-                    triples.extend(
-                        (addresses[position], values[position], phase)
-                        for position in range(first, end, sample_every)
-                        if is_candidate[addresses[position]]
-                    )
-            else:
-                # Full profiling: cursor-walk the packed produced-value
-                # column (candidates are always producers).
-                vflags = batch.value_flags
-                column = batch.values
-                produced = column.ints if column.is_pure_int else column.tolist()
-                append = triples.append
-                cursor = 0
-                for start, end, phase in batch.phase_segments():
-                    for position in range(start, end):
-                        address = addresses[position]
-                        if vflags[address]:
-                            if is_candidate[address]:
-                                append((address, produced[cursor], phase))
-                            cursor += 1
-            offset += len(batch)
-            if triples:
-                for consume in consumers:
-                    consume(triples)
-    finally:
-        # Keep every observation up to a mid-run fault, as a record-by-
-        # record profile of the same prefix would.
-        for name, slots in counts.items():
-            for (address, phase), slot in slots.items():
-                image = image_for(name, phase)
+    profilers = [(name, _profiler(each)) for name, each in predictors.items()]
+
+    def fold(phase: int) -> None:
+        for name, (_consume, counts, table) in profilers:
+            image = image_for(name, phase)
+            for address, slot in counts.items():
                 profile = image.profile_for(address)
                 profile.executions += slot[0]
                 profile.attempts += slot[1]
                 profile.correct += slot[2]
-                profile.nonzero_stride_correct += slot[3]
+                profile.nonzero_stride_correct += slot[6]
                 group = image.group_slot(categories[address], phase, address)
                 group[0] += slot[0]
                 group[1] += slot[1]
                 group[2] += slot[2]
+                if table is not None:
+                    table.lookups += slot[0]
+                    table.hits += slot[1]
+            counts.clear()
+
+    phase = None
+    offset = 0  # global position of the current batch's first record
+    try:
+        for batch in batches:
+            pairs, runs = batch.candidates(is_candidate, sample_every, offset)
+            offset += len(batch)
+            for index, (start, run_phase) in enumerate(runs):
+                if run_phase != phase:
+                    if phase is not None:
+                        fold(phase)
+                    phase = run_phase
+                end = runs[index + 1][0] if index + 1 < len(runs) else None
+                chunk = pairs[start:end]
+                for _name, (consume, _counts, _table) in profilers:
+                    consume(chunk)
+    finally:
+        # Keep every observation up to a mid-run fault, as a record-by-
+        # record profile of the same prefix would.
+        if phase is not None:
+            fold(phase)
+
+
+def _profiler(predictor: ValuePredictor):
+    """``(consume, counts, table)`` for one predictor.
+
+    An unbounded :class:`StridePredictor` runs the shared stride kernel —
+    allocate on every miss, take every hit, learn nothing — and ``table``
+    is the table whose lookup and hit meters the fold keeps; any other
+    predictor goes through :func:`_generic_profiler`, whose ``access``
+    calls keep their own meters (``table`` is ``None``).
+    """
+    counts: Dict[int, List[int]] = {}
+    if type(predictor) is StridePredictor and predictor.table.is_infinite:
+        entries = predictor.table._set_for(0)
+        return partial(walk_unbounded, entries, counts), counts, predictor.table
+    return _generic_profiler(predictor, counts), counts, None
 
 
 def _generic_profiler(predictor: ValuePredictor, counts):
-    """Batch consumer for arbitrary predictors: one ``access`` per record."""
+    """Batch consumer for arbitrary predictors: one ``access`` per
+    candidate, counted into the kernel's slot layout."""
 
-    def consume(triples) -> None:
+    def consume(pairs) -> None:
         access = predictor.access
         get_slot = counts.get
-        for address, value, phase in triples:
-            key = (address, phase)
-            slot = get_slot(key)
+        for address, value in pairs:
+            slot = get_slot(address)
             if slot is None:
-                slot = counts[key] = [0, 0, 0, 0]
+                slot = counts[address] = [0, 0, 0, 0, 0, 0, 0]
             slot[0] += 1
             result = access(address, value)
             if result.hit:
@@ -406,51 +383,6 @@ def _generic_profiler(predictor: ValuePredictor, counts):
                 if result.correct:
                     slot[2] += 1
                     if result.nonzero_stride:
-                        slot[3] += 1
-
-    return consume
-
-
-def _fast_stride_profiler(predictor: ValuePredictor, counts):
-    """Inlined batch consumer for an unbounded stride predictor.
-
-    Operates directly on the predictor's (single, unbounded) table set,
-    adding to the table's lookup/hit counters after each batch.  Results
-    are bit-identical to the generic consumer; the only divergence is
-    internal — the table set's LRU order is not refreshed on hits, which
-    is unobservable for a table that never evicts.  Returns ``None`` for
-    any other predictor.
-    """
-    if type(predictor) is not StridePredictor or not predictor.table.is_infinite:
-        return None
-    table = predictor.table
-    entries = table._set_for(0)
-
-    def consume(triples) -> None:
-        hits = 0
-        get_entry = entries.get
-        get_slot = counts.get
-        for address, value, phase in triples:
-            key = (address, phase)
-            slot = get_slot(key)
-            if slot is None:
-                slot = counts[key] = [0, 0, 0, 0]
-            slot[0] += 1
-            entry = get_entry(address)
-            if entry is None:
-                entries[address] = StrideEntry(value)
-                continue
-            hits += 1
-            last = entry.last_value
-            stride = entry.stride
-            entry.stride = value - last
-            entry.last_value = value
-            slot[1] += 1
-            if last + stride == value:
-                slot[2] += 1
-                if stride != 0:
-                    slot[3] += 1
-        table.lookups += len(triples)
-        table.hits += hits
+                        slot[6] += 1
 
     return consume

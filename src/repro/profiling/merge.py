@@ -16,9 +16,9 @@ For fleet-scale inputs use :class:`~repro.profiling.fusion.MergeAccumulator`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import Iterable, List, Optional, Set, Union
 
-from .collector import InstructionProfile, ProfileImage
+from .collector import ProfileImage
 from .image_io import load_profile
 
 #: ``merge_profiles`` accepts images or open v1 text streams.
@@ -107,13 +107,3 @@ def merge_profiles(
                 slot[2] += counts[2]
     return merged
 
-
-def _merged_instruction(profiles: Sequence[InstructionProfile]) -> InstructionProfile:
-    """Sum a sequence of per-run profiles for the same address."""
-    merged = InstructionProfile(profiles[0].address)
-    for profile in profiles:
-        merged.executions += profile.executions
-        merged.attempts += profile.attempts
-        merged.correct += profile.correct
-        merged.nonzero_stride_correct += profile.nonzero_stride_correct
-    return merged

@@ -371,26 +371,26 @@ comp:
 
 
 def count_consumers(monkeypatch):
-    """Wrap the collector's two consumer factories; count what they build."""
+    """Count the predictors the collector's stride kernel walked (by
+    accumulator) and the ``access`` consumers it built."""
     import repro.profiling.collector as collector
 
-    built = {"inlined": 0, "access": 0}
-    fast = collector._fast_stride_profiler
+    walked = set()
+    built = {"access": 0}
+    kernel = collector.walk_unbounded
     generic = collector._generic_profiler
 
-    def fast_wrapper(*args):
-        result = fast(*args)
-        if result is not None:
-            built["inlined"] += 1
-        return result
+    def kernel_wrapper(entries, acc, *args, **kwargs):
+        walked.add(id(acc))
+        return kernel(entries, acc, *args, **kwargs)
 
     def generic_wrapper(*args):
         built["access"] += 1
         return generic(*args)
 
-    monkeypatch.setattr(collector, "_fast_stride_profiler", fast_wrapper)
+    monkeypatch.setattr(collector, "walk_unbounded", kernel_wrapper)
     monkeypatch.setattr(collector, "_generic_profiler", generic_wrapper)
-    return built
+    return lambda: {"inlined": len(walked), "access": built["access"]}
 
 
 class TestSharedConsumers:
@@ -404,7 +404,7 @@ class TestSharedConsumers:
 
         built = count_consumers(monkeypatch)
         images = collect_phase_profiles(self.program)
-        assert built == {"inlined": 1, "access": 0}
+        assert built() == {"inlined": 1, "access": 0}
         assert list(images) == [0, 1, 2]
         assert [image.run_label for image in images.values()] == ["#0", "#1", "#2"]
 
@@ -429,7 +429,7 @@ class TestSharedConsumers:
         phases = collect_phase_profiles(
             self.program, predictor=make_predictor(), run_label="r", sample_every=k
         )
-        assert built == {"inlined": 0, "access": 2}
+        assert built() == {"inlined": 0, "access": 2}
         reference = profile_records(
             self.program, records, make_predictor(), run_label="r", sample_every=k
         )

@@ -44,14 +44,6 @@ class TestValidation:
             with pytest.raises(ValueError):
                 collect_profile(program, inputs, sample_every=bad)
 
-    def test_bucket_validation(self, program, inputs):
-        with pytest.raises(ValueError):
-            collect_profile(program, inputs, address_buckets=0)
-        with pytest.raises(ValueError):
-            collect_profile(program, inputs, address_buckets=4, address_bucket=4)
-        with pytest.raises(ValueError):
-            collect_profile(program, inputs, address_buckets=4, address_bucket=-1)
-
     def test_phases_validation(self, program, inputs):
         with pytest.raises(ValueError):
             collect_phase_profiles(program, inputs, sample_every=0)
@@ -141,44 +133,6 @@ class TestSampledEquivalence:
                 program, inputs, run_label="r", sample_every=k
             )
             assert dumps_profile(sampled) == dumps_profile(reference)
-
-
-class TestAddressBuckets:
-    def test_buckets_partition_full_profile(self, program, inputs):
-        full = collect_profile(program, inputs, run_label="r")
-        merged_counts = {}
-        for bucket in range(4):
-            image = collect_profile(
-                program,
-                inputs,
-                run_label="r",
-                address_buckets=4,
-                address_bucket=bucket,
-            )
-            for address, profile in image.instructions.items():
-                assert address % 4 == bucket
-                assert address not in merged_counts
-                merged_counts[address] = profile.executions
-        assert merged_counts == {
-            address: profile.executions
-            for address, profile in full.instructions.items()
-        }
-
-    def test_buckets_compose_with_sampling(self, program, inputs, records):
-        sampled = collect_profile(
-            program,
-            inputs,
-            run_label="r",
-            sample_every=2,
-            address_buckets=2,
-            address_bucket=1,
-        )
-        reference = profile_records(
-            program,
-            [r for r in records[::2] if r.address % 2 == 1],
-            run_label="r",
-        )
-        assert dumps_profile(sampled) == dumps_profile(reference)
 
 
 class TestServiceJob:

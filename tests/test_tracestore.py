@@ -378,8 +378,24 @@ class TestBatchedConsumerDifferential:
                 predictors={"S": StridePredictor(), "L": LastValuePredictor()},
             )
 
-        fast = profiles()
-        monkeypatch.setattr(collector, "_fast_stride_profiler", lambda *args: None)
+        walked = []
+        kernel = collector.walk_unbounded
+
+        def counting_kernel(*args):
+            walked.append(args[1])
+            return kernel(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(collector, "walk_unbounded", counting_kernel)
+            fast = profiles()
+        # Without this the comparison could pit the access path against itself.
+        assert walked
+
+        def access_only(predictor):
+            counts = {}
+            return collector._generic_profiler(predictor, counts), counts, None
+
+        monkeypatch.setattr(collector, "_profiler", access_only)
         slow = profiles()
         for name in fast:
             fast_instructions = fast[name].instructions
