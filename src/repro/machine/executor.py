@@ -40,7 +40,7 @@ from ..telemetry import get_registry
 from .batch import DEFAULT_CHUNK, TraceBatch
 from .columns import ValueColumn
 from .errors import ExecutionError, InstructionBudgetExceeded
-from .handlers import HANDLERS, ORDINALS, BatchContext, int_div, int_mod
+from .handlers import HANDLERS, ORDINALS, BatchContext
 from .state import MachineState
 from .trace import RunResult, TraceRecord
 
@@ -51,11 +51,6 @@ DEFAULT_BUDGET = 50_000_000
 #: is resolved through :data:`~repro.machine.handlers.HANDLERS` at decode
 #: time, so the hot loop dispatches with one tuple unpack and one call.
 _Decoded = Tuple[object, int, int, int, Optional[Number], int]
-
-# Backwards-compatible aliases for the arithmetic helpers that used to
-# live here; the canonical definitions moved next to the handler table.
-_int_div = int_div
-_int_mod = int_mod
 
 _MEM_OPCODES = frozenset((Opcode.LD, Opcode.ST, Opcode.FLD, Opcode.FST))
 

@@ -11,10 +11,9 @@ is byte-identical to a serial capture of the same sets (the
 ``capture-shard-vs-serial`` oracle pair holds the two against each
 other).
 
-Pool discipline mirrors the PR 3 experiment runner: a broken pool
-(worker OOM-killed, interpreter crash) is not fatal — the affected
-shards degrade to in-process capture, which is always correct, just
-serial.  An :class:`~repro.machine.errors.ExecutionError` inside a run
+Pool discipline mirrors the experiment runner: a broken pool (worker
+OOM-killed, interpreter crash) is not fatal — the affected shards
+degrade to in-process capture, which is always correct, just serial.  An :class:`~repro.machine.errors.ExecutionError` inside a run
 is *data*, not a failure: the store commits errored traces (they replay
 their fault exactly), and the shard result records the error string.
 
@@ -27,7 +26,8 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..isa import Number, Program
 from ..telemetry import get_registry
@@ -36,10 +36,25 @@ from .errors import ExecutionError
 from .executor import DEFAULT_BUDGET, Executor
 from .tracestore import TraceStore, trace_key
 
-try:  # pragma: no cover - BrokenProcessPool location is version-dependent
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = OSError  # type: ignore[assignment,misc]
+
+def _pool_map(function: Callable, payloads: List[Tuple], workers: int) -> list:
+    """``[function(payload) for payload in payloads]`` over ``workers``.
+
+    A broken pool is not fatal: every payload whose result the pool lost
+    runs again in-process, which is always correct, just serial.
+    """
+    results: list = [None] * len(payloads)
+    if workers > 1 and len(payloads) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for position, result in enumerate(pool.map(function, payloads)):
+                    results[position] = result
+        except BrokenProcessPool:
+            pass
+    return [
+        function(payload) if result is None else result
+        for payload, result in zip(payloads, results)
+    ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,26 +153,10 @@ def capture_sharded(
     ]
     started = time.perf_counter()
     workers = max(1, min(jobs, len(sets)))
-    results: List[Optional[ShardResult]] = [None] * len(sets)
-    if workers <= 1 or len(sets) <= 1:
-        for payload in payloads:
-            results[payload[0]] = _capture_shard_star(payload)
-    else:
-        pending = list(payloads)
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_capture_shard_star, payloads):
-                    results[result.index] = result
-            pending = []
-        except BrokenProcessPool:
-            pending = [p for p in payloads if results[p[0]] is None]
-        # Degrade: any shard the pool lost is captured in-process (the
-        # store's idempotent commits make re-capturing a completed shard
-        # harmless, so erring on the side of redoing work is safe).
-        for payload in pending:
-            results[payload[0]] = _capture_shard_star(payload)
+    # The store's idempotent commits make re-capturing a shard the pool
+    # lost harmless, even if the worker had committed it.
     report = ShardReport(
-        results=[result for result in results if result is not None],
+        results=_pool_map(_capture_shard_star, payloads, workers),
         jobs=workers,
         elapsed=time.perf_counter() - started,
     )
@@ -208,21 +207,7 @@ def parallel_runs(
         for index, (program, inputs) in enumerate(cases)
     ]
     workers = max(1, min(jobs, len(payloads)))
-    results: List[Optional[Tuple[int, Optional[str]]]] = [None] * len(payloads)
-    if workers <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            index, count, error = _run_shard_star(payload)
-            results[index] = (count, error)
-    else:
-        pending = list(payloads)
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for index, count, error in pool.map(_run_shard_star, payloads):
-                    results[index] = (count, error)
-            pending = []
-        except BrokenProcessPool:
-            pending = [p for p in payloads if results[p[0]] is None]
-        for payload in pending:
-            index, count, error = _run_shard_star(payload)
-            results[index] = (count, error)
-    return [result for result in results if result is not None]
+    return [
+        (count, error)
+        for _, count, error in _pool_map(_run_shard_star, payloads, workers)
+    ]

@@ -14,12 +14,16 @@ Layering (no module imports upward):
 
 * :mod:`~repro.runner.cache` — the content-addressed store (stdlib only).
 * :mod:`~repro.runner.keys` — SHA-256 cache keys from program text +
-  input streams + configuration.
+  input streams + configuration.  Only
+  :class:`~repro.experiments.context.ExperimentContext` derives keys: it
+  owns every cell's memo, disk probe, decode and store, and derives no
+  key at all without a ``cache_dir``.
 * :mod:`~repro.runner.serialize` — payload codecs: profile images and
   annotated binaries travel in their on-disk text formats,
   ``PredictionStats`` / ``IlpResult`` grids and experiment tables as JSON
   / TSV.
-* :mod:`~repro.runner.jobs` — the job graph and its builder.
+* :mod:`~repro.runner.jobs` — the job graph and its builder; a job names
+  its context cell as ``(kind, name, *params)``.
 * :mod:`~repro.runner.retry` — :class:`RetryPolicy` (attempts, per-job
   timeouts, deterministic backoff jitter) and the structured
   :class:`RunReport` every run ends with.
@@ -27,10 +31,12 @@ Layering (no module imports upward):
   :class:`FaultPlan` schedules (crash / hang / corrupt / transient) for
   deterministic fault injection.
 * :mod:`~repro.runner.worker` — the picklable job entry points executed
-  in pool processes.
+  in pool processes: prime the dependency cells into a per-process
+  context, compute the job's cell, return it encoded.
 * :mod:`~repro.runner.executor` — serial and process-pool scheduling
   with retries, timeout-driven pool rebuilds and graceful degradation;
-  per-job timing, progress lines, deterministic result ordering.
+  per-job timing, progress lines, deterministic result ordering.  It
+  asks the context for a disk hit before launching a job.
 
 Typical use (what ``python -m repro experiments`` does)::
 

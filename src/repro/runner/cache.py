@@ -13,15 +13,19 @@ Layout on disk::
     <cache-dir>/<kind>/<key[:2]>/<key>.<ext>
 
 where ``kind`` is the artifact family (``profile``, ``merged``,
-``classify``, ``finite``, ``ilp``, ``table``), the two-character fan-out
-keeps directories small, and ``ext`` is the payload's native extension
-(``.profile``, ``.json``, ``.tsv``, ``.asm``).  Payloads are UTF-8 text;
+``classify``, ``finite``, ``ilp``, ``experiment``; a finished table's
+*key* is digested under the prefix ``table``, but the entry lives under
+``experiment/``), the two-character fan-out keeps directories small, and
+``ext`` is the payload's native extension (``.profile``, ``.json``,
+``.tsv``).  Payloads are UTF-8 text;
 writes go through a temporary file and :func:`os.replace` so concurrent
 writers (pool workers racing on a shared artifact) are safe — last
 writer wins with identical content.
 
 A corrupt entry (truncated write, stray file, version skew) is treated
-as a miss: readers that fail to decode delete the entry and recompute.
+as a miss: the one reader,
+:meth:`~repro.experiments.context.ExperimentContext.from_disk`, deletes
+an entry it fails to decode and recomputes.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class ArtifactCache:
     """A content-addressed text store rooted at ``root``.
 
     The cache is a dumb key/value store: keys are hex digests computed
-    by the caller (see :mod:`repro.runner.keys`), values are text.  All
+    by the experiment context (see :mod:`repro.runner.keys`), values are
+    text.  All
     decode validation lives in the caller; use :meth:`discard` when a
     payload fails to decode.
     """

@@ -1,12 +1,14 @@
 """Serial and process-pool execution of a :class:`JobGraph`.
 
 The scheduler walks the graph in dependency order.  For every job it
-first probes the :class:`~repro.runner.cache.ArtifactCache` (a hit costs
-a decode and is reported as ``cached``); misses are computed — inline in
-the parent for serial runs and ``inline`` jobs, otherwise fanned out to
-a :class:`concurrent.futures.ProcessPoolExecutor`.  Pool jobs receive
-the encoded payloads of their dependencies, so the disk cache is an
-optimization, never a correctness requirement.
+first asks the context whether the disk cache serves the job's cell
+(:meth:`~repro.experiments.context.ExperimentContext.from_disk`; a hit
+is reported as ``cached``); misses are computed — inline in the parent
+for serial runs and ``inline`` jobs, otherwise fanned out to a
+:class:`concurrent.futures.ProcessPoolExecutor`.  Keys, decoding and
+storing all belong to the context.  Pool jobs receive the encoded
+payloads of their dependencies, so the disk cache is an optimization,
+never a correctness requirement.
 
 Fault tolerance: every attempt is fallible.  A worker exception, a
 corrupt result payload, a timed-out attempt or a crashed worker process
@@ -34,14 +36,13 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import heapq
-import inspect
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from ..telemetry import get_registry
-from . import faults, keys, serialize, worker
+from . import faults, serialize, worker
 from .jobs import Job, JobGraph
 from .retry import CACHED, FAILED, OK, SKIPPED, JobReport, RetryPolicy, RunReport
 
@@ -92,46 +93,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _job_cache_key(job: Job, context) -> Optional[str]:
-    """The content-address of a job's artifact (``None`` = never cached).
-
-    Compile and annotate cells are cheap derivations of cached inputs
-    and are recomputed; everything expensive is keyed.
-    """
-    scale = context.scale
-    runs = context.training_runs
-    stride = context.stride_threshold
-    if job.kind == "profile":
-        return keys.profile_key(job.name, job.params[0], scale)
-    from ..experiments.context import THRESHOLDS
-
-    if job.kind == "classify":
-        return keys.classify_key(job.name, scale, runs, THRESHOLDS, stride)
-    if job.kind == "finite":
-        entries, ways = job.params
-        return keys.finite_key(
-            job.name, scale, runs, THRESHOLDS, stride, entries, ways
-        )
-    if job.kind == "ilp":
-        entries, ways = job.params
-        return keys.ilp_key(
-            job.name, scale, runs, THRESHOLDS, stride, entries, ways, None
-        )
-    if job.kind == "experiment":
-        from ..experiments.runner import MODULES
-        from ..workloads import REGISTRY
-
-        return keys.experiment_key(
-            job.name,
-            inspect.getsource(MODULES[job.name]),
-            scale,
-            runs,
-            stride,
-            REGISTRY.names(),
-        )
-    return None
-
-
 def _describe(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
@@ -171,8 +132,8 @@ def execute_graph(
 
     telemetry = get_registry()
     outcome = ExecutionOutcome()
+    #: job id -> encoded value, for shipping to pool jobs that depend on it.
     encoded: Dict[str, str] = {}
-    artifacts = context.artifacts
     spec = worker.context_spec(context)
     total = len(order)
     done = 0
@@ -211,7 +172,7 @@ def execute_graph(
         return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
 
     pool = new_pool() if use_pool else None
-    #: future -> (job, cache key, attempt number, timeout deadline).
+    #: future -> (job, attempt number, timeout deadline).
     futures: Dict[concurrent.futures.Future, tuple] = {}
 
     def discard_pool(*, kill: bool) -> None:
@@ -225,13 +186,11 @@ def execute_graph(
                     pass
         pool.shutdown(wait=True, cancel_futures=True)
 
-    def finish(job: Job, value, payload: Optional[str], seconds: float, cached: bool):
+    def finish(job: Job, value, seconds: float, cached: bool):
         nonlocal done, capacity_freed_at
         done += 1
         status[job.job_id] = CACHED if cached else OK
         outcome.values[job.job_id] = value
-        if payload is not None:
-            encoded[job.job_id] = payload
         if job.kind == "experiment":
             outcome.tables[job.name] = value
         record = JobRecord(
@@ -327,31 +286,7 @@ def execute_graph(
         else:
             fail_job(job)
 
-    def from_cache(job: Job, key: Optional[str]) -> bool:
-        if artifacts is None or key is None:
-            return False
-        extension = serialize.EXTENSIONS[job.kind]
-        payload = artifacts.load(job.kind, key, extension)
-        if payload is None:
-            return False
-        started = time.perf_counter()
-        try:
-            value = serialize.decode(job.kind, payload)
-        except serialize.PayloadError as error:
-            # Corrupt entry: drop it and recompute through the normal
-            # launch path, i.e. under the run's retry policy.
-            artifacts.discard(job.kind, key, extension)
-            if telemetry.enabled:
-                telemetry.counter("runner.cache.corrupt").add(1)
-                telemetry.emit(
-                    "runner.cache.corrupt", job_id=job.job_id, kind=job.kind, key=key
-                )
-            return False
-        worker.prime(context, job, value)
-        finish(job, value, payload, time.perf_counter() - started, True)
-        return True
-
-    def compute_inline(job: Job, key: Optional[str], attempt: int) -> None:
+    def compute_inline(job: Job, attempt: int) -> None:
         started = time.perf_counter()
         try:
             if plan is not None:
@@ -362,21 +297,13 @@ def execute_graph(
             spent[job.job_id] += time.perf_counter() - started
             attempt_failed(job, attempt, _describe(error))
             return
-        store_table = (
-            job.kind == "experiment" and artifacts is not None and key is not None
-        )
-        payload = None
-        if pool is not None or store_table:
-            payload = serialize.encode(job.kind, value)
-        if store_table:
-            artifacts.store(job.kind, key, payload, serialize.EXTENSIONS[job.kind])
-        finish(job, value, payload, time.perf_counter() - started, False)
+        finish(job, value, time.perf_counter() - started, False)
 
-    def settle(job: Job, key: Optional[str], attempt: int, result: tuple) -> None:
-        """Handle a pool attempt that returned: decode, prime, record."""
+    def settle(job: Job, attempt: int, result: tuple) -> None:
+        """Handle a pool attempt that returned: prime the context, record."""
         seconds, payload, worker_metrics = result
         try:
-            value = serialize.decode(job.kind, payload)
+            value = context.prime(job.cell(), payload)
         except serialize.PayloadError as error:
             # Worker metrics from a failed attempt are deliberately not
             # merged: totals reflect committed results only, which keeps
@@ -388,10 +315,8 @@ def execute_graph(
             # Re-root the worker's spans under the coordinator's active
             # span so nesting survives the process pool.
             telemetry.merge(worker_metrics, prefix=telemetry.current_path or None)
-        worker.prime(context, job, value)
-        if artifacts is not None and key is not None and job.kind == "experiment":
-            artifacts.store(job.kind, key, payload, serialize.EXTENSIONS[job.kind])
-        finish(job, value, payload, seconds, False)
+        encoded[job.job_id] = payload
+        finish(job, value, seconds, False)
 
     def requeue_in_flight(in_flight: List[tuple], *, expired: frozenset) -> None:
         """Re-dispatch jobs that were in flight when the pool went down.
@@ -402,12 +327,12 @@ def execute_graph(
         resubmitted without being charged, guarded by a per-job break
         budget so a repeatedly crashing pool cannot loop forever.
         """
-        for future, (job, key, attempt, deadline) in in_flight:
+        for future, (job, attempt, deadline) in in_flight:
             if job.job_id in status:
                 continue
             error = future.exception() if future.done() and not future.cancelled() else None
             if future.done() and not future.cancelled() and error is None:
-                settle(job, key, attempt, future.result())
+                settle(job, attempt, future.result())
                 continue
             if error is not None and not isinstance(error, BrokenProcessPool):
                 attempt_failed(job, attempt, _describe(error))
@@ -447,11 +372,18 @@ def execute_graph(
         pool = new_pool()
         requeue_in_flight(in_flight, expired=expired)
 
-    def submit(job: Job, key: Optional[str], attempt: int) -> None:
+    def payload_of(job_id: str) -> str:
+        if job_id not in encoded:  # served from disk or computed inline
+            encoded[job_id] = serialize.encode(
+                graph[job_id].kind, outcome.values[job_id]
+            )
+        return encoded[job_id]
+
+    def submit(job: Job, attempt: int) -> None:
         dep_items = tuple(
-            (graph[dep], encoded[dep])
+            (graph[dep], payload_of(dep))
             for dep in job.deps
-            if graph[dep].kind != "compile" and dep in encoded
+            if graph[dep].kind != "compile"
         )
         deadline = (
             time.perf_counter() + policy.job_timeout if policy.job_timeout else None
@@ -463,9 +395,9 @@ def execute_graph(
             # jobs, rebuild, and resubmit on the fresh pool.
             rebuild_pool()
             future = pool.submit(worker.run_pool_job, spec, job, dep_items, attempt)
-        futures[future] = (job, key, attempt, deadline)
+        futures[future] = (job, attempt, deadline)
 
-    def launch(job: Job, key: Optional[str]) -> None:
+    def launch(job: Job) -> None:
         attempts[job.job_id] += 1
         attempt = attempts[job.job_id]
         if telemetry.enabled and attempt == 1:
@@ -479,9 +411,9 @@ def execute_graph(
                     )
                 )
         if pool is None or job.inline:
-            compute_inline(job, key, attempt)
+            compute_inline(job, attempt)
         else:
-            submit(job, key, attempt)
+            submit(job, attempt)
 
     def check_timeouts() -> None:
         if not policy.job_timeout or not futures:
@@ -489,7 +421,7 @@ def execute_graph(
         now = time.perf_counter()
         expired = frozenset(
             future
-            for future, (_, _, _, deadline) in futures.items()
+            for future, (_, _, deadline) in futures.items()
             if deadline is not None and deadline <= now and not future.done()
         )
         if expired:
@@ -539,10 +471,13 @@ def execute_graph(
                     index += 1
                     continue
                 ready.pop(index)
-                key = _job_cache_key(job, context)
-                if attempts[job_id] == 0 and from_cache(job, key):
-                    continue
-                launch(job, key)
+                if attempts[job_id] == 0:
+                    started = time.perf_counter()
+                    value = context.from_disk(job.cell())
+                    if value is not None:
+                        finish(job, value, time.perf_counter() - started, True)
+                        continue
+                launch(job)
             if done >= total:
                 break
             if not futures and not delayed:
@@ -553,7 +488,7 @@ def execute_graph(
             wake = delayed[0][0] if delayed else None
             if policy.job_timeout:
                 deadlines = [
-                    meta[3] for meta in futures.values() if meta[3] is not None
+                    meta[2] for meta in futures.values() if meta[2] is not None
                 ]
                 if deadlines:
                     nearest = min(deadlines)
@@ -568,14 +503,14 @@ def execute_graph(
                 for future in completed:
                     if future not in futures:
                         continue
-                    job, key, attempt, deadline = futures.pop(future)
+                    job, attempt, deadline = futures.pop(future)
                     error = future.exception()
                     if error is None:
-                        settle(job, key, attempt, future.result())
+                        settle(job, attempt, future.result())
                     elif isinstance(error, BrokenProcessPool):
                         # Put it back: recovery classifies every
                         # in-flight job (culprit vs bystander) at once.
-                        futures[future] = (job, key, attempt, deadline)
+                        futures[future] = (job, attempt, deadline)
                         rebuild_pool()
                         break
                     else:

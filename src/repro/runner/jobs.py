@@ -60,6 +60,10 @@ class Job:
     deps: Tuple[str, ...] = ()
     inline: bool = False
 
+    def cell(self) -> Tuple:
+        """The context cell this job computes: ``(kind, name, *params)``."""
+        return (self.kind, self.name) + self.params
+
     def label(self) -> str:
         """Human-readable form for progress lines."""
         if self.kind == "profile":

@@ -26,12 +26,11 @@ corrupt entry as a miss.
 from __future__ import annotations
 
 import json
-from typing import Dict
 
 from ..core import PredictionStats
 from ..ilp import IlpResult
-from ..isa import Program, assemble, disassemble
-from ..profiling import ProfileImage, dumps_profile, loads_profile
+from ..isa import assemble, disassemble
+from ..profiling import dumps_profile, loads_profile
 
 #: File extension per job kind (also the cache entry extension).
 EXTENSIONS = {
@@ -104,17 +103,9 @@ def decode(kind: str, payload: str):
     raise ValueError(f"unknown payload kind {kind!r}")
 
 
-def decode_stats_grid(payload: str) -> Dict[str, PredictionStats]:
-    """Typed helper for classify/finite grids (used by tests)."""
-    return decode("classify", payload)
-
-
 __all__ = [
     "EXTENSIONS",
     "PayloadError",
     "decode",
-    "decode_stats_grid",
     "encode",
-    "Program",
-    "ProfileImage",
 ]

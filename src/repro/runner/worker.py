@@ -2,11 +2,13 @@
 
 A pool worker receives a picklable job plus the *encoded* payloads of
 its dependencies, rebuilds an :class:`ExperimentContext` matching the
-parent's configuration, primes the dependency artifacts into it, and
+parent's configuration, primes the dependency cells into it
+(:meth:`~repro.experiments.context.ExperimentContext.prime`), and
 computes its own cell through exactly the same code path a serial run
 takes (:mod:`repro.experiments.shared` and the context's artifact
-methods).  That shared path is what makes ``--jobs N`` byte-identical to
-``--jobs 1``.
+methods, all served by ``ExperimentContext.cell``).  That shared path is
+what makes ``--jobs N`` byte-identical to ``--jobs 1``.  The context,
+not this module, decides how a cell is keyed, cached and decoded.
 
 Contexts are kept in a per-process table keyed by configuration, so a
 long-lived pool worker reuses compiled programs, profiles and annotated
@@ -63,47 +65,6 @@ def resolve_context(spec: dict):
     return context
 
 
-def already_primed(context, job: Job) -> bool:
-    """Whether ``context`` already holds this job's artifact (skip decode)."""
-    from ..experiments import shared
-
-    if job.kind == "profile":
-        return context.has_profile(job.name, job.params[0])
-    if job.kind == "annotate":
-        return context.has_annotated(job.name, job.params[0])
-    if job.kind == "classify":
-        return shared.classification_memo_key(job.name) in context.memo
-    if job.kind == "finite":
-        return shared.finite_memo_key(job.name, *job.params) in context.memo
-    if job.kind == "ilp":
-        entries, ways = job.params
-        return shared.ilp_memo_key(job.name, None, entries, ways) in context.memo
-    return False
-
-
-def prime(context, job: Job, value) -> None:
-    """Install a decoded job result into ``context``'s memo structures."""
-    from ..experiments import shared
-
-    if job.kind == "profile":
-        context.prime_profile(job.name, job.params[0], value)
-    elif job.kind == "annotate":
-        context.prime_annotated(job.name, job.params[0], value)
-    elif job.kind == "classify":
-        context.memo.setdefault(shared.classification_memo_key(job.name), value)
-    elif job.kind == "finite":
-        entries, ways = job.params
-        context.memo.setdefault(
-            shared.finite_memo_key(job.name, entries, ways), value
-        )
-    elif job.kind == "ilp":
-        entries, ways = job.params
-        context.memo.setdefault(
-            shared.ilp_memo_key(job.name, None, entries, ways), value
-        )
-    # compile/experiment results carry no context state.
-
-
 def compute_value(job: Job, context):
     """Compute one job in-process, returning the native (decoded) value."""
     from ..experiments import shared
@@ -125,7 +86,7 @@ def compute_value(job: Job, context):
     if job.kind == "experiment":
         from ..experiments.runner import EXPERIMENTS
 
-        return EXPERIMENTS[job.name](context)
+        return context.cell(job.cell(), lambda: EXPERIMENTS[job.name](context))
     raise ValueError(f"unknown job kind {job.kind!r}")
 
 
@@ -153,8 +114,9 @@ def run_pool_job(
         plan.fire(job.job_id, attempt, in_worker=True) if plan is not None else None
     )
     for dep_job, payload in dep_items:
-        if not already_primed(context, dep_job):
-            prime(context, dep_job, serialize.decode(dep_job.kind, payload))
+        context.prime(dep_job.cell(), payload)
+    # The coordinator probed the disk before launching this job.
+    context.missed(job.cell())
     if spec.get("telemetry"):
         registry = Telemetry()
         with use_registry(registry):

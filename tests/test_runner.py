@@ -78,10 +78,30 @@ class TestKeys:
         )
         assert default != custom
 
-    def test_ilp_memo_key_default_config_matches_none(self):
-        assert shared.ilp_memo_key(
-            "129.compress", None, 512, 2
-        ) == shared.ilp_memo_key("129.compress", IlpConfig(), 512, 2)
+    def test_ilp_memo_key_default_config_matches_none(self, tmp_path):
+        """``None`` and an explicit default config share one memo entry
+        and one disk entry."""
+        context = make_context(cache_dir=tmp_path)
+        implicit = shared.ilp_results(context, "129.compress", None)
+        explicit = shared.ilp_results(context, "129.compress", IlpConfig())
+        assert explicit is implicit
+        assert [cell for cell in context.memo if cell[0] == "ilp"] == [
+            ("ilp", "129.compress", 512, 2)
+        ]
+        entries = [
+            path for path in ArtifactCache(tmp_path).entries()
+            if path.parent.parent.name == "ilp"
+        ]
+        assert len(entries) == 1
+        registry = Telemetry()
+        with use_registry(registry):
+            again = shared.ilp_results(
+                make_context(cache_dir=tmp_path), "129.compress", IlpConfig()
+            )
+        counters = registry.snapshot()["counters"]
+        assert counters["cache.hit.ilp"] == 1
+        assert "cache.store.ilp" not in counters
+        assert again == implicit
 
 
 class TestArtifactCache:
@@ -293,6 +313,37 @@ class TestEngine:
         # The corrupt table entry was discarded, not served.
         record = outcome.record_for(f"experiment:{EXPERIMENT}")
         assert record is not None and not record.cached
+
+
+class TestCellCache:
+    """Each cell is keyed, probed and stored by the context alone."""
+
+    def test_cache_off_derives_no_key(self, monkeypatch):
+        def refuse(parts):
+            raise AssertionError("a cache key was derived without a cache")
+
+        monkeypatch.setattr(keys, "_digest", refuse)
+        outcome, _ = run_engine(jobs=1)
+        assert outcome.report.ok, outcome.report.format()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_run_probes_and_stores_each_cell_once(self, tmp_path, jobs):
+        context = make_context(cache_dir=tmp_path)
+        graph = build_experiment_graph(["fig-5.1"], context)
+        registry = Telemetry()
+        with use_registry(registry):
+            outcome = execute_graph(graph, context, jobs=jobs)
+        assert outcome.report.ok, outcome.report.format()
+        counters = registry.snapshot()["counters"]
+        counts = {}
+        for job in graph.order():
+            counts[job.kind] = counts.get(job.kind, 0) + 1
+        for kind in ("profile", "classify", "experiment"):
+            assert counters[f"cache.miss.{kind}"] == counts[kind], kind
+            assert counters[f"cache.store.{kind}"] == counts[kind], kind
+        if jobs == 1:
+            assert counters["cache.miss.merged"] == counts["compile"]
+            assert counters["cache.store.merged"] == counts["compile"]
 
 
 class TestDeadlockDiagnostic:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from repro.check.generator import generate_case
-from repro.machine import capture_sharded, parallel_runs
+from repro.machine import capture_sharded, parallel_runs, sharding
 
 
 def _fingerprint(directory: Path):
@@ -66,3 +67,41 @@ def test_parallel_runs_match_serial_outcomes():
     parallel = parallel_runs(cases, jobs=2, max_instructions=5_000)
     assert serial == parallel
     assert len(serial) == len(cases)
+
+
+class _BreakingPool:
+    """A stand-in pool that delivers one result, then breaks."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, function, payloads):
+        yield function(payloads[0])
+        raise BrokenProcessPool("worker died")
+
+
+def test_broken_pool_degrades_to_in_process(tmp_path, monkeypatch):
+    case = generate_case(44)
+    input_sets = [list(case.inputs), [value + 1 for value in case.inputs]]
+    cases = [(case.program, inputs) for inputs in input_sets]
+    serial_dir = tmp_path / "serial"
+    serial = capture_sharded(
+        case.program, input_sets, directory=serial_dir, jobs=1,
+        max_instructions=5_000,
+    )
+    serial_runs = parallel_runs(cases, jobs=1, max_instructions=5_000)
+    monkeypatch.setattr(sharding, "ProcessPoolExecutor", _BreakingPool)
+    broken_dir = tmp_path / "broken"
+    broken = capture_sharded(
+        case.program, input_sets, directory=broken_dir, jobs=2,
+        max_instructions=5_000,
+    )
+    assert _fingerprint(broken_dir) == _fingerprint(serial_dir)
+    assert broken.results == serial.results
+    assert parallel_runs(cases, jobs=2, max_instructions=5_000) == serial_runs
