@@ -52,9 +52,9 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     ``capture_sharded`` at ``jobs=2`` against a serial capture of the
     same input sets, compared by store-directory fingerprint and
     per-shard outcomes.
-``runner-parallel`` / ``runner-faulty``
-    the parallel engine at ``jobs=2`` — and a faulted run recovered
-    under a retry policy — against a serial walk of the same graph.
+``runner-parallel``
+    the parallel engine at ``jobs=2`` against a serial walk of the same
+    graph.
 ``classify-train-determinism``
     the learned predictability model trained on the same labeled corpus
     presented in reversed row order (canonical sorting must make input
@@ -1012,55 +1012,22 @@ def _check_capture_shard(case: CheckCase, budget: int):
 _RUNNER_EXPERIMENT = "fig-4.2"
 
 
-def _runner_outcome(jobs: int = 1, **engine_options) -> str:
+def _runner_outcome(jobs: int) -> str:
     from ..experiments.context import ExperimentContext
     from ..runner import build_experiment_graph
     from ..runner.executor import execute_graph
 
     context = ExperimentContext(scale=0.02, training_runs=2)
     graph = build_experiment_graph([_RUNNER_EXPERIMENT], context)
-    outcome = execute_graph(graph, context, jobs=jobs, **engine_options)
+    outcome = execute_graph(graph, context, jobs=jobs)
     return outcome.tables[_RUNNER_EXPERIMENT].to_tsv()
-
-
-_serial_baseline: List[str] = []
-
-
-def _runner_baseline() -> str:
-    if not _serial_baseline:
-        _serial_baseline.append(_runner_outcome(jobs=1))
-    return _serial_baseline[0]
 
 
 def _check_runner_parallel(case: None, budget: int):
     return first_divergence(
         {"table": _runner_outcome(jobs=2)},
-        {"table": _runner_baseline()},
+        {"table": _runner_outcome(jobs=1)},
         "$runner[jobs=2]",
-    )
-
-
-def _check_runner_faulty(case: None, budget: int):
-    from ..runner import build_experiment_graph
-    from ..runner.faults import FaultPlan
-    from ..runner.retry import RetryPolicy
-    from ..experiments.context import ExperimentContext
-
-    context = ExperimentContext(scale=0.02, training_runs=2)
-    graph = build_experiment_graph([_RUNNER_EXPERIMENT], context)
-    pool_ids = [job.job_id for job in graph.order() if not job.inline]
-    plan = FaultPlan.generate(
-        pool_ids, seed=1997, rate=0.3, kinds=("transient",), max_attempt=1
-    )
-    from ..runner.executor import execute_graph
-
-    outcome = execute_graph(
-        graph, context, jobs=1, retry=RetryPolicy(max_attempts=3), fault_plan=plan
-    )
-    return first_divergence(
-        {"table": outcome.tables[_RUNNER_EXPERIMENT].to_tsv()},
-        {"table": _runner_baseline()},
-        "$runner[faulty]",
     )
 
 
@@ -1156,11 +1123,6 @@ _PAIRS: Tuple[OraclePair, ...] = (
         "runner-parallel",
         "experiment engine at jobs=2 vs a serial walk",
         False, _check_runner_parallel,
-    ),
-    OraclePair(
-        "runner-faulty",
-        "faulted run recovered under retries vs a clean serial walk",
-        False, _check_runner_faulty,
     ),
     OraclePair(
         "classify-train-determinism",

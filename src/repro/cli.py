@@ -13,8 +13,7 @@ and exposes the whole experiment suite through the same entry point::
 
     python -m repro experiments all --jobs 4
     python -m repro experiments fig-2.2 table-5.2 --scale 0.3
-    python -m repro experiments all --jobs 4 --retries 2 --job-timeout 600 \\
-        --report-json run-report.json
+    python -m repro experiments all --jobs 4 --report-json run-report.json
 
 and the correctness tooling (differential oracle + invariant lint)::
 

@@ -17,13 +17,11 @@ process pool, and every expensive artifact is persisted in a
 content-addressed cache (``--cache-dir``, default ``~/.cache/repro``) so
 a repeated run is nearly free.  ``--no-cache`` opts out.
 
-Long runs are fault tolerant: ``--retries N`` resubmits failed or
-timed-out cells with deterministic backoff, ``--job-timeout S`` bounds
-each pool attempt (stuck workers are killed and the pool rebuilt), and a
-run that still loses cells degrades gracefully — completed tables are
-emitted, the rest appear in a structured run report (``--report-json``)
-and the exit status is non-zero.  ``--fault-plan`` injects deterministic
-faults to exercise exactly these paths (:mod:`repro.runner.faults`).
+Every cell gets one attempt; a cell is a pure function of its inputs,
+so a retry would fail the same way.  A run that loses cells degrades:
+the failed cells' dependents are skipped, every completed table is
+still emitted, the rest appear in a structured run report
+(``--report-json``) and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -60,9 +58,9 @@ from . import (
     table_5_1,
     table_5_2,
 )
-from ..runner import build_experiment_graph, default_cache_dir, faults
+from ..runner import build_experiment_graph, default_cache_dir
 from ..runner.executor import execute_graph
-from ..runner.retry import RetryPolicy, RunFailure
+from ..runner.report import RunFailure
 from .context import ExperimentContext
 from .tables import ExperimentTable
 
@@ -107,8 +105,6 @@ def run_experiments(
     chart: bool = False,
     jobs: int = 1,
     progress=None,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan=None,
     report_path=None,
 ) -> List[ExperimentTable]:
     """Run the named experiments, printing each table as it completes.
@@ -122,14 +118,11 @@ def run_experiments(
     ``progress`` may be a stream for per-job progress/timing lines,
     including each table's ``[<id> finished in Xs]`` line.
 
-    ``retry`` is the :class:`~repro.runner.retry.RetryPolicy` for failed
-    or timed-out cells and ``fault_plan`` an optional deterministic
-    fault-injection spec (see :func:`repro.runner.faults.resolve_plan`).
-    The run's :class:`~repro.runner.retry.RunReport` is written to
-    ``report_path`` as JSON when given.  A degraded run — any cell out
-    of retries — still emits every table that completed, writes the
-    report, prints its summary to ``progress``, and then raises
-    :class:`~repro.runner.retry.RunFailure` carrying the report.
+    The run's :class:`~repro.runner.report.RunReport` is written to
+    ``report_path`` as JSON when given.  A degraded run — any cell
+    failed — still emits every table that completed, writes the report,
+    prints its summary to ``progress``, and then raises
+    :class:`~repro.runner.report.RunFailure` carrying the report.
     """
     stream = stream or sys.stdout
     if output_dir is not None:
@@ -141,14 +134,7 @@ def run_experiments(
         with telemetry.span("build"):
             graph = build_experiment_graph(names, context)
         with telemetry.span("execute"):
-            outcome = execute_graph(
-                graph,
-                context,
-                jobs=jobs,
-                progress=progress,
-                retry=retry,
-                fault_plan=fault_plan,
-            )
+            outcome = execute_graph(graph, context, jobs=jobs, progress=progress)
         report = outcome.report
         results = []
         with telemetry.span("emit"):
@@ -185,27 +171,34 @@ def run_experiments(
     if telemetry.enabled:
         telemetry.counter("experiments.tables").add(len(results))
         telemetry.gauge("experiments.wall_seconds").set(time.time() - started)
-    if report_path is not None and report is not None:
+    if report_path is not None:
         Path(report_path).write_text(report.to_json(), encoding="utf-8")
     if progress is not None:
-        recovery = (
-            f", {report.retries} retries, {report.timeouts} timeouts, "
-            f"{report.pool_rebuilds} pool rebuilds"
-            if report is not None
-            and (report.retries or report.timeouts or report.pool_rebuilds)
-            else ""
-        )
         print(
             f"[suite: {len(graph)} jobs, {outcome.cached_jobs} cached, "
             f"{outcome.computed_seconds:.1f}s job time, "
-            f"{time.time() - started:.1f}s wall{recovery}]",
+            f"{time.time() - started:.1f}s wall]",
             file=progress,
         )
-    if report is not None and not report.ok:
+    if not report.ok:
         if progress is not None:
             print(report.format(), file=progress)
         raise RunFailure(report, tables=results)
     return results
+
+
+def _training_runs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
+def _scale(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text}")
+    return value
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -223,9 +216,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=1.0,
-        help="workload input scale (default 1.0; smaller = faster)",
+        help="workload input scale, > 0 (default 1.0; smaller = faster)",
     )
     parser.add_argument(
         "--jobs",
@@ -248,37 +241,15 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--training-runs",
-        type=int,
+        type=_training_runs,
         default=5,
-        help="number of training input sets to profile (default 5)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="extra attempts per failed/timed-out cell (default 0; retries "
-        "back off exponentially with deterministic per-job jitter)",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per pool attempt; a timed-out attempt is "
-        "retried and the stuck worker pool rebuilt (default: unbounded)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help="inject deterministic faults for testing recovery: a named plan "
-        "(e.g. ci-smoke), inline JSON, or a path/@path to a JSON plan",
+        help="number of training input sets to profile, >= 1 (default 5)",
     )
     parser.add_argument(
         "--report-json",
         default=None,
         metavar="PATH",
-        help="write the structured RunReport (per-job status, attempts, "
+        help="write the structured RunReport (per-job status, seconds, "
         "causes) here as JSON",
     )
     parser.add_argument(
@@ -324,16 +295,6 @@ def run_from_arguments(
     if names == ["all"]:
         names = list(EXPERIMENTS)
 
-    fault_plan = arguments.fault_plan
-    if fault_plan is not None and fault_plan not in faults.NAMED_PLANS:
-        # Named plans are generated against the job graph later; every
-        # other spelling can be validated before any work starts.
-        try:
-            fault_plan = faults.resolve_plan(fault_plan)
-        except (TypeError, ValueError, OSError) as error:
-            print(f"invalid --fault-plan: {error}", file=stderr)
-            return 2
-
     context = ExperimentContext(
         scale=arguments.scale,
         training_runs=arguments.training_runs,
@@ -350,10 +311,6 @@ def run_from_arguments(
             chart=arguments.chart,
             jobs=arguments.jobs,
             progress=None if arguments.quiet else stderr,
-            retry=RetryPolicy.from_cli(
-                retries=arguments.retries, job_timeout=arguments.job_timeout
-            ),
-            fault_plan=fault_plan,
             report_path=arguments.report_json,
         )
     except RunFailure as failure:

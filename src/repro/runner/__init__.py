@@ -24,19 +24,17 @@ Layering (no module imports upward):
   / TSV.
 * :mod:`~repro.runner.jobs` — the job graph and its builder; a job names
   its context cell as ``(kind, name, *params)``.
-* :mod:`~repro.runner.retry` — :class:`RetryPolicy` (attempts, per-job
-  timeouts, deterministic backoff jitter) and the structured
-  :class:`RunReport` every run ends with.
-* :mod:`~repro.runner.faults` — seeded, env-propagated
-  :class:`FaultPlan` schedules (crash / hang / corrupt / transient) for
-  deterministic fault injection.
+* :mod:`~repro.runner.report` — the structured :class:`RunReport`
+  every run ends with (per-job status, seconds, causes) and
+  :class:`RunFailure`.
 * :mod:`~repro.runner.worker` — the picklable job entry points executed
   in pool processes: prime the dependency cells into a per-process
   context, compute the job's cell, return it encoded.
-* :mod:`~repro.runner.executor` — serial and process-pool scheduling
-  with retries, timeout-driven pool rebuilds and graceful degradation;
-  per-job timing, progress lines, deterministic result ordering.  It
-  asks the context for a disk hit before launching a job.
+* :mod:`~repro.runner.executor` — serial and process-pool scheduling,
+  one attempt per job: a failed job's dependents are skipped, and a
+  broken pool's lost jobs rerun in-process; per-job timing, progress
+  lines, deterministic result ordering.  It asks the context for a disk
+  hit before launching a job.
 
 Typical use (what ``python -m repro experiments`` does)::
 
@@ -52,28 +50,22 @@ Typical use (what ``python -m repro experiments`` does)::
 """
 
 from .cache import ArtifactCache, default_cache_dir
-from .faults import Fault, FaultPlan, TransientFault, resolve_plan
 from .jobs import CELL_KINDS, Job, JobGraph, build_experiment_graph
-from .retry import JobReport, RetryPolicy, RunFailure, RunReport
+from .report import JobReport, RunFailure, RunReport
 
 __all__ = [
     "ArtifactCache",
     "CELL_KINDS",
     "ExecutionOutcome",
-    "Fault",
-    "FaultPlan",
     "Job",
     "JobGraph",
     "JobRecord",
     "JobReport",
-    "RetryPolicy",
     "RunFailure",
     "RunReport",
-    "TransientFault",
     "build_experiment_graph",
     "default_cache_dir",
     "execute_graph",
-    "resolve_plan",
 ]
 
 

@@ -21,7 +21,7 @@ import time
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..telemetry import Telemetry, get_registry, use_registry
-from . import faults, serialize
+from . import serialize
 from .jobs import Job
 
 #: Per-process contexts, keyed by :func:`spec_key` of the parent config.
@@ -91,7 +91,7 @@ def compute_value(job: Job, context):
 
 
 def run_pool_job(
-    spec: dict, job: Job, dep_items: Sequence[Tuple[Job, str]], attempt: int = 1
+    spec: dict, job: Job, dep_items: Sequence[Tuple[Job, str]]
 ) -> Tuple[float, str, Optional[dict]]:
     """Pool entry point: prime dependencies, compute, return encoded.
 
@@ -101,18 +101,8 @@ def run_pool_job(
     When the coordinator's registry is live, the job runs under a fresh
     per-job registry whose snapshot rides back for merging; totals over a
     parallel run therefore equal a serial run's.
-
-    ``attempt`` is the coordinator's 1-based attempt number for this
-    job.  It keys the deterministic fault schedule (the env-passed
-    :class:`~repro.runner.faults.FaultPlan`, if any, is consulted before
-    computing and may raise, crash, stall, or mangle the payload) and
-    names the per-attempt telemetry span.
     """
     context = resolve_context(spec)
-    plan = faults.active_plan()
-    fault = (
-        plan.fire(job.job_id, attempt, in_worker=True) if plan is not None else None
-    )
     for dep_job, payload in dep_items:
         context.prime(dep_job.cell(), payload)
     # The coordinator probed the disk before launching this job.
@@ -130,7 +120,4 @@ def run_pool_job(
         value = compute_value(job, context)
         seconds = time.perf_counter() - started
         snapshot = None
-    payload = serialize.encode(job.kind, value)
-    if fault is not None and fault.kind == "corrupt":
-        payload = faults.corrupt_payload(payload)
-    return seconds, payload, snapshot
+    return seconds, serialize.encode(job.kind, value), snapshot

@@ -20,7 +20,7 @@ Layering — the service is a thin shell over the batch CLI:
   are the batch command's stdout and stderr.
 * :mod:`repro.service.server` — the stdlib-asyncio HTTP daemon:
   streaming (chunked) result delivery and graceful drain into a
-  :class:`~repro.runner.retry.RunReport`.
+  :class:`~repro.runner.report.RunReport`.
 * :mod:`repro.service.client` — the synchronous client library used by
   ``python -m repro client``.
 """

@@ -2,7 +2,7 @@
 
 ``serve`` runs the daemon in the foreground until drained (SIGINT/
 SIGTERM or a client ``shutdown``), then prints the session's
-:class:`~repro.runner.retry.RunReport` summary and exits with its
+:class:`~repro.runner.report.RunReport` summary and exits with its
 status.  ``client`` takes a batch command line — ``repro client
 [--host --port --tenant --priority --timeout] compile demo.mc -o
 demo.asm`` — uploads the files it names, and writes the job's output
@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cli import CommandIO, build_parser, input_files
 from ..runner.cache import default_cache_dir
-from ..runner.retry import RetryPolicy
 from ..telemetry import enable as enable_telemetry
 from .api import INVALID_JOB, ApiError, Job
 from .client import ServiceClient
@@ -71,14 +70,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="keep traces and artifacts memory-only",
     )
     parser.add_argument(
-        "--retries", type=int, default=0,
-        help="extra attempts per failed job (default 0)",
-    )
-    parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="reserved per-attempt budget recorded in the retry policy",
-    )
-    parser.add_argument(
         "--report-json", default=None, metavar="PATH",
         help="write the drain RunReport here as JSON",
     )
@@ -91,13 +82,7 @@ def run_serve(arguments: argparse.Namespace) -> int:
         store_dir: Optional[Path] = Path(arguments.store_dir)
     else:
         store_dir = (cache_dir / "traces") if cache_dir is not None else None
-    engine = ServiceEngine(
-        store_dir=store_dir,
-        cache_dir=cache_dir,
-        retry=RetryPolicy.from_cli(
-            retries=arguments.retries, job_timeout=arguments.job_timeout
-        ),
-    )
+    engine = ServiceEngine(store_dir=store_dir, cache_dir=cache_dir)
     server = ServiceServer(
         engine=engine,
         host=arguments.host,

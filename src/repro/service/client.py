@@ -29,7 +29,7 @@ import http.client
 import json
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from ..runner.retry import JobReport, RunReport
+from ..runner.report import JobReport, RunReport
 from . import api
 from .api import (
     ApiError,
@@ -168,11 +168,7 @@ class ServiceClient:
         status, payload = self._request("POST", api.SHUTDOWN_PATH)
         checked = self._check(status, payload)
         report_dict = checked.get("report") or {}
-        report = RunReport(
-            retries=int(report_dict.get("retries", 0)),
-            timeouts=int(report_dict.get("timeouts", 0)),
-            pool_rebuilds=int(report_dict.get("pool_rebuilds", 0)),
-        )
+        report = RunReport()
         for entry in report_dict.get("jobs", []):
             report.jobs.append(
                 JobReport(

@@ -2,9 +2,9 @@
 
 One :class:`ServiceEngine` owns what every tenant shares: the
 content-addressed :class:`~repro.machine.TraceStore` (capture a trace
-once, every later job replays it), the artifact-cache directory that
-experiment jobs use, and the :class:`~repro.runner.retry.RetryPolicy`
-under which the server re-runs failed attempts.
+once, every later job replays it) and the artifact-cache directory that
+experiment jobs use.  Each job runs once: a job is deterministic, so a
+failure is reported, never retried.
 
 A job is a batch command line plus its files
 (:class:`~repro.service.api.Job`).  :meth:`ServiceEngine.admit` parses
@@ -35,11 +35,10 @@ from .. import cli
 from ..lang import CompileError
 from ..machine import ExecutionError, TraceStore
 from ..profiling import ProfileFormatError
-from ..runner.retry import RetryPolicy
 from ..telemetry import get_registry
 from .api import EXECUTION_ERROR, INVALID_JOB, ApiError, Job
 
-#: Exceptions that mean the *job* is wrong, not the server — never retried.
+#: Exceptions that mean the *job* is wrong, not the server.
 _JOB_FAULTS = (CompileError, ProfileFormatError, SyntaxError, ValueError, KeyError)
 
 #: The batch commands a service job may run.
@@ -54,7 +53,6 @@ _DENIED = {
     "output_dir": "--output-dir",
     "report_json": "--report-json",
     "report": "--report",
-    "fault_plan": "--fault-plan",
     "sketch": "--sketch",
     "quantize": "--quantize",
 }
@@ -78,18 +76,15 @@ class ServiceEngine:
             keeps traces memory-only).
         cache_dir: on-disk root of the artifact cache shared by
             experiment jobs (``None`` disables it).
-        retry: policy under which the server re-runs failed attempts.
     """
 
     def __init__(
         self,
         store_dir: Optional[Path] = None,
         cache_dir: Optional[Path] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.store_dir = Path(store_dir) if store_dir else None
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.retry = retry or RetryPolicy()
         self.traces = TraceStore(self.store_dir)
         # Built once: building takes milliseconds, parsing microseconds.
         self.parser = cli.build_parser(_JobParser)
@@ -131,8 +126,8 @@ class ServiceEngine:
         succeed (exit status 2, a ``SystemExit`` message, or one of
         ``_JOB_FAULTS``), ``execution-error`` for any other non-zero exit
         status or a run the machine terminated.  The error message is
-        the command's log.  Any other exception is a transient
-        server-side failure eligible for retry.
+        the command's log.  Any other exception propagates; the server
+        fails the job as ``internal-error``.
         """
         telemetry = get_registry()
         started = time.perf_counter()

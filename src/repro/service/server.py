@@ -29,8 +29,10 @@ equal the batch CLI's output exactly.
 
 Graceful shutdown (``POST /v1/shutdown`` or SIGINT) closes admissions,
 drains every admitted job to a terminal state, and reports the whole
-service session as a :class:`~repro.runner.retry.RunReport` (schema
-``repro-run/1``) — the same artifact a batch engine run produces.
+service session as a :class:`~repro.runner.report.RunReport` (schema
+``repro-run/2``) — the same artifact a batch engine run produces.  Each
+job runs once: a typed :class:`~repro.service.api.ApiError` fails it
+with its code, any other exception as ``internal-error``.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..runner.retry import (
+from ..runner.report import (
     FAILED as RUN_FAILED,
     JobReport,
     OK as RUN_OK,
-    RetryPolicy,
     RunReport,
     SKIPPED as RUN_SKIPPED,
 )
@@ -113,7 +114,7 @@ class JobEntry:
         )
 
     def report(self) -> JobReport:
-        """This job as one :class:`~repro.runner.retry.RunReport` entry."""
+        """This job as one :class:`~repro.runner.report.RunReport` entry."""
         status = {api.DONE: RUN_OK, api.FAILED: RUN_FAILED}.get(self.state, RUN_SKIPPED)
         causes: Tuple[str, ...] = ()
         if self.error is not None:
@@ -165,7 +166,6 @@ class ServiceServer:
         self._entries: Dict[str, JobEntry] = {}
         self._order: List[str] = []
         self._sequence = 0
-        self._retries = 0
         self._queue: Optional[JobQueue] = None
         self._changed: Optional[asyncio.Condition] = None
         self._stopping: Optional[asyncio.Event] = None
@@ -229,7 +229,7 @@ class ServiceServer:
         return report
 
     def _build_report(self) -> RunReport:
-        report = RunReport(retries=self._retries)
+        report = RunReport()
         for job_id in self._order:
             report.jobs.append(self._entries[job_id].report())
         return report
@@ -256,34 +256,17 @@ class ServiceServer:
             await self._run_entry(entry)
 
     async def _run_entry(self, entry: JobEntry) -> None:
-        policy = self.engine.retry
         started = time.perf_counter()
         await self._transition(entry, api.RUNNING)
-        for attempt in range(1, policy.max_attempts + 1):
-            entry.attempts = attempt
-            try:
-                output, log = await self._loop.run_in_executor(
-                    self._pool, self.engine.execute, entry.job, entry.arguments
-                )
-            except ApiError as error:
-                # A typed failure is deterministic — the job payload or
-                # the simulated machine, not the server — so retrying
-                # cannot help.
-                entry.error = error.to_info()
-                break
-            except Exception as error:  # noqa: BLE001 - boundary: anything else is transient
-                entry.error = ErrorInfo(
-                    api.INTERNAL_ERROR, f"{type(error).__name__}: {error}"
-                )
-                if attempt < policy.max_attempts:
-                    self._retries += 1
-                    get_registry().counter("serve.retries").add(1)
-                    await asyncio.sleep(policy.backoff_seconds(entry.job_id, attempt))
-            else:
-                entry.output = output
-                entry.log = log
-                entry.error = None
-                break
+        entry.attempts = 1
+        try:
+            entry.output, entry.log = await self._loop.run_in_executor(
+                self._pool, self.engine.execute, entry.job, entry.arguments
+            )
+        except ApiError as error:
+            entry.error = error.to_info()
+        except Exception as error:  # noqa: BLE001 - boundary: fail the job, not the server
+            entry.error = ErrorInfo(api.INTERNAL_ERROR, f"{type(error).__name__}: {error}")
         entry.seconds = time.perf_counter() - started
         self._queue.release(entry.tenant)
         await self._transition(

@@ -17,11 +17,10 @@ Instrumented layers (all publish in bulk, never per record):
   corrupt entries and stores, per-job compute time and queue latency
   (:mod:`repro.runner`).  Pool workers snapshot their registries and the
   coordinator merges them, so parallel runs roll up like serial ones.
-  Fault-tolerance counters ride alongside: ``runner.retries``,
-  ``runner.timeouts``, ``runner.pool_rebuilds``, ``runner.cache.corrupt``
-  and ``runner.jobs_failed`` / ``runner.jobs_skipped``, plus per-attempt
-  ``attempt:<kind>`` spans.  Only metrics from *committed* attempts are
-  merged — a retried run's totals equal a clean run's.
+  Degraded-run counters ride alongside: ``runner.cache.corrupt`` and
+  ``runner.jobs_failed`` / ``runner.jobs_skipped``, plus per-job
+  ``attempt:<kind>`` spans.  A pool job's metrics are merged only once
+  its result decodes.
 * ``experiments`` spans — per-phase (build/execute/emit) rollups
   (:mod:`repro.experiments.runner`).
 

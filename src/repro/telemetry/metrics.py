@@ -80,15 +80,12 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "classify.train",
         "classify.predictions",
         "classify.predict",
-        # runner: the parallel experiment engine and its recovery paths.
+        # runner: the parallel experiment engine and its degraded runs.
         "runner.jobs",
         "runner.jobs_cached",
         "runner.jobs_failed",
         "runner.jobs_skipped",
         "runner.queue_wait",
-        "runner.retries",
-        "runner.timeouts",
-        "runner.pool_rebuilds",
         "runner.cache.corrupt",
         # experiments: suite-level rollups.
         "experiments.tables",
@@ -100,7 +97,6 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "serve.queue_depth",
         "serve.jobs",
         "serve.jobs_failed",
-        "serve.retries",
         "serve.job_latency",
         "serve.drains",
     }

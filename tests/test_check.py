@@ -118,7 +118,7 @@ class TestOracle:
 
     def test_clean_repo_passes_runner_pairs(self):
         report = run_oracle(seeds=(), budget=BUDGET,
-                            pairs=["runner-parallel", "runner-faulty"])
+                            pairs=["runner-parallel"])
         assert report.passed, report.format_text()
 
     def test_unknown_pair_rejected(self):
@@ -291,7 +291,7 @@ class TestCheckCli:
     def test_list_pairs(self, capsys):
         assert check_main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "batch-vs-record" in out and "runner-faulty" in out
+        assert "batch-vs-record" in out and "runner-parallel" in out
 
     def test_lint_only(self, capsys):
         assert check_main(["--no-oracle"]) == 0

@@ -1,17 +1,23 @@
 """Tests for the parallel experiment engine (:mod:`repro.runner`).
 
-Covers the three load-bearing guarantees:
+Covers the load-bearing guarantees:
 
 * ``--jobs N`` is byte-for-byte identical to a serial run,
 * an unchanged configuration hits the content-addressed cache,
 * cache keys change with the program text, the inputs and the scale,
-  and a corrupt cache entry is discarded and recomputed, never trusted.
+  and a corrupt cache entry is discarded and recomputed, never trusted,
+* a run with a failing job degrades: the job fails once, exactly its
+  transitive dependents are skipped, everything else completes, and a
+  pool that breaks mid-run finishes its lost jobs in-process.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -20,10 +26,17 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import run_experiments
 from repro.ilp import IlpConfig
 from repro.runner import ArtifactCache, build_experiment_graph, keys
-from repro.runner.executor import execute_graph, resolve_jobs
-from repro.runner.faults import Fault, FaultPlan
-from repro.runner.jobs import Job, JobGraph
-from repro.runner.retry import RetryPolicy
+from repro.runner import executor
+from repro.runner.executor import POOL_BROKE, execute_graph, resolve_jobs
+from repro.runner.jobs import (
+    Job,
+    JobGraph,
+    annotate_id,
+    classify_id,
+    compile_id,
+    profile_id,
+)
+from repro.runner.report import JobReport, RunReport
 from repro.telemetry import Telemetry, use_registry
 
 THRESHOLDS = (90.0, 50.0)
@@ -171,10 +184,10 @@ class TestGraph:
 EXPERIMENT = "fig-4.2"
 
 
-def run_engine(jobs=1, cache_dir=None, **engine_options):
+def run_engine(jobs=1, cache_dir=None):
     context = make_context(cache_dir=cache_dir)
     graph = build_experiment_graph([EXPERIMENT], context)
-    outcome = execute_graph(graph, context, jobs=jobs, **engine_options)
+    outcome = execute_graph(graph, context, jobs=jobs)
     return outcome, outcome.tables[EXPERIMENT].to_tsv()
 
 
@@ -221,20 +234,8 @@ class TestEngine:
         pooled_tsv = (tmp_path / "pooled" / f"{stem}.tsv").read_text()
         assert serial_tsv == pooled_tsv
 
-    def test_differential_serial_parallel_faulty(self):
-        """Serial, parallel, and fault-injected parallel runs agree.
-
-        The three runs must produce byte-identical tables and identical
-        job-outcome telemetry totals — the only counters allowed to
-        differ are the recovery ones (``runner.retries`` etc.), which is
-        exactly what "faults are invisible once recovered" means.
-        """
-        plan = FaultPlan(
-            [
-                Fault("transient", "profile:129.compress:0", 1),
-                Fault("transient", "profile:107.mgrid:1", 1),
-            ]
-        )
+    def test_differential_serial_parallel(self):
+        """Serial and parallel runs agree on tables and telemetry totals."""
         watched = (
             "machine.instructions",
             "profiling.records",
@@ -243,20 +244,16 @@ class TestEngine:
             "runner.jobs_cached",
         )
         totals, tsvs = [], []
-        for jobs, fault_plan in ((1, None), (2, None), (2, plan)):
+        for jobs in (1, 2):
             registry = Telemetry()
             with use_registry(registry):
-                outcome, tsv = run_engine(
-                    jobs=jobs,
-                    retry=RetryPolicy(max_attempts=3),
-                    fault_plan=fault_plan,
-                )
+                outcome, tsv = run_engine(jobs=jobs)
             assert outcome.report.ok, outcome.report.format()
             counters = registry.snapshot()["counters"]
             totals.append({name: counters.get(name, 0) for name in watched})
             tsvs.append(tsv)
-        assert tsvs[0] == tsvs[1] == tsvs[2]
-        assert totals[0] == totals[1] == totals[2]
+        assert tsvs[0] == tsvs[1]
+        assert totals[0] == totals[1]
 
     def test_queue_wait_bounded_by_wall_clock(self):
         """Regression: summed ``runner.queue_wait`` must stay below wall time.
@@ -367,3 +364,183 @@ class TestDeadlockDiagnostic:
         assert "profile:w:0 (waiting on: profile:w:1)" in message
         assert "profile:w:1 (waiting on: profile:w:0)" in message
         assert "dependency cycle" in message
+
+
+MISSING = "000.missing"  # not a registered workload: its profile job raises
+GOOD = ("129.compress", "107.mgrid")
+
+
+def degraded_graph() -> JobGraph:
+    """Two workloads' compile → profile → annotate → classify chains, plus
+    a profile job for an unregistered workload with its own chain.
+
+    The missing workload's profile job raises ``KeyError`` wherever it
+    runs — in the coordinator at ``jobs=1``, in a pool worker at ``2``.
+    """
+    graph = JobGraph()
+    for workload in GOOD:
+        graph.add(Job(compile_id(workload), "compile", workload, inline=True))
+    chains = [(workload, (compile_id(workload),), 2) for workload in GOOD]
+    chains.append((MISSING, (), 1))
+    for workload, profile_deps, runs in chains:
+        profiles = tuple(
+            graph.add(
+                Job(
+                    profile_id(workload, run_index),
+                    "profile",
+                    workload,
+                    params=(run_index,),
+                    deps=profile_deps,
+                )
+            ).job_id
+            for run_index in range(runs)
+        )
+        annotate = graph.add(
+            Job(annotate_id(workload, 90.0), "annotate", workload,
+                params=(90.0,), deps=profiles)
+        )
+        graph.add(
+            Job(classify_id(workload), "classify", workload, deps=(annotate.job_id,))
+        )
+    return graph
+
+
+def statuses(report) -> dict:
+    return {entry.job_id: entry.status for entry in report.jobs}
+
+
+class TestDegradedRun:
+    """One failing job: it fails once, its dependents skip, the rest run."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_and_skipped_sets_are_exact(self, jobs):
+        graph = degraded_graph()
+        outcome = execute_graph(graph, make_context(), jobs=jobs)
+        report = outcome.report
+        assert not report.ok and report.exit_code == 1
+        victim = profile_id(MISSING, 0)
+        skipped = {annotate_id(MISSING, 90.0), classify_id(MISSING)}
+        assert [entry.job_id for entry in report.failed] == [victim]
+        assert {entry.job_id for entry in report.skipped} == skipped
+        assert set(graph.transitive_dependents(victim)) == skipped
+        for job_id, status in statuses(report).items():
+            if job_id != victim and job_id not in skipped:
+                assert status == "ok", job_id
+        failed = report.job(victim)
+        assert failed.attempts == 1
+        assert len(failed.causes) == 1 and failed.causes[0].startswith("KeyError:")
+        assert MISSING in failed.causes[0]
+        for job_id in skipped:
+            assert report.job(job_id).attempts == 0
+            assert report.job(job_id).causes == (f"dependency {victim} failed",)
+        assert all(classify_id(workload) in outcome.values for workload in GOOD)
+
+
+class _BreakingPool:
+    """A stand-in process pool that delivers one result, then breaks.
+
+    The first submission runs in-process; the next comes back lost, as
+    an in-flight job does when a worker dies, and every later
+    submission raises like a real broken pool.
+    """
+
+    instances = []
+
+    def __init__(self, max_workers):
+        self.submitted = 0
+        self.instances.append(self)
+
+    def submit(self, function, *args):
+        self.submitted += 1
+        future = Future()
+        if self.submitted == 1:
+            future.set_result(function(*args))
+        elif self.submitted == 2:
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            raise BrokenProcessPool("pool is broken")
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenPool:
+    def test_broken_pool_finishes_in_process(self, monkeypatch):
+        serial = execute_graph(
+            build_experiment_graph([EXPERIMENT], make_context()), make_context()
+        )
+        _BreakingPool.instances.clear()
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", _BreakingPool)
+        context = make_context()
+        graph = build_experiment_graph([EXPERIMENT], context)
+        broken = execute_graph(graph, context, jobs=2)
+        # One pool, never rebuilt, and it saw exactly its two jobs.
+        assert [pool.submitted for pool in _BreakingPool.instances] == [2]
+        assert broken.tables[EXPERIMENT].to_tsv() == serial.tables[EXPERIMENT].to_tsv()
+        assert statuses(broken.report) == statuses(serial.report)
+        assert broken.report.ok
+        pool_jobs = [job.job_id for job in graph.order() if not job.inline]
+        lost = [entry.job_id for entry in broken.report.jobs if entry.causes]
+        assert lost == [pool_jobs[1]]
+        assert broken.report.job(pool_jobs[1]).causes == (POOL_BROKE,)
+
+
+class TestRunReport:
+    def report(self) -> RunReport:
+        return RunReport(
+            jobs=[
+                JobReport("compile:w", "compile", "compile(w)", "ok", 1, 0.1),
+                JobReport(
+                    "profile:w:0",
+                    "profile",
+                    "profile(w, run 0)",
+                    "failed",
+                    1,
+                    3.5,
+                    causes=("KeyError: unknown workload 'w'",),
+                ),
+                JobReport(
+                    "classify:w",
+                    "classify",
+                    "classify(w)",
+                    "skipped",
+                    0,
+                    0.0,
+                    causes=("dependency profile:w:0 failed",),
+                ),
+            ]
+        )
+
+    def test_counts_and_status(self):
+        report = self.report()
+        assert report.counts() == {"ok": 1, "cached": 0, "failed": 1, "skipped": 1}
+        assert not report.ok
+        assert report.exit_code == 1
+        assert [entry.job_id for entry in report.failed] == ["profile:w:0"]
+        assert [entry.job_id for entry in report.skipped] == ["classify:w"]
+        assert report.job("compile:w").status == "ok"
+        assert report.job("missing") is None
+
+    def test_format_names_failures_and_causes(self):
+        text = self.report().format()
+        assert text.splitlines()[0] == (
+            "run report: 3 jobs — 1 ok, 0 cached, 1 failed, 1 skipped"
+        )
+        assert "profile:w:0 — 3.50s" in text
+        assert "KeyError: unknown workload 'w'" in text
+        assert "classify:w — dependency profile:w:0 failed" in text
+
+    def test_json_schema(self):
+        payload = json.loads(self.report().to_json())
+        assert payload["schema"] == "repro-run/2"
+        assert set(payload) == {"schema", "counts", "jobs"}
+        assert payload["counts"]["failed"] == 1
+        assert payload["jobs"][1]["causes"] == ["KeyError: unknown workload 'w'"]
+        assert set(payload["jobs"][0]) == {
+            "job_id", "kind", "label", "status", "attempts", "seconds", "causes",
+        }
+
+    def test_empty_run_is_ok(self):
+        report = RunReport()
+        assert report.ok and report.exit_code == 0

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from repro.experiments.runner import EXPERIMENTS, main, run_experiments
-from repro.runner.faults import Fault, FaultPlan
 
 
 class TestRegistry:
@@ -53,25 +52,23 @@ class TestCli:
         assert "[fig-4.2 finished in " in captured.err
 
 class TestDegradedRun:
-    """A run that exhausts retries exits 1 with a report, not a traceback."""
+    """A run with a failing job exits 1 with a report, not a traceback."""
 
-    PLAN = FaultPlan(
-        [
-            Fault("transient", "experiment:fig-4.2", 1),
-            Fault("transient", "experiment:fig-4.2", 2),
-        ]
-    )
-
-    def test_invalid_fault_plan_rejected_cleanly(self, capsys):
-        code = main(["fig-4.2", "--fault-plan", "no-such-plan", "--quiet"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "invalid --fault-plan" in err and "ci-smoke" in err
-        assert "Traceback" not in err
-
-    def test_cli_exits_nonzero_with_report(self, tmp_path, capsys):
+    def test_cli_exits_nonzero_with_report(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main as repro_main
+        from repro.experiments import runner as experiments_runner
 
+        real_build = experiments_runner.build_experiment_graph
+
+        def build_with_missing_workload(names, context):
+            # An unregistered workload: its compile job raises.
+            return real_build(
+                names, context, workload_names=("129.compress", "000.missing")
+            )
+
+        monkeypatch.setattr(
+            experiments_runner, "build_experiment_graph", build_with_missing_workload
+        )
         report_path = tmp_path / "report.json"
         code = repro_main(
             [
@@ -82,11 +79,7 @@ class TestDegradedRun:
                 "--training-runs",
                 "2",
                 "--no-cache",
-                "--retries",
-                "1",
                 "--quiet",
-                "--fault-plan",
-                self.PLAN.to_json(),
                 "--report-json",
                 str(report_path),
             ]
@@ -95,17 +88,47 @@ class TestDegradedRun:
         captured = capsys.readouterr()
         # The structured report is the primary output of a degraded run.
         assert "run report:" in captured.err
-        assert "experiment:fig-4.2" in captured.err
+        assert "compile:000.missing" in captured.err
         assert "run failed: 1 job(s) failed" in captured.err
         assert "Traceback" not in captured.err and "Traceback" not in captured.out
         payload = json.loads(report_path.read_text(encoding="utf-8"))
-        assert payload["schema"] == "repro-run/1"
+        assert payload["schema"] == "repro-run/2"
         assert payload["counts"]["failed"] == 1
-        failed = [
-            entry for entry in payload["jobs"] if entry["status"] == "failed"
-        ]
-        assert [entry["job_id"] for entry in failed] == ["experiment:fig-4.2"]
-        assert payload["retries"] == 1
+        failed = [entry for entry in payload["jobs"] if entry["status"] == "failed"]
+        assert [entry["job_id"] for entry in failed] == ["compile:000.missing"]
+        skipped = {entry["job_id"] for entry in payload["jobs"]
+                   if entry["status"] == "skipped"}
+        assert "experiment:fig-4.2" in skipped
+        assert all(job_id.split(":")[1] in ("000.missing", "fig-4.2")
+                   for job_id in skipped)
+
+
+class TestOptionRanges:
+    """Out-of-range options are usage errors before any job runs."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--training-runs", "0", "must be an integer >= 1, got 0"),
+            ("--training-runs", "-2", "must be an integer >= 1, got -2"),
+            ("--scale", "0", "must be a number > 0, got 0"),
+            ("--scale", "-1", "must be a number > 0, got -1"),
+        ],
+    )
+    def test_rejected_by_parser(self, flag, value, message, capsys, monkeypatch):
+        from repro.cli import main as repro_main
+        from repro.experiments import runner as experiments_runner
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(experiments_runner, "run_experiments", no_run)
+        with pytest.raises(SystemExit) as info:
+            repro_main(["experiments", "fig-2.2", flag, value, "--no-cache"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestReport:

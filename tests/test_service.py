@@ -21,7 +21,6 @@ import pytest
 from repro.cli import main
 from repro.isa import assemble
 from repro.profiling import collect_profile, dumps_profile, merge_profiles
-from repro.runner.retry import RetryPolicy
 from repro.service import api
 from repro.service.api import ApiError, CompileJob, Job, ProfileJob
 from repro.service.cli import build_job
@@ -323,8 +322,6 @@ SANDBOX_CASES = [
      "--cache-dir"),
     ("--report-json", Job(("experiments", "fig-4.2", "--report-json", "r.json")),
      "--report-json"),
-    ("--fault-plan", Job(("experiments", "fig-4.2", "--fault-plan", "@plan.json")),
-     "--fault-plan"),
     ("--report", Job(("fuse", "demo.asm", "--report", "r.json"), PROGRAM), "--report"),
     ("--sketch", Job(("fuse", "demo.asm", "--sketch", "-o", "m.sketch"), PROGRAM),
      "--sketch"),
@@ -399,14 +396,21 @@ def test_usage_errors_come_back_as_invalid_job(job, message, service, capfd):
     assert captured.out == "" and captured.err == ""
 
 
+def test_out_of_range_experiment_option_refused_at_submit(service):
+    job = Job(("experiments", "fig-4.2", "--training-runs", "0"))
+    with pytest.raises(ApiError) as info:
+        service.submit(job, tenant="usage")
+    assert info.value.code == api.INVALID_JOB
+    assert "argument --training-runs: must be an integer >= 1, got 0" in info.value.message
+
+
 # -- admission control and drain, with a controllable engine ----------------
 
 
 class GatedEngine:
     """A stand-in engine whose jobs block until the test releases them."""
 
-    def __init__(self, retry=None, output="gated-output"):
-        self.retry = retry or RetryPolicy()
+    def __init__(self, output="gated-output"):
         self.gate = threading.Event()
         self.output = output
         self.failures = 0
@@ -420,7 +424,7 @@ class GatedEngine:
             raise RuntimeError("gate never opened")
         if self.failures > 0:
             self.failures -= 1
-            raise RuntimeError("transient fault for the retry test")
+            raise RuntimeError("engine fault")
         self.order.append(job.argv[1])
         return self.output, f"{job.kind} log\n"
 
@@ -544,23 +548,32 @@ class TestDrain:
             thread.join(timeout=30)
 
 
-class TestRetries:
-    def test_transient_failure_retried_to_success(self):
-        engine = GatedEngine(
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.001)
-        )
+class TestOneAttempt:
+    def test_unexpected_exception_fails_job_once(self):
+        """An untyped engine exception fails the job as internal-error,
+        after one attempt, and the server keeps serving."""
+        engine = GatedEngine()
         engine.failures = 1
         engine.gate.set()
         server = ServiceServer(engine=engine, workers=1)
         thread = server.run_in_thread()
         client = ServiceClient("127.0.0.1", server.port, timeout=60.0)
         try:
-            reply = client.submit(JOB, tenant="alice")
-            result = client.result(reply.job_id)
-            assert result.state == api.DONE
-            assert client.status(reply.job_id).attempts == 2
+            failed = client.submit(JOB, tenant="alice")
+            with pytest.raises(ApiError) as info:
+                client.result(failed.job_id)
+            assert info.value.code == api.INTERNAL_ERROR
+            assert "RuntimeError: engine fault" in info.value.message
+            status = client.status(failed.job_id)
+            assert (status.state, status.attempts) == (api.FAILED, 1)
+            later = client.submit(JOB, tenant="alice")
+            assert client.result(later.job_id).state == api.DONE
             report = client.shutdown()
-            assert report.retries == 1
+            assert report.to_dict()["schema"] == "repro-run/2"
+            assert [entry.status for entry in report.jobs] == ["failed", "ok"]
+            assert report.jobs[0].causes == (
+                f"{api.INTERNAL_ERROR}: RuntimeError: engine fault",
+            )
         finally:
             if server.report is None:
                 client.shutdown()

@@ -16,7 +16,9 @@ from repro.lang import compile_source
 from repro.machine import TraceStore
 from repro.machine.executor import DEFAULT_BUDGET
 from repro.machine.tracestore import PackedTrace, trace_key
-from repro.runner.faults import CORRUPTION_PREFIX, corrupt_payload
+
+#: Prepended to a committed entry; no trace codec accepts it.
+CORRUPTION_PREFIX = b"\x00corrupted\n"
 
 SOURCE = """
 int t[8];
@@ -142,19 +144,18 @@ class TestConcurrentWriters:
         assert PackedTrace.from_bytes(path.read_bytes()).records == len(recovered)
 
     def test_fault_injected_corruption_is_a_miss(self, tmp_path):
-        # Reuse the PR 3 fault-injection corruption model: the committed
-        # payload gets the canonical corruption prefix every codec rejects.
+        # A committed entry with a prefix no codec accepts is a miss, and
+        # the next capture rewrites a good entry in its place.
         program = build_program()
         store = TraceStore(tmp_path)
         baseline = consume(store, program)
         (path,) = committed_files(tmp_path)
-        text = path.read_bytes().decode("latin-1")
-        corrupted = corrupt_payload(text)
-        assert corrupted.startswith(CORRUPTION_PREFIX)
-        path.write_bytes(corrupted.encode("latin-1"))
+        good = path.read_bytes()
+        path.write_bytes(CORRUPTION_PREFIX + good)
         reader = TraceStore(tmp_path)
         assert reader.fetch(program, INPUTS) is None
         assert consume(reader, program) == baseline
+        assert path.read_bytes() == good
 
     def test_threaded_readers_share_one_lru(self, tmp_path):
         import threading
