@@ -23,23 +23,22 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
 ``profile-sampled``
     ``collect_profiles`` at ``sample_every`` 1, 2, 3 and 7 (and
     unsampled) under unbounded stride, finite stride and last-value
-    predictors — the inlined and the generic ``access`` batch consumers,
-    freshly captured and replayed from tiny batches — against
+    predictors — the stride kernel and the generic ``access`` batch
+    consumer, freshly captured and replayed from tiny batches — against
     :func:`profile_records`, the per-record reference, down to dumped
     bytes.
 ``simulate-fast-vs-step``
-    ``simulate_prediction_many`` over a fifteen-engine grid — freshly
+    ``simulate_prediction_many`` over a sixteen-engine grid — freshly
     captured and replayed from a capture in tiny batches — against the
     same grid stepped with ``PredictionEngine.step`` on each candidate
-    of a per-record walk.  The grid holds finite and infinite stride
-    tables (inlined consumers, evictions, the shared leader/follower
-    fold) and ``step``-fallback engines.
+    of a per-record walk.  The grid holds finite and infinite stride and
+    last-value tables (the kernel with its FSM counters, evictions, the
+    shared leader/follower fold) and ``step``-fallback engines.
 ``ilp-batch-vs-record``
     ``measure_ilp_many`` scheduling from trace batches — freshly
     captured, captured into a store and replayed from it — against one
     :class:`~repro.ilp.WindowScheduler` per label fed record by record,
-    over an engine grid with finite and infinite stride tables, ``step``
-    fallback engines and no-VP machines; at the default machine, a
+    over the simulate grid and no-VP machines; at the default machine, a
     narrow high-penalty machine without memory dependencies, and a
     budget overrun that must raise the same error.  A replay of the
     run captured in tiny batches puts every batch boundary under test.
@@ -611,10 +610,12 @@ def _engine_grid(program):
     schemes take the inlined consumer, and the static ones among them
     (always, probe-always, probe-profile) fold from the FSM leader's
     accumulators.  Finite set-associative stride tables run the
-    evicting inlined loop, so ``on_evict`` reaches the FSM.  Last-value,
-    two-delta and hybrid engines fall back to ``step``.  Every third
-    candidate stays untagged, so profile allocation filters and
-    membership take policies have addresses to reject.
+    evicting kernel, which must drop an evicted address's FSM counter.
+    Last-value engines take the kernel with the stride held at 0
+    (``finite-lv/profile`` is ablation-hybrid's shape); two-delta and
+    hybrid engines fall back to ``step``.  Every third candidate stays
+    untagged, so profile allocation filters and membership take policies
+    have addresses to reject.
     """
     from ..core.schemes import (
         AlwaysClassification,
@@ -671,6 +672,9 @@ def _engine_grid(program):
         ),
         "lv/fsm": PredictionEngine(
             program, LastValuePredictor(), HardwareClassification()
+        ),
+        "finite-lv/profile": PredictionEngine(
+            program, LastValuePredictor(entries=8, ways=2), profile()
         ),
         "2d/always": PredictionEngine(
             program, TwoDeltaStridePredictor(), AlwaysClassification()
@@ -796,8 +800,8 @@ def _check_simulate_fast(case: CheckCase, budget: int):
 def _ilp_grid(program):
     """The ILP pair's machines: the simulate grid plus two no-VP labels.
 
-    Stride engines (infinite and finite) take the inlined consumer; the
-    last-value, two-delta and hybrid engines fall back to ``step``.
+    Stride and last-value engines (infinite and finite) take the kernel;
+    the two-delta and hybrid engines fall back to ``step``.
     """
     engines = dict(_engine_grid(program))
     engines["novp"] = None
@@ -1101,7 +1105,7 @@ _PAIRS: Tuple[OraclePair, ...] = (
     ),
     OraclePair(
         "simulate-fast-vs-step",
-        "inlined stride consumers and shared fold vs PredictionEngine.step",
+        "stride kernel (stride, last-value, FSM) and shared fold vs step",
         True, _check_simulate_fast,
     ),
     OraclePair(

@@ -12,23 +12,27 @@ plays one step of the predictor + classification-scheme protocol:
    unpredictable instructions from polluting the table).
 
 The same driver serves the infinite-table classification-accuracy study
-(Figures 5.1/5.2), the finite-table pressure study (Figures 5.3/5.4,
-Table 5.1) and, through :func:`engine_consumer`, the ILP model, which
-reads each candidate's (taken, correct) outcome back from the same
-batch consumers.
+(Figures 5.1/5.2), the predictor and table ablations and, through
+:func:`engine_consumer`, the ILP model, which reads each candidate's
+(taken, correct) outcome back from the same batch consumers.  The
+finite-table pressure study (Figures 5.3/5.4) is read from that ILP
+pass: its engines are the same 512-entry 2-way tables under the same
+schemes, so the stream is walked once for both.
 
 The trace is consumed in columnar batches
 (:meth:`~repro.machine.Executor.run_batches`, optionally captured
 into / replayed from a :class:`~repro.machine.TraceStore`), each read
 through :meth:`~repro.machine.TraceBatch.candidates`, the candidate
 walk profiling and the ILP model share.  Engines whose predictor is a
-plain :class:`~repro.predictors.StridePredictor` driven by one of the
+plain :class:`~repro.predictors.StridePredictor` or
+:class:`~repro.predictors.LastValuePredictor` driven by one of the
 stock classification schemes reduce the scheme to membership policies
-and run the stride kernel of :mod:`repro.predictors.stride` — the
-unbounded or the set-associative table walk, the same code phase-2
-profiling runs — which replicates :meth:`PredictionEngine.step`,
-including table LRU/eviction order and the scheme call sequence,
-without per-record object allocation; everything else falls back to
+(or, for the hardware scheme, to saturating counters kept as ints in
+the kernel) and run the stride kernel of :mod:`repro.predictors.stride`
+— the unbounded or the set-associative table walk, the same code
+phase-2 profiling runs — which replicates :meth:`PredictionEngine.step`,
+including table LRU/eviction order and the FSM counters' end state,
+without a per-record Python call; everything else falls back to
 ``step`` per candidate.  The kernel counts into address-keyed slots
 that one fold adds to the engine's statistics and table meters after
 the last batch.  Results are bit-identical either way, with two
@@ -41,11 +45,11 @@ Engines whose predictor evolution is a pure function of the candidate
 stream — an infinite table with unconditional allocation, as in the
 :class:`~repro.core.schemes.ProbeScheme` classification-accuracy study —
 additionally *share* that evolution: one leader engine walks the stream,
-and every sibling whose take policy is static (a constant or an address
-membership test, with a no-op learning rule) folds its statistics from
-the leader's slots at the end and clones the final table state, paying
-zero per-record cost.  The six-engine Figure 5.1/5.2 grid therefore does
-one predictor's work per record, not six.
+and every stride sibling whose take policy is static (a constant or an
+address membership test, no FSM) folds its statistics from the leader's
+slots at the end and clones the final table state, paying zero
+per-record cost.  The six-engine Figure 5.1/5.2 grid therefore does one
+predictor's work per record, not six.
 
 :meth:`PredictionEngine.step` is the reference semantics and the kernel
 consumer, with its shared fold, is the only fast path; the
@@ -64,7 +68,9 @@ from ..isa import Directive, Number, Program
 from ..machine import TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import HybridPredictor, StridePredictor, ValuePredictor
-from ..predictors.stride import StrideEntry, walk_set_associative, walk_unbounded
+from ..predictors.fsm import SaturatingCounter
+from ..predictors.stride import KERNEL_PREDICTORS, StrideEntry
+from ..predictors.stride import walk_set_associative, walk_unbounded
 from ..telemetry import get_registry
 from .results import PredictionStats
 from .schemes import (
@@ -226,12 +232,11 @@ def _build_consumers(engine_list):
 
     Fast-path engines whose predictor evolution is stream-determined (see
     :class:`_SharedStride`) are grouped: one leader keeps its inlined
-    consumer, and every *static* sibling (membership take policy, no-op
-    learning rule) is planned as a finisher-only fold over the leader's
-    accumulators.  A dynamic engine (FSM learning) is preferred as leader
-    since its per-record scheme calls must run anyway.  Follower
-    finishers are ordered before the leader's, which zeroes the shared
-    accumulators when it folds.
+    consumer, and every *static* sibling (membership take policy, no FSM)
+    is planned as a finisher-only fold over the leader's accumulators.  A
+    dynamic engine (FSM counters) is preferred as leader since its walk
+    must run anyway.  Follower finishers are ordered before the leader's,
+    which zeroes the shared accumulators when it folds.
     """
     plans = [(engine, _fast_stride_consumer(engine)) for engine in engine_list]
     shareable = [
@@ -325,9 +330,9 @@ def check_distinct_engines(engines) -> None:
 #: Share handle exposed by a fast consumer whose table evolution is a pure
 #: function of the candidate stream: infinite table, unconditional
 #: allocation, starting empty.  ``static`` additionally marks a take policy
-#: with no per-record state (a constant or ``take_members`` membership,
-#: no-op ``record``) — the whole engine is then a pure function of the
-#: stream and can fold from a leader's slots.
+#: with no per-record state (a constant or ``take_members`` membership, no
+#: FSM) — the whole engine is then a pure function of the stream and can
+#: fold from a leader's slots.
 _SharedStride = namedtuple("_SharedStride", "acc entries static take_members")
 
 
@@ -374,14 +379,10 @@ def _follower_finisher(engine: PredictionEngine, shared, leader):
             took = take_members is None or address in take_members
             acc[address] = slot[:3] + (slot[1:3] if took else [0, 0]) + slot[5:]
         _fold_slots(engine, acc)
+        # Sharing requires an empty table, so every entry is a new clone.
         entries = engine.predictor.table._set_for(0)
         for address, entry in leader.entries.items():
-            clone = entries.get(address)
-            if clone is None:
-                entries[address] = StrideEntry(entry.last_value, entry.stride)
-            else:
-                clone.last_value = entry.last_value
-                clone.stride = entry.stride
+            entries[address] = StrideEntry(entry.last_value, entry.stride)
 
     return finish
 
@@ -393,13 +394,16 @@ def _fast_stride_consumer(engine: PredictionEngine):
     """Batch consumer running ``engine`` on the shared stride kernel, or
     ``None``.
 
-    Eligibility requires a plain :class:`StridePredictor` and a stock
-    scheme (optionally wrapped in :class:`ProbeScheme`): those schemes'
-    ``may_allocate``/``should_take`` are pure and statically known, so
-    they reduce to the kernel's membership policies, and the kernel skips
-    no-op ``record`` calls and checks allocation on misses only, while
-    preserving the exact call order ``step`` produces for the calls that
-    remain (FSM learning, eviction callbacks).
+    Eligibility requires a plain :class:`StridePredictor` or
+    :class:`~repro.predictors.LastValuePredictor` (the kernel with the
+    stride held at 0) and a stock scheme (optionally wrapped in
+    :class:`ProbeScheme`): those schemes' ``may_allocate``/``should_take``
+    are pure and statically known, so they reduce to the kernel's
+    membership policies, and a :class:`HardwareClassification`'s counters
+    run inside the kernel as ints, written back into its
+    :class:`~repro.predictors.FsmClassifier` by ``finish``.  The kernel
+    checks allocation on misses only and skips the no-op ``record`` and
+    ``on_evict`` calls of the other stock schemes.
 
     Returns ``(consume, finish, shared)`` where ``shared`` is a
     :class:`_SharedStride` handle when the engine qualifies for
@@ -407,7 +411,8 @@ def _fast_stride_consumer(engine: PredictionEngine):
     also writes each taken candidate's outcome code into ``outcomes``
     when one is passed (see :func:`engine_consumer`).
     """
-    if type(engine.predictor) is not StridePredictor:
+    learns = KERNEL_PREDICTORS.get(type(engine.predictor))
+    if learns is None:
         return None
     scheme = engine.scheme
     inner = scheme.inner if type(scheme) is ProbeScheme else scheme
@@ -423,42 +428,44 @@ def _fast_stride_consumer(engine: PredictionEngine):
         scheme._directives if type(scheme) is ProfileClassification else None
     )
     # Take policy: constant (always), membership (profile), or the FSM
-    # consult (hardware), called through ``scheme`` to keep ProbeScheme's
-    # delegation.
+    # counters (hardware), which the kernel keeps as ints.
     take_members = inner._directives if type(inner) is ProfileClassification else None
-    take_call = scheme.should_take if type(inner) is HardwareClassification else None
-    # Learning rule: skip when the effective ``record`` is the ABC no-op.
-    record_call = (
-        None
-        if type(inner).record is ClassificationScheme.record
-        else scheme.record
-    )
+    fsm = None
+    if type(inner) is HardwareClassification:
+        classifier = inner.fsm
+        states = {address: c.value for address, c in classifier._counters.items()}
+        maximum = (1 << classifier.bits) - 1
+        fsm = (states, classifier.initial, classifier.take_threshold, maximum)
 
     acc: "dict[int, List[int]]" = {}
     evictions = [0]
     shared = None
     if table.is_infinite:
         entries = table._set_for(0)
-        if alloc_members is None and not entries:
-            static = take_call is None and record_call is None
-            shared = _SharedStride(acc, entries, static, take_members)
+        # Only stride engines share: the fold clones stride entries.
+        if learns and alloc_members is None and not entries:
+            shared = _SharedStride(acc, entries, fsm is None, take_members)
         consume = partial(
             walk_unbounded, entries, acc, alloc_members=alloc_members,
-            take_members=take_members, take_call=take_call, record_call=record_call,
+            take_members=take_members, fsm=fsm, learns=learns,
         )
     else:
-        on_evict = scheme.on_evict
 
         def consume(pairs, outcomes=None) -> None:
             evictions[0] += walk_set_associative(
                 table, acc, pairs, outcomes,
-                alloc_members, take_members, take_call, record_call, on_evict,
+                alloc_members, take_members, fsm, learns,
             )
 
     def finish() -> None:
         _fold_slots(engine, acc, evictions[0])
         evictions[0] = 0
         acc.clear()
+        if fsm is not None:
+            classifier._counters = {
+                address: SaturatingCounter(classifier.bits, state)
+                for address, state in states.items()
+            }
 
     return consume, finish, shared
 

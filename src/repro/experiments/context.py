@@ -6,9 +6,9 @@ annotated binaries per threshold and the simulation/ILP grids built on
 them.  :class:`ExperimentContext` owns every such *cell*.  A cell is
 named by one tuple, ``(kind, name, *params)`` — ``("profile", name,
 run)``, ``("merged", name)``, ``("annotate", name, threshold)``,
-``("classify", name)``, ``("finite", name, entries, ways)``, ``("ilp",
-name, entries, ways[, config])`` or ``("experiment", id)`` — and
-:meth:`ExperimentContext.cell` serves each one in the same order:
+``("classify", name)``, ``("ilp", name, entries, ways[, config])`` or
+``("experiment", id)`` — and :meth:`ExperimentContext.cell` serves each
+one in the same order:
 
 1. memory (grids live in ``memo``; profiles and binaries survive
    ``memo.clear()``; finished tables are never held);
@@ -55,7 +55,7 @@ TABLE_WAYS = 2
 Cell = Tuple
 
 #: Cell kinds held in ``memo``; those in ``_SESSION_KINDS`` outlive it.
-_GRID_KINDS = ("classify", "finite", "ilp")
+_GRID_KINDS = ("classify", "ilp")
 _SESSION_KINDS = ("profile", "merged", "annotate")
 
 
@@ -204,8 +204,6 @@ class ExperimentContext:
         )
         if kind == "classify":
             return keys.classify_key(*annotation)
-        if kind == "finite":
-            return keys.finite_key(*annotation, *params)
         if kind == "ilp":
             return keys.ilp_key(*annotation, *params)
         if kind == "experiment":

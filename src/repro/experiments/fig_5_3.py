@@ -22,7 +22,7 @@ EXPERIMENT_ID = "fig-5.3"
 
 #: Shared cells this experiment consumes; the parallel engine
 #: precomputes them across benchmarks (see repro.runner.jobs).
-CELLS = ("finite",)
+CELLS = ("ilp",)
 
 
 def run(context: ExperimentContext) -> ExperimentTable:
@@ -34,11 +34,11 @@ def run(context: ExperimentContext) -> ExperimentTable:
     )
     for name in TABLE_4_1_NAMES:
         stats = finite_table_stats(context, name)
-        baseline = stats[FSM_LABEL].taken_correct
+        baseline = stats[FSM_LABEL].correct_predictions
         table.add_row(
             name,
             *[
-                percent_change(stats[threshold_label(t)].taken_correct, baseline)
+                percent_change(stats[threshold_label(t)].correct_predictions, baseline)
                 for t in THRESHOLDS
             ],
         )

@@ -19,7 +19,7 @@ EXPERIMENT_ID = "fig-5.4"
 
 #: Shared cells this experiment consumes; the parallel engine
 #: precomputes them across benchmarks (see repro.runner.jobs).
-CELLS = ("finite",)
+CELLS = ("ilp",)
 
 
 def run(context: ExperimentContext) -> ExperimentTable:
@@ -31,11 +31,11 @@ def run(context: ExperimentContext) -> ExperimentTable:
     )
     for name in TABLE_4_1_NAMES:
         stats = finite_table_stats(context, name)
-        baseline = stats[FSM_LABEL].taken_incorrect
+        baseline = stats[FSM_LABEL].mispredictions
         table.add_row(
             name,
             *[
-                percent_change(stats[threshold_label(t)].taken_incorrect, baseline)
+                percent_change(stats[threshold_label(t)].mispredictions, baseline)
                 for t in THRESHOLDS
             ],
         )

@@ -1,13 +1,13 @@
 """Computations shared between experiment modules.
 
-Figures 5.1/5.2 are two views of one simulation, as are Figures 5.3/5.4
-and the columns of Table 5.2 — so the heavy work lives here.  Each grid
-is one cell of :class:`~repro.experiments.context.ExperimentContext`
-(``("classify", name)``, ``("finite", name, entries, ways)``, ``("ilp",
-name, entries, ways)``): the context serves it from ``memo`` or the disk
-cache, and only a miss runs the engines built below.  The parallel
-engine computes the same cells in pool workers and primes them into the
-parent context under the same tuples.
+Figures 5.1/5.2 are two views of one simulation, and Figures 5.3/5.4 and
+the columns of Table 5.2 are three views of another — so the heavy work
+lives here.  Each grid is one cell of
+:class:`~repro.experiments.context.ExperimentContext` (``("classify",
+name)``, ``("ilp", name, entries, ways)``): the context serves it from
+``memo`` or the disk cache, and only a miss runs the engines built
+below.  The parallel engine computes the same cells in pool workers and
+primes them into the parent context under the same tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def threshold_label(threshold: float) -> str:
     return f"prof{threshold:g}"
 
 
-# -- the three shared grids --------------------------------------------------
+# -- the two shared grids ----------------------------------------------------
 
 
 def classification_accuracy_stats(
@@ -67,42 +67,6 @@ def classification_accuracy_stats(
         )
 
     return context.cell(("classify", name), compute)
-
-
-def finite_table_stats(
-    context: ExperimentContext,
-    name: str,
-    entries: int = TABLE_ENTRIES,
-    ways: int = TABLE_WAYS,
-) -> Dict[str, PredictionStats]:
-    """Finite-table pressure study for one benchmark (Figs 5.3/5.4).
-
-    The hardware scheme allocates every candidate; the profile schemes
-    allocate only directive-tagged instructions.  Same 512-entry 2-way
-    stride table geometry for everyone.
-    """
-
-    def compute() -> Dict[str, PredictionStats]:
-        program = context.program(name)
-        engines: Dict[str, PredictionEngine] = {
-            FSM_LABEL: PredictionEngine(
-                program,
-                predictor=StridePredictor(entries, ways),
-                scheme=HardwareClassification(),
-            )
-        }
-        for threshold in THRESHOLDS:
-            annotated = context.annotated(name, threshold)
-            engines[threshold_label(threshold)] = PredictionEngine(
-                program,
-                predictor=StridePredictor(entries, ways),
-                scheme=ProfileClassification(annotated),
-            )
-        return simulate_prediction_many(
-            program, context.test_inputs(name), engines, store=context.traces
-        )
-
-    return context.cell(("finite", name, entries, ways), compute)
 
 
 def ilp_results(
@@ -145,3 +109,18 @@ def ilp_results(
     if config is not None and config != IlpConfig():
         cell += (config,)
     return context.cell(cell, compute)
+
+
+def finite_table_stats(context: ExperimentContext, name: str) -> Dict[str, IlpResult]:
+    """Finite-table pressure study for one benchmark (Figs 5.3/5.4).
+
+    The hardware scheme allocates every candidate; the profile schemes
+    allocate only directive-tagged instructions, in the same 512-entry
+    2-way stride table.  Those are the engines of :func:`ilp_results`
+    over the same test trace, so each label's ``correct_predictions``
+    and ``mispredictions`` are its taken-correct and taken-wrong counts:
+    read from the ILP cell, not walked again.  It stays a module
+    attribute because perfbench wraps it by name; once perfbench reads
+    the program's own spans (ROADMAP item 5) the figures can inline it.
+    """
+    return ilp_results(context, name)

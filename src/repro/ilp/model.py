@@ -35,11 +35,13 @@ same run already), executed otherwise.  Per batch, each engine runs
 once over the batch's candidates
 (:meth:`~repro.machine.TraceBatch.candidates`) through the same
 consumers as :func:`~repro.core.simulate.simulate_prediction_many` and
-leaves one
-outcome code per candidate; each machine then schedules the batch in one
-tight loop over its columns.  No engine reads scheduler state, so an
-engine's (taken, correct) outcomes depend on the candidate stream alone
-and running it a batch ahead of the scheduler changes no result.
+leaves one outcome code per candidate; each machine then schedules the
+batch in one tight loop over its columns.  No engine reads scheduler
+state, so an engine's (taken, correct) outcomes depend on the candidate
+stream alone and running it a batch ahead of the scheduler changes no
+result.  The engines' statistics are published under ``core.*`` and
+``predictor.*`` as a simulation's are; Figures 5.3/5.4 read their taken
+counts from these results rather than simulating the same engines again.
 :class:`WindowScheduler` is the per-record reference the
 ``ilp-batch-vs-record`` oracle pair holds the batch path to.
 """
@@ -55,6 +57,7 @@ from ..isa import NUM_REGISTERS, Number, Opcode, Program, RA, ZERO
 from ..machine import TraceRecord, TraceStore
 from ..machine.tracestore import replay_or_run
 from ..core.simulate import PredictionEngine, check_distinct_engines, engine_consumer
+from ..core.simulate import _publish_engine_metrics
 from ..telemetry import get_registry
 
 
@@ -477,6 +480,9 @@ def measure_ilp_many(
             telemetry.counter("ilp.records").add(
                 sum(machine.instructions for machine in machines.values())
             )
+            engine_list = [engine for engine in engines.values() if engine is not None]
+            if engine_list:
+                _publish_engine_metrics(telemetry, engine_list)
     return {label: machine.result() for label, machine in machines.items()}
 
 

@@ -1,7 +1,8 @@
 """The last-value predictor (Lipasti et al., via the paper's Section 2.1).
 
 Each entry holds the destination value the instruction produced most
-recently; the prediction is simply that value again.
+recently; the prediction is simply that value again — a stride held at
+0, which is how the kernels of :mod:`repro.predictors.stride` play it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ class LastValueEntry:
     """Table entry: the most recent destination value."""
 
     __slots__ = ("last_value",)
+
+    #: A stride held at 0, read by the stride kernels (``learns=False``).
+    stride = 0
 
     def __init__(self, last_value: Number) -> None:
         self.last_value = last_value

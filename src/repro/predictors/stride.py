@@ -8,21 +8,27 @@ stride, so its first prediction degenerates to last-value.
 The module also holds the batch kernels, :func:`walk_unbounded` and
 :func:`walk_set_associative`: the inlined table walks that phase-2
 profiling and the classified simulation (and, through it, the ILP model)
-run for a plain stride predictor.  They sit here, below both, because
-``repro.core`` imports ``repro.profiling``.  Each plays
-:meth:`StridePredictor.access` over a batch's candidate ``(address,
+run for the predictors of :data:`KERNEL_PREDICTORS`.  They sit here,
+below both, because ``repro.core`` imports ``repro.profiling``.  Each
+plays the predictor's ``access`` over a batch's candidate ``(address,
 value)`` pairs and counts into ``acc``, a dict of address-keyed slots
 ``[executions, attempts, would_correct, taken, taken_correct,
 allocations, nonzero_stride_correct]``.  Every candidate looks the table
 up and every hit is an attempt, so the table's lookup and hit meters are
-the sums of slots 0 and 1.
+the sums of slots 0 and 1.  Last-value is stride with the stride held
+at 0: with ``learns=False`` the kernels allocate :class:`LastValueEntry`
+objects and never write a stride, so slot 6 stays 0.
 
 A policy argument of ``None`` is the unconditional choice: allocate on
-every miss, take every hit, learn nothing.  ``alloc_members`` and
-``take_members`` restrict allocation and taking to member addresses;
-``take_call(address)`` asks a classifier instead; ``record_call(address,
-correct)`` is a learning rule, called after each hit.  ``outcomes``, when
-given, receives one code per taken pair: 1 correct, 2 wrong.
+every miss, take every hit.  ``alloc_members`` and ``take_members``
+restrict allocation and taking to member addresses.  ``fsm`` is the
+:class:`~repro.predictors.FsmClassifier` rule instead, as ``(states,
+initial, threshold, maximum)``: one int per address in ``states``
+(``initial`` when absent), a hit is taken when its state is at least
+``threshold``, then steps up on a correct and down on a wrong
+prediction within ``[0, maximum]``; an evicted address loses its state.
+``outcomes``, when given, receives one code per taken pair: 1 correct,
+2 wrong.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from collections import OrderedDict
 from typing import Optional
 
 from .base import AccessResult, Number, ValuePredictor
+from .last_value import LastValueEntry, LastValuePredictor
 from .table import EvictionCallback, PredictionTable
 
 
@@ -103,15 +110,23 @@ class StridePredictor(ValuePredictor):
         self.table.clear()
 
 
+#: Predictor types the kernels play, each with its "stride learns" flag.
+KERNEL_PREDICTORS = {StridePredictor: True, LastValuePredictor: False}
+
+
 def walk_unbounded(
     entries, acc, pairs, outcomes=None,
-    alloc_members=None, take_members=None, take_call=None, record_call=None,
+    alloc_members=None, take_members=None, fsm=None, learns=True,
 ) -> None:
     """Walk ``pairs`` over the one set of an unbounded table.
 
     ``entries`` is that set.  Its LRU order is not refreshed on hits, which
     no observer can see in a table that never evicts.
     """
+    new_entry = StrideEntry if learns else LastValueEntry
+    if fsm is not None:
+        states, initial, threshold, maximum = fsm
+        get_state = states.get
     get_entry = entries.get
     get_slot = acc.get
     for position, (address, value) in enumerate(pairs):
@@ -122,21 +137,28 @@ def walk_unbounded(
         entry = get_entry(address)
         if entry is None:
             if alloc_members is None or address in alloc_members:
-                entries[address] = StrideEntry(value)
+                entries[address] = new_entry(value)
                 slot[5] += 1
             continue
         last = entry.last_value
         stride = entry.stride
         correct = last + stride == value
-        entry.stride = value - last
+        if learns:
+            entry.stride = value - last
         entry.last_value = value
         slot[1] += 1
         if correct:
             slot[2] += 1
             if stride != 0:
                 slot[6] += 1
-        if take_members is None:
-            took = True if take_call is None else take_call(address)
+        if fsm is not None:
+            state = get_state(address, initial)
+            took = state >= threshold
+            states[address] = (
+                state + (state < maximum) if correct else state - (state > 0)
+            )
+        elif take_members is None:
+            took = True
         else:
             took = address in take_members
         if took:
@@ -145,21 +167,22 @@ def walk_unbounded(
                 slot[4] += 1
             if outcomes is not None:
                 outcomes[position] = 1 if correct else 2
-        if record_call is not None:
-            record_call(address, correct)
 
 
 def walk_set_associative(
     table, acc, pairs, outcomes=None,
-    alloc_members=None, take_members=None, take_call=None, record_call=None,
-    on_evict=None,
+    alloc_members=None, take_members=None, fsm=None, learns=True,
 ) -> int:
     """Walk ``pairs`` over a finite LRU ``table``; return the evictions.
 
     Hits refresh LRU order and allocations displace the least recently
-    used entry of a full set, calling ``on_evict`` with its address, in
-    the order ``PredictionTable.lookup``/``insert`` would.
+    used entry of a full set, in the order ``PredictionTable.lookup``/
+    ``insert`` would.
     """
+    new_entry = StrideEntry if learns else LastValueEntry
+    if fsm is not None:
+        states, initial, threshold, maximum = fsm
+        get_state = states.get
     num_sets = table.num_sets
     ways = table.ways
     sets = table._sets
@@ -182,24 +205,31 @@ def walk_set_associative(
                 if len(table_set) >= ways:
                     evicted, _ = table_set.popitem(last=False)
                     evictions += 1
-                    if on_evict is not None:
-                        on_evict(evicted)
-                table_set[address] = StrideEntry(value)
+                    if fsm is not None:
+                        states.pop(evicted, None)
+                table_set[address] = new_entry(value)
                 slot[5] += 1
             continue
         table_set.move_to_end(address)
         last = entry.last_value
         stride = entry.stride
         correct = last + stride == value
-        entry.stride = value - last
+        if learns:
+            entry.stride = value - last
         entry.last_value = value
         slot[1] += 1
         if correct:
             slot[2] += 1
             if stride != 0:
                 slot[6] += 1
-        if take_members is None:
-            took = True if take_call is None else take_call(address)
+        if fsm is not None:
+            state = get_state(address, initial)
+            took = state >= threshold
+            states[address] = (
+                state + (state < maximum) if correct else state - (state > 0)
+            )
+        elif take_members is None:
+            took = True
         else:
             took = address in take_members
         if took:
@@ -208,6 +238,4 @@ def walk_set_associative(
                 slot[4] += 1
             if outcomes is not None:
                 outcomes[position] = 1 if correct else 2
-        if record_call is not None:
-            record_call(address, correct)
     return evictions

@@ -11,9 +11,9 @@ and per (category, phase) the aggregate accuracies behind Table 2.1.
 
 Candidates come from :meth:`~repro.machine.TraceBatch.candidates`, the
 walk the classified simulation and the ILP model also use.  An unbounded
-stride predictor plays them through the stride kernel of
-:mod:`repro.predictors.stride`, the one the simulation's stride engines
-run; any other predictor makes one ``access`` per candidate.  Both count
+stride or last-value predictor plays them through the stride kernel of
+:mod:`repro.predictors.stride`, the one the simulation's engines run;
+any other predictor makes one ``access`` per candidate.  Both count
 into address-keyed slots, and one fold per phase run adds them to the
 images.  :func:`repro.check.profile_records` is the per-record reference
 the ``profile-sampled`` and ``phase-profiles-batch-vs-record`` oracle
@@ -31,7 +31,7 @@ from ..isa import Category, Number, Program
 from ..machine import TraceBatch, TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import StridePredictor, ValuePredictor
-from ..predictors.stride import walk_unbounded
+from ..predictors.stride import KERNEL_PREDICTORS, walk_unbounded
 from ..telemetry import get_registry
 
 
@@ -352,16 +352,19 @@ def _profile_run(
 def _profiler(predictor: ValuePredictor):
     """``(consume, counts, table)`` for one predictor.
 
-    An unbounded :class:`StridePredictor` runs the shared stride kernel —
-    allocate on every miss, take every hit, learn nothing — and ``table``
-    is the table whose lookup and hit meters the fold keeps; any other
-    predictor goes through :func:`_generic_profiler`, whose ``access``
-    calls keep their own meters (``table`` is ``None``).
+    An unbounded :class:`StridePredictor` or
+    :class:`~repro.predictors.LastValuePredictor` (its stride held at 0)
+    runs the shared stride kernel — allocate on every miss, take every
+    hit — and ``table`` is the table whose lookup and hit meters the fold
+    keeps; any other predictor goes through :func:`_generic_profiler`,
+    whose ``access`` calls keep their own meters (``table`` is ``None``).
     """
     counts: Dict[int, List[int]] = {}
-    if type(predictor) is StridePredictor and predictor.table.is_infinite:
+    learns = KERNEL_PREDICTORS.get(type(predictor))
+    if learns is not None and predictor.table.is_infinite:
         entries = predictor.table._set_for(0)
-        return partial(walk_unbounded, entries, counts), counts, predictor.table
+        consume = partial(walk_unbounded, entries, counts, learns=learns)
+        return consume, counts, predictor.table
     return _generic_profiler(predictor, counts), counts, None
 
 

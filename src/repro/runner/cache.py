@@ -13,7 +13,7 @@ Layout on disk::
     <cache-dir>/<kind>/<key[:2]>/<key>.<ext>
 
 where ``kind`` is the artifact family (``profile``, ``merged``,
-``classify``, ``finite``, ``ilp``, ``experiment``; a finished table's
+``classify``, ``ilp``, ``experiment``; a finished table's
 *key* is digested under the prefix ``table``, but the entry lives under
 ``experiment/``), the two-character fan-out keeps directories small, and
 ``ext`` is the payload's native extension (``.profile``, ``.json``,

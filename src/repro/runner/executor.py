@@ -116,8 +116,9 @@ def execute_graph(
 
     The returned outcome always carries ``outcome.report`` — a
     :class:`~repro.runner.report.RunReport` in graph order; a job that
-    raised appears there as ``failed`` and its transitive dependents as
-    ``skipped`` rather than raising.
+    raised (in its compute or in its disk-cache probe) appears there as
+    ``failed`` and its transitive dependents as ``skipped`` rather than
+    raising.
     """
     workers = resolve_jobs(jobs)
     order = graph.order()
@@ -326,7 +327,11 @@ def execute_graph(
                     continue
                 ready.pop(index)
                 started = time.perf_counter()
-                value = context.from_disk(job.cell())
+                try:
+                    value = context.from_disk(job.cell())
+                except Exception as error:  # e.g. a key of an unknown workload
+                    fail_job(job, _describe(error), time.perf_counter() - started)
+                    continue
                 if value is not None:
                     finish(job, value, time.perf_counter() - started, True)
                     continue

@@ -7,8 +7,7 @@ dependencies::
       └─ profile(w, run)                         one per training run
            └─ annotate(w, threshold)             merge + directive insertion
                 ├─ classify(w)                   Figs 5.1/5.2 grid
-                ├─ finite(w, entries, ways)      Figs 5.3/5.4 grid
-                └─ ilp(w, entries, ways)         Table 5.2 grid
+                └─ ilp(w, entries, ways)         Figs 5.3/5.4, Table 5.2 grid
     experiment(id)                               one per requested table
 
 Each experiment module declares which cell kinds it consumes in a
@@ -31,14 +30,13 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Cell kinds an experiment module may declare in its ``CELLS`` tuple.
-CELL_KINDS = ("profile", "annotate", "classify", "finite", "ilp")
+CELL_KINDS = ("profile", "annotate", "classify", "ilp")
 
 #: Transitive closure of artifacts implied by each cell kind.
 KIND_CLOSURE = {
     "profile": ("profile",),
     "annotate": ("profile", "annotate"),
     "classify": ("profile", "annotate", "classify"),
-    "finite": ("profile", "annotate", "finite"),
     "ilp": ("profile", "annotate", "ilp"),
 }
 
@@ -70,7 +68,7 @@ class Job:
             return f"profile({self.name}, run {self.params[0]})"
         if self.kind == "annotate":
             return f"annotate({self.name}, th={self.params[0]:g})"
-        if self.kind in ("finite", "ilp"):
+        if self.kind == "ilp":
             entries, ways = self.params[:2]
             return f"{self.kind}({self.name}, {entries}x{ways})"
         return f"{self.kind}({self.name})"
@@ -149,10 +147,6 @@ def annotate_id(name: str, threshold: float) -> str:
 
 def classify_id(name: str) -> str:
     return f"classify:{name}"
-
-
-def finite_id(name: str, entries: int, ways: int) -> str:
-    return f"finite:{name}:{entries}:{ways}"
 
 
 def ilp_id(name: str, entries: int, ways: int) -> str:
@@ -250,17 +244,6 @@ def build_experiment_graph(
                     )
                 )
                 cell_ids["classify"].append(job.job_id)
-            if "finite" in kinds_needed:
-                job = graph.add(
-                    Job(
-                        finite_id(workload, TABLE_ENTRIES, TABLE_WAYS),
-                        "finite",
-                        workload,
-                        params=(TABLE_ENTRIES, TABLE_WAYS),
-                        deps=tuple(annotates),
-                    )
-                )
-                cell_ids["finite"].append(job.job_id)
             if "ilp" in kinds_needed:
                 job = graph.add(
                     Job(

@@ -138,23 +138,6 @@ def classify_key(
     )
 
 
-def finite_key(
-    name: str,
-    scale: float,
-    training_runs: int,
-    thresholds: Sequence[float],
-    stride_threshold: float,
-    entries: int,
-    ways: int,
-) -> str:
-    """Key of the finite-table prediction grid (Figs 5.3/5.4)."""
-    return _digest(
-        _prefix("finite")
-        + _annotation_parts(name, scale, training_runs, thresholds, stride_threshold)
-        + (_test_digest(name, scale), str(entries), str(ways))
-    )
-
-
 def ilp_key(
     name: str,
     scale: float,
@@ -165,7 +148,7 @@ def ilp_key(
     ways: int,
     config: Optional[object] = None,
 ) -> str:
-    """Key of the abstract-machine ILP grid (Table 5.2).
+    """Key of the abstract-machine ILP grid (Figs 5.3/5.4, Table 5.2).
 
     ``config`` is an :class:`~repro.ilp.IlpConfig` (or ``None`` for the
     paper's default machine); it is digested field-by-field so any two

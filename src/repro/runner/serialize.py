@@ -12,7 +12,6 @@ profile     profile image (v1 text format)               ``profile``
 merged      merged profile image (v1 text format)        ``profile``
 annotate    annotated program disassembly                ``asm``
 classify    ``{label: PredictionStats.to_dict()}`` JSON  ``json``
-finite      ``{label: PredictionStats.to_dict()}`` JSON  ``json``
 ilp         ``{label: IlpResult.to_dict()}`` JSON        ``json``
 experiment  :meth:`ExperimentTable.to_tsv`               ``tsv``
 ==========  ===========================================  =========
@@ -39,7 +38,6 @@ EXTENSIONS = {
     "merged": "profile",
     "annotate": "asm",
     "classify": "json",
-    "finite": "json",
     "ilp": "json",
     "experiment": "tsv",
 }
@@ -55,7 +53,7 @@ def encode(kind: str, value) -> str:
         return disassemble(value)
     if kind == "profile" or kind == "merged":
         return dumps_profile(value)
-    if kind == "classify" or kind == "finite":
+    if kind == "classify":
         return json.dumps(
             {label: stats.to_dict() for label, stats in value.items()},
             sort_keys=True,
@@ -77,7 +75,7 @@ def decode(kind: str, payload: str):
             return assemble(payload)
         if kind == "profile" or kind == "merged":
             return loads_profile(payload)
-        if kind == "classify" or kind == "finite":
+        if kind == "classify":
             return {
                 label: PredictionStats.from_dict(stats)
                 for label, stats in json.loads(payload).items()

@@ -77,9 +77,6 @@ def compute_value(job: Job, context):
         return context.annotated(job.name, job.params[0])
     if job.kind == "classify":
         return shared.classification_accuracy_stats(context, job.name)
-    if job.kind == "finite":
-        entries, ways = job.params
-        return shared.finite_table_stats(context, job.name, entries, ways)
     if job.kind == "ilp":
         entries, ways = job.params
         return shared.ilp_results(context, job.name, None, entries, ways)

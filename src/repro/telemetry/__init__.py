@@ -10,7 +10,8 @@ Instrumented layers (all publish in bulk, never per record):
 * ``machine.*`` — dynamic instructions retired and executor wall time
   (:mod:`repro.machine.executor`), from which simulated MIPS derives.
 * ``predictor.*`` / ``core.*`` — table lookups/hits/evictions and
-  classification outcomes (:mod:`repro.core.simulate`).
+  classification outcomes of every engine walk (:mod:`repro.core.simulate`
+  and the ILP model's engines).
 * ``profiling.*`` — profile records collected and collection time
   (:mod:`repro.profiling.collector`).
 * ``cache.*`` / ``runner.*`` — per-kind artifact-cache hits, misses,

@@ -108,11 +108,63 @@ class TestSharedComputations:
             >= strict.correct_classification_accuracy
         )
 
-    def test_finite_table_stats(self, tiny_context):
-        from repro.experiments.shared import FSM_LABEL, finite_table_stats
+    def test_finite_figures_match_a_finite_table_simulation(
+        self, tiny_context, monkeypatch
+    ):
+        """Figs 5.3/5.4 read the ILP cell's engines; they must equal a
+        finite-table simulation of the same engine set, label by label."""
+        from repro.core import (
+            HardwareClassification,
+            PredictionEngine,
+            ProfileClassification,
+            simulate_prediction_many,
+        )
+        from repro.experiments import fig_5_3, fig_5_4
+        from repro.experiments.shared import FSM_LABEL, ilp_results, threshold_label
+        from repro.predictors import StridePredictor
 
-        stats = finite_table_stats(tiny_context, self.BENCH)
-        assert stats[FSM_LABEL].taken_correct > 0
+        program = tiny_context.program(self.BENCH)
+        engines = {
+            FSM_LABEL: PredictionEngine(
+                program,
+                predictor=StridePredictor(TABLE_ENTRIES, TABLE_WAYS),
+                scheme=HardwareClassification(),
+            )
+        }
+        for threshold in THRESHOLDS:
+            annotated = tiny_context.annotated(self.BENCH, threshold)
+            engines[threshold_label(threshold)] = PredictionEngine(
+                program,
+                predictor=StridePredictor(TABLE_ENTRIES, TABLE_WAYS),
+                scheme=ProfileClassification(annotated),
+            )
+        finite = simulate_prediction_many(
+            program, tiny_context.test_inputs(self.BENCH), engines
+        )
+        assert finite[FSM_LABEL].taken_correct > 0
+        results = ilp_results(tiny_context, self.BENCH)
+        for label, stats in finite.items():
+            assert (
+                results[label].correct_predictions,
+                results[label].mispredictions,
+            ) == (stats.taken_correct, stats.taken_incorrect), label
+
+        def row(field):
+            baseline = getattr(finite[FSM_LABEL], field)
+            return [self.BENCH] + [
+                percent_change(getattr(finite[threshold_label(t)], field), baseline)
+                for t in THRESHOLDS
+            ]
+
+        expected = {
+            fig_5_3: row("taken_correct"),
+            fig_5_4: row("taken_incorrect"),
+        }
+        # The two figures differ here, so one reading the other's field fails.
+        assert expected[fig_5_3] != expected[fig_5_4]
+        for module, expected_row in expected.items():
+            monkeypatch.setattr(module, "TABLE_4_1_NAMES", (self.BENCH,))
+            assert module.run(tiny_context).rows == [expected_row]
 
     def test_ilp_results_baseline_present(self, tiny_context):
         from repro.experiments.shared import ilp_results

@@ -369,8 +369,9 @@ class TestBatchScheduler:
 
         program = assemble(STRIDE_LOOP)
         registry = Telemetry()
+        engines = self.grid(program)
         with use_registry(registry):
-            results = measure_ilp_many(program, (), self.grid(program))
+            results = measure_ilp_many(program, (), engines)
         snapshot = registry.snapshot()
         counters = snapshot["counters"]
         assert counters["ilp.runs"] == 1
@@ -378,9 +379,17 @@ class TestBatchScheduler:
             result.instructions for result in results.values()
         )
         assert snapshot["timers"]["ilp.schedule"]["count"] == 1
-        # Engine statistics stay out of the simulate counters.
-        assert "core.candidates" not in counters
-        assert "predictor.lookups" not in counters
+        # The engines' walk counts under core.*/predictor.* like a
+        # simulation's; its time stays ILP's.
+        predicting = [engine for engine in engines.values() if engine is not None]
+        assert counters["core.simulations"] == len(predicting)
+        assert counters["core.candidates"] == sum(
+            engine.stats.executions for engine in predicting
+        )
+        assert counters["predictor.lookups"] == sum(
+            table.lookups for engine in predicting for table in engine.predictor.tables()
+        )
+        assert "core.simulate" not in snapshot["timers"]
 
 
 class TestSharedEngineRejected:

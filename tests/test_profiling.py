@@ -411,12 +411,22 @@ class TestSharedConsumers:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize(
         "make_predictor",
-        [lambda: StridePredictor(entries=8), LastValuePredictor],
-        ids=["finite-stride", "last-value"],
+        [lambda: StridePredictor(entries=8)],
+        ids=["finite-stride"],
     )
     def test_other_predictors_take_access_consumer(
         self, monkeypatch, make_predictor, k
     ):
+        self.check_consumers(monkeypatch, make_predictor, k, inlined=0, access=2)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_last_value_takes_stride_kernel(self, monkeypatch, k):
+        # Last-value is the kernel with its stride held at 0.
+        self.check_consumers(monkeypatch, LastValuePredictor, k, inlined=2, access=0)
+
+    def check_consumers(self, monkeypatch, make_predictor, k, inlined, access):
+        """Whole-run and phase profiles take the expected consumers and
+        equal the per-record reference."""
         from repro.check import profile_records
         from repro.machine import trace_program
         from repro.profiling import collect_phase_profiles
@@ -429,7 +439,7 @@ class TestSharedConsumers:
         phases = collect_phase_profiles(
             self.program, predictor=make_predictor(), run_label="r", sample_every=k
         )
-        assert built() == {"inlined": 0, "access": 2}
+        assert built() == {"inlined": inlined, "access": access}
         reference = profile_records(
             self.program, records, make_predictor(), run_label="r", sample_every=k
         )

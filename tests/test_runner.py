@@ -34,6 +34,7 @@ from repro.runner.jobs import (
     annotate_id,
     classify_id,
     compile_id,
+    ilp_id,
     profile_id,
 )
 from repro.runner.report import JobReport, RunReport
@@ -163,6 +164,21 @@ class TestGraph:
         # fig-5.1 declares CELLS = ("classify",); the closure pulls in the
         # profile and annotate cells those simulations are built from.
         assert dep_kinds == {"profile", "annotate", "classify"}
+
+    def test_finite_figures_read_the_ilp_cells(self):
+        from repro.experiments.context import TABLE_ENTRIES, TABLE_WAYS
+        from repro.workloads import TABLE_4_1_NAMES
+
+        graph = build_experiment_graph(["fig-5.3"], make_context())
+        assert {job.kind for job in graph.order()} == {
+            "compile", "profile", "annotate", "ilp", "experiment"
+        }
+        deps = graph["experiment:fig-5.3"].deps
+        ilp_deps = [dep for dep in deps if graph[dep].kind == "ilp"]
+        assert ilp_deps == [
+            ilp_id(name, TABLE_ENTRIES, TABLE_WAYS) for name in TABLE_4_1_NAMES
+        ]
+        assert len(ilp_deps) == 9
 
     def test_order_respects_dependencies(self):
         context = make_context()
@@ -434,6 +450,19 @@ class TestDegradedRun:
             assert report.job(job_id).attempts == 0
             assert report.job(job_id).causes == (f"dependency {victim} failed",)
         assert all(classify_id(workload) in outcome.values for workload in GOOD)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cache_probe_failure_fails_its_job(self, jobs, tmp_path):
+        # With a cache the coordinator derives the victim's disk key
+        # before launching it, and keys.profile_key raises for an
+        # unregistered workload: the job fails, the run still degrades.
+        expected = execute_graph(degraded_graph(), make_context(), jobs=jobs).report
+        report = execute_graph(
+            degraded_graph(), make_context(cache_dir=tmp_path), jobs=jobs
+        ).report
+        assert not report.ok
+        assert statuses(report) == statuses(expected)
+        assert report.job(profile_id(MISSING, 0)).causes[0].startswith("KeyError:")
 
 
 class _BreakingPool:

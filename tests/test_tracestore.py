@@ -381,9 +381,9 @@ class TestBatchedConsumerDifferential:
         walked = []
         kernel = collector.walk_unbounded
 
-        def counting_kernel(*args):
+        def counting_kernel(*args, **kwargs):
             walked.append(args[1])
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(collector, "walk_unbounded", counting_kernel)
