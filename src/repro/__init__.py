@@ -11,8 +11,7 @@ Subpackages
 * :mod:`repro.predictors` — last-value / stride / hybrid predictors and
   the saturating-counter classifier.
 * :mod:`repro.profiling` — profile collection, the profile-image file
-  format, multi-run merging, streaming fleet fusion with compact
-  sketches, and the Section-4 similarity metrics.
+  format, multi-run merging, and the Section-4 similarity metrics.
 * :mod:`repro.annotate` — phase-3 directive insertion.
 * :mod:`repro.classify` — learned predictability classification: static
   feature extraction and a seed-deterministic model trained on
@@ -77,12 +76,8 @@ from .predictors import (
     StridePredictor,
 )
 from .profiling import (
-    MergeAccumulator,
     ProfileImage,
-    ProfileSketch,
     collect_profile,
-    fidelity_report,
-    fuse_images,
     merge_profiles,
     read_profile,
     save_profile,
@@ -139,14 +134,12 @@ __all__ = [
     "LastValuePredictor",
     "LearnedClassification",
     "LearnedScheme",
-    "MergeAccumulator",
     "PredictabilityModel",
     "PredictionEngine",
     "PredictionStats",
     "ProfileClassification",
     "ProfileImage",
     "ProfileScheme",
-    "ProfileSketch",
     "Program",
     "Span",
     "StridePredictor",
@@ -160,8 +153,6 @@ __all__ = [
     "dumps_model",
     "evaluate_scheme",
     "extract_features",
-    "fidelity_report",
-    "fuse_images",
     "get_registry",
     "loads_model",
     "measure_ilp",

@@ -12,14 +12,11 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     an annotated binary must share the base binary's trace key (so it
     replays base traces) *and* execute identically record for record.
 ``profile-io-merge``
-    profile ``save → load → merge`` against merging the in-memory
-    images, for both ``require_common`` modes, plus a round-trip of the
-    merged image itself.
-``fuse-stream-vs-batch``
-    the streaming :class:`~repro.profiling.fusion.MergeAccumulator` —
-    folding in-memory images and sketch-round-tripped images — against
-    batch ``merge_profiles``, for both ``require_common`` modes, down
-    to byte-identical text dumps.
+    ``merge_profiles`` over three training images with different address
+    sets against an independent reference sum, for both
+    ``require_common`` modes; the reversed fold order down to a
+    byte-identical dump, ``save → load → merge`` against merging the
+    in-memory images, and a round trip of the merged image itself.
 ``profile-sampled``
     ``collect_profiles`` at ``sample_every`` 1, 2, 3 and 7 (and
     unsampled) under unbounded stride, finite stride and last-value
@@ -81,9 +78,7 @@ from ..machine import Executor, TraceStore
 from ..machine.errors import ExecutionError
 from ..machine.tracestore import trace_key
 from ..profiling import merge_profiles
-from ..profiling.fusion import MergeAccumulator
 from ..profiling.image_io import dumps_profile, loads_profile
-from ..profiling.sketch import ProfileSketch, dumps_sketch, loads_sketch
 from .generator import CheckCase, generate_case
 
 DEFAULT_BUDGET = 20_000
@@ -429,57 +424,11 @@ def _reference_merge_obs(images, require_common: bool) -> Dict[str, object]:
 
 
 def _check_profile_io_merge(case: CheckCase, budget: int):
-    # The two training images must profile genuinely different address
-    # sets — otherwise the ``require_common`` intersection filters
-    # nothing and a filtering regression could never diverge.  The
-    # second image drops every record above the first run's median
-    # static address (a valid partial trace), which guarantees at least
-    # the maximum address is exclusive to the first image.
-    records_full = _drain_records(case, list(case.inputs), budget)
-    addresses = sorted({record.address for record in records_full})
-    cutoff = addresses[len(addresses) // 2] if addresses else 0
-    records_partial = [
-        record
-        for record in _drain_records(case, list(reversed(case.inputs)), budget)
-        if record.address <= cutoff
-    ]
-    images = [
-        profile_records(case.program, records, run_label=f"train-{index}")
-        for index, records in enumerate((records_full, records_partial))
-    ]
-    for require_common in (False, True):
-        in_memory = merge_profiles(images, require_common=require_common)
-        in_memory_obs = _observe_image(in_memory)
-        found = first_divergence(
-            {key: in_memory_obs[key] for key in ("instructions", "groups")},
-            _reference_merge_obs(images, require_common),
-            f"$merge[require_common={require_common}].model",
-        )
-        if found is not None:
-            return found
-        reloaded = [loads_profile(dumps_profile(image)) for image in images]
-        via_disk = merge_profiles(reloaded, require_common=require_common)
-        label = f"$merge[require_common={require_common}]"
-        found = first_divergence(
-            _observe_image(via_disk), _observe_image(in_memory), label
-        )
-        if found is not None:
-            return found
-        round_trip = loads_profile(dumps_profile(in_memory))
-        found = first_divergence(
-            _observe_image(round_trip), _observe_image(in_memory),
-            f"{label}.round_trip",
-        )
-        if found is not None:
-            return found
-    return None
-
-
-def _check_fuse_stream_vs_batch(case: CheckCase, budget: int):
-    # Three training images with genuinely different address sets (full
-    # run, the low half, the high half) so the streaming intersection
-    # both shrinks and has survivors — a regression in the incremental
-    # ``require_common`` pruning cannot hide behind identical inputs.
+    # Three training images with genuinely different address sets (the
+    # full run, the low half of a run on reversed inputs, the high half
+    # of the full run), so the ``require_common`` intersection both
+    # shrinks and has survivors: a regression in the fold's incremental
+    # pruning or in the group filter cannot hide behind identical inputs.
     records_full = _drain_records(case, list(case.inputs), budget)
     addresses = sorted({record.address for record in records_full})
     cutoff = addresses[len(addresses) // 2] if addresses else 0
@@ -488,39 +437,38 @@ def _check_fuse_stream_vs_batch(case: CheckCase, budget: int):
         for record in _drain_records(case, list(reversed(case.inputs)), budget)
         if record.address <= cutoff
     ]
-    records_high = [
-        record for record in records_full if record.address >= cutoff
-    ]
+    records_high = [record for record in records_full if record.address >= cutoff]
     images = [
         profile_records(case.program, records, run_label=f"train-{index}")
         for index, records in enumerate((records_full, records_low, records_high))
     ]
+    reloaded = [loads_profile(dumps_profile(image)) for image in images]
     for require_common in (False, True):
-        batch = merge_profiles(images, require_common=require_common)
-        batch_obs = _observe_image(batch)
-        label = f"$fuse[require_common={require_common}]"
-
-        accumulator = MergeAccumulator(require_common=require_common)
-        for image in images:
-            accumulator.fold(image)
-        streamed = accumulator.result()
+        label = f"$merge[require_common={require_common}]"
+        merged = merge_profiles(images, require_common=require_common)
+        merged_obs = _observe_image(merged)
         found = first_divergence(
-            _observe_image(streamed), batch_obs, f"{label}.stream"
+            {key: merged_obs[key] for key in ("instructions", "groups")},
+            _reference_merge_obs(images, require_common),
+            f"{label}.model",
         )
         if found is not None:
             return found
-        if dumps_profile(streamed) != dumps_profile(batch):
-            return (f"{label}.stream.dump_bytes", "<differs>", "<batch dump>")
-
-        # Sketch transport: the same fold through a lossless (level 0)
-        # encode/decode round trip must land on the same merged image.
-        via_sketch = MergeAccumulator(require_common=require_common)
-        for image in images:
-            via_sketch.fold(
-                loads_sketch(dumps_sketch(ProfileSketch.from_image(image)))
-            )
+        backward = merge_profiles(images[::-1], require_common=require_common)
         found = first_divergence(
-            _observe_image(via_sketch.result()), batch_obs, f"{label}.sketch"
+            _observe_image(backward), merged_obs, f"{label}.reversed"
+        )
+        if found is not None:
+            return found
+        if dumps_profile(backward) != dumps_profile(merged):
+            return (f"{label}.reversed.dump_bytes", "<differs>", "<forward dump>")
+        via_disk = merge_profiles(reloaded, require_common=require_common)
+        found = first_divergence(_observe_image(via_disk), merged_obs, label)
+        if found is not None:
+            return found
+        round_trip = loads_profile(dumps_profile(merged))
+        found = first_divergence(
+            _observe_image(round_trip), merged_obs, f"{label}.round_trip"
         )
         if found is not None:
             return found
@@ -1090,13 +1038,8 @@ _PAIRS: Tuple[OraclePair, ...] = (
     ),
     OraclePair(
         "profile-io-merge",
-        "profile save->load->merge vs merging the in-memory images",
+        "merge (any order, via save->load) vs a reference sum",
         True, _check_profile_io_merge,
-    ),
-    OraclePair(
-        "fuse-stream-vs-batch",
-        "streaming MergeAccumulator (image + sketch transports) vs batch merge",
-        True, _check_fuse_stream_vs_batch,
     ),
     OraclePair(
         "profile-sampled",

@@ -61,11 +61,13 @@ from .machine import ExecutionError, run_program
 from .machine.tracefile import trace_output, write_trace
 from .machine.tracestore import replay_or_run
 from .profiling import (
+    ProfileFormatError,
     ProfileImage,
     collect_profile,
     dumps_profile,
     loads_profile,
     merge_profiles,
+    read_profile,
     save_profile,
 )
 
@@ -135,11 +137,20 @@ class CommandIO:
             return Path(path).read_text(encoding="utf-8")
         return self.files[path]
 
-    def read_bytes(self, path: str) -> bytes:
+    def read_profile(self, path: str) -> ProfileImage:
+        """A profile image file; malformed content raises
+        :class:`~repro.profiling.ProfileFormatError`."""
         if self.files is None:
-            return Path(path).read_bytes()
-        # Bytes that are not UTF-8 (a binary sketch) travel as surrogate escapes.
-        return self.files[path].encode("utf-8", "surrogateescape")
+            return read_profile(path)
+        # An upload's non-UTF-8 bytes arrive as surrogate escapes; they
+        # are refused exactly as reading the file from disk refuses them.
+        data = self.files[path].encode("utf-8", "surrogateescape")
+        try:
+            return loads_profile(data.decode("utf-8"))
+        except UnicodeDecodeError as error:
+            raise ProfileFormatError(
+                f"{path}: not a text profile image (undecodable bytes: {error})"
+            ) from error
 
     def glob(self, pattern: str) -> List[str]:
         if self.files is None:
@@ -310,17 +321,7 @@ def _command_profile(arguments: argparse.Namespace, io: CommandIO) -> int:
 
 
 def _command_fuse(arguments: argparse.Namespace, io: CommandIO) -> int:
-    """Merge many profile images/sketches into one, streaming."""
-    import json
-
-    from .profiling import (
-        MergeAccumulator,
-        ProfileSketch,
-        fidelity_report,
-        loads_any_profile,
-        save_sketch,
-    )
-
+    """Merge many profile images into one, folding them one at a time."""
     paths: List[str] = []
     for pattern in arguments.patterns:
         matches = io.glob(pattern)
@@ -329,42 +330,21 @@ def _command_fuse(arguments: argparse.Namespace, io: CommandIO) -> int:
             return 2
         paths.extend(match for match in matches if match not in paths)
 
-    def images():
-        return (loads_any_profile(io.read_bytes(path), path) for path in paths)
-
-    make_sketch = arguments.sketch or arguments.quantize > 0
-    if make_sketch and (not arguments.output or arguments.output == "-"):
-        print("fuse: --sketch output is binary; -o PATH is required",
-              file=io.stderr)
+    try:
+        image = merge_profiles(
+            (io.read_profile(path) for path in paths),
+            require_common=arguments.require_common,
+        )
+    except ProfileFormatError as error:
+        print(f"fuse: bad profile: {error}", file=io.stderr)
         return 2
-
-    if arguments.batch:
-        image = merge_profiles(images(), require_common=arguments.require_common)
-    else:
-        accumulator = MergeAccumulator(require_common=arguments.require_common)
-        for source in images():
-            accumulator.fold(source)
-        image = accumulator.result()
-
-    if arguments.report:
-        report = fidelity_report(images())
-        Path(arguments.report).write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8"
-        )
-
-    if make_sketch:
-        save_sketch(
-            ProfileSketch.from_image(image, arguments.quantize), arguments.output
-        )
-    else:
-        io.save_profile(image, arguments.output)
+    io.save_profile(image, arguments.output)
     destination = (
         arguments.output if arguments.output and arguments.output != "-" else "stdout"
     )
-    engine = "batch" if arguments.batch else "streaming"
     print(
         f"fused {len(paths)} profile(s) into {len(image)} instructions "
-        f"({engine}) -> {destination}",
+        f"-> {destination}",
         file=io.stderr,
     )
     return 0
@@ -484,7 +464,11 @@ def _command_corpus(arguments: argparse.Namespace, io: CommandIO) -> int:
 
 def _command_annotate(arguments: argparse.Namespace, io: CommandIO) -> int:
     program = _load_program(io, arguments.program)
-    image = loads_profile(io.read_text(arguments.profile))
+    try:
+        image = io.read_profile(arguments.profile)
+    except ProfileFormatError as error:
+        print(f"annotate: bad profile: {error}", file=io.stderr)
+        return 2
     policy = AnnotationPolicy(
         accuracy_threshold=arguments.threshold,
         stride_threshold=arguments.stride_threshold,
@@ -579,7 +563,11 @@ def _command_disasm(arguments: argparse.Namespace, io: CommandIO) -> int:
 def _command_report(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Rank instructions by profiled value predictability."""
     program = _load_program(io, arguments.program)
-    image = loads_profile(io.read_text(arguments.profile))
+    try:
+        image = io.read_profile(arguments.profile)
+    except ProfileFormatError as error:
+        print(f"report: bad profile: {error}", file=io.stderr)
+        return 2
     rows = []
     for address, profile in image.instructions.items():
         if profile.attempts < arguments.min_attempts:
@@ -1016,46 +1004,22 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     fuse_parser = commands.add_parser(
         "fuse",
-        help="merge many profile images/sketches into one (streaming, "
-        "bounded memory)",
+        help="merge many profile images into one (summed counts, bounded memory)",
     )
     fuse_parser.add_argument(
         "patterns",
         nargs="+",
         type=InputFile,
-        help="profile/sketch files or glob patterns (formats auto-detected)",
+        help="profile files or glob patterns",
     )
     fuse_parser.add_argument(
         "-o", "--output",
-        help="merged output (default stdout; required with --sketch)",
+        help="merged output (default stdout)",
     )
     fuse_parser.add_argument(
         "--require-common",
         action="store_true",
         help="keep only instructions present in every input (Section 4)",
-    )
-    fuse_parser.add_argument(
-        "--sketch",
-        action="store_true",
-        help="write the merged image as a compact binary sketch",
-    )
-    fuse_parser.add_argument(
-        "--quantize",
-        type=int,
-        default=0,
-        metavar="LEVEL",
-        help="sketch count-quantization level (implies --sketch; 0 = lossless)",
-    )
-    fuse_parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="use the batch merge engine instead of streaming "
-        "(byte-identity checks)",
-    )
-    fuse_parser.add_argument(
-        "--report",
-        metavar="PATH",
-        help="write a JSON size/fidelity report over the inputs",
     )
     fuse_parser.set_defaults(handler=_command_fuse)
 

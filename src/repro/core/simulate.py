@@ -102,9 +102,7 @@ class PredictionEngine:
         self.predictor: Predictor = predictor if predictor is not None else StridePredictor()
         self.scheme = scheme or AlwaysClassification()
         self.stats = PredictionStats(candidates=len(program.candidate_addresses))
-        self._is_candidate = [
-            instruction.is_prediction_candidate for instruction in program.instructions
-        ]
+        self._is_candidate = program.candidate_mask
         self._is_hybrid = isinstance(self.predictor, HybridPredictor)
 
     def is_candidate(self, address: int) -> bool:

@@ -124,7 +124,7 @@ _Decoded = Tuple[Tuple[int, ...], Optional[int], bool, bool, bool]
 
 def _decode_for_scheduling(program: Program) -> List[_Decoded]:
     decoded: List[_Decoded] = []
-    for instruction in program.instructions:
+    for instruction, is_candidate in zip(program.instructions, program.candidate_mask):
         dest = instruction.dest
         if instruction.opcode is Opcode.CALL:
             dest = RA  # call writes the return-address register
@@ -134,7 +134,7 @@ def _decode_for_scheduling(program: Program) -> List[_Decoded]:
                 dest,
                 instruction.opcode.reads_memory,
                 instruction.opcode.writes_memory,
-                instruction.is_prediction_candidate,
+                is_candidate,
             )
         )
     return decoded
@@ -437,7 +437,7 @@ def measure_ilp_many(
     check_distinct_engines(engines)
     configs = configs or {}
     decoded = _decode_for_scheduling(program)
-    is_candidate = [slot[4] for slot in decoded]
+    is_candidate = program.candidate_mask
     tables: Dict[Tuple[bool, bool], List[_Slot]] = {}
     machines: Dict[str, _BatchMachine] = {}
     lanes = []  # (machine, consume or None), one per label

@@ -8,6 +8,7 @@ way the paper's profile image keys information by instruction address.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .directives import Directive
@@ -66,14 +67,19 @@ class Program:
     def __getitem__(self, address: int) -> Instruction:
         return self.instructions[address]
 
+    @functools.cached_property
+    def candidate_mask(self) -> Tuple[bool, ...]:
+        """``candidate_mask[a]``: is the instruction at ``a`` a value-prediction
+        candidate?  Built once per program (``Program`` is frozen but not
+        slotted, so the mask rides along with the instance)."""
+        return tuple(
+            instruction.is_prediction_candidate for instruction in self.instructions
+        )
+
     @property
     def candidate_addresses(self) -> List[int]:
         """Addresses of all value-prediction candidate instructions."""
-        return [
-            address
-            for address, instruction in enumerate(self.instructions)
-            if instruction.is_prediction_candidate
-        ]
+        return [address for address, flag in enumerate(self.candidate_mask) if flag]
 
     def directives(self) -> Dict[int, Directive]:
         """Return address -> directive for every tagged instruction."""

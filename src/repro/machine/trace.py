@@ -53,9 +53,7 @@ def candidate_records(
     instances of instructions that write a computed value to a destination
     register.
     """
-    is_candidate = [
-        instruction.is_prediction_candidate for instruction in program.instructions
-    ]
+    is_candidate = program.candidate_mask
     for record in trace:
         if is_candidate[record.address]:
             yield record

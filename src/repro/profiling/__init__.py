@@ -5,14 +5,9 @@
 * :mod:`~repro.profiling.image_io` — the profile-image file format
   (stream-level :func:`dump_profile`/:func:`load_profile`, path-level
   :func:`save_profile`/:func:`read_profile` with atomic publishes).
-* :func:`merge_profiles` — batch-combine multiple training runs
-  (accepts images or open text streams).
-* :mod:`~repro.profiling.fusion` — :class:`MergeAccumulator`, the
-  streaming merge that folds images/sketches one at a time in bounded
-  memory (fleet-scale fusion; ``repro fuse``).
-* :mod:`~repro.profiling.sketch` — :class:`ProfileSketch`, the compact
-  varint+delta wire format with optional count quantization and a
-  size/fidelity report.
+* :func:`merge_profiles` — combine multiple training runs by summing
+  counts: a lazy fold over images or open text streams that holds only
+  the running totals (``repro fuse``).
 * :mod:`~repro.profiling.metrics` — M(V)max / M(V)average / M(S)average
   similarity metrics and the interval histograms of Figures 4.1-4.3.
 """
@@ -34,25 +29,6 @@ from .image_io import (
     save_profile,
 )
 from .merge import common_addresses, merge_profiles
-from .fusion import (
-    FusionSource,
-    MergeAccumulator,
-    fuse_images,
-    loads_any_profile,
-    read_any_profile,
-)
-from .sketch import (
-    DEFAULT_FIDELITY_LEVELS,
-    ProfileSketch,
-    SketchFormatError,
-    dump_sketch,
-    dumps_sketch,
-    fidelity_report,
-    load_sketch,
-    loads_sketch,
-    read_sketch,
-    save_sketch,
-)
 from .phases import collect_phase_profiles
 from .metrics import (
     HISTOGRAM_EDGES,
@@ -66,17 +42,12 @@ from .metrics import (
 )
 
 __all__ = [
-    "DEFAULT_FIDELITY_LEVELS",
-    "FusionSource",
     "GroupStats",
     "HISTOGRAM_EDGES",
     "HISTOGRAM_LABELS",
     "InstructionProfile",
-    "MergeAccumulator",
     "ProfileFormatError",
     "ProfileImage",
-    "ProfileSketch",
-    "SketchFormatError",
     "accuracy_vectors",
     "average_distance_metric",
     "collect_phase_profiles",
@@ -84,24 +55,14 @@ __all__ = [
     "collect_profiles",
     "common_addresses",
     "dump_profile",
-    "dump_sketch",
     "dumps_profile",
-    "dumps_sketch",
-    "fidelity_report",
-    "fuse_images",
     "interval_histogram",
     "interval_percentages",
     "load_profile",
-    "load_sketch",
-    "loads_any_profile",
     "loads_profile",
-    "loads_sketch",
     "max_distance_metric",
     "merge_profiles",
-    "read_any_profile",
     "read_profile",
-    "read_sketch",
     "save_profile",
-    "save_sketch",
     "stride_efficiency_vectors",
 ]

@@ -250,16 +250,13 @@ def collect_profiles(
     images = {
         name: ProfileImage(program.name, run_label=run_label) for name in predictors
     }
-    is_candidate = [
-        instruction.is_prediction_candidate for instruction in program.instructions
-    ]
     started = time.perf_counter()
     _profile_run(
         program,
         replay_or_run(program, inputs, max_instructions, store),
         predictors,
         lambda name, phase: images[name],
-        is_candidate,
+        program.candidate_mask,
         sample_every,
     )
     telemetry = get_registry()

@@ -7,18 +7,21 @@ dynamic instruction count — an instruction that executes a million times
 in one training run and ten in another is dominated by the former, exactly
 as a single concatenated profiling session would be.
 
-This is the *batch* path: it materializes every input image before
-summing, which is the right call for the paper's five training runs and
-is kept as an independent implementation so the streaming path
-(:mod:`~repro.profiling.fusion`) has a genuine differential reference.
-For fleet-scale inputs use :class:`~repro.profiling.fusion.MergeAccumulator`.
+:func:`merge_profiles` is the one merge: a lazy fold that takes one source
+at a time and holds only the running totals, so a thousand-image fleet
+costs the memory of the merged table (and, under ``require_common``, of
+the first image — the running intersection only shrinks), never that of
+the inputs.  The ``profile-io-merge`` oracle pair (:mod:`repro.check.oracle`)
+differences it against an independent reference model.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, List, Optional, Set, Union
 
-from .collector import ProfileImage
+from ..telemetry import get_registry
+from .collector import InstructionProfile, ProfileImage
 from .image_io import load_profile
 
 #: ``merge_profiles`` accepts images or open v1 text streams.
@@ -59,7 +62,7 @@ def common_addresses(images: Iterable[ProfileImage]) -> List[int]:
 
 
 def merge_profiles(
-    images: Iterable[MergeSource],
+    sources: Iterable[MergeSource],
     *,
     program_name: str = "",
     run_label: str = "merged",
@@ -68,9 +71,10 @@ def merge_profiles(
     """Merge several training-run images into one by summing counts.
 
     Args:
-        images: the per-run profile images, or open text streams in the
+        sources: the per-run profile images, or open text streams in the
             v1 format (each is passed through
-            :func:`~repro.profiling.image_io.load_profile`).
+            :func:`~repro.profiling.image_io.load_profile`); consumed
+            lazily, one at a time.
         program_name: name for the merged image (defaults to the first
             image's).
         run_label: label for the merged image.
@@ -80,30 +84,55 @@ def merge_profiles(
             *and* to the (category, phase) group accounting — an
             instruction dropped from the merged table contributes
             nothing to the merged group aggregates either.
+
+    Under ``require_common`` each fold first drops the accumulated
+    addresses the incoming image lacks (they can never rejoin: the
+    intersection is monotone), then adds the incoming counts for the
+    survivors.  Group rows are pruned with the same addresses.
     """
-    image_list = [_as_image(source) for source in images]
-    if not image_list:
-        raise ValueError("cannot merge zero profile images")
-    keep = set(common_addresses(image_list)) if require_common else None
-    merged = ProfileImage(
-        program_name or image_list[0].program_name, run_label=run_label
-    )
-    for image in image_list:
+    telemetry = get_registry()
+    merged: Optional[ProfileImage] = None
+    for source in sources:
+        image = _as_image(source)
+        started = time.perf_counter()
+        restrict = require_common and merged is not None
+        if merged is None:
+            merged = ProfileImage(program_name or image.program_name, run_label=run_label)
+        elif restrict:
+            stale = [
+                address for address in merged.instructions
+                if address not in image.instructions
+            ]
+            for address in stale:
+                del merged.instructions[address]
+            for key, members in list(merged.group_detail.items()):
+                for address in stale:
+                    members.pop(address, None)
+                if not members:
+                    del merged.group_detail[key]
         for address, profile in image.instructions.items():
-            if keep is not None and address not in keep:
-                continue
-            into = merged.profile_for(address)
+            into = merged.instructions.get(address)
+            if into is None:
+                if restrict:
+                    continue
+                into = merged.instructions[address] = InstructionProfile(address)
             into.executions += profile.executions
             into.attempts += profile.attempts
             into.correct += profile.correct
             into.nonzero_stride_correct += profile.nonzero_stride_correct
         for (category, phase), members in image.group_detail.items():
             for address, counts in members.items():
-                if keep is not None and address not in keep:
+                if require_common and address not in merged.instructions:
                     continue
                 slot = merged.group_slot(category, phase, address)
                 slot[0] += counts[0]
                 slot[1] += counts[1]
                 slot[2] += counts[2]
+        if telemetry.enabled:
+            telemetry.counter("fusion.images").add(1)
+            telemetry.timer("fusion.fold").add(time.perf_counter() - started)
+    if merged is None:
+        raise ValueError("cannot merge zero profile images")
+    if telemetry.enabled:
+        telemetry.counter("fusion.runs").add(1)
     return merged
-

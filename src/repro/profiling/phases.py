@@ -57,7 +57,7 @@ def collect_phase_profiles(
         replay_or_run(program, inputs, max_instructions, store),
         {"default": predictor or StridePredictor()},
         image_for,
-        [instruction.is_prediction_candidate for instruction in program.instructions],
+        program.candidate_mask,
         sample_every,
     )
     return images

@@ -179,7 +179,8 @@ def build_job(argv: List[str]) -> Tuple[Job, argparse.Namespace]:
         names = []
         for path in paths:
             name = Path(path).name
-            # Bytes that are not UTF-8 (a binary sketch) travel as surrogate escapes.
+            # Bytes that are not UTF-8 travel as surrogate escapes, so a
+            # garbage profile reaches the command's typed format error.
             contents = Path(path).read_bytes().decode("utf-8", "surrogateescape")
             if files.setdefault(name, contents) != contents:
                 raise ValueError(f"two input files are named {name!r}")

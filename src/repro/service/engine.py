@@ -47,14 +47,11 @@ COMMANDS = (
 )
 
 #: Options a job may not set, by namespace attribute: they read or write
-#: the server's disk, or (``--sketch``/``--quantize``) write binary output.
+#: the server's disk.
 _DENIED = {
     "store": "--store",
     "output_dir": "--output-dir",
     "report_json": "--report-json",
-    "report": "--report",
-    "sketch": "--sketch",
-    "quantize": "--quantize",
 }
 
 

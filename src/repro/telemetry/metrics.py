@@ -64,13 +64,10 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         # corpus: the seeded mini-C workload generator.
         "corpus.programs",
         "corpus.generate",
-        # fusion: streaming profile merge and the sketch wire format.
+        # fusion: the profile merge (images folded, merges, fold time).
         "fusion.images",
         "fusion.runs",
         "fusion.fold",
-        "fusion.encode",
-        "fusion.decode",
-        "fusion.sketch_bytes",
         # classify: the learned predictability classifier.
         "classify.features",
         "classify.extract",

@@ -206,6 +206,27 @@ class TestPipeline:
         assert lines[0].startswith(f"trace: {error}: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["annotate", "report", "fuse"])
+    @pytest.mark.parametrize(
+        "payload",
+        [bytes(range(256)), b"# not a profile image\n1 2 3\n"],
+        ids=["non-utf8", "text-garbage"],
+    )
+    def test_bad_profile_is_a_usage_error(self, demo, capsys, command, payload):
+        directory, source = demo
+        assembly = directory / "demo.asm"
+        main(["compile", str(source), "-o", str(assembly)])
+        bad = directory / "bad.profile"
+        bad.write_bytes(payload)
+        capsys.readouterr()
+        files = [str(bad)] if command == "fuse" else [str(assembly), str(bad)]
+        assert main([command, *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{command}: bad profile: ")
+
 
 def test_cli_and_daemon_import_without_numpy():
     """The CLI and the service daemon load no numerical stack.

@@ -1,41 +1,31 @@
-"""Streaming fusion, the sketch wire format, and the redesigned API.
+"""The one profile merge, and ``fuse`` as a command and a service job.
 
-The contract under test: folding a fleet of profile images one at a
-time through :class:`~repro.profiling.fusion.MergeAccumulator` is
-*indistinguishable* from batch :func:`~repro.profiling.merge_profiles`
-— any fold order, either ``require_common`` mode, image or sketch
-transport — and the sketch codec is lossless at ``quantize=0`` with
-fidelity degrading monotonically as quantization coarsens.
+The contract under test: :func:`~repro.profiling.merge_profiles` folds
+its sources one at a time and lands on the same counts as the batch
+reference model (:func:`repro.check.oracle._reference_merge_obs`, which
+materializes every image before summing) — in any fold order, in either
+``require_common`` mode, from images or open text streams — while
+holding no earlier image.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
-import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import Category
+from repro.check.oracle import _observe_image, _reference_merge_obs
+from repro.cli import CommandIO
 from repro.profiling import (
-    MergeAccumulator,
-    ProfileSketch,
-    SketchFormatError,
     common_addresses,
     dumps_profile,
-    dumps_sketch,
-    fidelity_report,
-    fuse_images,
-    loads_any_profile,
-    loads_sketch,
     merge_profiles,
-    read_any_profile,
     read_profile,
     save_profile,
-    save_sketch,
 )
 from repro.profiling.collector import InstructionProfile, ProfileImage
 from repro.profiling.image_io import ProfileFormatError
@@ -52,7 +42,13 @@ def simple_image(name, addresses, *, scale=1):
     return image
 
 
-# -- streaming == batch ------------------------------------------------------
+def counts_of(image):
+    """The label-free part of ``_observe_image``, the reference's shape."""
+    observed = _observe_image(image)
+    return {key: observed[key] for key in ("instructions", "groups")}
+
+
+# -- the fold == the batch reference -----------------------------------------
 
 
 class TestStreamingEqualsBatch:
@@ -60,27 +56,14 @@ class TestStreamingEqualsBatch:
     @given(st.lists(profile_images(), min_size=1, max_size=4))
     def test_fold_order_is_irrelevant_and_matches_batch(self, images):
         for require_common in (False, True):
-            batch = merge_profiles(images, require_common=require_common)
+            reference = _reference_merge_obs(images, require_common)
             for ordering in (images, list(reversed(images))):
-                accumulator = MergeAccumulator(require_common=require_common)
-                for image in ordering:
-                    accumulator.fold(image)
-                assert canonical_counts(accumulator.result()) == canonical_counts(
-                    batch
-                )
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(profile_images(), min_size=1, max_size=3))
-    def test_sketch_transport_matches_batch(self, images):
-        """Fold through the wire format: image -> sketch bytes -> image."""
-        batch = merge_profiles(images)
-        accumulator = MergeAccumulator()
-        for image in images:
-            payload = dumps_sketch(ProfileSketch.from_image(image))
-            accumulator.fold(loads_sketch(payload).to_image())
-        assert canonical_counts(accumulator.result()) == canonical_counts(batch)
+                merged = merge_profiles(ordering, require_common=require_common)
+                assert counts_of(merged) == reference
 
     def test_streamed_dump_is_byte_identical_to_batch(self):
+        """Text streams from a generator, in either order, against the
+        in-memory list: the same bytes."""
         images = [
             simple_image("a", [1, 2, 3]),
             simple_image("b", [2, 3, 4]),
@@ -88,115 +71,49 @@ class TestStreamingEqualsBatch:
         ]
         for require_common in (False, True):
             batch = merge_profiles(images, require_common=require_common)
-            streamed = fuse_images(images, require_common=require_common)
-            assert dumps_profile(streamed) == dumps_profile(batch)
+            for ordering in (images, images[::-1]):
+                streamed = merge_profiles(
+                    (io.StringIO(dumps_profile(image)) for image in ordering),
+                    program_name="a",
+                    require_common=require_common,
+                )
+                assert dumps_profile(streamed) == dumps_profile(batch)
 
     def test_result_requires_at_least_one_image(self):
         with pytest.raises(ValueError, match="zero profile images"):
-            MergeAccumulator().result()
+            merge_profiles([])
+        with pytest.raises(ValueError, match="zero profile images"):
+            merge_profiles(iter(()))
 
     def test_fold_rejects_unknown_sources(self):
         with pytest.raises(TypeError):
-            MergeAccumulator().fold(42)
+            merge_profiles([42])
 
     def test_thousand_image_fold_stays_bounded(self):
-        """The acceptance criterion: a lazy fleet folds in O(1) images.
+        """A lazy fleet folds in O(1) images.
 
-        The generator materializes one image at a time and the
-        accumulator's live address set never exceeds the first image's,
-        so memory is bounded by a single image regardless of fleet size.
+        The generator materializes one image at a time, and by the time
+        it builds the next one the merge holds no earlier image (the one
+        just folded is at most one step behind), so memory is bounded by
+        the running totals regardless of fleet size.
         """
         addresses = list(range(0, 16, 2))
+        folded = []
 
         def fleet():
             for index in range(1_000):
-                yield simple_image(f"edge-{index}", addresses)
+                assert all(ref() is None for ref in folded[:-1])
+                image = simple_image(f"edge-{index}", addresses)
+                folded.append(weakref.ref(image))
+                yield image
 
-        accumulator = MergeAccumulator(require_common=True)
-        accumulator.update(fleet())
-        assert accumulator.images_folded == 1_000
-        assert accumulator.live_addresses == len(addresses)
-        merged = accumulator.result()
+        merged = merge_profiles(fleet(), require_common=True)
+        assert len(folded) == 1_000
+        assert sorted(merged.instructions) == addresses
         assert merged.instructions[0].executions == 40 * 1_000
 
 
-# -- sketch codec ------------------------------------------------------------
-
-
-class TestSketchCodec:
-    @settings(max_examples=150, deadline=None)
-    @given(profile_images())
-    def test_quantize_zero_is_lossless(self, image):
-        sketch = ProfileSketch.from_image(image, quantize=0)
-        assert loads_sketch(dumps_sketch(sketch)).to_image() == image
-
-    @settings(max_examples=60, deadline=None)
-    @given(profile_images(), st.integers(min_value=1, max_value=8))
-    def test_quantization_preserves_count_ordering(self, image, level):
-        decoded = loads_sketch(
-            dumps_sketch(ProfileSketch.from_image(image, quantize=level))
-        ).to_image()
-        for address, original in image.instructions.items():
-            profile = decoded.instructions[address]
-            assert profile.executions <= original.executions
-            assert (
-                0
-                <= profile.nonzero_stride_correct
-                <= profile.correct
-                <= profile.attempts
-                <= profile.executions
-            )
-
-    def test_fidelity_degrades_monotonically(self):
-        images = [
-            simple_image(f"edge-{index}", range(0, 40, 3), scale=7 + index)
-            for index in range(4)
-        ]
-        report = fidelity_report(images, levels=(0, 1, 2, 4, 8))
-        assert report["images"] == 4
-        errors = [level["mean_abs_count_error"] for level in report["levels"]]
-        assert errors[0] == 0.0
-        assert report["levels"][0]["classification_agreement"] == 1.0
-        assert errors == sorted(errors)
-
-    def test_compression_beats_text_dump_by_5x(self):
-        """A collector-shaped fleet: executions in the thousands, attempts
-        one training miss behind, accuracy bimodal, two groups."""
-        rng = random.Random(1997)
-        text_bytes = sketch_bytes = 0
-        for index in range(24):
-            image = ProfileImage("fleet", run_label=f"edge-{index}")
-            for slot in range(96):
-                address = slot * 2
-                executions = 1_000 + rng.randrange(0, 4_000)
-                attempts = executions - 1
-                correct = int(attempts * (0.95 if slot % 3 else 0.15))
-                nonzero = correct if slot % 2 else 0
-                image.instructions[address] = InstructionProfile(
-                    address, executions, attempts, correct, nonzero
-                )
-                category = Category.INT_LOAD if slot % 2 else Category.INT_ALU
-                detail = image.group_detail.setdefault((category, 0), {})
-                detail[address] = [executions, attempts, correct]
-            text_bytes += len(dumps_profile(image).encode("utf-8"))
-            sketch_bytes += len(dumps_sketch(ProfileSketch.from_image(image)))
-        assert text_bytes >= 5 * sketch_bytes
-
-    def test_truncated_sketch_rejected(self):
-        payload = dumps_sketch(ProfileSketch.from_image(simple_image("p", [1, 2])))
-        with pytest.raises(SketchFormatError):
-            loads_sketch(payload[:-3])
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(SketchFormatError):
-            loads_sketch(b"# not-a-sketch\n")
-
-    def test_sketch_error_is_a_profile_format_error(self):
-        """Callers that already catch ProfileFormatError keep working."""
-        assert issubclass(SketchFormatError, ProfileFormatError)
-
-
-# -- redesigned profiling API ------------------------------------------------
+# -- the merge API -----------------------------------------------------------
 
 
 class TestMergeApi:
@@ -247,34 +164,24 @@ class TestAtomicIo:
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.profile"]
 
-    def test_save_sketch_round_trips_via_read_any_profile(self, tmp_path):
-        image = simple_image("p", [3, 5])
-        target = tmp_path / "out.sketch"
-        save_sketch(ProfileSketch.from_image(image), target)
-        assert read_any_profile(target) == image
-        assert read_any_profile(os.fspath(target)) == image
-
 
 # -- service contract --------------------------------------------------------
 
 
 class TestFuseJob:
-    """``fuse`` as a service job: text images and binary sketches as uploads."""
+    """``fuse`` as a service job: profile images as uploads."""
 
     def _files(self, images):
-        # A text image uploads verbatim, a binary sketch as surrogate escapes.
         return {
             "a.profile": dumps_profile(images[0]),
-            "b.sketch": dumps_sketch(ProfileSketch.from_image(images[1])).decode(
-                "utf-8", "surrogateescape"
-            ),
+            "b.profile": dumps_profile(images[1]),
         }
 
     def test_round_trips_through_the_wire_dict(self):
         from repro.service.api import Job
 
         images = [simple_image("a", [1, 2]), simple_image("b", [2, 3])]
-        job = Job(("fuse", "a.profile", "b.sketch"), self._files(images))
+        job = Job(("fuse", "a.profile", "b.profile"), self._files(images))
         assert Job.from_dict(json.loads(json.dumps(job.to_dict()))) == job
 
     def test_from_dict_rejects_bad_profiles(self):
@@ -287,30 +194,51 @@ class TestFuseJob:
             (("fuse", "a.profile"), {}),  # not uploaded
             (("fuse", "a.profile"), {"a.profile": ""}),  # empty
             (("fuse", "a.profile"), {"a.profile": "not a profile"}),
+            # Non-UTF-8 bytes upload as surrogate escapes.
+            (("fuse", "a.profile"), {"a.profile": b"\xff\xfe".decode(
+                "utf-8", "surrogateescape")}),
         ):
             job = Job(argv, files)
             with pytest.raises(ApiError) as info:
                 engine.execute(job, engine.admit(job))
             assert info.value.code == "invalid-job"
 
-    def test_engine_fuse_matches_batch_bytes(self):
+    def test_engine_fuse_matches_batch_bytes(self, tmp_path, monkeypatch, capsys):
+        """The service job writes what the batch command line writes."""
+        from repro.cli import main
         from repro.service.api import Job
         from repro.service.engine import ServiceEngine
 
         images = [simple_image("a", [1, 2, 3]), simple_image("b", [2, 3, 4])]
-        job = Job(("fuse", "a.profile", "b.sketch", "--require-common"),
-                  self._files(images))
+        files = self._files(images)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = ("fuse", "a.profile", "b.profile", "--require-common")
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 0
+        batch = capsys.readouterr()
         engine = ServiceEngine()
+        job = Job(argv, files)
         output, log = engine.execute(job, engine.admit(job))
-        batch = merge_profiles(images, require_common=True)
-        assert output == dumps_profile(batch)
-        assert log == "fused 2 profile(s) into 2 instructions (streaming) -> stdout\n"
+        assert (output, log) == (batch.out, batch.err)
+        assert log == "fused 2 profile(s) into 2 instructions -> stdout\n"
 
     def test_decode_rejects_garbage_payloads(self):
-        with pytest.raises(ProfileFormatError):
-            loads_any_profile(b"this is neither text image nor a sketch", "garbage")
-        with pytest.raises(ProfileFormatError):
-            loads_any_profile(b"\xff\xfe binary garbage", "garbage")
+        header = dumps_profile(simple_image("p", [1])).encode("utf-8")
+        files = {
+            "text.profile": "this is not a profile image",
+            "binary.profile": b"\xff\xfe binary garbage".decode(
+                "utf-8", "surrogateescape"
+            ),
+            # A valid image but for one non-UTF-8 byte in a comment row,
+            # which reading the file from disk refuses too.
+            "comment.profile": header.replace(b"# program: p", b"# program: p\xff")
+            .decode("utf-8", "surrogateescape"),
+        }
+        uploads = CommandIO(files)
+        for name in files:
+            with pytest.raises(ProfileFormatError):
+                uploads.read_profile(name)
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -320,46 +248,25 @@ class TestFuseCli:
     def _write_fleet(self, tmp_path, count=3):
         for index in range(count):
             image = simple_image(f"edge-{index}", [1, 2, 3 + index])
+            image.program_name = "fleet"
             save_profile(image, tmp_path / f"run-{index}.profile")
         return str(tmp_path / "run-*.profile")
 
     def test_streaming_and_batch_outputs_are_byte_identical(self, tmp_path):
+        """``fuse`` folding files, in either argument order, writes the
+        bytes of merging the in-memory batch of images."""
         from repro.cli import main
 
         pattern = self._write_fleet(tmp_path)
-        stream_out = tmp_path / "stream.profile"
-        batch_out = tmp_path / "batch.profile"
-        assert main(["fuse", pattern, "-o", str(stream_out)]) == 0
-        assert main(["fuse", pattern, "-o", str(batch_out), "--batch"]) == 0
-        assert stream_out.read_bytes() == batch_out.read_bytes()
-
-    def test_sketch_output_and_report(self, tmp_path):
-        import json
-
-        from repro.cli import main
-
-        pattern = self._write_fleet(tmp_path)
-        sketch_out = tmp_path / "merged.sketch"
-        report_path = tmp_path / "report.json"
-        assert (
-            main(
-                [
-                    "fuse",
-                    pattern,
-                    "-o",
-                    str(sketch_out),
-                    "--sketch",
-                    "--report",
-                    str(report_path),
-                ]
-            )
-            == 0
-        )
-        merged = read_any_profile(sketch_out)
-        assert sorted(merged.instructions) == [1, 2, 3, 4, 5]
-        report = json.loads(report_path.read_text())
-        assert report["images"] == 3
-        assert report["levels"][0]["quantize"] == 0
+        paths = sorted(str(path) for path in tmp_path.glob("run-*.profile"))
+        batch = merge_profiles([read_profile(path) for path in paths])
+        forward = tmp_path / "forward.profile"
+        backward = tmp_path / "backward.profile"
+        assert main(["fuse", pattern, "-o", str(forward)]) == 0
+        assert main(["fuse", *paths[::-1], "-o", str(backward)]) == 0
+        expected = dumps_profile(batch).encode("utf-8")
+        assert forward.read_bytes() == expected
+        assert backward.read_bytes() == expected
 
     def test_no_matching_profiles_is_an_error(self, tmp_path):
         from repro.cli import main

@@ -226,7 +226,6 @@ class TestEndToEnd:
 def workdir(tmp_path_factory, batch_artifacts):
     """Every file the seven commands read, under plain names."""
     from repro.classify import build_dataset, dataset_rows, dumps_model, train_model
-    from repro.profiling import ProfileSketch, dumps_sketch, loads_profile
     from repro.workloads.corpus import generate_corpus
 
     directory = tmp_path_factory.mktemp("identity")
@@ -235,8 +234,7 @@ def workdir(tmp_path_factory, batch_artifacts):
     (directory / "demo.profile").write_text(batch_artifacts["profile"], encoding="utf-8")
     (directory / "in.txt").write_text(INPUTS_B.replace(",", " ") + "\n", encoding="utf-8")
     (directory / "run-1.profile").write_text(batch_artifacts["profile"], encoding="utf-8")
-    image = loads_profile(batch_artifacts["profile"])
-    (directory / "run-2.sketch").write_bytes(dumps_sketch(ProfileSketch.from_image(image)))
+    (directory / "run-2.profile").write_text(batch_artifacts["profile"], encoding="utf-8")
     rows = dataset_rows(build_dataset(generate_corpus(1997, 3), training_runs=2, scale=0.1))
     (directory / "model.json").write_text(dumps_model(train_model(rows, seed=1997)),
                                           encoding="utf-8")
@@ -249,7 +247,7 @@ IDENTITY_CASES = {
     "profile": ["profile", "demo.asm", "--inputs", INPUTS_A, "--inputs=@in.txt",
                 "-o", "out.profile"],
     "annotate": ["annotate", "demo.asm", "demo.profile", "--threshold", "80"],
-    "fuse": ["fuse", "run-*.profile", "run-2.sketch", "--require-common"],
+    "fuse": ["fuse", "run-*.profile", "--require-common"],
     "classify predict": ["classify", "predict", "model.json", "demo.asm"],
     "experiments": ["experiments", "fig-4.2", "--scale", "0.01", "--no-cache", "--quiet"],
 }
@@ -322,11 +320,8 @@ SANDBOX_CASES = [
      "--cache-dir"),
     ("--report-json", Job(("experiments", "fig-4.2", "--report-json", "r.json")),
      "--report-json"),
-    ("--report", Job(("fuse", "demo.asm", "--report", "r.json"), PROGRAM), "--report"),
     ("--sketch", Job(("fuse", "demo.asm", "--sketch", "-o", "m.sketch"), PROGRAM),
-     "--sketch"),
-    ("--quantize", Job(("fuse", "demo.asm", "--quantize", "2", "-o", "m"), PROGRAM),
-     "--quantize"),
+     "unrecognized arguments: --sketch"),
     ("-o .gz", Job(("trace", "demo.asm", "-o", "t.trace.gz"), PROGRAM), "-o *.gz"),
     ("check", Job(("check", "--smoke")), "not 'check'"),
     ("serve", Job(("serve", "--port", "0")), "not 'serve'"),
