@@ -133,10 +133,11 @@ def _observe_batches_raw(case: CheckCase, budget: int) -> Dict[str, object]:
     """Fast-side observation: decode the columnar batches by hand.
 
     Deliberately re-implements the column walk (phase segments, dense
-    ``mems`` cursor against the static ``mem_flags`` bitmap, packed
-    produced-value cursor against the static ``value_flags`` bitmap)
-    instead of calling ``TraceBatch.records`` — the adapter is the thing
-    under test.
+    ``mems`` cursor against the static ``mem_flags`` bitmap, the
+    candidates' ``values`` cursor against ``candidate_flags`` and the
+    other producers' ``others`` cursor against ``value_flags``) instead
+    of calling ``TraceBatch.records`` — the adapter is the thing under
+    test.
     """
     executor = Executor(
         case.program, inputs=list(case.inputs), max_instructions=budget
@@ -146,11 +147,12 @@ def _observe_batches_raw(case: CheckCase, budget: int) -> Dict[str, object]:
     try:
         for batch in executor.run_batches():
             flags = batch.mem_flags
+            cflags = batch.candidate_flags
             vflags = batch.value_flags
             mems = batch.mems
-            produced = batch.values
             cursor = 0
             vcursor = 0
+            ocursor = 0
             for start, end, phase in batch.phase_segments():
                 for index in range(start, end):
                     address = batch.addresses[index]
@@ -159,9 +161,12 @@ def _observe_batches_raw(case: CheckCase, budget: int) -> Dict[str, object]:
                         cursor += 1
                     else:
                         mem_address = None
-                    if vflags[address]:
-                        value = produced[vcursor]
+                    if cflags[address]:
+                        value = batch.values[vcursor]
                         vcursor += 1
+                    elif vflags[address]:
+                        value = batch.others[ocursor]
+                        ocursor += 1
                     else:
                         value = None
                     records.append(

@@ -201,13 +201,12 @@ def simulate_prediction_many(
         raise ValueError("need at least one engine")
     check_distinct_engines(engines)
     engine_list = list(engines.values())
-    is_candidate = engine_list[0]._is_candidate
     consumers, finishers = _build_consumers(engine_list)
     started = time.perf_counter()
     batches = replay_or_run(program, inputs, max_instructions, store)
     try:
         for batch in batches:
-            pairs, _ = batch.candidates(is_candidate)
+            pairs, _ = batch.candidates()
             if not pairs:
                 continue
             for consume in consumers:

@@ -437,7 +437,6 @@ def measure_ilp_many(
     check_distinct_engines(engines)
     configs = configs or {}
     decoded = _decode_for_scheduling(program)
-    is_candidate = program.candidate_mask
     tables: Dict[Tuple[bool, bool], List[_Slot]] = {}
     machines: Dict[str, _BatchMachine] = {}
     lanes = []  # (machine, consume or None), one per label
@@ -462,7 +461,7 @@ def measure_ilp_many(
         for batch in batches:
             addresses = batch.addresses
             mems = batch.mems
-            pairs = batch.candidates(is_candidate)[0] if predicting else ()
+            pairs = batch.candidates()[0] if predicting else ()
             for machine, consume in lanes:
                 outcomes = None
                 if consume is not None:

@@ -76,6 +76,14 @@ class Program:
             instruction.is_prediction_candidate for instruction in self.instructions
         )
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The machine memoizes its decoded instructions on the program
+        # (``repro.machine.executor.machine_tables``); their handlers do
+        # not pickle, so a copy leaves the memo behind and rebuilds it.
+        state = dict(self.__dict__)
+        state.pop("_machine_tables", None)
+        return state
+
     @property
     def candidate_addresses(self) -> List[int]:
         """Addresses of all value-prediction candidate instructions."""

@@ -8,7 +8,6 @@ captured once and replayed many times through :class:`TraceStore`.
 """
 
 from .batch import DEFAULT_CHUNK, TraceBatch
-from .columns import ValueColumn
 from .errors import (
     DivisionByZero,
     ExecutionError,
@@ -19,11 +18,11 @@ from .errors import (
 from .executor import (
     DEFAULT_BUDGET,
     Executor,
-    mem_flags,
+    MachineTables,
+    machine_tables,
     run_program,
     trace_batches,
     trace_program,
-    value_flags,
 )
 from .sharding import ShardReport, ShardResult, capture_sharded, parallel_runs
 from .state import MachineState
@@ -48,6 +47,7 @@ __all__ = [
     "InstructionBudgetExceeded",
     "InvalidMemoryAccess",
     "MachineState",
+    "MachineTables",
     "PackedTrace",
     "RunResult",
     "RunStatistics",
@@ -56,12 +56,11 @@ __all__ = [
     "TraceBatch",
     "TraceRecord",
     "TraceStore",
-    "ValueColumn",
     "candidate_records",
     "capture_sharded",
     "collect_statistics",
     "inputs_digest",
-    "mem_flags",
+    "machine_tables",
     "parallel_runs",
     "program_digest",
     "run_program",
@@ -70,6 +69,5 @@ __all__ = [
     "trace_key",
     "trace_program",
     "trace_to_list",
-    "value_flags",
     "write_trace",
 ]

@@ -7,18 +7,24 @@ object per retired instruction:
 ``addresses``
     an ``array('q')`` of static instruction addresses, one per record;
 ``values``
-    a :class:`~repro.machine.columns.ValueColumn` of *produced* values —
-    a packed ``array('q')`` plus an escape map for floats/bigints.
-    Which records produce a value is static per program
-    (``value_flags`` indexed by static address), so the column stores
-    no per-record ``None`` slot for non-writers, exactly as ``mems``
-    never stored per-record ``None`` memory addresses;
+    the values the batch's prediction candidates produced, in trace
+    order: the interpreter's list in a live batch, the stored
+    ``array('q')``/``array('d')`` (or decoded list) in a replayed one;
+``others``
+    the values of the other producers — ``call``, ``in`` and ``fin``,
+    which are not candidates — in trace order;
 ``phase_runs``
     run-length encoded phases: ``(start_offset, phase)`` pairs, the
     first always at offset 0;
 ``mems``
     effective addresses of the loads/stores in the batch, in trace
-    order, against the static ``mem_flags`` bitmap.
+    order.
+
+Which records have an entry in ``values``, ``others`` and ``mems`` is
+static per program: the batch carries the program's
+:class:`~repro.machine.executor.MachineTables` bitmaps
+``candidate_flags``, ``value_flags`` (every producer) and ``mem_flags``,
+indexed by static address, so no column stores a per-record ``None``.
 
 Value-prediction consumers — profiling, the classified simulation and
 the ILP model — read a batch through :meth:`TraceBatch.candidates`, the
@@ -31,15 +37,42 @@ per-record adapter the reference paths use.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
-from typing import Iterator, List, Sequence, Tuple
+from itertools import accumulate, compress
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from ..isa import Number
-from .columns import ValueColumn
 from .trace import TraceRecord
+
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    from .executor import MachineTables
 
 #: Default number of records per batch emitted by ``Executor.run_batches``.
 DEFAULT_CHUNK = 16_384
+
+
+class CandidatePairs:
+    """A batch's candidate ``(address, value)`` pairs, as a view.
+
+    Iterating zips two equal-length columns, so the view stores no tuple
+    per candidate.  It can be iterated more than once, has a length, and
+    a slice of it is another view.
+    """
+
+    __slots__ = ("addresses", "values")
+
+    def __init__(self, addresses: Sequence[int], values: Sequence[Number]) -> None:
+        self.addresses = addresses
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __iter__(self) -> Iterator[Tuple[int, Number]]:
+        return zip(self.addresses, self.values)
+
+    def __getitem__(self, index: slice) -> "CandidatePairs":
+        return CandidatePairs(self.addresses[index], self.values[index])
 
 
 class TraceBatch:
@@ -48,27 +81,31 @@ class TraceBatch:
     __slots__ = (
         "addresses",
         "values",
-        "value_flags",
+        "others",
         "phase_runs",
         "mems",
+        "candidate_flags",
+        "value_flags",
         "mem_flags",
     )
 
     def __init__(
         self,
         addresses: array,
-        values: ValueColumn,
-        value_flags: Sequence[bool],
+        values: Sequence[Number],
+        others: Sequence[Number],
         phase_runs: List[Tuple[int, int]],
-        mems: List[int],
-        mem_flags: Sequence[bool],
+        mems: Sequence[int],
+        tables: "MachineTables",
     ) -> None:
         self.addresses = addresses
         self.values = values
-        self.value_flags = value_flags
+        self.others = others
         self.phase_runs = phase_runs
         self.mems = mems
-        self.mem_flags = mem_flags
+        self.candidate_flags = tables.candidate_flags
+        self.value_flags = tables.value_flags
+        self.mem_flags = tables.mem_flags
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -83,70 +120,73 @@ class TraceBatch:
                 yield start, end, phase
 
     def candidates(
-        self, is_candidate: Sequence[bool], sample_every: int = 1, offset: int = 0
-    ) -> Tuple[List[Tuple[int, Number]], List[Tuple[int, int]]]:
+        self, sample_every: int = 1, offset: int = 0
+    ) -> Tuple[CandidatePairs, List[Tuple[int, int]]]:
         """The batch's candidate ``(address, value)`` pairs, with phases.
 
-        Returns ``(pairs, runs)``.  ``pairs`` lists, in trace order, every
-        record whose address is flagged in ``is_candidate`` and whose
-        0-based position in the whole run — ``offset`` is the position of
-        this batch's first record — is a multiple of ``sample_every``.
-        ``runs`` holds ``(pair index, phase)`` starts in the shape of
-        :attr:`phase_runs`: the first at 0, consecutive phases distinct,
-        and no run without a pair (so ``runs`` is empty when ``pairs``
-        is).  Candidates always produce a value, so a cursor over the
-        packed value column recovers each one's value.
+        Returns ``(pairs, runs)``.  ``pairs`` holds, in trace order, every
+        prediction candidate whose 0-based position in the whole run —
+        ``offset`` is the position of this batch's first record — is a
+        multiple of ``sample_every``.  ``runs`` holds ``(pair index,
+        phase)`` starts in the shape of :attr:`phase_runs`: the first at
+        0, consecutive phases distinct, and no run without a pair (so
+        ``runs`` is empty when ``pairs`` is).
         """
-        addresses = self.addresses
-        flags = self.value_flags
-        column = self.values
-        produced = column.ints if column.is_pure_int else column.tolist()
-        pairs: List[Tuple[int, Number]] = []
-        runs: List[Tuple[int, int]] = []
-        append = pairs.append
-        if sample_every > 1:
-            # Producers before each position: a sampled record's index
+        # Unpacked once, so the gather and the compress share its ints.
+        addresses = self.addresses.tolist()
+        values = self.values
+        # One candidate flag per record, gathered in C; a 1-tuple for a
+        # single record, where itemgetter would return the bare flag.
+        if len(addresses) > 1:
+            flags = itemgetter(*addresses)(self.candidate_flags)
+        else:
+            flags = tuple(self.candidate_flags[a] for a in addresses)
+        segments = list(self.phase_segments())
+        if sample_every == 1:
+            pairs = CandidatePairs(list(compress(addresses, flags)), values)
+            ends = list(
+                accumulate(sum(flags[start:end]) for start, end, _ in segments[:-1])
+            )
+            ends.append(len(pairs))
+        else:
+            # Candidates before each position: a sampled record's index
             # into the value column.
-            ranks = list(accumulate((flags[a] for a in addresses), initial=0))
-        cursor = 0
-        for start, end, phase in self.phase_segments():
-            mark = len(pairs)
-            if sample_every == 1:
-                for address in addresses[start:end]:
-                    if flags[address]:
-                        if is_candidate[address]:
-                            append((address, produced[cursor]))
-                        cursor += 1
-            else:
+            ranks = list(accumulate(flags, initial=0))
+            found: List[int] = []
+            sampled: List[Number] = []
+            ends = []
+            for start, end, _phase in segments:
                 first = start + (-(offset + start) % sample_every)
                 for position in range(first, end, sample_every):
-                    address = addresses[position]
-                    if is_candidate[address]:
-                        append((address, produced[ranks[position]]))
-            if len(pairs) > mark and (not runs or runs[-1][1] != phase):
+                    if flags[position]:
+                        found.append(addresses[position])
+                        sampled.append(values[ranks[position]])
+                ends.append(len(found))
+            pairs = CandidatePairs(found, sampled)
+        runs: List[Tuple[int, int]] = []
+        mark = 0
+        for end_mark, (_start, _end, phase) in zip(ends, segments):
+            if end_mark > mark and (not runs or runs[-1][1] != phase):
                 runs.append((mark, phase))
+            mark = end_mark
         return pairs, runs
 
     def records(self) -> Iterator[TraceRecord]:
         """Per-record adapter: rebuild one ``TraceRecord`` per entry."""
         addresses = self.addresses
-        values = self.values
+        cflags = self.candidate_flags
         vflags = self.value_flags
-        mems = self.mems
-        flags = self.mem_flags
-        cursor = 0
-        vcursor = 0
+        mflags = self.mem_flags
+        values = iter(self.values)
+        others = iter(self.others)
+        mems = iter(self.mems)
         for start, end, phase in self.phase_segments():
-            for index in range(start, end):
-                address = addresses[index]
-                if flags[address]:
-                    mem_address = mems[cursor]
-                    cursor += 1
-                else:
-                    mem_address = None
-                if vflags[address]:
-                    value = values[vcursor]
-                    vcursor += 1
+            for address in addresses[start:end]:
+                if cflags[address]:
+                    value = next(values)
+                elif vflags[address]:
+                    value = next(others)
                 else:
                     value = None
+                mem_address = next(mems) if mflags[address] else None
                 yield TraceRecord(address, value, phase, mem_address)

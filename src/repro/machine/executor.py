@@ -4,10 +4,14 @@
 native emission path is :meth:`Executor.run_batches`, which retires
 instructions in fixed-size chunks and fills the parallel columns of a
 :class:`~repro.machine.batch.TraceBatch` — an ``array('q')`` of static
-addresses, a value column, run-length-encoded phases and a dense
-effective-address column.  Dispatch is a tuple index into the per-opcode
-handler table (:data:`~repro.machine.handlers.HANDLERS`); the program is
-pre-decoded into fixed-shape operand tuples keyed by opcode ordinal.
+addresses, the prediction candidates' values, the other producers'
+values, run-length-encoded phases and a dense effective-address column.
+Each handler appends to the value column its opcode belongs to, so the
+candidates' values need no later pass over the records.  Dispatch is one
+call through the pre-decoded instruction: :func:`machine_tables` decodes
+the program into fixed-shape operand tuples that carry their handler
+(from :data:`~repro.machine.handlers.HANDLERS`) and builds the batches'
+static flag bitmaps, once per program.
 
 The classic per-record iterator, :meth:`Executor.run`, survives as a
 thin adapter that re-materialises one
@@ -33,12 +37,11 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..isa import Instruction, Number, Opcode, Program
 from ..telemetry import get_registry
 from .batch import DEFAULT_CHUNK, TraceBatch
-from .columns import ValueColumn
 from .errors import ExecutionError, InstructionBudgetExceeded
 from .handlers import HANDLERS, ORDINALS, BatchContext
 from .state import MachineState
@@ -83,31 +86,42 @@ def _decode(instruction: Instruction) -> _Decoded:
     return (handler, dest, src1, src2, instruction.imm, target)
 
 
-def mem_flags(program: Program) -> bytes:
-    """Static per-address flag: does the instruction touch memory?
+class MachineTables(NamedTuple):
+    """The static per-program tables of the interpreter and its batches.
 
-    Loads and stores are the only producers of effective addresses, and
-    which static instructions they are is a property of the program, not
-    the run — so batches carry a dense ``mems`` column and this bitmap
-    instead of a per-record ``mem_address`` slot.
+    ``decoded`` holds one :data:`_Decoded` tuple per instruction.  The
+    three bitmaps, indexed by static address, say which records have an
+    entry in which batch column: ``mem_flags`` marks loads and stores
+    (``mems``), ``value_flags`` every value producer (``values`` or
+    ``others``) and ``candidate_flags`` the prediction candidates
+    (``values``).  All four are opcode properties, so a run carries no
+    per-record ``None`` slot for them.
     """
-    return bytes(
-        1 if instruction.opcode in _MEM_OPCODES else 0
-        for instruction in program.instructions
-    )
+
+    decoded: Tuple[_Decoded, ...]
+    mem_flags: bytes
+    value_flags: bytes
+    candidate_flags: bytes
 
 
-def value_flags(program: Program) -> bytes:
-    """Static per-address flag: does the instruction produce a value?
+def machine_tables(program: Program) -> MachineTables:
+    """The program's :class:`MachineTables`, built once per program.
 
-    Like :func:`mem_flags`, value-None-ness is an opcode property, so the
-    packed trace format stores only produced values and reconstitutes the
-    ``None`` slots from this bitmap.
+    Memoized on the program object, as its ``candidate_mask`` is;
+    ``Program`` leaves the memo out of its pickled state, because the
+    decoded handlers do not pickle.
     """
-    return bytes(
-        0 if instruction.opcode in _SILENT_OPCODES else 1
-        for instruction in program.instructions
-    )
+    tables = getattr(program, "_machine_tables", None)
+    if tables is None:
+        instructions = program.instructions
+        tables = MachineTables(
+            tuple(_decode(instruction) for instruction in instructions),
+            bytes(i.opcode in _MEM_OPCODES for i in instructions),
+            bytes(i.opcode not in _SILENT_OPCODES for i in instructions),
+            bytes(program.candidate_mask),
+        )
+        object.__setattr__(program, "_machine_tables", tables)
+    return tables
 
 
 class Executor:
@@ -130,9 +144,7 @@ class Executor:
         self.state = MachineState(program, inputs=inputs)
         self.max_instructions = max_instructions
         self.instruction_count = 0
-        self._decoded: List[_Decoded] = [_decode(i) for i in program.instructions]
-        self.mem_flags = mem_flags(program)
-        self.value_flags = value_flags(program)
+        self.tables = machine_tables(program)
 
     def run_batches(self, chunk_size: int = DEFAULT_CHUNK) -> Iterator[TraceBatch]:
         """Execute to completion, yielding columnar chunks of the trace.
@@ -145,7 +157,8 @@ class Executor:
                 the next request.
         """
         # Hot-loop local bindings.
-        decoded = self._decoded
+        tables = self.tables
+        decoded = tables.decoded
         state = self.state
         code_size = len(decoded)
         budget = (
@@ -154,8 +167,6 @@ class Executor:
             else float("inf")
         )
         count = self.instruction_count
-        flags = self.mem_flags
-        vflags = self.value_flags
 
         ctx = BatchContext()
         ctx.pc = state.pc
@@ -167,17 +178,18 @@ class Executor:
         telemetry = get_registry()
         initial_count = count
         produced_total = 0
-        escaped_total = 0
         started = time.perf_counter()
         try:
             halted = False
             while not halted:
                 addresses: List[int] = []
-                values: List[Optional[Number]] = []
+                values: List[Number] = []
+                others: List[Number] = []
                 mems: List[int] = []
                 phase_runs: List[Tuple[int, int]] = [(0, ctx.phase)]
                 ctx.addresses = addresses
                 ctx.values = values
+                ctx.others = others
                 ctx.mems = mems
                 ctx.phase_runs = phase_runs
                 error: Optional[ExecutionError] = None
@@ -206,16 +218,14 @@ class Executor:
                 except ExecutionError as exc:
                     error = exc
                 if addresses:
-                    column = ValueColumn.from_values(values)
-                    produced_total += len(column.ints)
-                    escaped_total += len(column.escapes)
+                    produced_total += len(values) + len(others)
                     yield TraceBatch(
                         array("q", addresses),
-                        column,
-                        vflags,
+                        values,
+                        others,
                         phase_runs,
                         mems,
-                        flags,
+                        tables,
                     )
                 if error is not None:
                     raise error
@@ -225,7 +235,6 @@ class Executor:
             # add and one timer add per run keeps the loop itself clean.
             telemetry.counter("machine.instructions").add(count - initial_count)
             telemetry.counter("machine.columns.values").add(produced_total)
-            telemetry.counter("machine.columns.escapes").add(escaped_total)
             telemetry.timer("machine.run").add(time.perf_counter() - started)
 
     def run(self) -> Iterator[TraceRecord]:

@@ -9,7 +9,11 @@ record-at-a-time path is a single tuple index instead of a linear scan.
 Each handler executes exactly one decoded instruction against a
 :class:`BatchContext`, appends that instruction's trace columns, and
 returns ``True`` only for ``halt``.  Control-flow handlers overwrite
-``ctx.pc`` (the caller has already advanced it to the fall-through).
+``ctx.pc`` (the caller has already advanced it to the fall-through).  A
+produced value goes to ``values`` when the opcode is a prediction
+candidate and to ``others`` otherwise: only ``call``, ``in`` and ``fin``
+produce a value that is not predicted (see
+:attr:`~repro.isa.opcodes.Opcode.is_prediction_candidate`).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ class BatchContext:
         "state",
         "addresses",
         "values",
+        "others",
         "mems",
         "phase_runs",
     )
@@ -159,7 +164,7 @@ def _op_call(ctx, pc, dest, src1, src2, imm, target):
         regs[dest] = value
     ctx.pc = target
     ctx.addresses.append(pc)
-    ctx.values.append(value)
+    ctx.others.append(value)
 
 
 def _op_jr(ctx, pc, dest, src1, src2, imm, target):
@@ -175,7 +180,7 @@ def _op_in(ctx, pc, dest, src1, src2, imm, target):
     if dest:
         ctx.regs[dest] = value
     ctx.addresses.append(pc)
-    ctx.values.append(value)
+    ctx.others.append(value)
 
 
 def _op_fin(ctx, pc, dest, src1, src2, imm, target):
@@ -186,7 +191,7 @@ def _op_fin(ctx, pc, dest, src1, src2, imm, target):
     if dest:
         ctx.regs[dest] = value
     ctx.addresses.append(pc)
-    ctx.values.append(value)
+    ctx.others.append(value)
 
 
 def _op_out(ctx, pc, dest, src1, src2, imm, target):

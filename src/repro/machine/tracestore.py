@@ -22,20 +22,22 @@ granularity:
   overrun, say) re-raises the same error type and message after its last
   batch, so replay is observationally identical to fresh execution.
 
-The packed format is the only stored trace format (the textual
-``# repro-trace v1`` of :mod:`repro.machine.tracefile` is export only):
-addresses and effective addresses are stored as raw ``array('q')`` bytes,
-produced values as an ``array('q')``/``array('d')`` when the batch is uniformly
-int64/float (the overwhelmingly common case), and as a tagged
-int64/float/bigint section otherwise, so arbitrary-precision integers
-and exact float identity survive the round trip.  Batches carry no
-per-record ``None`` value slots or memory addresses at all — both are
-static program properties (see
-:func:`~repro.machine.executor.value_flags` and
-:func:`~repro.machine.executor.mem_flags`), and the all-int64 kind
-replays by wrapping the stored ``array('q')`` into a
-:class:`~repro.machine.columns.ValueColumn` without creating a single
-per-record Python object.
+The packed format, ``# repro-trace-pack v2``, is the only stored trace
+format (the textual ``# repro-trace v1`` of :mod:`repro.machine.tracefile`
+is export only).  A JSON header line describes the batches; raw bytes
+follow.  Addresses and effective addresses are ``array('q')`` bytes.
+Each batch's two value columns — the candidates' ``values`` and the
+``others`` of ``call``/``in``/``fin`` — are packed once at capture: an
+``array('q')`` when every value fits int64 (the common case), an
+``array('d')`` when every value is a float, and a tagged
+int64/float/bigint form otherwise, so arbitrary-precision integers and
+exact float identity survive the round trip.  Replay hands a stored
+array to the batch unchanged, creating no per-value Python object.
+Batches carry no per-record ``None`` value slots or memory addresses:
+which records own an entry in which column is static per program (see
+:func:`~repro.machine.executor.machine_tables`).  A file in another
+format, an older version included, or with a header of the wrong shape
+fails decoding with ``ValueError`` and is dropped as a miss.
 
 Telemetry: capture publishes the ``machine.trace.capture`` timer and
 ``machine.trace.captures``/``machine.trace.captured_records`` counters;
@@ -56,13 +58,13 @@ import threading
 import time
 from array import array
 from collections import OrderedDict
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..isa import Number, Program
 from ..telemetry import get_registry
 from .batch import DEFAULT_CHUNK, TraceBatch
-from .columns import ValueColumn
 from .errors import (
     DivisionByZero,
     ExecutionError,
@@ -70,9 +72,9 @@ from .errors import (
     InstructionBudgetExceeded,
     InvalidMemoryAccess,
 )
-from .executor import DEFAULT_BUDGET, Executor, mem_flags, value_flags
+from .executor import DEFAULT_BUDGET, Executor, machine_tables
 
-_MAGIC = b"# repro-trace-pack v1\n"
+_MAGIC = b"# repro-trace-pack v2\n"
 
 _ERROR_TYPES = {
     cls.__name__: cls
@@ -85,8 +87,6 @@ _ERROR_TYPES = {
     )
 }
 
-#: One packed batch: (addresses, packed values, phase_runs, mems).
-_PackedBatch = Tuple[array, tuple, List[Tuple[int, int]], array]
 
 
 def program_digest(program: Program) -> str:
@@ -145,66 +145,122 @@ def trace_key(
     return hasher.hexdigest()
 
 
-def _pack_values(column: ValueColumn) -> tuple:
-    """Pack a batch's produced-value column into a typed tuple."""
-    if not len(column):
-        return ("0", 0)
-    if column.is_pure_int:
-        # The capture-time column *is* the packed representation.
-        return ("q", column.ints)
-    produced = column.tolist()
-    if all(type(value) is float for value in produced):
-        return ("d", array("d", produced))
-    tags = bytearray()
-    ints = array("q")
-    floats = array("d")
-    bigints: List[int] = []
-    for value in produced:
-        if type(value) is float:
-            tags.append(1)
-            floats.append(value)
-        else:
-            try:
-                ints.append(value)
-                tags.append(0)
-            except OverflowError:
-                tags.append(2)
-                bigints.append(value)
-    return ("x", bytes(tags), ints, floats, bigints)
+#: Tag of a value in a mixed column, by type; an integer beyond int64
+#: is re-tagged 2.
+_TYPE_TAGS = {int: 0, float: 1}
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+#: A packed value column: the ``array('q')``/``array('d')`` itself, or the
+#: tagged form ``(tags, ints, floats, bigints)`` for a mixed column.
+_Packed = Union[array, Tuple[bytes, array, array, List[int]]]
+
+#: One packed batch: (addresses, values, others, phase_runs, mems).
+_PackedBatch = Tuple[array, _Packed, _Packed, List[Tuple[int, int]], array]
 
 
-def _unpack_values(packed: tuple) -> ValueColumn:
-    """Rebuild the produced-value column from its packed form.
+def _pack(values: Sequence[Number]) -> _Packed:
+    """Pack one value column.
 
-    The hot all-int64 kind wraps the stored ``array('q')`` directly —
-    replay touches no per-record Python objects; only float/bigint
-    batches pay an escape-map rebuild.
+    An ``array('q')`` when every value fits int64, else an ``array('d')``
+    when every value is a float, else the tagged form: one tag per value
+    (0 int64, 1 float, 2 beyond int64) and a section per tag, so ``3.0``
+    stays a float and arbitrary-precision integers survive.  A list of
+    Python objects is never stored: it costs several times the memory.
     """
-    kind = packed[0]
-    if kind == "0":
-        return ValueColumn(array("q"), {})
-    if kind == "q":
-        return ValueColumn(packed[1], {})
-    if kind == "d":
-        floats = packed[1]
-        return ValueColumn(
-            array("q", bytes(8 * len(floats))),
-            dict(enumerate(floats)),
+    try:
+        return array("q", values)
+    except (OverflowError, TypeError):
+        pass
+    tags = bytes(map(_TYPE_TAGS.__getitem__, map(type, values)))
+    if 0 not in tags:
+        return array("d", values)
+    try:
+        ints = array("q", _section(values, tags, 0))
+    except OverflowError:
+        tags = bytes(
+            2 if tag == 0 and not _INT64_MIN <= value <= _INT64_MAX else tag
+            for value, tag in zip(values, tags)
         )
-    _, tags, ints, floats, bigints = packed
-    column = array("q", bytes(8 * len(tags)))
-    escapes: "dict[int, Number]" = {}
-    int_iter = iter(ints)
-    float_iter = iter(floats)
-    big_iter = iter(bigints)
-    for position, tag in enumerate(tags):
-        if tag == 0:
-            column[position] = next(int_iter)
-        elif tag == 1:
-            escapes[position] = next(float_iter)
-        else:
-            escapes[position] = next(big_iter)
-    return ValueColumn(column, escapes)
+        ints = array("q", _section(values, tags, 0))
+    floats = array("d", _section(values, tags, 1))
+    return (tags, ints, floats, list(_section(values, tags, 2)))
+
+
+def _section(values: Sequence[Number], tags: bytes, tag: int) -> Iterator[Number]:
+    """The values of one tag, in order."""
+    return compress(values, map(tag.__eq__, tags))
+
+
+def _unpack(packed: _Packed) -> Sequence[Number]:
+    """A packed column as a batch reads it: an array is handed over as
+    is, and a tagged column merges its sections back in tag order."""
+    if type(packed) is array:
+        return packed
+    tags, ints, floats, bigints = packed
+    sections = (iter(ints), iter(floats), iter(bigints))
+    return list(map(next, map(sections.__getitem__, tags)))
+
+
+def _column_meta(packed: _Packed, payload: List[bytes]) -> dict:
+    """Append one packed column's bytes to ``payload``; its descriptor."""
+    if type(packed) is array:
+        payload.append(packed.tobytes())
+        return {"k": packed.typecode, "n": len(packed)}
+    tags, ints, floats, bigints = packed
+    # Hex, because decimal conversion refuses integers past 4300 digits.
+    blob = ",".join(map(hex, bigints)).encode()
+    payload.extend((tags, ints.tobytes(), floats.tobytes(), blob))
+    return {"k": "x", "n": len(tags), "bb": len(blob)}
+
+
+def _read_column(meta: object, take: Callable[[int], bytes]) -> _Packed:
+    """Decode one packed column described by ``meta``; ``ValueError`` if
+    the descriptor or the bytes are malformed."""
+    kind = _field(meta, "k", str)
+    n = _count(meta, "n")
+    if kind in ("q", "d"):
+        column = array(kind)
+        column.frombytes(take(8 * n))
+        return column
+    if kind != "x":
+        raise ValueError(f"packed trace: unknown column kind {kind!r}")
+    tags = take(n)
+    ints = array("q")
+    ints.frombytes(take(8 * tags.count(0)))
+    floats = array("d")
+    floats.frombytes(take(8 * tags.count(1)))
+    blob = take(_count(meta, "bb"))
+    bigints = [int(part, 16) for part in blob.decode().split(",")] if blob else []
+    if len(bigints) != tags.count(2) or tags.count(0) + len(floats) + len(bigints) != n:
+        raise ValueError("packed trace: tagged column does not match its tags")
+    return (tags, ints, floats, bigints)
+
+
+def _field(meta: object, name: str, kind: type):
+    """``meta[name]`` when ``meta`` is a JSON object and the value has type
+    ``kind``; ``ValueError`` otherwise."""
+    value = meta.get(name) if type(meta) is dict else None
+    if type(value) is not kind:
+        raise ValueError(f"packed trace: {name!r} is not a {kind.__name__}")
+    return value
+
+
+def _count(meta: object, name: str) -> int:
+    value = _field(meta, name, int)
+    if value < 0:
+        raise ValueError(f"packed trace: {name!r} is negative")
+    return value
+
+
+def _pairs(runs: object) -> List[Tuple[int, int]]:
+    """Decoded ``phase_runs``: a list of ``[offset, phase]`` int pairs."""
+    if type(runs) is not list or not all(
+        type(run) is list and len(run) == 2 and all(type(v) is int for v in run)
+        for run in runs
+    ):
+        raise ValueError("packed trace: 'phases' is not a list of int pairs")
+    return [tuple(run) for run in runs]
 
 
 class PackedTrace:
@@ -245,15 +301,18 @@ class PackedTrace:
         """Decode the packed batches back into :class:`TraceBatch` chunks.
 
         ``program`` must be (execution-equivalent to) the captured
-        program: its static flag bitmaps drive the reconstruction of the
-        ``None`` value slots and per-record memory addresses.
+        program: its static flag bitmaps say which records own an entry
+        in which column.
         """
-        vflags = value_flags(program)
-        mflags = mem_flags(program)
-        for addresses, packed_values, phase_runs, mems in self.batches:
-            values = _unpack_values(packed_values)
+        tables = machine_tables(program)
+        for addresses, values, others, phase_runs, mems in self.batches:
             yield TraceBatch(
-                addresses, values, vflags, list(phase_runs), mems, mflags
+                addresses,
+                _unpack(values),
+                _unpack(others),
+                list(phase_runs),
+                mems,
+                tables,
             )
         self.raise_stored_error()
 
@@ -261,31 +320,18 @@ class PackedTrace:
         """Serialize to the on-disk packed format."""
         meta_batches = []
         payload: List[bytes] = []
-        for addresses, packed_values, phase_runs, mems in self.batches:
-            kind = packed_values[0]
-            descriptor = {
-                "n": len(addresses),
-                "phases": [list(run) for run in phase_runs],
-                "vk": kind,
-                "nm": len(mems),
-            }
+        for addresses, values, others, phase_runs, mems in self.batches:
             payload.append(addresses.tobytes())
-            if kind == "q" or kind == "d":
-                descriptor["pv"] = len(packed_values[1])
-                payload.append(packed_values[1].tobytes())
-            elif kind == "x":
-                _, tags, ints, floats, bigints = packed_values
-                blob = ",".join(map(repr, bigints)).encode()
-                descriptor["pv"] = len(tags)
-                descriptor["ni"] = len(ints)
-                descriptor["nf"] = len(floats)
-                descriptor["bb"] = len(blob)
-                payload.append(tags)
-                payload.append(ints.tobytes())
-                payload.append(floats.tobytes())
-                payload.append(blob)
+            meta_batches.append(
+                {
+                    "n": len(addresses),
+                    "phases": [list(run) for run in phase_runs],
+                    "values": _column_meta(values, payload),
+                    "others": _column_meta(others, payload),
+                    "nm": len(mems),
+                }
+            )
             payload.append(mems.tobytes())
-            meta_batches.append(descriptor)
         meta = {
             "byteorder": sys.byteorder,
             "records": self.records,
@@ -302,13 +348,24 @@ class PackedTrace:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PackedTrace":
-        """Deserialize; raises ``ValueError`` on a malformed payload."""
+        """Deserialize; raises ``ValueError`` on a malformed payload,
+        including a header of the wrong shape and an older format."""
         if not blob.startswith(_MAGIC):
             raise ValueError("not a packed trace")
         header_end = blob.index(b"\n", len(_MAGIC))
         meta = json.loads(blob[len(_MAGIC) : header_end])
-        if meta.get("byteorder") != sys.byteorder:
+        if _field(meta, "byteorder", str) != sys.byteorder:
             raise ValueError("packed trace has foreign byte order")
+        outputs = _field(meta, "outputs", list)
+        if not all(type(value) in (int, float) for value in outputs):
+            raise ValueError("packed trace: 'outputs' holds a non-number")
+        error = meta.get("error")
+        if error is not None and not (
+            type(error) is list
+            and len(error) == 2
+            and all(type(part) is str for part in error)
+        ):
+            raise ValueError("packed trace: 'error' is not a [type, message] pair")
         offset = header_end + 1
 
         def take(size: int) -> bytes:
@@ -320,42 +377,22 @@ class PackedTrace:
             return chunk
 
         batches: List[_PackedBatch] = []
-        for descriptor in meta["batches"]:
-            n = descriptor["n"]
+        for descriptor in _field(meta, "batches", list):
             addresses = array("q")
-            addresses.frombytes(take(n * 8))
-            kind = descriptor["vk"]
-            if kind == "q" or kind == "d":
-                produced = array(kind)
-                produced.frombytes(take(descriptor["pv"] * 8))
-                packed_values: tuple = (kind, produced)
-            elif kind == "x":
-                tags = take(descriptor["pv"])
-                ints = array("q")
-                ints.frombytes(take(descriptor["ni"] * 8))
-                floats = array("d")
-                floats.frombytes(take(descriptor["nf"] * 8))
-                blob_bytes = take(descriptor["bb"])
-                bigints = (
-                    [int(part) for part in blob_bytes.decode().split(",")]
-                    if blob_bytes
-                    else []
-                )
-                packed_values = ("x", tags, ints, floats, bigints)
-            else:
-                packed_values = ("0", 0)
+            addresses.frombytes(take(8 * _count(descriptor, "n")))
+            phase_runs = _pairs(descriptor.get("phases"))
+            values = _read_column(descriptor.get("values"), take)
+            others = _read_column(descriptor.get("others"), take)
             mems = array("q")
-            mems.frombytes(take(descriptor["nm"] * 8))
-            phase_runs = [tuple(run) for run in descriptor["phases"]]
-            batches.append((addresses, packed_values, phase_runs, mems))
-        error = tuple(meta["error"]) if meta["error"] else None
+            mems.frombytes(take(8 * _count(descriptor, "nm")))
+            batches.append((addresses, values, others, phase_runs, mems))
         return cls(
             batches=batches,
-            records=meta["records"],
-            instruction_count=meta["instruction_count"],
-            outputs=meta["outputs"],
-            halted=meta["halted"],
-            error=error,
+            records=_count(meta, "records"),
+            instruction_count=_count(meta, "instruction_count"),
+            outputs=outputs,
+            halted=_field(meta, "halted", bool),
+            error=tuple(error) if error else None,
         )
 
 
@@ -472,7 +509,8 @@ class TraceStore:
                     packed_batches.append(
                         (
                             batch.addresses,
-                            _pack_values(batch.values),
+                            _pack(batch.values),
+                            _pack(batch.others),
                             batch.phase_runs,
                             array("q", batch.mems),
                         )
@@ -523,7 +561,7 @@ class TraceStore:
             return None
         try:
             packed = PackedTrace.from_bytes(blob)
-        except (ValueError, KeyError):
+        except ValueError:
             # Corrupt entry (truncated write, version skew): treat as a
             # miss and drop the file so the next capture rewrites it.
             try:

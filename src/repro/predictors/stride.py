@@ -10,8 +10,10 @@ The module also holds the batch kernels, :func:`walk_unbounded` and
 profiling and the classified simulation (and, through it, the ILP model)
 run for the predictors of :data:`KERNEL_PREDICTORS`.  They sit here,
 below both, because ``repro.core`` imports ``repro.profiling``.  Each
-plays the predictor's ``access`` over a batch's candidate ``(address,
-value)`` pairs and counts into ``acc``, a dict of address-keyed slots
+plays the predictor's ``access`` over ``pairs``, any re-iterable of a
+batch's candidate ``(address, value)`` pairs (such as the view
+:meth:`~repro.machine.TraceBatch.candidates` returns), and counts into
+``acc``, a dict of address-keyed slots
 ``[executions, attempts, would_correct, taken, taken_correct,
 allocations, nonzero_stride_correct]``.  Every candidate looks the table
 up and every hit is an attempt, so the table's lookup and hit meters are

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import Category, Number, Program
 from ..machine import TraceBatch, TraceStore
@@ -256,7 +256,6 @@ def collect_profiles(
         replay_or_run(program, inputs, max_instructions, store),
         predictors,
         lambda name, phase: images[name],
-        program.candidate_mask,
         sample_every,
     )
     telemetry = get_registry()
@@ -289,7 +288,6 @@ def _profile_run(
     batches: Iterable[TraceBatch],
     predictors: Mapping[str, ValuePredictor],
     image_for: Callable[[str, int], ProfileImage],
-    is_candidate: Sequence[bool],
     sample_every: int,
 ) -> None:
     """Feed one run's ``batches`` to every predictor; fold the counts.
@@ -328,7 +326,7 @@ def _profile_run(
     offset = 0  # global position of the current batch's first record
     try:
         for batch in batches:
-            pairs, runs = batch.candidates(is_candidate, sample_every, offset)
+            pairs, runs = batch.candidates(sample_every, offset)
             offset += len(batch)
             for index, (start, run_phase) in enumerate(runs):
                 if run_phase != phase:

@@ -57,7 +57,6 @@ def collect_phase_profiles(
         replay_or_run(program, inputs, max_instructions, store),
         {"default": predictor or StridePredictor()},
         image_for,
-        program.candidate_mask,
         sample_every,
     )
     return images

@@ -31,7 +31,6 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "machine.trace.replayed_records",
         "machine.trace.replay",
         "machine.columns.values",
-        "machine.columns.escapes",
         # capture.shard: multi-process sharded trace capture.
         "capture.shard.runs",
         "capture.shard.jobs",

@@ -9,6 +9,8 @@ produces results bit-identical to the record-at-a-time reference path.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.schemes import (
@@ -154,6 +156,17 @@ class TestCaptureReplayDifferential:
             # Types too: 2.0 must come back float, not int.
             for (_, value, _, _), (_, fresh_value, _, _) in zip(replayed, fresh):
                 assert type(value) is type(fresh_value)
+
+    def test_integers_past_the_decimal_digit_limit_reach_disk(self, tmp_path):
+        """Eleven squarings give an integer of ~12,000 decimal digits, more
+        than ``int``'s default decimal conversion limit of 4,300."""
+        program = assemble(BIGINT_ASM.replace("li r3, 6", "li r3, 11"))
+        fresh = as_tuples(trace_program(program))
+        assert max(abs(value) for _, value, _, _ in fresh if value) > 10**5000
+        captured = as_tuples(records_of(TraceStore(tmp_path).batches(program, [])))
+        disk = as_tuples(records_of(TraceStore(tmp_path).batches(program, [])))
+        assert captured == fresh
+        assert disk == fresh
 
     def test_stored_summary_matches_fresh_execution(self):
         """Outputs, instruction counts and telemetry agree with a fresh run."""
@@ -431,3 +444,52 @@ class TestBatchedConsumerDifferential:
         assert {label: stats_fingerprint(s) for label, s in direct.items()} == {
             label: stats_fingerprint(s) for label, s in stored.items()
         }
+
+
+def _rewrite_header(path, mutate):
+    """Replace a stored trace's JSON header line with ``mutate(header)``."""
+    blob = path.read_bytes()
+    magic_end = blob.index(b"\n") + 1
+    header_end = blob.index(b"\n", magic_end)
+    header = mutate(json.loads(blob[magic_end:header_end]))
+    path.write_bytes(
+        blob[:magic_end] + json.dumps(header).encode() + blob[header_end:]
+    )
+
+
+def _set_first_batch(field, value):
+    def mutate(header):
+        header["batches"][0][field] = value
+        return header
+
+    return mutate
+
+
+class TestMalformedHeader:
+    """A stored trace whose header is valid JSON of the wrong shape is a
+    corrupt entry: decoding raises ``ValueError``, the store drops the
+    file and captures the run again."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda header: [1, 2],
+            lambda header: {**header, "batches": 5},
+            _set_first_batch("n", "x"),
+            lambda header: {**header, "error": 5},
+        ],
+        ids=["list-header", "batches-not-a-list", "n-not-an-int", "error-not-a-pair"],
+    )
+    def test_wrong_shape_header_is_a_miss(self, tmp_path, mutate):
+        program = assemble(LOOP_ASM)
+        fresh = as_tuples(trace_program(program, inputs=[3]))
+        list(TraceStore(tmp_path).batches(program, [3]))
+        (path,) = tmp_path.glob("*/*.trace")
+        _rewrite_header(path, mutate)
+        registry = Telemetry()
+        with use_registry(registry):
+            again = as_tuples(records_of(TraceStore(tmp_path).batches(program, [3])))
+        assert again == fresh
+        assert registry.snapshot()["counters"]["machine.trace.captures"] == 1
+        # The capture rewrote a well-formed entry in place of the bad one.
+        assert PackedTrace.from_bytes(path.read_bytes()).records == len(fresh)
