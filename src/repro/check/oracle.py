@@ -20,17 +20,19 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
 ``profile-sampled``
     ``collect_profiles`` at ``sample_every`` 1, 2, 3 and 7 (and
     unsampled) under unbounded stride, finite stride and last-value
-    predictors — the stride kernel and the generic ``access`` batch
-    consumer, freshly captured and replayed from tiny batches — against
+    predictors — the stride kernel, the last-value fold from the stride
+    walk and the generic ``access`` batch consumer, freshly captured and
+    replayed from tiny batches — against
     :func:`profile_records`, the per-record reference, down to dumped
     bytes.
 ``simulate-fast-vs-step``
-    ``simulate_prediction_many`` over a sixteen-engine grid — freshly
+    ``simulate_prediction_many`` over a nineteen-engine grid — freshly
     captured and replayed from a capture in tiny batches — against the
     same grid stepped with ``PredictionEngine.step`` on each candidate
     of a per-record walk.  The grid holds finite and infinite stride and
-    last-value tables (the kernel with its FSM counters, evictions, the
-    shared leader/follower fold) and ``step``-fallback engines.
+    last-value tables (the kernel with its FSM counters, evictions,
+    finite tables that cannot evict, the shared leader/follower fold
+    with member-only followers) and ``step``-fallback engines.
 ``ilp-batch-vs-record``
     ``measure_ilp_many`` scheduling from trace batches — freshly
     captured, captured into a store and replayed from it — against one
@@ -561,9 +563,13 @@ def _engine_grid(program):
 
     Infinite stride tables under unconditional, FSM, profile and probe
     schemes take the inlined consumer, and the static ones among them
-    (always, probe-always, probe-profile) fold from the FSM leader's
-    accumulators.  Finite set-associative stride tables run the
-    evicting kernel, which must drop an evicted address's FSM counter.
+    (always, profile, probe-always, probe-profile) fold from the FSM
+    leader's slots; the profile one allocates its members only.  Roomy
+    1024-entry 2-way stride tables, whose 512 sets hold every candidate
+    of a generated program, cannot evict: they walk as unbounded tables
+    (the FSM one) or follow the leader (always, profile).  Finite 8-entry
+    set-associative stride tables run the evicting kernel, which must
+    drop an evicted address's FSM counter.
     Last-value engines take the kernel with the stride held at 0
     (``finite-lv/profile`` is ablation-hybrid's shape); two-delta and
     hybrid engines fall back to ``step``.  Every third candidate stays
@@ -596,6 +602,9 @@ def _engine_grid(program):
     def finite():
         return StridePredictor(entries=8, ways=2)
 
+    def roomy():
+        return StridePredictor(entries=1024, ways=2)
+
     return {
         "stride/always": PredictionEngine(
             program, StridePredictor(), AlwaysClassification()
@@ -613,6 +622,9 @@ def _engine_grid(program):
         "stride/probe-fsm": PredictionEngine(
             program, StridePredictor(), ProbeScheme(HardwareClassification())
         ),
+        "roomy/always": PredictionEngine(program, roomy(), AlwaysClassification()),
+        "roomy/fsm": PredictionEngine(program, roomy(), HardwareClassification()),
+        "roomy/profile": PredictionEngine(program, roomy(), profile()),
         "finite/always": PredictionEngine(
             program, finite(), AlwaysClassification()
         ),

@@ -29,27 +29,40 @@ plain :class:`~repro.predictors.StridePredictor` or
 stock classification schemes reduce the scheme to membership policies
 (or, for the hardware scheme, to saturating counters kept as ints in
 the kernel) and run the stride kernel of :mod:`repro.predictors.stride`
-— the unbounded or the set-associative table walk, the same code
-phase-2 profiling runs — which replicates :meth:`PredictionEngine.step`,
-including table LRU/eviction order and the FSM counters' end state,
-without a per-record Python call; everything else falls back to
-``step`` per candidate.  The kernel counts into address-keyed slots
-that one fold adds to the engine's statistics and table meters after
-the last batch.  Results are bit-identical either way, with two
-deliberate internal-only divergences on the fast path: ``may_allocate``
-is consulted only on misses (the stock schemes are pure, so skipping the
-unconditional call is unobservable) and LRU positions are not refreshed
-in infinite tables (which never evict).
+— the same code phase-2 profiling runs — which replicates
+:meth:`PredictionEngine.step`, including table LRU/eviction order and
+the FSM counters' end state, without a per-record Python call;
+everything else falls back to ``step`` per candidate.  An infinite
+table walks :func:`~repro.predictors.stride.walk_unbounded`, and so
+does a finite table that *cannot evict*: one that starts empty and
+none of whose sets receives more than ``ways`` of the engine's
+allocatable addresses (every candidate, or the profile's directive
+members).  Any other finite table walks
+:func:`~repro.predictors.stride.walk_set_associative`.  The kernel
+counts into address-keyed slots that one fold adds to the engine's
+statistics and table meters after the last batch.  Results are
+bit-identical either way, with three deliberate internal-only
+divergences on the fast path: ``may_allocate`` is consulted only on
+misses (the stock schemes are pure, so skipping the unconditional call
+is unobservable), LRU positions are not refreshed in infinite tables
+(which never evict), and a table that cannot evict keeps its entries
+in first-allocation order within each set, not LRU order (safe because
+such a set never fills, so no victim is ever chosen by that order).
 
 Engines whose predictor evolution is a pure function of the candidate
-stream — an infinite table with unconditional allocation, as in the
-:class:`~repro.core.schemes.ProbeScheme` classification-accuracy study —
-additionally *share* that evolution: one leader engine walks the stream,
+stream — a stride table that starts empty and never evicts, so each
+address's entry evolves on its own — additionally *share* that
+evolution.  One leader that allocates every address walks the stream,
 and every stride sibling whose take policy is static (a constant or an
 address membership test, no FSM) folds its statistics from the leader's
 slots at the end and clones the final table state, paying zero
-per-record cost.  The six-engine Figure 5.1/5.2 grid therefore does one
-predictor's work per record, not six.
+per-record cost.  A follower may allocate only its members (the
+profile scheme): those addresses' entries are the leader's, and its
+other addresses count executions only.  A hardware-scheme engine leads
+when there is one, since its walk runs anyway; otherwise a hidden
+take-all probe walks for two or more followers.  The six-engine Figure
+5.1/5.2 grid therefore does one predictor's work per record, not six,
+and so does each Table 5.2 ILP cell whose FSM table cannot evict.
 
 :meth:`PredictionEngine.step` is the reference semantics and the kernel
 consumer, with its shared fold, is the only fast path; the
@@ -60,8 +73,9 @@ other.
 from __future__ import annotations
 
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial
+from operator import mul
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ..isa import Directive, Number, Program
@@ -201,7 +215,7 @@ def simulate_prediction_many(
         raise ValueError("need at least one engine")
     check_distinct_engines(engines)
     engine_list = list(engines.values())
-    consumers, finishers = _build_consumers(engine_list)
+    consumers, finishers, paths = _build_consumers(engine_list)
     started = time.perf_counter()
     batches = replay_or_run(program, inputs, max_instructions, store)
     try:
@@ -220,61 +234,144 @@ def simulate_prediction_many(
     telemetry = get_registry()
     if telemetry.enabled:
         telemetry.timer("core.simulate").add(time.perf_counter() - started)
-        _publish_engine_metrics(telemetry, engine_list)
+        _publish_engine_metrics(telemetry, engine_list, paths)
     return {label: engine.stats for label, engine in engines.items()}
 
 
-def _build_consumers(engine_list):
-    """Plan one batch consumer per engine plus the end-of-trace finishers.
+def _build_consumers(engine_list, codes=None):
+    """Plan the batch consumers and end-of-trace finishers of ``engine_list``.
+
+    Returns ``(consumers, finishers, paths)``: every batch's candidate
+    pairs go to each consumer in order, every finisher runs once after the
+    last batch (even when the trace raised), and ``paths`` counts the
+    engines by route (``walked``, ``followed``, ``stepped``).
 
     Fast-path engines whose predictor evolution is stream-determined (see
-    :class:`_SharedStride`) are grouped: one leader keeps its inlined
-    consumer, and every *static* sibling (membership take policy, no FSM)
-    is planned as a finisher-only fold over the leader's accumulators.  A
-    dynamic engine (FSM counters) is preferred as leader since its walk
-    must run anyway.  Follower finishers are ordered before the leader's,
-    which zeroes the shared accumulators when it folds.
+    :class:`_SharedStride`) are grouped: one leader walks, and every
+    *static* sibling (membership take policy, no FSM) is planned as a
+    finisher-only fold over the leader's slots.  The leader must allocate
+    unconditionally, so a follower that allocates only its members finds
+    its members' entries in the leader's table.  A dynamic engine (FSM
+    counters) is preferred as leader since its walk must run anyway; if no
+    engine can lead, a hidden probe (unconditional allocation, take all)
+    leads two or more followers.  Follower finishers are ordered before
+    the leader's, which zeroes the shared slots when it folds.
+
+    ``codes``, when given, holds one slot per engine, and the consumers
+    leave each engine's outcome codes for the current batch in its slot
+    (see :meth:`~repro.ilp.model._BatchMachine.schedule`): walkers write
+    them, and a follower's are the leader's hit codes masked with its take
+    set.
     """
-    plans = [(engine, _fast_stride_consumer(engine)) for engine in engine_list]
+    plans = [_fast_stride_consumer(engine) for engine in engine_list]
     shareable = [
-        (engine, plan) for engine, plan in plans if plan is not None and plan[2]
+        index for index, plan in enumerate(plans)
+        if plan is not None and plan[2] is not None
     ]
-    leader_plan = None
-    follower_ids = set()
-    if len(shareable) >= 2:
-        statics = [(e, p) for e, p in shareable if p[2].static]
-        dynamics = [(e, p) for e, p in shareable if not p[2].static]
-        if statics and (dynamics or len(statics) >= 2):
-            leader_engine, leader_plan = dynamics[0] if dynamics else statics[0]
-            follower_ids = {
-                id(engine) for engine, _ in statics if engine is not leader_engine
-            }
+    statics = [index for index in shareable if plans[index][2].static]
+    leaders = [  # unconditional allocators, the dynamic ones first
+        index for index in shareable
+        if plans[index][2].alloc_members is None and index not in statics
+    ] + [index for index in statics if plans[index][2].alloc_members is None]
+    leader = leaders[0] if leaders else None
+    followers = [index for index in statics if index != leader]
+    if leader is not None and followers:
+        lead = plans[leader][2]
+    elif len(followers) >= 2:
+        lead = _SharedStride({}, {}, True, None, None)  # the hidden probe
+    else:
+        leader, followers, lead = None, [], None
+    hit_codes = [None]
+
     consumers = []
     finishers = []
     leader_finish = None
-    for engine, plan in plans:
-        if plan is None:
-            consumers.append(_generic_consumer(engine))
+    paths = {"walked": 0, "followed": len(followers), "stepped": 0}
+    if lead is not None and leader is None:
+        probe = partial(walk_unbounded, lead.entries, lead.acc)
+        consumers.append(_leader_consumer(probe, None, codes, hit_codes))
+    for index, (engine, plan) in enumerate(zip(engine_list, plans)):
+        if index in followers:
+            finishers.append(_follower_finisher(engine, plan[2], lead))
+            if codes is not None:
+                consumers.append(_follower_consumer(
+                    engine, plan[2].take_members, codes, index, hit_codes
+                ))
             continue
-        consume, finish, shared = plan
-        if plan is leader_plan:
-            consumers.append(consume)
-            leader_finish = finish
-        elif id(engine) in follower_ids:
-            finishers.append(_follower_finisher(engine, shared, leader_plan[2]))
+        if plan is None:
+            paths["stepped"] += 1
+            consume = _generic_consumer(engine)
+        else:
+            paths["walked"] += 1
+            consume, finish, _shared = plan
+            if index == leader:
+                leader_finish = finish
+            else:
+                finishers.append(finish)
+        if index == leader:
+            # Followers read the leader's hit codes of the same batch.
+            consumers.insert(0, _leader_consumer(consume, index, codes, hit_codes))
+        elif codes is not None:
+            consumers.append(_coded_consumer(consume, codes, index))
         else:
             consumers.append(consume)
-            finishers.append(finish)
     if leader_finish is not None:
+        # The leader's fold empties the slots its followers read.
         finishers.append(leader_finish)
-    return consumers, finishers
+    return consumers, finishers, paths
+
+
+def _leader_consumer(walk, index, codes, hit_codes):
+    """A leader's walk; in coded runs it also leaves the batch's hit codes
+    in ``hit_codes[0]`` and, unless it is the probe (``index`` is
+    ``None``), its own outcome codes in ``codes[index]``."""
+    if codes is None:
+        return walk
+
+    def consume(pairs) -> None:
+        hits = hit_codes[0] = bytearray(len(pairs))
+        outcomes = None
+        if index is not None:
+            outcomes = codes[index] = bytearray(len(pairs))
+        walk(pairs, outcomes, hits=hits)
+
+    return consume
+
+
+def _follower_consumer(engine, take_members, codes, index, hit_codes):
+    """Leave a follower's outcome codes: the leader's hit codes of the
+    pairs its take set holds, 0 elsewhere."""
+    if take_members is None:
+
+        def consume(pairs) -> None:
+            codes[index] = hit_codes[0]
+
+        return consume
+    takes = bytes(
+        address in take_members for address in range(len(engine.program.instructions))
+    ).__getitem__
+
+    def consume(pairs) -> None:
+        codes[index] = bytearray(map(mul, hit_codes[0], map(takes, pairs.addresses)))
+
+    return consume
+
+
+def _coded_consumer(walk, codes, index):
+    """A walker that leaves its outcome codes in ``codes[index]``."""
+
+    def consume(pairs) -> None:
+        outcomes = codes[index] = bytearray(len(pairs))
+        walk(pairs, outcomes)
+
+    return consume
 
 
 def _generic_consumer(engine: PredictionEngine):
     """Batch consumer for arbitrary engines: one ``step`` per candidate.
 
-    Like the inlined consumers, it writes each candidate's outcome code
-    into ``outcomes`` when given (see :func:`engine_consumer`).
+    Like the inlined consumers, it writes each taken candidate's outcome
+    code (1 correct, 2 wrong) into ``outcomes`` when given.
     """
 
     def consume(pairs, outcomes=None) -> None:
@@ -285,24 +382,6 @@ def _generic_consumer(engine: PredictionEngine):
                 outcomes[index] = 1 if correct else 2
 
     return consume
-
-
-def engine_consumer(engine: PredictionEngine):
-    """``(consume, finish)`` driving one engine on its own.
-
-    ``consume(pairs, outcomes)`` walks a batch's candidate pairs and
-    writes one code per candidate into the zero-filled ``outcomes``
-    bytearray: 0 = not taken, 1 = taken and correct, 2 = taken and
-    wrong.  Eligible engines run the inlined stride consumer that
-    :func:`simulate_prediction_many` uses; the rest fall back to
-    ``step``.  ``finish`` (``None`` for the fallback) folds the inlined
-    consumer's accumulators into the engine's statistics and must run
-    once after the last batch, even when the trace raised.
-    """
-    plan = _fast_stride_consumer(engine)
-    if plan is None:
-        return _generic_consumer(engine), None
-    return plan[0], plan[1]
 
 
 def check_distinct_engines(engines) -> None:
@@ -325,12 +404,17 @@ def check_distinct_engines(engines) -> None:
 
 
 #: Share handle exposed by a fast consumer whose table evolution is a pure
-#: function of the candidate stream: infinite table, unconditional
-#: allocation, starting empty.  ``static`` additionally marks a take policy
+#: function of the candidate stream: a stride table that starts empty and
+#: never evicts (infinite, or see :func:`_cannot_evict`), so each address's
+#: entry evolves on its own.  ``static`` additionally marks a take policy
 #: with no per-record state (a constant or ``take_members`` membership, no
 #: FSM) — the whole engine is then a pure function of the stream and can
-#: fold from a leader's slots.
-_SharedStride = namedtuple("_SharedStride", "acc entries static take_members")
+#: fold from the slots and entries of a leader that allocates every
+#: address.  ``alloc_members`` is the allocation policy (``None`` =
+#: unconditional).
+_SharedStride = namedtuple(
+    "_SharedStride", "acc entries static alloc_members take_members"
+)
 
 
 #: The engine statistics behind a kernel slot's first six counters.
@@ -359,29 +443,47 @@ def _fold_slots(engine: PredictionEngine, acc, evictions: int = 0) -> None:
 
 
 def _follower_finisher(engine: PredictionEngine, shared, leader):
-    """Fold one static engine's results from the ``leader`` engine's run.
+    """Fold one static engine's results from the ``leader``'s run.
 
-    The leader observed the identical candidate stream with the identical
-    (unconditional-allocation, infinite-table) predictor evolution, so
-    this engine's slots equal the leader's verbatim except taken and
-    taken_correct, which are the attempts and would_correct of the
-    addresses its static policy takes; and its final table state is a
-    clone of the leader's.
+    The leader observed the identical candidate stream in a table that
+    never evicts and allocates every address, and so does this engine for
+    the addresses it allocates: their slots equal the leader's verbatim
+    except taken and taken_correct, which are the attempts and
+    would_correct of the addresses its static policy takes, and their
+    final entries are clones of the leader's.  An address it may not
+    allocate never hits, so it counts executions only.
     """
+    alloc_members = shared.alloc_members
     take_members = shared.take_members
 
     def finish() -> None:
         acc = {}
         for address, slot in leader.acc.items():
+            if alloc_members is not None and address not in alloc_members:
+                acc[address] = [slot[0], 0, 0, 0, 0, 0]
+                continue
             took = take_members is None or address in take_members
-            acc[address] = slot[:3] + (slot[1:3] if took else [0, 0]) + slot[5:]
+            acc[address] = slot[:3] + (slot[1:3] if took else [0, 0]) + slot[5:6]
         _fold_slots(engine, acc)
         # Sharing requires an empty table, so every entry is a new clone.
-        entries = engine.predictor.table._set_for(0)
+        table = engine.predictor.table
         for address, entry in leader.entries.items():
-            entries[address] = StrideEntry(entry.last_value, entry.stride)
+            if alloc_members is None or address in alloc_members:
+                table._set_for(address)[address] = StrideEntry(
+                    entry.last_value, entry.stride
+                )
 
     return finish
+
+
+def _cannot_evict(table, allocatable) -> bool:
+    """Whether each set of the finite ``table`` has a way for every one of
+    the ``allocatable`` addresses that map to it.
+
+    Such a table never evicts, so it evolves exactly as an unbounded one.
+    """
+    per_set = Counter(address % table.num_sets for address in allocatable)
+    return max(per_set.values(), default=0) <= table.ways
 
 
 _STOCK_SCHEMES = (AlwaysClassification, HardwareClassification, ProfileClassification)
@@ -402,11 +504,18 @@ def _fast_stride_consumer(engine: PredictionEngine):
     checks allocation on misses only and skips the no-op ``record`` and
     ``on_evict`` calls of the other stock schemes.
 
+    An infinite table, or a finite one that starts empty and cannot
+    evict (:func:`_cannot_evict` over the engine's allocatable
+    addresses: all candidates, or the profile's directive members), runs
+    :func:`~repro.predictors.stride.walk_unbounded`; ``finish`` writes a
+    finite table's entries back into their own sets.  Any other finite
+    table runs :func:`~repro.predictors.stride.walk_set_associative`.
+
     Returns ``(consume, finish, shared)`` where ``shared`` is a
     :class:`_SharedStride` handle when the engine qualifies for
     leader/follower sharing, else ``None``.  ``consume(pairs, outcomes)``
-    also writes each taken candidate's outcome code into ``outcomes``
-    when one is passed (see :func:`engine_consumer`).
+    also writes each taken candidate's outcome code (1 correct, 2 wrong)
+    into ``outcomes`` when one is passed.
     """
     learns = KERNEL_PREDICTORS.get(type(engine.predictor))
     if learns is None:
@@ -437,11 +546,20 @@ def _fast_stride_consumer(engine: PredictionEngine):
     acc: "dict[int, List[int]]" = {}
     evictions = [0]
     shared = None
+    entries = None
     if table.is_infinite:
         entries = table._set_for(0)
+    elif not len(table) and _cannot_evict(
+        table,
+        engine.program.candidate_addresses if alloc_members is None else alloc_members,
+    ):
+        entries = {}
+    if entries is not None:
         # Only stride engines share: the fold clones stride entries.
-        if learns and alloc_members is None and not entries:
-            shared = _SharedStride(acc, entries, fsm is None, take_members)
+        if learns and not entries:
+            shared = _SharedStride(
+                acc, entries, fsm is None, alloc_members, take_members
+            )
         consume = partial(
             walk_unbounded, entries, acc, alloc_members=alloc_members,
             take_members=take_members, fsm=fsm, learns=learns,
@@ -458,6 +576,9 @@ def _fast_stride_consumer(engine: PredictionEngine):
         _fold_slots(engine, acc, evictions[0])
         evictions[0] = 0
         acc.clear()
+        if entries is not None and not table.is_infinite:
+            for address, entry in entries.items():
+                table._set_for(address)[address] = entry
         if fsm is not None:
             classifier._counters = {
                 address: SaturatingCounter(classifier.bits, state)
@@ -467,12 +588,17 @@ def _fast_stride_consumer(engine: PredictionEngine):
     return consume, finish, shared
 
 
-def _publish_engine_metrics(telemetry, engine_list) -> None:
-    """Bulk-publish prediction and table statistics after a simulation.
+def _publish_engine_metrics(telemetry, engine_list, paths) -> None:
+    """Bulk-publish prediction and table statistics after a simulation,
+    and the engines' route counts ``paths`` (see :func:`_build_consumers`)
+    as ``core.engines.*``.
 
     Per-record work stays telemetry-free; everything here is already
     accumulated in :class:`PredictionStats` and the prediction tables.
     """
+    telemetry.counter("core.engines.walked").add(paths["walked"])
+    telemetry.counter("core.engines.followed").add(paths["followed"])
+    telemetry.counter("core.engines.stepped").add(paths["stepped"])
     lookups = hits = evictions = 0
     for engine in engine_list:
         stats = engine.stats

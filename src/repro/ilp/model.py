@@ -34,9 +34,14 @@ when one is passed (the simulation studies have usually captured the
 same run already), executed otherwise.  Per batch, each engine runs
 once over the batch's candidates
 (:meth:`~repro.machine.TraceBatch.candidates`) through the same
-consumers as :func:`~repro.core.simulate.simulate_prediction_many` and
-leaves one outcome code per candidate; each machine then schedules the
-batch in one tight loop over its columns.  No engine reads scheduler
+consumers as :func:`~repro.core.simulate.simulate_prediction_many`,
+planned the same way, and leaves one outcome code per candidate: 1 a
+taken correct prediction, 2 a taken wrong one, 0 otherwise.  An engine
+that follows a leader's walk does not walk: its codes are the leader's
+per-pair hit codes (1 correct hit, 2 wrong hit, 0 miss) masked with its
+take set, so a Table 5.2 cell whose FSM table cannot evict walks once
+for its six engines.  Each machine then schedules the batch in one
+tight loop over its columns.  No engine reads scheduler
 state, so an engine's (taken, correct) outcomes depend on the candidate
 stream alone and running it a batch ahead of the scheduler changes no
 result.  The engines' statistics are published under ``core.*`` and
@@ -56,8 +61,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from ..isa import NUM_REGISTERS, Number, Opcode, Program, RA, ZERO
 from ..machine import TraceRecord, TraceStore
 from ..machine.tracestore import replay_or_run
-from ..core.simulate import PredictionEngine, check_distinct_engines, engine_consumer
-from ..core.simulate import _publish_engine_metrics
+from ..core.simulate import PredictionEngine, check_distinct_engines
+from ..core.simulate import _build_consumers, _publish_engine_metrics
 from ..telemetry import get_registry
 
 
@@ -439,8 +444,8 @@ def measure_ilp_many(
     decoded = _decode_for_scheduling(program)
     tables: Dict[Tuple[bool, bool], List[_Slot]] = {}
     machines: Dict[str, _BatchMachine] = {}
-    lanes = []  # (machine, consume or None), one per label
-    finishers = []
+    lanes = []  # (machine, index of its engine's codes or None), one per label
+    engine_list: List[PredictionEngine] = []
     for label, engine in engines.items():
         machine_config = configs.get(label, config) or IlpConfig()
         variant = (machine_config.track_memory_dependencies, engine is not None)
@@ -448,27 +453,26 @@ def measure_ilp_many(
         if table is None:
             table = tables[variant] = _scheduling_table(decoded, *variant)
         machine = machines[label] = _BatchMachine(table, machine_config)
-        consume = None
+        index = None
         if engine is not None:
-            consume, finish = engine_consumer(engine)
-            if finish is not None:
-                finishers.append(finish)
-        lanes.append((machine, consume))
-    predicting = any(consume is not None for _, consume in lanes)
+            index = len(engine_list)
+            engine_list.append(engine)
+        lanes.append((machine, index))
+    codes: List[Optional[bytearray]] = [None] * len(engine_list)
+    consumers, finishers, paths = _build_consumers(engine_list, codes)
     started = time.perf_counter()
     batches = replay_or_run(program, inputs, max_instructions, store)
     try:
         for batch in batches:
+            pairs = batch.candidates()[0] if engine_list else ()
+            for consume in consumers:
+                consume(pairs)
             addresses = batch.addresses
             mems = batch.mems
-            pairs = batch.candidates()[0] if predicting else ()
-            for machine, consume in lanes:
-                outcomes = None
-                if consume is not None:
-                    outcomes = bytearray(len(pairs))
-                    if pairs:
-                        consume(pairs, outcomes)
-                machine.schedule(addresses, mems, outcomes)
+            for machine, index in lanes:
+                machine.schedule(
+                    addresses, mems, None if index is None else codes[index]
+                )
     finally:
         for finish in finishers:
             finish()
@@ -479,9 +483,8 @@ def measure_ilp_many(
             telemetry.counter("ilp.records").add(
                 sum(machine.instructions for machine in machines.values())
             )
-            engine_list = [engine for engine in engines.values() if engine is not None]
             if engine_list:
-                _publish_engine_metrics(telemetry, engine_list)
+                _publish_engine_metrics(telemetry, engine_list, paths)
     return {label: machine.result() for label, machine in machines.items()}
 
 

@@ -11,7 +11,10 @@ Format (one record per line)::
     # program: 126.gcc
     <address> <value|-> <phase> <mem_address|->
 
-Values serialize via ``repr`` so integers and floats are exact.
+Values serialize via ``repr`` so integers and floats are exact.  An
+integer past Python's decimal conversion limit (4,300 digits) is
+written in hex instead, sign kept (``0x…`` or ``-0x…``), as the packed
+store writes it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ _MAGIC = "# repro-trace v1"
 
 
 def _render_value(value: Optional[Number]) -> str:
-    return "-" if value is None else repr(value)
+    if value is None:
+        return "-"
+    try:
+        return repr(value)
+    except ValueError:  # an int past the decimal conversion limit
+        return hex(value)
 
 
 def write_trace(

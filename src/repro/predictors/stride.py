@@ -15,11 +15,12 @@ batch's candidate ``(address, value)`` pairs (such as the view
 :meth:`~repro.machine.TraceBatch.candidates` returns), and counts into
 ``acc``, a dict of address-keyed slots
 ``[executions, attempts, would_correct, taken, taken_correct,
-allocations, nonzero_stride_correct]``.  Every candidate looks the table
-up and every hit is an attempt, so the table's lookup and hit meters are
-the sums of slots 0 and 1.  Last-value is stride with the stride held
-at 0: with ``learns=False`` the kernels allocate :class:`LastValueEntry`
-objects and never write a stride, so slot 6 stays 0.
+allocations, nonzero_stride_correct, held]``.  Every candidate looks the
+table up and every hit is an attempt, so the table's lookup and hit
+meters are the sums of slots 0 and 1.  Last-value is stride with the
+stride held at 0: with ``learns=False`` the kernels allocate
+:class:`LastValueEntry` objects and never write a stride, so slot 6
+stays 0.
 
 A policy argument of ``None`` is the unconditional choice: allocate on
 every miss, take every hit.  ``alloc_members`` and ``take_members``
@@ -31,6 +32,16 @@ initial, threshold, maximum)``: one int per address in ``states``
 prediction within ``[0, maximum]``; an evicted address loses its state.
 ``outcomes``, when given, receives one code per taken pair: 1 correct,
 2 wrong.
+
+Two more outputs of :func:`walk_unbounded` let other consumers fold
+from one walk instead of walking again.  ``hits``, when given, receives
+one code per hit whether taken or not (1 correct, 2 wrong), from which
+the ILP model masks out the outcomes of engines that share the walk.
+``held=True`` counts in slot 7 the hits whose value equals the entry's
+last value: exactly the correct predictions of an unbounded last-value
+table over the same stream, which profiling folds its last-value image
+from.  A walk that asks for neither pays one flag test per hit for
+each, and its slot 7 stays 0.
 """
 
 from __future__ import annotations
@@ -119,11 +130,15 @@ KERNEL_PREDICTORS = {StridePredictor: True, LastValuePredictor: False}
 def walk_unbounded(
     entries, acc, pairs, outcomes=None,
     alloc_members=None, take_members=None, fsm=None, learns=True,
+    hits=None, held=False,
 ) -> None:
-    """Walk ``pairs`` over the one set of an unbounded table.
+    """Walk ``pairs`` over a table that never evicts.
 
-    ``entries`` is that set.  Its LRU order is not refreshed on hits, which
-    no observer can see in a table that never evicts.
+    ``entries`` is the one dict of the table's entries: the one set of an
+    unbounded table, or the entries of a finite table whose sets can
+    never fill, which the caller writes back into their sets.  Its LRU
+    order is not refreshed on hits, which no observer can see in a table
+    that never evicts.
     """
     new_entry = StrideEntry if learns else LastValueEntry
     if fsm is not None:
@@ -134,7 +149,7 @@ def walk_unbounded(
     for position, (address, value) in enumerate(pairs):
         slot = get_slot(address)
         if slot is None:
-            slot = acc[address] = [0, 0, 0, 0, 0, 0, 0]
+            slot = acc[address] = [0, 0, 0, 0, 0, 0, 0, 0]
         slot[0] += 1
         entry = get_entry(address)
         if entry is None:
@@ -153,6 +168,10 @@ def walk_unbounded(
             slot[2] += 1
             if stride != 0:
                 slot[6] += 1
+        if held and value == last:
+            slot[7] += 1
+        if hits is not None:
+            hits[position] = 1 if correct else 2
         if fsm is not None:
             state = get_state(address, initial)
             took = state >= threshold
@@ -193,7 +212,7 @@ def walk_set_associative(
     for position, (address, value) in enumerate(pairs):
         slot = get_slot(address)
         if slot is None:
-            slot = acc[address] = [0, 0, 0, 0, 0, 0, 0]
+            slot = acc[address] = [0, 0, 0, 0, 0, 0, 0, 0]
         slot[0] += 1
         index = address % num_sets
         table_set = sets.get(index)

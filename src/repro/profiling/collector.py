@@ -15,7 +15,13 @@ stride or last-value predictor plays them through the stride kernel of
 :mod:`repro.predictors.stride`, the one the simulation's engines run;
 any other predictor makes one ``access`` per candidate.  Both count
 into address-keyed slots, and one fold per phase run adds them to the
-images.  :func:`repro.check.profile_records` is the per-record reference
+images.  An unbounded last-value predictor beside an unbounded stride
+predictor (both starting empty, as Table 2.1 profiles them) does not
+walk: it allocates and hits where the stride table does, so its
+correct predictions are the stride walk's held-value hits, which the
+kernel counts when asked; its table gets the same meters and a
+:class:`~repro.predictors.last_value.LastValueEntry` per stride entry.
+:func:`repro.check.profile_records` is the per-record reference
 the ``profile-sampled`` and ``phase-profiles-batch-vs-record`` oracle
 pairs hold this loop to.
 """
@@ -30,7 +36,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from ..isa import Category, Number, Program
 from ..machine import TraceBatch, TraceStore
 from ..machine.tracestore import replay_or_run
-from ..predictors import StridePredictor, ValuePredictor
+from ..predictors import LastValuePredictor, StridePredictor, ValuePredictor
+from ..predictors.last_value import LastValueEntry
 from ..predictors.stride import KERNEL_PREDICTORS, walk_unbounded
 from ..telemetry import get_registry
 
@@ -299,27 +306,46 @@ def _profile_run(
     of phase, and once more at the end — even when the trace raises
     mid-run — one fold adds those counts into ``image_for(name, phase)``
     and empties them.  Candidates and the global-position
-    ``sample_every`` rule come from :meth:`TraceBatch.candidates`.
+    ``sample_every`` rule come from :meth:`TraceBatch.candidates`.  A
+    last-value predictor that :func:`_last_value_followers` pairs with a
+    stride predictor has no consumer: the stride walk also counts held-value
+    hits, and the fold reads the last-value counts from its slots.
     """
     categories = [instruction.category for instruction in program.instructions]
-    profilers = [(name, _profiler(each)) for name, each in predictors.items()]
+    profilers = {name: _profiler(each) for name, each in predictors.items()}
+    followers = _last_value_followers(predictors, profilers)
+    leader = next(iter(followers.values()), None)
+    walks = [
+        partial(consume, held=True) if name == leader else consume
+        for name, (consume, _counts, _table) in profilers.items()
+        if name not in followers
+    ]
+    # A follower reads its stride leader's slots: its correct predictions
+    # are the held-value hits (slot 7), and it never uses a stride.
+    folds = [
+        (name, profilers[followers.get(name, name)][1], table, name in followers)
+        for name, (_consume, _counts, table) in profilers.items()
+    ]
 
     def fold(phase: int) -> None:
-        for name, (_consume, counts, table) in profilers:
+        for name, counts, table, follows in folds:
             image = image_for(name, phase)
+            correct = 7 if follows else 2
             for address, slot in counts.items():
                 profile = image.profile_for(address)
                 profile.executions += slot[0]
                 profile.attempts += slot[1]
-                profile.correct += slot[2]
-                profile.nonzero_stride_correct += slot[6]
+                profile.correct += slot[correct]
+                if not follows:
+                    profile.nonzero_stride_correct += slot[6]
                 group = image.group_slot(categories[address], phase, address)
                 group[0] += slot[0]
                 group[1] += slot[1]
-                group[2] += slot[2]
+                group[2] += slot[correct]
                 if table is not None:
                     table.lookups += slot[0]
                     table.hits += slot[1]
+        for _consume, counts, _table in profilers.values():
             counts.clear()
 
     phase = None
@@ -335,13 +361,20 @@ def _profile_run(
                     phase = run_phase
                 end = runs[index + 1][0] if index + 1 < len(runs) else None
                 chunk = pairs[start:end]
-                for _name, (consume, _counts, _table) in profilers:
+                for consume in walks:
                     consume(chunk)
     finally:
         # Keep every observation up to a mid-run fault, as a record-by-
         # record profile of the same prefix would.
         if phase is not None:
             fold(phase)
+        for name, stride_name in followers.items():
+            entries = predictors[name].table._set_for(0)
+            for address, entry in predictors[stride_name].table._set_for(0).items():
+                entries[address] = LastValueEntry(entry.last_value)
+    telemetry = get_registry()
+    if telemetry.enabled and followers:
+        telemetry.counter("profiling.predictors.followed").add(len(followers))
 
 
 def _profiler(predictor: ValuePredictor):
@@ -363,6 +396,33 @@ def _profiler(predictor: ValuePredictor):
     return _generic_profiler(predictor, counts), counts, None
 
 
+def _last_value_followers(predictors, profilers) -> Dict[str, str]:
+    """Map each last-value predictor that folds from a stride walk to the
+    name of that stride predictor.
+
+    An unbounded last-value table and an unbounded stride table that both
+    start empty allocate every candidate on its first execution and keep
+    its last value, so the last-value table's hits are the stride table's
+    and its correct predictions are the stride walk's held-value hits.
+    Both must take the kernel (``table`` is not ``None``).
+    """
+
+    def fresh(name, kind) -> bool:
+        predictor = predictors[name]
+        return (
+            type(predictor) is kind
+            and profilers[name][2] is not None
+            and not len(predictor.table)
+        )
+
+    leader = next((name for name in predictors if fresh(name, StridePredictor)), None)
+    if leader is None:
+        return {}
+    return {
+        name: leader for name in predictors if fresh(name, LastValuePredictor)
+    }
+
+
 def _generic_profiler(predictor: ValuePredictor, counts):
     """Batch consumer for arbitrary predictors: one ``access`` per
     candidate, counted into the kernel's slot layout."""
@@ -373,7 +433,7 @@ def _generic_profiler(predictor: ValuePredictor, counts):
         for address, value in pairs:
             slot = get_slot(address)
             if slot is None:
-                slot = counts[address] = [0, 0, 0, 0, 0, 0, 0]
+                slot = counts[address] = [0, 0, 0, 0, 0, 0, 0, 0]
             slot[0] += 1
             result = access(address, value)
             if result.hit:

@@ -50,6 +50,11 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "core.taken_correct",
         "core.would_correct",
         "core.allocations",
+        # core: engines by route, once per engine per call: a kernel walk,
+        # a fold from a leader's walk, or a `step` per candidate.
+        "core.engines.walked",
+        "core.engines.followed",
+        "core.engines.stepped",
         # ilp: the abstract-machine scheduler (one add per measure call).
         "ilp.schedule",
         "ilp.runs",
@@ -60,6 +65,8 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "profiling.collect",
         "profiling.sampled.runs",
         "profiling.sampled.records",
+        # Predictors folded from a sibling's walk, once per predictor per run.
+        "profiling.predictors.followed",
         # corpus: the seeded mini-C workload generator.
         "corpus.programs",
         "corpus.generate",

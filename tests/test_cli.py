@@ -206,6 +206,25 @@ class TestPipeline:
         assert lines[0].startswith(f"trace: {error}: ")
         assert list(out.iterdir()) == []
 
+    def test_trace_writes_integers_past_the_decimal_limit_in_hex(
+        self, tmp_path, capsys
+    ):
+        # Eleven squarings of 1000003 reach about 12,000 decimal digits,
+        # past int's decimal conversion limit of 4,300.
+        assembly = tmp_path / "square.asm"
+        assembly.write_text(
+            ".text\n    li r1, 1000003\n    li r2, 0\n    li r3, 11\n"
+            "loop:\n    mul r1, r1, r1\n    addi r2, r2, 1\n"
+            "    slt r4, r2, r3\n    bnez r4, loop\n    out r2\n    halt\n",
+            encoding="utf-8",
+        )
+        trace = tmp_path / "square.trace"
+        assert main(["trace", str(assembly), "-o", str(trace)]) == 0
+        assert capsys.readouterr().err.startswith("wrote 49 records")
+        values = [line.split()[1] for line in trace.read_text().splitlines()[2:]]
+        assert hex(1000003 ** (2 ** 11)) in values
+        assert "1000003" in values
+
     @pytest.mark.parametrize("command", ["annotate", "report", "fuse"])
     @pytest.mark.parametrize(
         "payload",

@@ -1,0 +1,356 @@
+"""Consumers that fold from one stride walk instead of walking again.
+
+A finite table that cannot evict walks as an unbounded one; static
+engines follow a leader's walk (member-only ones too, under a leader
+that allocates every address); ILP followers mask the leader's hit
+codes with their take sets; and an unbounded last-value profiler folds
+from the stride walk's held-value hits.  Each route is held to its
+per-record reference, and each test checks that the route it covers
+really ran.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.check.generator import generate_case
+from repro.check.oracle import _engine_grid, _observe_engine
+from repro.core import (
+    AlwaysClassification,
+    HardwareClassification,
+    PredictionEngine,
+    ProbeScheme,
+    ProfileClassification,
+)
+from repro.core.simulate import _cannot_evict, simulate_prediction_many
+from repro.ilp import WindowScheduler, measure_ilp_many
+from repro.isa import Directive, assemble
+from repro.machine import trace_program
+from repro.machine.tracestore import replay_or_run
+from repro.predictors import LastValuePredictor, StridePredictor
+from repro.predictors.table import PredictionTable
+from repro.profiling import collect_profiles, dumps_profile
+from repro.profiling.collector import ProfileImage, _profile_run
+from repro.telemetry import Telemetry, use_registry
+
+# Six candidates: the two li run once, the four loop instructions on
+# every iteration, with a stride (addi), a square (mul), a sum (add) and
+# a held value (slt).
+LOOP_ASM = """
+.text
+    li r1, 0
+    li r2, 40
+loop:
+    addi r1, r1, 1
+    mul r3, r1, r1
+    add r4, r3, r1
+    slt r5, r1, r2
+    bnez r5, loop
+    halt
+"""
+
+PHASED_ASM = """
+.text
+    li r1, 0
+    li r2, 3
+    phase 1
+init:
+    addi r1, r1, 1
+    slt r3, r1, r2
+    bnez r3, init
+    phase 2
+    li r2, 40
+comp:
+    addi r1, r1, 2
+    mul r4, r1, r1
+    slt r3, r1, r2
+    bnez r3, comp
+    halt
+"""
+
+
+@pytest.fixture(scope="module")
+def program():
+    return assemble(LOOP_ASM)
+
+
+def loop_members(program):
+    """The four loop candidates, as profile directives."""
+    return {
+        address: Directive.STRIDE
+        for address in program.candidate_addresses
+        if program.instructions[address].opcode.name != "LI"
+    }
+
+
+def count_kernels(monkeypatch):
+    """Count the simulate module's kernel calls by walk."""
+    import repro.core.simulate as simulate
+
+    calls = {"walk_unbounded": 0, "walk_set_associative": 0}
+    for name in calls:
+        kernel = getattr(simulate, name)
+
+        def counting(*args, _kernel=kernel, _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, counting)
+    return calls
+
+
+def reference_ilp(program, engines):
+    """One ``WindowScheduler.feed`` per record per label."""
+    schedulers = {
+        label: WindowScheduler(program, engine=engine)
+        for label, engine in engines.items()
+    }
+    for record in trace_program(program):
+        for scheduler in schedulers.values():
+            scheduler.feed(record)
+    return {label: scheduler.result() for label, scheduler in schedulers.items()}
+
+
+def observe(engines):
+    return {
+        label: _observe_engine(engine)
+        for label, engine in engines.items()
+        if engine is not None
+    }
+
+
+def measured(program, make_engines):
+    """Batch ILP results, engine end states and route counters, beside
+    the reference's results and end states."""
+    engines = make_engines()
+    registry = Telemetry()
+    with use_registry(registry):
+        results = measure_ilp_many(program, (), engines)
+    counters = registry.snapshot()["counters"]
+    routes = {
+        route: counters.get(f"core.engines.{route}", 0)
+        for route in ("walked", "followed", "stepped")
+    }
+    reference_engines = make_engines()
+    reference = reference_ilp(program, reference_engines)
+    return (results, observe(engines)), (reference, observe(reference_engines)), routes
+
+
+class TestCannotEvict:
+    def test_predicate_boundary(self):
+        table = PredictionTable(8, 2)  # four sets
+        assert _cannot_evict(table, [0, 4, 1, 5, 2, 3])
+        assert not _cannot_evict(table, [0, 4, 8, 1])
+        assert _cannot_evict(table, [])
+
+    @pytest.mark.parametrize("scheme", ["always", "fsm", "profile"])
+    @pytest.mark.parametrize("spare", [0, -1], ids=["exactly-ways", "one-over"])
+    def test_one_set_at_the_boundary(self, monkeypatch, program, scheme, spare):
+        """A one-set table holding exactly its allocatable addresses walks
+        as an unbounded table; one way fewer walks the evicting kernel.
+        Both match the per-record scheduler, down to table entries."""
+        members = loop_members(program)
+        allocatable = len(members) if scheme == "profile" else len(
+            program.candidate_addresses
+        )
+        ways = allocatable + spare
+
+        def make_engines():
+            if scheme == "profile":
+                chosen = ProfileClassification.from_directives(members)
+            elif scheme == "fsm":
+                chosen = HardwareClassification()
+            else:
+                chosen = AlwaysClassification()
+            return {
+                "novp": None,
+                "vp": PredictionEngine(program, StridePredictor(ways, ways), chosen),
+            }
+
+        calls = count_kernels(monkeypatch)
+        fast, reference, routes = measured(program, make_engines)
+        assert fast == reference
+        assert routes == {"walked": 1, "followed": 0, "stepped": 0}
+        if spare == 0:
+            assert calls == {"walk_unbounded": 1, "walk_set_associative": 0}
+        else:
+            assert calls["walk_unbounded"] == 0
+            assert calls["walk_set_associative"] == 1
+            # The contested set really evicts.
+            assert reference[1]["vp"]["tables"]["table0"]["meters"][2] > 0
+
+
+class TestFollowers:
+    def engines(self, program):
+        members = loop_members(program)
+        some = dict(list(members.items())[:2])
+
+        def profile(chosen):
+            return ProfileClassification.from_directives(chosen)
+
+        return {
+            "novp": None,
+            "fsm": PredictionEngine(
+                program, StridePredictor(512, 2), HardwareClassification()
+            ),
+            "always": PredictionEngine(
+                program, StridePredictor(), AlwaysClassification()
+            ),
+            "prof": PredictionEngine(program, StridePredictor(512, 2), profile(members)),
+            "prof-some": PredictionEngine(program, StridePredictor(), profile(some)),
+            "probe-prof": PredictionEngine(
+                program, StridePredictor(), ProbeScheme(profile(some))
+            ),
+        }
+
+    def test_fsm_leader_and_its_followers_match_records(self, program):
+        fast, reference, routes = measured(program, lambda: self.engines(program))
+        assert fast == reference
+        assert routes == {"walked": 1, "followed": 4, "stepped": 0}
+
+    def test_probe_leads_member_only_engines(self, monkeypatch, program):
+        def make_engines():
+            engines = self.engines(program)
+            return {label: engines[label] for label in ("novp", "prof", "prof-some")}
+
+        calls = count_kernels(monkeypatch)
+        fast, reference, routes = measured(program, make_engines)
+        assert fast == reference
+        assert routes == {"walked": 0, "followed": 2, "stepped": 0}
+        # The hidden probe is the one walk.
+        assert calls == {"walk_unbounded": 1, "walk_set_associative": 0}
+
+    def test_follower_outcomes_differ_from_the_leaders(self, program):
+        """The masks matter: a follower takes fewer predictions than the
+        leader hits."""
+        results = measure_ilp_many(program, (), self.engines(program))
+        some = results["prof-some"].taken_predictions
+        assert 0 < some < results["always"].taken_predictions
+
+
+class TestOracleGridRoutes:
+    def test_grid_runs_the_no_eviction_and_follower_routes(self, monkeypatch):
+        """The oracle grid's roomy tables take the new routes on generated
+        programs, beside the contested 8-entry ones."""
+        import repro.core.simulate as simulate
+
+        case = generate_case(0)
+        engines = _engine_grid(case.program)
+        finishers = []
+        build = simulate._follower_finisher
+
+        def counting_finisher(engine, *args):
+            finishers.append(engine)
+            return build(engine, *args)
+
+        monkeypatch.setattr(simulate, "_follower_finisher", counting_finisher)
+        calls = count_kernels(monkeypatch)
+        registry = Telemetry()
+        with use_registry(registry):
+            simulate_prediction_many(
+                case.program, list(case.inputs), engines, max_instructions=20000
+            )
+        followed = {
+            label for label, engine in engines.items()
+            if any(engine is other for other in finishers)
+        }
+        assert followed == {
+            "stride/always", "stride/profile", "stride/probe-always",
+            "stride/probe-profile", "roomy/always", "roomy/profile",
+        }
+        counters = registry.snapshot()["counters"]
+        assert counters["core.engines.followed"] == 6
+        assert counters["core.engines.walked"] == 9
+        assert counters["core.engines.stepped"] == 4
+        # stride/fsm, stride/probe-fsm, roomy/fsm and the two unbounded
+        # last-value engines walk unbounded; the four 8-entry ones evict.
+        assert calls == {"walk_unbounded": 5, "walk_set_associative": 4}
+
+
+class TestTablePathCounters:
+    def test_ilp_cell_reports_its_followers(self):
+        from repro.experiments.context import ExperimentContext
+        from repro.experiments.shared import ilp_results
+
+        context = ExperimentContext(scale=0.01, training_runs=1, cache_dir=None)
+        registry = Telemetry()
+        with use_registry(registry):
+            ilp_results(context, "124.m88ksim")
+        counters = registry.snapshot()["counters"]
+        # The FSM engine's table cannot evict, so it leads the five
+        # profile thresholds.
+        assert counters["core.engines.walked"] == 1
+        assert counters["core.engines.followed"] == 5
+        assert counters["core.engines.stepped"] == 0
+
+
+def last_value_state(predictor):
+    table = predictor.table
+    return (
+        (table.lookups, table.hits, table.evictions),
+        sorted(
+            (address, type(entry).__name__, repr(entry.last_value))
+            for address, entry in table
+        ),
+    )
+
+
+class TestLastValueFollower:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_whole_run_matches_last_value_alone(self, k):
+        program = assemble(PHASED_ASM)
+        registry = Telemetry()
+        together = {"S": StridePredictor(), "L": LastValuePredictor()}
+        with use_registry(registry):
+            images = collect_profiles(program, predictors=together, sample_every=k)
+        alone = {"L": LastValuePredictor()}
+        expected = collect_profiles(program, predictors=alone, sample_every=k)
+        assert registry.snapshot()["counters"]["profiling.predictors.followed"] == 1
+        assert dumps_profile(images["L"]) == dumps_profile(expected["L"])
+        assert last_value_state(together["L"]) == last_value_state(alone["L"])
+        # The stride image is not the last-value one on this program.
+        assert dumps_profile(images["S"]) != dumps_profile(images["L"])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_phase_split_matches_last_value_alone(self, k):
+        program = assemble(PHASED_ASM)
+
+        def phase_images(predictors):
+            images = {}
+
+            def image_for(name, phase):
+                return images.setdefault(
+                    (name, phase), ProfileImage(program.name, f"#{phase}")
+                )
+
+            batches = replay_or_run(program, (), None, None)
+            _profile_run(program, batches, predictors, image_for, k)
+            return {
+                key: dumps_profile(image)
+                for key, image in images.items()
+                if key[0] == "L"
+            }
+
+        together = {"L": LastValuePredictor(), "S": StridePredictor()}
+        alone = {"L": LastValuePredictor()}
+        split = phase_images(together)
+        assert sorted(split) == [("L", 0), ("L", 1), ("L", 2)]
+        assert split == phase_images(alone)
+        assert last_value_state(together["L"]) == last_value_state(alone["L"])
+
+    def test_a_used_last_value_table_walks_itself(self, monkeypatch):
+        import repro.profiling.collector as collector
+
+        program = assemble(PHASED_ASM)
+        warm = LastValuePredictor()
+        collect_profiles(program, predictors={"L": warm})
+        walked = []
+        kernel = collector.walk_unbounded
+
+        def counting(entries, acc, *args, **kwargs):
+            walked.append(kwargs.get("learns", True))
+            return kernel(entries, acc, *args, **kwargs)
+
+        monkeypatch.setattr(collector, "walk_unbounded", counting)
+        collect_profiles(program, predictors={"S": StridePredictor(), "L": warm})
+        assert sorted(set(walked)) == [False, True]
