@@ -354,7 +354,6 @@ def _command_corpus(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Generate a seeded mini-C workload corpus; compile and verify it."""
     import json
 
-    from .machine import ExecutionError
     from .workloads import TEST_INDEX
     from .workloads.corpus import DEFAULT_MIX, generate_corpus, parse_mix
 
@@ -378,9 +377,10 @@ def _command_corpus(arguments: argparse.Namespace, io: CommandIO) -> int:
         for workload in workloads
     ]
     verification: dict = {}
-    if not arguments.no_verify and getattr(arguments, "jobs", 1) > 1:
+    if not arguments.no_verify:
         # Flatten every (workload, input set) run into one case list and
-        # verify across worker processes; results come back in case order.
+        # verify it (in-process at --jobs 1); results come back in case
+        # order.
         from .machine import parallel_runs
 
         cases = [
@@ -389,7 +389,7 @@ def _command_corpus(arguments: argparse.Namespace, io: CommandIO) -> int:
             for inputs in input_sets
         ]
         outcomes = parallel_runs(
-            cases, jobs=arguments.jobs,
+            cases, jobs=getattr(arguments, "jobs", 1),
             max_instructions=arguments.max_instructions,
         )
         cursor = 0
@@ -409,20 +409,9 @@ def _command_corpus(arguments: argparse.Namespace, io: CommandIO) -> int:
         }
         if not arguments.no_verify:
             dynamic = 0
-            outcomes = verification.get(workload.name)
-            for index, inputs in enumerate(input_sets):
-                if outcomes is not None:
-                    count, error_text = outcomes[index]
-                else:
-                    try:
-                        result = run_program(
-                            program,
-                            inputs=inputs,
-                            max_instructions=arguments.max_instructions,
-                        )
-                        count, error_text = result.instruction_count, None
-                    except ExecutionError as error:
-                        count, error_text = 0, str(error)
+            for index, (count, error_text) in enumerate(
+                verification[workload.name]
+            ):
                 if error_text is not None:
                     print(
                         f"corpus: {workload.name} failed on input set "

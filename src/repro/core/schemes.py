@@ -137,7 +137,7 @@ class ProfileClassification(ClassificationScheme):
         return len(self._directives)
 
 
-class LearnedClassification(ClassificationScheme):
+class LearnedClassification(ProfileClassification):
     """Model-predicted directive classification (learned, profile-free).
 
     The modern successor question (PGO-without-Profiles): a
@@ -148,9 +148,6 @@ class LearnedClassification(ClassificationScheme):
     predicted, tagged ones are always taken.  No profile, no counters.
     """
 
-    def __init__(self, directives: Dict[int, Directive]) -> None:
-        self._directives: Dict[int, Directive] = dict(directives)
-
     @classmethod
     def from_model(cls, model, program: Program) -> "LearnedClassification":
         """Score ``program`` with a trained model and keep its tags."""
@@ -159,17 +156,4 @@ class LearnedClassification(ClassificationScheme):
         # consumer the feature-extractor import.
         from ..classify import predict_directives
 
-        return cls(predict_directives(model, program))
-
-    def may_allocate(self, address: int) -> bool:
-        return address in self._directives
-
-    def should_take(self, address: int) -> bool:
-        return address in self._directives
-
-    def directive_of(self, address: int) -> Optional[Directive]:
-        return self._directives.get(address)
-
-    @property
-    def tagged_count(self) -> int:
-        return len(self._directives)
+        return cls.from_directives(predict_directives(model, program))

@@ -91,6 +91,7 @@ from .schemes import (
     AlwaysClassification,
     ClassificationScheme,
     HardwareClassification,
+    LearnedClassification,
     ProbeScheme,
     ProfileClassification,
 )
@@ -486,7 +487,12 @@ def _cannot_evict(table, allocatable) -> bool:
     return max(per_set.values(), default=0) <= table.ways
 
 
-_STOCK_SCHEMES = (AlwaysClassification, HardwareClassification, ProfileClassification)
+_STOCK_SCHEMES = (
+    AlwaysClassification,
+    HardwareClassification,
+    ProfileClassification,
+    LearnedClassification,
+)
 
 
 def _fast_stride_consumer(engine: PredictionEngine):
@@ -528,14 +534,17 @@ def _fast_stride_consumer(engine: PredictionEngine):
         return None
 
     table = engine.predictor.table
-    # Allocation policy: every stock scheme but ProfileClassification
-    # (unwrapped) allocates unconditionally.
+    # Allocation policy: every stock scheme but a directive map
+    # (ProfileClassification or its learned form, unwrapped) allocates
+    # unconditionally.
     alloc_members = (
-        scheme._directives if type(scheme) is ProfileClassification else None
+        scheme._directives if isinstance(scheme, ProfileClassification) else None
     )
     # Take policy: constant (always), membership (profile), or the FSM
     # counters (hardware), which the kernel keeps as ints.
-    take_members = inner._directives if type(inner) is ProfileClassification else None
+    take_members = (
+        inner._directives if isinstance(inner, ProfileClassification) else None
+    )
     fsm = None
     if type(inner) is HardwareClassification:
         classifier = inner.fsm

@@ -46,6 +46,5 @@ def __getattr__(name: str):
     if name in ("run_experiments", "EXPERIMENTS"):
         from . import runner
 
-        return getattr(runner, {"run_experiments": "run_experiments",
-                                "EXPERIMENTS": "EXPERIMENTS"}[name])
+        return getattr(runner, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,0 +1,313 @@
+"""The experiment engine's cell kinds, each declared once.
+
+A *cell* is one artifact of the paper's pipeline, named by a tuple
+``(kind, name, *params)``: ``("compile", w)``, ``("profile", w, run)``,
+``("merged", w)``, ``("annotate", w, threshold)``, ``("classify", w)``,
+``("ilp", w)`` or ``("experiment", id)``.  :data:`KINDS` holds one
+:class:`CellKind` per kind, and that entry is everything the engine
+knows about the kind: the context computes, holds, keys and encodes a
+cell through it, and the job graph takes its edges from it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+import json
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
+
+from ..annotate import annotate_program
+from ..core import (
+    HardwareClassification,
+    PredictionEngine,
+    PredictionStats,
+    ProbeScheme,
+    ProfileClassification,
+    simulate_prediction_many,
+)
+from ..ilp import IlpResult, measure_ilp_many
+from ..isa import assemble, disassemble
+from ..predictors import StridePredictor
+from ..profiling import collect_profile, dumps_profile, loads_profile, merge_profiles
+from ..runner import keys
+from ..workloads import REGISTRY, TEST_INDEX, get_workload
+from .tables import ExperimentTable
+
+#: The five classification thresholds swept in Section 5.
+THRESHOLDS = (90.0, 80.0, 70.0, 60.0, 50.0)
+
+#: The finite prediction-table geometry of Sections 5.2-5.3.
+TABLE_ENTRIES = 512
+TABLE_WAYS = 2
+
+#: Engine label for the saturating-counter baseline.
+FSM_LABEL = "fsm"
+
+#: Memory tiers of :attr:`CellKind.tier`.
+MEMO = "memo"
+SESSION = "session"
+
+
+def threshold_label(threshold: float) -> str:
+    return f"prof{threshold:g}"
+
+
+class Codec(NamedTuple):
+    """A kind's exact text form: file extension, encoder, decoder."""
+
+    extension: str
+    encode: Callable[[Any], str]
+    decode: Callable[[str], Any]
+
+
+@dataclasses.dataclass(frozen=True)
+class CellKind:
+    """One kind of cell.
+
+    ``compute(context, name, *params)`` runs on a miss.  ``deps`` are
+    the kinds whose jobs of the same workload a job of this kind waits
+    for, and ``fan_out(context)`` lists the params of its jobs per
+    workload (none: never a job of its own).  ``tier`` is where the
+    context holds a value: ``memo`` (cleared by ``memo.clear()``),
+    ``session`` or nowhere.  ``key(context, name, *params)`` lists the
+    parts its content address digests (none: never on disk), and
+    ``codec`` its exact text form between processes and on disk.
+    ``label`` formats a job's progress label from ``(name, *params)``;
+    ``inline`` jobs run in the parent and never cross processes.
+    """
+
+    compute: Callable[..., Any]
+    deps: Tuple[str, ...] = ()
+    fan_out: Optional[Callable[[Any], Iterable[Tuple]]] = None
+    tier: Optional[str] = None
+    key: Optional[Callable[..., Tuple[str, ...]]] = None
+    codec: Optional[Codec] = None
+    label: str = "{}"
+    inline: bool = False
+
+
+# -- computes ----------------------------------------------------------------
+
+
+def _compile(context, name: str):
+    return context.program(name)
+
+
+def _profile(context, name: str, run_index: int):
+    """Profile image of one training run (unbounded stride predictor)."""
+    workload = get_workload(name)
+    return collect_profile(
+        workload.compile(),
+        workload.input_set(run_index, scale=context.scale),
+        run_label=f"train-{run_index}",
+    )
+
+
+def _merged(context, name: str):
+    """All training runs merged into one profile image."""
+    return merge_profiles(context.training_profiles(name), program_name=name)
+
+
+def _annotate(context, name: str, threshold: float):
+    """The phase-3 binary for one benchmark at one threshold."""
+    return annotate_program(
+        context.program(name), context.merged_profile(name), context.policy(threshold)
+    )
+
+
+def _classification_grid(context, name: str) -> Dict[str, PredictionStats]:
+    """Infinite-table take/avoid study for one benchmark (Figs 5.1/5.2).
+
+    Every scheme sees the identical, fully allocated unbounded stride
+    predictor (via :class:`ProbeScheme`); only the take decision differs.
+    """
+    program = context.program(name)
+    engines: Dict[str, PredictionEngine] = {
+        FSM_LABEL: PredictionEngine(
+            program,
+            predictor=StridePredictor(),
+            scheme=ProbeScheme(HardwareClassification()),
+        )
+    }
+    for threshold in THRESHOLDS:
+        annotated = context.annotated(name, threshold)
+        engines[threshold_label(threshold)] = PredictionEngine(
+            program,
+            predictor=StridePredictor(),
+            scheme=ProbeScheme(ProfileClassification(annotated)),
+        )
+    return simulate_prediction_many(
+        program, context.test_inputs(name), engines, store=context.traces
+    )
+
+
+def _ilp_grid(context, name: str) -> Dict[str, IlpResult]:
+    """Abstract-machine ILP for one benchmark (Table 5.2).
+
+    Labels: ``novp`` (baseline), ``fsm`` (VP+SC) and ``profX`` per
+    threshold — all scheduled against a single execution, with the
+    paper's finite stride table and default machine.
+    """
+    program = context.program(name)
+    engines: Dict[str, Optional[PredictionEngine]] = {
+        "novp": None,
+        FSM_LABEL: PredictionEngine(
+            program,
+            predictor=StridePredictor(TABLE_ENTRIES, TABLE_WAYS),
+            scheme=HardwareClassification(),
+        ),
+    }
+    for threshold in THRESHOLDS:
+        annotated = context.annotated(name, threshold)
+        engines[threshold_label(threshold)] = PredictionEngine(
+            annotated,
+            predictor=StridePredictor(TABLE_ENTRIES, TABLE_WAYS),
+            scheme=ProfileClassification(annotated),
+        )
+    return measure_ilp_many(
+        program, context.test_inputs(name), engines, store=context.traces
+    )
+
+
+def _experiment(context, identifier: str) -> ExperimentTable:
+    # Through the registry, which a caller may rebind (e.g. to trace).
+    from .runner import EXPERIMENTS
+
+    return EXPERIMENTS[identifier](context)
+
+
+# -- key parts ---------------------------------------------------------------
+
+
+def _profile_key(context, name: str, run_index: int) -> Tuple[str, ...]:
+    return (
+        keys.program_text(name),
+        str(run_index),
+        keys.input_digest(name, run_index, context.scale),
+    )
+
+
+def _merged_key(context, name: str) -> Tuple[str, ...]:
+    return (keys.program_text(name),) + keys.training_digests(
+        name, context.scale, context.training_runs
+    )
+
+
+def _grid_key(context, name: str) -> Tuple[str, ...]:
+    """Both grids are functions of the annotations and the test input."""
+    return (
+        _merged_key(context, name)
+        + tuple(repr(threshold) for threshold in THRESHOLDS)
+        + (repr(context.stride_threshold),)
+        + (keys.input_digest(name, TEST_INDEX, context.scale),)
+    )
+
+
+def _experiment_key(context, identifier: str) -> Tuple[str, ...]:
+    """The experiment module's own source (editing an experiment
+    invalidates only that experiment), the configuration, and the
+    fingerprint of every registered workload it could touch."""
+    from .runner import MODULES
+
+    return (
+        identifier,
+        inspect.getsource(MODULES[identifier]),
+        repr(context.scale),
+        str(context.training_runs),
+        repr(context.stride_threshold),
+    ) + tuple(
+        keys.workload_fingerprint(name, context.scale, context.training_runs)
+        for name in REGISTRY.names()
+    )
+
+
+# -- codecs ------------------------------------------------------------------
+
+
+def _grid_codec(result_type) -> Codec:
+    """``{label: result}`` as sorted JSON of each result's ``to_dict``."""
+    return Codec(
+        "json",
+        lambda grid: json.dumps(
+            {label: result.to_dict() for label, result in grid.items()},
+            sort_keys=True,
+        ),
+        lambda payload: {
+            label: result_type.from_dict(result)
+            for label, result in json.loads(payload).items()
+        },
+    )
+
+
+def _load_table(payload: str) -> ExperimentTable:
+    table = ExperimentTable.from_tsv(payload)
+    # from_tsv is lenient; a payload we wrote always names its
+    # experiment, so a blank id means the entry is corrupt.
+    if not table.experiment_id:
+        raise ValueError("experiment payload has no id header")
+    return table
+
+
+_PROFILE_CODEC = Codec("profile", dumps_profile, loads_profile)
+
+
+def _one_job(context) -> Iterable[Tuple]:
+    return [()]
+
+
+# -- the table ---------------------------------------------------------------
+
+KINDS: Dict[str, CellKind] = {
+    "compile": CellKind(_compile, fan_out=_one_job, inline=True),
+    "profile": CellKind(
+        _profile,
+        deps=("compile",),
+        fan_out=lambda context: [(run,) for run in range(context.training_runs)],
+        tier=SESSION,
+        key=_profile_key,
+        codec=_PROFILE_CODEC,
+        label="{}, run {}",
+    ),
+    # Derived inside the annotate jobs' processes, never a job of its own.
+    "merged": CellKind(
+        _merged, deps=("profile",), tier=SESSION, key=_merged_key, codec=_PROFILE_CODEC
+    ),
+    "annotate": CellKind(
+        _annotate,
+        deps=("profile",),
+        fan_out=lambda context: [(threshold,) for threshold in THRESHOLDS],
+        tier=SESSION,
+        codec=Codec("asm", disassemble, assemble),
+        label="{}, th={:g}",
+    ),
+    "classify": CellKind(
+        _classification_grid,
+        deps=("annotate",),
+        fan_out=_one_job,
+        tier=MEMO,
+        key=_grid_key,
+        codec=_grid_codec(PredictionStats),
+    ),
+    "ilp": CellKind(
+        _ilp_grid,
+        deps=("annotate",),
+        fan_out=_one_job,
+        tier=MEMO,
+        key=_grid_key,
+        codec=_grid_codec(IlpResult),
+    ),
+    "experiment": CellKind(
+        _experiment,
+        key=_experiment_key,
+        codec=Codec("tsv", ExperimentTable.to_tsv, _load_table),
+    ),
+}
+
+
+def closure(kind: str) -> Tuple[str, ...]:
+    """``kind`` after every kind it transitively depends on."""
+    kinds: Dict[str, None] = {}
+    for dep in KINDS[kind].deps:
+        kinds.update(dict.fromkeys(closure(dep)))
+    kinds[kind] = None
+    return tuple(kinds)

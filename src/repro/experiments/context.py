@@ -4,25 +4,24 @@ Most experiments need the same expensive artifacts — compiled binaries,
 the five training-run profile images per benchmark, merged profiles,
 annotated binaries per threshold and the simulation/ILP grids built on
 them.  :class:`ExperimentContext` owns every such *cell*.  A cell is
-named by one tuple, ``(kind, name, *params)`` — ``("profile", name,
-run)``, ``("merged", name)``, ``("annotate", name, threshold)``,
-``("classify", name)``, ``("ilp", name, entries, ways[, config])`` or
-``("experiment", id)`` — and :meth:`ExperimentContext.cell` serves each
-one in the same order:
+named by one tuple, ``(kind, name, *params)``, and its kind's entry in
+the cell-kind table (:data:`repro.experiments.cells.KINDS`) says how it
+is computed, held, keyed and encoded.  :meth:`ExperimentContext.cell`
+serves each one in the same order:
 
-1. memory (grids live in ``memo``; profiles and binaries survive
-   ``memo.clear()``; finished tables are never held);
+1. memory, by the kind's tier (grids live in ``memo``; profiles and
+   binaries survive ``memo.clear()``; compiles and finished tables are
+   not held);
 2. the content-addressed :class:`~repro.runner.cache.ArtifactCache`
-   under ``cache_dir``, decoded through :mod:`repro.runner.serialize`
-   (a corrupt entry is discarded, counted in ``runner.cache.corrupt``
-   and recomputed);
-3. computation, stored on disk exactly once.
+   under ``cache_dir``, decoded by the kind's codec (a corrupt entry is
+   discarded, counted in ``runner.cache.corrupt`` and recomputed);
+3. the kind's compute, stored on disk exactly once.
 
 The disk is probed at most once per cell: a miss is remembered until
 the computed value is stored, so the parallel engine
 (:mod:`repro.runner`) can ask :meth:`~ExperimentContext.from_disk`
 before launching a job without the job probing again.  Disk keys are
-derived here alone, through :mod:`repro.runner.keys`, and only when a
+derived here alone (:meth:`~ExperimentContext.key`), and only when a
 ``cache_dir`` is set.  They digest the program text, the exact input
 streams and the relevant configuration, so a changed workload source,
 input generator or ``scale`` misses cleanly.
@@ -31,32 +30,23 @@ input generator or ``scale`` misses cleanly.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
-from ..annotate import AnnotationPolicy, annotate_program
+from ..annotate import AnnotationPolicy
 from ..isa import Number, Program
 from ..machine import TraceStore
-from ..profiling import ProfileImage, collect_profile, merge_profiles
-from ..runner import keys, serialize
-from ..runner.cache import ArtifactCache
+from ..profiling import ProfileImage
+from ..runner import keys
+from ..runner.cache import ArtifactCache, PayloadError
 from ..telemetry import get_registry
-from ..workloads import REGISTRY, TRAINING_RUNS, Workload, get_workload
+from ..workloads import TRAINING_RUNS, get_workload
+from .cells import KINDS, MEMO, SESSION, TABLE_ENTRIES, TABLE_WAYS, THRESHOLDS, CellKind
 
-#: The five classification thresholds swept in Section 5.
-THRESHOLDS = (90.0, 80.0, 70.0, 60.0, 50.0)
-
-#: The finite prediction-table geometry of Sections 5.2-5.3.
-TABLE_ENTRIES = 512
-TABLE_WAYS = 2
+__all__ = ["ExperimentContext", "TABLE_ENTRIES", "TABLE_WAYS", "THRESHOLDS"]
 
 #: A cell's identity: ``(kind, name, *params)``.
 Cell = Tuple
-
-#: Cell kinds held in ``memo``; those in ``_SESSION_KINDS`` outlive it.
-_GRID_KINDS = ("classify", "ilp")
-_SESSION_KINDS = ("profile", "merged", "annotate")
 
 
 @dataclasses.dataclass
@@ -74,8 +64,7 @@ class ExperimentContext:
         stride_threshold: stride-efficiency split for directive type.
 
     Attributes:
-        memo: the simulation/ILP grids of
-            :mod:`repro.experiments.shared`, keyed by their cell tuple.
+        memo: the simulation/ILP grids, keyed by their cell tuple.
             Clearing it forces the grids to be rebuilt while profiles
             and annotated binaries stay warm.
         artifacts: the :class:`ArtifactCache` under ``cache_dir``, or
@@ -107,35 +96,28 @@ class ExperimentContext:
 
     # -- basic artifacts -----------------------------------------------------
 
-    def workload(self, name: str) -> Workload:
-        return get_workload(name)
-
     def program(self, name: str) -> Program:
         return get_workload(name).compile()
-
-    def training_inputs(self, name: str) -> List[List[Number]]:
-        return get_workload(name).training_inputs(
-            count=self.training_runs, scale=self.scale
-        )
 
     def test_inputs(self, name: str) -> List[Number]:
         return get_workload(name).test_inputs(scale=self.scale)
 
     # -- the cell cache ------------------------------------------------------
 
-    def cell(self, cell: Cell, compute: Callable[[], Any]) -> Any:
-        """The value of ``cell``: memory, then disk, then ``compute()``."""
-        value = self._held(cell).get(cell)
+    def cell(self, cell: Cell) -> Any:
+        """The value of ``cell``: memory, then disk, then its compute."""
+        kind = KINDS[cell[0]]
+        held = self._held(kind)
+        value = held.get(cell)
         if value is None:
             value = self.from_disk(cell)
         if value is None:
-            value = compute()
-            self._held(cell)[cell] = value
-            key = self._disk_key(cell)
+            value = kind.compute(self, *cell[1:])
+            held[cell] = value
+            key = self.key(cell)
             if key is not None:
-                kind = cell[0]
                 self.artifacts.store(
-                    kind, key, serialize.encode(kind, value), serialize.EXTENSIONS[kind]
+                    cell[0], key, kind.codec.encode(value), kind.codec.extension
                 )
                 self._missed.discard(cell)
         return value
@@ -144,21 +126,21 @@ class ExperimentContext:
         """``cell`` decoded from the disk cache, or ``None``.
 
         Returns ``None`` without probing when memory already holds the
-        cell, when the cell is never cached on disk (compile, annotate),
+        cell, when its kind is never cached on disk (compile, annotate),
         and when an earlier probe missed.
         """
-        if cell in self._held(cell) or cell in self._missed:
+        kind = cell[0]
+        if cell in self._held(KINDS[kind]) or cell in self._missed:
             return None
-        key = self._disk_key(cell)
+        key = self.key(cell)
         if key is None:
             return None
-        kind = cell[0]
-        extension = serialize.EXTENSIONS[kind]
+        extension = KINDS[kind].codec.extension
         payload = self.artifacts.load(kind, key, extension)
         if payload is not None:
             try:
                 return self.prime(cell, payload)
-            except serialize.PayloadError:
+            except PayloadError:
                 self.artifacts.discard(kind, key, extension)
                 registry = get_registry()
                 registry.counter("runner.cache.corrupt").add(1)
@@ -169,69 +151,49 @@ class ExperimentContext:
     def prime(self, cell: Cell, payload: str) -> Any:
         """Install an encoded artifact unless memory holds it; its value.
 
-        Raises :class:`~repro.runner.serialize.PayloadError` when the
+        Raises :class:`~repro.runner.cache.PayloadError` when the
         payload does not decode.
         """
-        held = self._held(cell)
+        kind = KINDS[cell[0]]
+        held = self._held(kind)
         value = held.get(cell)
         if value is None:
-            value = serialize.decode(cell[0], payload)
+            try:
+                value = kind.codec.decode(payload)
+            except Exception as error:
+                raise PayloadError(
+                    f"cannot decode {cell[0]} payload: {error}"
+                ) from error
             held[cell] = value
         return value
+
+    def encode(self, cell: Cell, value: Any) -> str:
+        """``value`` of ``cell`` in its transport/cache text form."""
+        return KINDS[cell[0]].codec.encode(value)
 
     def missed(self, cell: Cell) -> None:
         """Record that ``cell`` is not on disk (a coordinator probed it)."""
         self._missed.add(cell)
 
-    def _held(self, cell: Cell) -> Dict[Cell, Any]:
-        if cell[0] in _GRID_KINDS:
-            return self.memo
-        if cell[0] in _SESSION_KINDS:
-            return self._cells
-        return {}  # compile is memoized per workload; tables are not held
-
-    def _disk_key(self, cell: Cell) -> Optional[str]:
+    def key(self, cell: Cell) -> Optional[str]:
         """The content address of ``cell``; ``None`` when it is not cached."""
-        if self.artifacts is None:
+        key_parts = KINDS[cell[0]].key
+        if self.artifacts is None or key_parts is None:
             return None
-        kind, name, *params = cell
-        if kind == "profile":
-            return keys.profile_key(name, params[0], self.scale)
-        if kind == "merged":
-            return keys.merged_key(name, self.scale, self.training_runs)
-        annotation = (
-            name, self.scale, self.training_runs, THRESHOLDS, self.stride_threshold
-        )
-        if kind == "classify":
-            return keys.classify_key(*annotation)
-        if kind == "ilp":
-            return keys.ilp_key(*annotation, *params)
-        if kind == "experiment":
-            from .runner import MODULES
+        return keys.cell_key(cell[0], key_parts(self, *cell[1:]))
 
-            return keys.experiment_key(
-                name,
-                inspect.getsource(MODULES[name]),
-                self.scale,
-                self.training_runs,
-                self.stride_threshold,
-                REGISTRY.names(),
-            )
-        return None  # compile and annotate are cheap derivations
+    def _held(self, kind: CellKind) -> Dict[Cell, Any]:
+        if kind.tier == MEMO:
+            return self.memo
+        if kind.tier == SESSION:
+            return self._cells
+        return {}
 
     # -- profiles ------------------------------------------------------------
 
     def training_profile(self, name: str, run_index: int) -> ProfileImage:
         """Profile image of one training run (unbounded stride predictor)."""
-        workload = get_workload(name)
-        return self.cell(
-            ("profile", name, run_index),
-            lambda: collect_profile(
-                workload.compile(),
-                workload.input_set(run_index, scale=self.scale),
-                run_label=f"train-{run_index}",
-            ),
-        )
+        return self.cell(("profile", name, run_index))
 
     def training_profiles(self, name: str) -> List[ProfileImage]:
         return [
@@ -241,10 +203,7 @@ class ExperimentContext:
 
     def merged_profile(self, name: str) -> ProfileImage:
         """All training runs merged into one profile image."""
-        return self.cell(
-            ("merged", name),
-            lambda: merge_profiles(self.training_profiles(name), program_name=name),
-        )
+        return self.cell(("merged", name))
 
     # -- annotated binaries --------------------------------------------------
 
@@ -255,9 +214,4 @@ class ExperimentContext:
 
     def annotated(self, name: str, threshold: float) -> Program:
         """The phase-3 binary for one benchmark at one threshold."""
-        return self.cell(
-            ("annotate", name, threshold),
-            lambda: annotate_program(
-                self.program(name), self.merged_profile(name), self.policy(threshold)
-            ),
-        )
+        return self.cell(("annotate", name, threshold))

@@ -60,7 +60,7 @@ from . import (
 )
 from ..runner import build_experiment_graph, default_cache_dir
 from ..runner.executor import execute_graph
-from ..runner.report import RunFailure
+from ..runner.report import CACHED, RunFailure
 from .context import ExperimentContext
 from .tables import ExperimentTable
 
@@ -156,9 +156,11 @@ def run_experiments(
                 if progress is not None:
                     # Wall-clock, so on the progress stream: ``stream``
                     # stays byte-deterministic.
-                    suffix = " (cached)" if record is not None and record.cached else ""
-                    seconds = record.seconds if record is not None else 0.0
-                    print(f"[{name} finished in {seconds:.1f}s{suffix}]", file=progress)
+                    suffix = " (cached)" if record.status == CACHED else ""
+                    print(
+                        f"[{name} finished in {record.seconds:.1f}s{suffix}]",
+                        file=progress,
+                    )
                 if output_dir is not None:
                     stem = name.replace(".", "_")
                     (output_dir / f"{stem}.txt").write_text(

@@ -13,15 +13,11 @@ sibling work.
 Layering (no module imports upward):
 
 * :mod:`~repro.runner.cache` — the content-addressed store (stdlib only).
-* :mod:`~repro.runner.keys` — SHA-256 cache keys from program text +
-  input streams + configuration.  Only
+* :mod:`~repro.runner.keys` — the SHA-256 digests cache keys are made
+  of: program text, input streams, configuration.  Only
   :class:`~repro.experiments.context.ExperimentContext` derives keys: it
   owns every cell's memo, disk probe, decode and store, and derives no
   key at all without a ``cache_dir``.
-* :mod:`~repro.runner.serialize` — payload codecs: profile images and
-  annotated binaries travel in their on-disk text formats,
-  ``PredictionStats`` / ``IlpResult`` grids and experiment tables as JSON
-  / TSV.
 * :mod:`~repro.runner.jobs` — the job graph and its builder; a job names
   its context cell as ``(kind, name, *params)``.
 * :mod:`~repro.runner.report` — the structured :class:`RunReport`
@@ -36,6 +32,10 @@ Layering (no module imports upward):
   lines, deterministic result ordering.  It asks the context for a disk
   hit before launching a job.
 
+The package is generic over cells: what a kind computes, which kinds
+its jobs wait for, and how it is held, keyed and encoded is declared
+once, in the cell-kind table :data:`repro.experiments.cells.KINDS`.
+
 Typical use (what ``python -m repro experiments`` does)::
 
     from repro.experiments import ExperimentContext
@@ -44,22 +44,21 @@ Typical use (what ``python -m repro experiments`` does)::
     context = ExperimentContext(scale=0.3, cache_dir="~/.cache/repro")
     graph = build_experiment_graph(["fig-5.1", "table-5.2"], context)
     outcome = execute_graph(graph, context, jobs=4)
-    for record in outcome.records:
-        print(record.job_id, record.seconds, record.cached)
+    for entry in outcome.report.jobs:
+        print(entry.job_id, entry.seconds, entry.status)
     print(outcome.tables["table-5.2"].format())
 """
 
 from .cache import ArtifactCache, default_cache_dir
-from .jobs import CELL_KINDS, Job, JobGraph, build_experiment_graph
+from .executor import ExecutionOutcome, execute_graph
+from .jobs import Job, JobGraph, build_experiment_graph
 from .report import JobReport, RunFailure, RunReport
 
 __all__ = [
     "ArtifactCache",
-    "CELL_KINDS",
     "ExecutionOutcome",
     "Job",
     "JobGraph",
-    "JobRecord",
     "JobReport",
     "RunFailure",
     "RunReport",
@@ -68,14 +67,3 @@ __all__ = [
     "execute_graph",
 ]
 
-
-def __getattr__(name: str):
-    # The executor pulls in the experiments layer (for table codecs and
-    # the worker entry points); import it lazily so that the cache/key
-    # layers stay importable from `repro.experiments.context` without a
-    # cycle.
-    if name in ("execute_graph", "ExecutionOutcome", "JobRecord"):
-        from . import executor
-
-        return getattr(executor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,9 +13,8 @@ Layout on disk::
     <cache-dir>/<kind>/<key[:2]>/<key>.<ext>
 
 where ``kind`` is the artifact family (``profile``, ``merged``,
-``classify``, ``ilp``, ``experiment``; a finished table's
-*key* is digested under the prefix ``table``, but the entry lives under
-``experiment/``), the two-character fan-out keeps directories small, and
+``classify``, ``ilp``, ``experiment``), the two-character fan-out keeps
+directories small, and
 ``ext`` is the payload's native extension (``.profile``, ``.json``,
 ``.tsv``).  Payloads are UTF-8 text;
 writes go through a temporary file and :func:`os.replace` so concurrent
@@ -25,7 +24,7 @@ writer wins with identical content.
 A corrupt entry (truncated write, stray file, version skew) is treated
 as a miss: the one reader,
 :meth:`~repro.experiments.context.ExperimentContext.from_disk`, deletes
-an entry it fails to decode and recomputes.
+an entry it fails to decode (:class:`PayloadError`) and recomputes.
 """
 
 from __future__ import annotations
@@ -39,6 +38,10 @@ from ..telemetry import get_registry
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+
+class PayloadError(ValueError):
+    """A payload failed to decode (corrupt cache entry, version skew)."""
 
 
 def default_cache_dir() -> Path:

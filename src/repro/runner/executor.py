@@ -22,9 +22,10 @@ in-process — the rule :func:`repro.machine.sharding._pool_map` applies.
 
 Determinism: jobs are launched in graph (topological/insertion) order,
 results are keyed by job id, and tables are returned by experiment id —
-completion order never influences output.  Every job gets a
-:class:`JobRecord` with wall-clock seconds and cache provenance; the CLI
-turns these into progress and timing lines.
+completion order never influences output.  Every job gets one
+:class:`~repro.runner.report.JobReport` with wall-clock seconds and
+status (``cached`` for a disk hit); the CLI turns these into progress
+and timing lines.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Set, TextIO
 
 from ..telemetry import get_registry
-from . import serialize, worker
+from . import worker
+from .cache import PayloadError
 from .jobs import Job, JobGraph
 from .report import CACHED, FAILED, OK, SKIPPED, JobReport, RunReport
 
@@ -46,40 +48,26 @@ from .report import CACHED, FAILED, OK, SKIPPED, JobReport, RunReport
 POOL_BROKE = "worker pool broke; rerun in-process"
 
 
-@dataclasses.dataclass(frozen=True)
-class JobRecord:
-    """Outcome bookkeeping for one executed job."""
-
-    job_id: str
-    kind: str
-    label: str
-    seconds: float
-    cached: bool
-    status: str
-
-
 @dataclasses.dataclass
 class ExecutionOutcome:
     """Everything :func:`execute_graph` produced."""
 
-    records: List[JobRecord] = dataclasses.field(default_factory=list)
     tables: Dict[str, object] = dataclasses.field(default_factory=dict)
     values: Dict[str, object] = dataclasses.field(default_factory=dict)
-    report: Optional[RunReport] = None
+    report: RunReport = dataclasses.field(default_factory=RunReport)
 
-    def record_for(self, job_id: str) -> Optional[JobRecord]:
-        for record in self.records:
-            if record.job_id == job_id:
-                return record
-        return None
+    def record_for(self, job_id: str) -> Optional[JobReport]:
+        return self.report.job(job_id)
 
     @property
     def cached_jobs(self) -> int:
-        return sum(1 for record in self.records if record.cached)
+        return self.report.counts()[CACHED]
 
     @property
     def computed_seconds(self) -> float:
-        return sum(record.seconds for record in self.records if not record.cached)
+        return sum(
+            entry.seconds for entry in self.report.jobs if entry.status != CACHED
+        )
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -149,23 +137,22 @@ def execute_graph(
     causes: Dict[str, List[str]] = {job.job_id: [] for job in order}
     #: Terminal status per job; presence means the job is settled.
     status: Dict[str, str] = {}
+    seconds_of: Dict[str, float] = {}
 
     use_pool = workers > 1 and any(not job.inline for job in order)
     pool = ProcessPoolExecutor(max_workers=workers) if use_pool else None
     futures: Dict[concurrent.futures.Future, Job] = {}
 
-    def record_job(job: Job, job_status: str, seconds: float, cached: bool) -> None:
+    def record_job(job: Job, job_status: str, seconds: float) -> None:
         nonlocal done, capacity_freed_at
         done += 1
         capacity_freed_at = time.perf_counter()
         status[job.job_id] = job_status
+        seconds_of[job.job_id] = seconds
         ready_at.pop(job.job_id, None)
-        outcome.records.append(
-            JobRecord(job.job_id, job.kind, job.label(), seconds, cached, job_status)
-        )
 
     def finish(job: Job, value, seconds: float, cached: bool) -> None:
-        record_job(job, CACHED if cached else OK, seconds, cached)
+        record_job(job, CACHED if cached else OK, seconds)
         outcome.values[job.job_id] = value
         if job.kind == "experiment":
             outcome.tables[job.name] = value
@@ -178,7 +165,7 @@ def execute_graph(
         if progress is not None:
             suffix = " (cached)" if cached else ""
             print(
-                f"[{done:>3}/{total}] {job.label()}: {seconds:.2f}s{suffix}",
+                f"[{done:>3}/{total}] {job.label}: {seconds:.2f}s{suffix}",
                 file=progress,
                 flush=True,
             )
@@ -191,12 +178,12 @@ def execute_graph(
     def mark_terminal(job: Job, job_status: str, cause: str, seconds: float) -> None:
         """Settle ``job`` as failed/skipped (degraded, not raised)."""
         causes[job.job_id].append(cause)
-        record_job(job, job_status, seconds, False)
+        record_job(job, job_status, seconds)
         if telemetry.enabled:
             telemetry.counter(f"runner.jobs_{job_status}").add(1)
         if progress is not None:
             print(
-                f"[{done:>3}/{total}] {job.label()}: {job_status.upper()} ({cause})",
+                f"[{done:>3}/{total}] {job.label}: {job_status.upper()} ({cause})",
                 file=progress,
                 flush=True,
             )
@@ -225,7 +212,7 @@ def execute_graph(
         seconds, payload, worker_metrics = result
         try:
             value = context.prime(job.cell(), payload)
-        except serialize.PayloadError as error:
+        except PayloadError as error:
             fail_job(job, f"corrupt result payload: {error}", seconds)
             return
         if worker_metrics is not None:
@@ -260,8 +247,8 @@ def execute_graph(
 
     def payload_of(job_id: str) -> str:
         if job_id not in encoded:  # served from disk or computed inline
-            encoded[job_id] = serialize.encode(
-                graph[job_id].kind, outcome.values[job_id]
+            encoded[job_id] = context.encode(
+                graph[job_id].cell(), outcome.values[job_id]
             )
         return encoded[job_id]
 
@@ -281,7 +268,7 @@ def execute_graph(
             dep_items = tuple(
                 (graph[dep], payload_of(dep))
                 for dep in job.deps
-                if graph[dep].kind != "compile"
+                if not graph[dep].inline
             )
             try:
                 futures[pool.submit(worker.run_pool_job, spec, job, dep_items)] = job
@@ -352,16 +339,15 @@ def execute_graph(
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    records_by_id = {record.job_id: record for record in outcome.records}
     outcome.report = RunReport(
         jobs=[
             JobReport(
                 job_id=job.job_id,
                 kind=job.kind,
-                label=job.label(),
-                status=records_by_id[job.job_id].status,
+                label=job.label,
+                status=status[job.job_id],
                 attempts=int(job.job_id in launched),
-                seconds=records_by_id[job.job_id].seconds,
+                seconds=seconds_of[job.job_id],
                 causes=tuple(causes[job.job_id]),
             )
             for job in order

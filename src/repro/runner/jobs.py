@@ -7,19 +7,22 @@ dependencies::
       └─ profile(w, run)                         one per training run
            └─ annotate(w, threshold)             merge + directive insertion
                 ├─ classify(w)                   Figs 5.1/5.2 grid
-                └─ ilp(w, entries, ways)         Figs 5.3/5.4, Table 5.2 grid
+                └─ ilp(w)                        Figs 5.3/5.4, Table 5.2 grid
     experiment(id)                               one per requested table
 
-Each experiment module declares which cell kinds it consumes in a
-module-level ``CELLS`` tuple (e.g. ``CELLS = ("classify",)`` for
-Figure 5.1); the builder instantiates the union of the requested cells
-across the Table 4.1 benchmarks and makes each experiment job depend on
-the closure of its kinds, so a pool worker running the experiment
+The edges, the params of each kind's jobs and their labels come from
+the cell-kind table (:data:`repro.experiments.cells.KINDS`); this
+module knows no kind by name but ``experiment``.  Each experiment
+module declares which cell kinds it consumes in a module-level
+``CELLS`` tuple (e.g. ``CELLS = ("classify",)`` for Figure 5.1); the
+builder instantiates the union of the requested cells across the
+Table 4.1 benchmarks and makes each experiment job depend on every
+cell of its kinds' closure, so a pool worker running the experiment
 receives every primed artifact it needs and recomputes nothing.
 Experiments with ``CELLS = ()`` (bespoke studies like the ablations) run
 self-contained in their own worker.
 
-Compile jobs are marked ``inline``: the parent needs every program text
+Inline jobs (compile) run in the parent: it needs every program text
 anyway to compute cache keys, and compilation is memoized per process,
 so shipping it to a worker would only add overhead.
 """
@@ -29,17 +32,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Cell kinds an experiment module may declare in its ``CELLS`` tuple.
-CELL_KINDS = ("profile", "annotate", "classify", "ilp")
-
-#: Transitive closure of artifacts implied by each cell kind.
-KIND_CLOSURE = {
-    "profile": ("profile",),
-    "annotate": ("profile", "annotate"),
-    "classify": ("profile", "annotate", "classify"),
-    "ilp": ("profile", "annotate", "ilp"),
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class Job:
@@ -47,8 +39,9 @@ class Job:
 
     ``name`` is the workload name for cell jobs and the experiment id
     for experiment jobs; ``params`` carries kind-specific values (run
-    index, threshold, table geometry).  Jobs are immutable and picklable
-    — they travel to pool workers alongside their dependency payloads.
+    index, threshold).  Jobs are immutable and picklable — they travel
+    to pool workers alongside their dependency payloads.  ``label`` is
+    the human-readable form for progress lines (default ``kind(name)``).
     """
 
     job_id: str
@@ -57,21 +50,15 @@ class Job:
     params: Tuple = ()
     deps: Tuple[str, ...] = ()
     inline: bool = False
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.label:
+            object.__setattr__(self, "label", f"{self.kind}({self.name})")
 
     def cell(self) -> Tuple:
         """The context cell this job computes: ``(kind, name, *params)``."""
         return (self.kind, self.name) + self.params
-
-    def label(self) -> str:
-        """Human-readable form for progress lines."""
-        if self.kind == "profile":
-            return f"profile({self.name}, run {self.params[0]})"
-        if self.kind == "annotate":
-            return f"annotate({self.name}, th={self.params[0]:g})"
-        if self.kind == "ilp":
-            entries, ways = self.params[:2]
-            return f"{self.kind}({self.name}, {entries}x{ways})"
-        return f"{self.kind}({self.name})"
 
 
 class JobGraph:
@@ -133,38 +120,19 @@ class JobGraph:
         return self.jobs[job_id]
 
 
-def compile_id(name: str) -> str:
-    return f"compile:{name}"
+def job_id(kind: str, name: str, *params) -> str:
+    """``kind:name[:param...]``, numbers in ``%g`` form (``annotate:w:90``)."""
+    return ":".join([kind, name, *(f"{param:g}" for param in params)])
 
 
-def profile_id(name: str, run_index: int) -> str:
-    return f"profile:{name}:{run_index}"
-
-
-def annotate_id(name: str, threshold: float) -> str:
-    return f"annotate:{name}:{threshold:g}"
-
-
-def classify_id(name: str) -> str:
-    return f"classify:{name}"
-
-
-def ilp_id(name: str, entries: int, ways: int) -> str:
-    return f"ilp:{name}:{entries}:{ways}"
-
-
-def experiment_id(identifier: str) -> str:
-    return f"experiment:{identifier}"
-
-
-def experiment_cells(module) -> Tuple[str, ...]:
+def experiment_cells(module, kinds) -> Tuple[str, ...]:
     """The ``CELLS`` declaration of an experiment module (default none)."""
     cells = tuple(getattr(module, "CELLS", ()))
-    unknown = [kind for kind in cells if kind not in CELL_KINDS]
+    known = tuple(kind for kind, spec in kinds.items() if spec.fan_out is not None)
+    unknown = [kind for kind in cells if kind not in known]
     if unknown:
         raise ValueError(
-            f"{module.__name__}: unknown cell kind(s) {unknown}; "
-            f"known: {CELL_KINDS}"
+            f"{module.__name__}: unknown cell kind(s) {unknown}; known: {known}"
         )
     return cells
 
@@ -177,13 +145,14 @@ def build_experiment_graph(
     """Express the requested experiments as a job graph.
 
     ``context`` is an :class:`~repro.experiments.context.ExperimentContext`
-    — only its configuration (training-run count, thresholds constants)
-    shapes the graph.  ``workload_names`` defaults to the Table 4.1
-    benchmark set shared by every paper experiment.
+    — only its configuration (training-run count) shapes the graph.
+    ``workload_names`` defaults to the Table 4.1 benchmark set shared by
+    every paper experiment.  Inline jobs come first, for every workload;
+    then each workload's chain, in table order.
     """
     # Imported here: the experiments layer imports this package at the
     # module level, so the dependency must stay one-way at import time.
-    from ..experiments.context import TABLE_ENTRIES, TABLE_WAYS, THRESHOLDS
+    from ..experiments.cells import KINDS, closure
     from ..experiments.runner import EXPERIMENTS, MODULES
     from ..workloads import TABLE_4_1_NAMES
 
@@ -195,75 +164,49 @@ def build_experiment_graph(
         known = ", ".join(EXPERIMENTS)
         raise SystemExit(f"unknown experiment {unknown[0]!r}; known: {known}")
 
+    declared = {name: experiment_cells(MODULES[name], KINDS) for name in names}
+    needed = {
+        kind for cells in declared.values() for cell in cells for kind in closure(cell)
+    }
+
     graph = JobGraph()
-    kinds_needed = set()
-    for name in names:
-        for kind in experiment_cells(MODULES[name]):
-            kinds_needed.update(KIND_CLOSURE[kind])
-
-    cell_ids: Dict[str, List[str]] = {kind: [] for kind in CELL_KINDS}
-    if kinds_needed:
+    #: (kind, workload) -> that workload's job ids of the kind.
+    made: Dict[Tuple[str, str], List[str]] = {}
+    for inline in (True, False):
         for workload in workload_names:
-            graph.add(Job(compile_id(workload), "compile", workload, inline=True))
-        for workload in workload_names:
-            profiles = []
-            for run_index in range(context.training_runs):
-                job = graph.add(
-                    Job(
-                        profile_id(workload, run_index),
-                        "profile",
-                        workload,
-                        params=(run_index,),
-                        deps=(compile_id(workload),),
-                    )
+            for kind, spec in KINDS.items():
+                if kind not in needed or spec.inline is not inline:
+                    continue
+                deps = tuple(
+                    dep_id for dep in spec.deps for dep_id in made[dep, workload]
                 )
-                profiles.append(job.job_id)
-            cell_ids["profile"].extend(profiles)
-            if not kinds_needed - {"profile"}:
-                continue
-            annotates = []
-            for threshold in THRESHOLDS:
-                job = graph.add(
-                    Job(
-                        annotate_id(workload, threshold),
-                        "annotate",
-                        workload,
-                        params=(threshold,),
-                        deps=tuple(profiles),
-                    )
-                )
-                annotates.append(job.job_id)
-            cell_ids["annotate"].extend(annotates)
-            if "classify" in kinds_needed:
-                job = graph.add(
-                    Job(
-                        classify_id(workload),
-                        "classify",
-                        workload,
-                        deps=tuple(annotates),
-                    )
-                )
-                cell_ids["classify"].append(job.job_id)
-            if "ilp" in kinds_needed:
-                job = graph.add(
-                    Job(
-                        ilp_id(workload, TABLE_ENTRIES, TABLE_WAYS),
-                        "ilp",
-                        workload,
-                        params=(TABLE_ENTRIES, TABLE_WAYS),
-                        deps=tuple(annotates),
-                    )
-                )
-                cell_ids["ilp"].append(job.job_id)
+                made[kind, workload] = [
+                    graph.add(
+                        Job(
+                            job_id(kind, workload, *params),
+                            kind,
+                            workload,
+                            params=tuple(params),
+                            deps=deps,
+                            inline=spec.inline,
+                            label=f"{kind}({spec.label.format(workload, *params)})",
+                        )
+                    ).job_id
+                    for params in spec.fan_out(context)
+                ]
 
     for name in names:
-        deps: List[str] = []
-        for kind in experiment_cells(MODULES[name]):
-            for closure_kind in KIND_CLOSURE[kind]:
-                deps.extend(cell_ids[closure_kind])
+        deps = [
+            dep_id
+            for cell in declared[name]
+            for kind in closure(cell)
+            if not KINDS[kind].inline
+            for workload in workload_names
+            for dep_id in made[kind, workload]
+        ]
         graph.add(
             Job(
-                experiment_id(name),
+                job_id("experiment", name),
                 "experiment",
                 name,
                 deps=tuple(dict.fromkeys(deps)),

@@ -79,10 +79,6 @@ class RunReport:
         return [entry for entry in self.jobs if entry.status == SKIPPED]
 
     @property
-    def completed(self) -> List[JobReport]:
-        return [entry for entry in self.jobs if entry.status in (OK, CACHED)]
-
-    @property
     def ok(self) -> bool:
         return not self.failed and not self.skipped
 

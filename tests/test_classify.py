@@ -37,8 +37,15 @@ from repro.classify import (
     split_corpus,
     train_model,
 )
-from repro.core import LearnedClassification
+from repro.core import (
+    LearnedClassification,
+    PredictionEngine,
+    ProbeScheme,
+    simulate_prediction_many,
+)
 from repro.isa import Directive
+from repro.predictors import StridePredictor
+from repro.telemetry import Telemetry, use_registry
 from repro.workloads.corpus import corpus_workload, generate_corpus
 
 
@@ -270,6 +277,35 @@ class TestLearnedClassification:
             for address in program.candidate_addresses
         }
         assert after == before
+
+    def test_learned_engines_run_on_the_stride_kernel(self, trained):
+        """A learned scheme, probed or not, is walked by the batch stride
+        kernel like the profile scheme it copies, never stepped."""
+        model, _ = trained
+        workload = corpus_workload(5)
+        program = workload.compile()
+        engines = {
+            "probe": PredictionEngine(
+                program,
+                predictor=StridePredictor(),
+                scheme=ProbeScheme(LearnedClassification.from_model(model, program)),
+            ),
+            "finite": PredictionEngine(
+                program,
+                predictor=StridePredictor(512, 2),
+                scheme=LearnedClassification.from_model(model, program),
+            ),
+        }
+        registry = Telemetry()
+        with use_registry(registry):
+            simulate_prediction_many(
+                program, workload.test_inputs(scale=0.1), engines
+            )
+        counters = registry.snapshot()["counters"]
+        assert counters.get("core.engines.stepped", 0) == 0
+        assert counters["core.engines.walked"] + counters.get(
+            "core.engines.followed", 0
+        ) == len(engines)
 
     def test_annotate_with_model_clears_stale_tags(self, trained):
         model, _ = trained

@@ -13,35 +13,27 @@ Covers the load-bearing guarantees:
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import time
+from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.experiments import shared
+from repro.experiments.context import THRESHOLDS as PAPER_THRESHOLDS
 from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import run_experiments
-from repro.ilp import IlpConfig
 from repro.runner import ArtifactCache, build_experiment_graph, keys
 from repro.runner import executor
 from repro.runner.executor import POOL_BROKE, execute_graph, resolve_jobs
-from repro.runner.jobs import (
-    Job,
-    JobGraph,
-    annotate_id,
-    classify_id,
-    compile_id,
-    ilp_id,
-    profile_id,
-)
+from repro.runner.jobs import Job, JobGraph, job_id
 from repro.runner.report import JobReport, RunReport
+from repro.workloads import TABLE_4_1_NAMES
 from repro.telemetry import Telemetry, use_registry
-
-THRESHOLDS = (90.0, 50.0)
-
 
 def make_context(**overrides) -> ExperimentContext:
     options = dict(scale=0.02, training_runs=2)
@@ -49,58 +41,94 @@ def make_context(**overrides) -> ExperimentContext:
     return ExperimentContext(**options)
 
 
+WORKLOAD = "129.compress"
+PROFILE = ("profile", WORKLOAD, 0)
+
+
+def key_of(cell, tmp_path, **overrides):
+    return make_context(cache_dir=tmp_path, **overrides).key(cell)
+
+
+#: Every disk-cached kind, and the inputs its key must digest.
+KEY_INPUTS = [
+    (PROFILE, {"scale", "program text"}),
+    (("merged", WORKLOAD), {"scale", "training runs", "program text"}),
+    (
+        ("classify", WORKLOAD),
+        {"scale", "training runs", "stride threshold", "program text"},
+    ),
+    (
+        ("ilp", WORKLOAD),
+        {"scale", "training runs", "stride threshold", "program text"},
+    ),
+    (
+        ("experiment", "fig-4.2"),
+        {
+            "scale", "training runs", "stride threshold", "program text",
+            "experiment source",
+        },
+    ),
+]
+
+CONFIG_CHANGES = {
+    "scale": {"scale": 0.03},
+    "training runs": {"training_runs": 3},
+    "stride threshold": {"stride_threshold": 40.0},
+}
+
+
 class TestKeys:
-    def test_deterministic(self):
-        first = keys.profile_key("129.compress", 0, 0.02)
-        second = keys.profile_key("129.compress", 0, 0.02)
-        assert first == second
+    def test_deterministic(self, tmp_path):
+        assert key_of(PROFILE, tmp_path) == key_of(PROFILE, tmp_path)
 
-    def test_scale_changes_key(self):
-        assert keys.profile_key("129.compress", 0, 0.02) != keys.profile_key(
-            "129.compress", 0, 0.03
-        )
+    def test_scale_changes_key(self, tmp_path):
+        assert key_of(PROFILE, tmp_path) != key_of(PROFILE, tmp_path, scale=0.03)
 
-    def test_input_set_changes_key(self):
-        assert keys.profile_key("129.compress", 0, 0.02) != keys.profile_key(
-            "129.compress", 1, 0.02
-        )
+    def test_input_set_changes_key(self, tmp_path):
+        assert key_of(PROFILE, tmp_path) != key_of(("profile", WORKLOAD, 1), tmp_path)
 
-    def test_program_text_changes_key(self, monkeypatch):
-        before = keys.profile_key("129.compress", 0, 0.02)
-        monkeypatch.setitem(keys._program_texts, "129.compress", "li r1, 0\nhalt")
-        assert keys.profile_key("129.compress", 0, 0.02) != before
+    def test_program_text_changes_key(self, monkeypatch, tmp_path):
+        before = key_of(PROFILE, tmp_path)
+        monkeypatch.setitem(keys._program_texts, WORKLOAD, "li r1, 0\nhalt")
+        assert key_of(PROFILE, tmp_path) != before
 
-    def test_training_run_count_changes_merged_key(self):
-        assert keys.merged_key("129.compress", 0.02, 2) != keys.merged_key(
-            "129.compress", 0.02, 3
-        )
+    def test_training_run_count_changes_merged_key(self, tmp_path):
+        merged = ("merged", WORKLOAD)
+        assert key_of(merged, tmp_path) != key_of(merged, tmp_path, training_runs=3)
 
-    def test_ilp_key_default_config_matches_none(self):
-        explicit = keys.ilp_key(
-            "129.compress", 0.02, 2, THRESHOLDS, 50.0, 512, 2, IlpConfig()
-        )
-        implicit = keys.ilp_key(
-            "129.compress", 0.02, 2, THRESHOLDS, 50.0, 512, 2, None
-        )
-        assert explicit == implicit
+    @pytest.mark.parametrize(
+        "cell, inputs", KEY_INPUTS, ids=[cell[0] for cell, _ in KEY_INPUTS]
+    )
+    def test_key_changes_with_exactly_its_inputs(
+        self, cell, inputs, monkeypatch, tmp_path
+    ):
+        base = key_of(cell, tmp_path)
+        assert base is not None
+        changed = {
+            name: key_of(cell, tmp_path, **overrides) != base
+            for name, overrides in CONFIG_CHANGES.items()
+        }
+        with monkeypatch.context() as patch:
+            patch.setitem(keys._program_texts, WORKLOAD, "li r1, 0\nhalt")
+            changed["program text"] = key_of(cell, tmp_path) != base
+        with monkeypatch.context() as patch:
+            patch.setattr(inspect, "getsource", lambda module: "# edited\n")
+            changed["experiment source"] = key_of(cell, tmp_path) != base
+        assert {name for name, hit in changed.items() if hit} == inputs
 
-    def test_ilp_key_custom_config_changes_key(self):
-        default = keys.ilp_key("129.compress", 0.02, 2, THRESHOLDS, 50.0, 512, 2)
-        custom = keys.ilp_key(
-            "129.compress", 0.02, 2, THRESHOLDS, 50.0, 512, 2,
-            IlpConfig(window_size=16),
-        )
-        assert default != custom
+    def test_uncached_cells_have_no_key(self, tmp_path):
+        for cell in (("compile", WORKLOAD), ("annotate", WORKLOAD, 90.0)):
+            assert key_of(cell, tmp_path) is None
+        assert make_context().key(PROFILE) is None
 
-    def test_ilp_memo_key_default_config_matches_none(self, tmp_path):
-        """``None`` and an explicit default config share one memo entry
-        and one disk entry."""
+    def test_ilp_cell_is_held_and_stored_once(self, tmp_path):
+        """``("ilp", name)`` is one memo entry and one disk entry, and a
+        fresh context reads it back from the disk."""
         context = make_context(cache_dir=tmp_path)
-        implicit = shared.ilp_results(context, "129.compress", None)
-        explicit = shared.ilp_results(context, "129.compress", IlpConfig())
-        assert explicit is implicit
+        first = shared.ilp_results(context, WORKLOAD)
+        assert shared.ilp_results(context, WORKLOAD) is first
         assert [cell for cell in context.memo if cell[0] == "ilp"] == [
-            ("ilp", "129.compress", 512, 2)
+            ("ilp", WORKLOAD)
         ]
         entries = [
             path for path in ArtifactCache(tmp_path).entries()
@@ -109,13 +137,11 @@ class TestKeys:
         assert len(entries) == 1
         registry = Telemetry()
         with use_registry(registry):
-            again = shared.ilp_results(
-                make_context(cache_dir=tmp_path), "129.compress", IlpConfig()
-            )
+            again = shared.ilp_results(make_context(cache_dir=tmp_path), WORKLOAD)
         counters = registry.snapshot()["counters"]
         assert counters["cache.hit.ilp"] == 1
         assert "cache.store.ilp" not in counters
-        assert again == implicit
+        assert again == first
 
 
 class TestArtifactCache:
@@ -166,19 +192,33 @@ class TestGraph:
         assert dep_kinds == {"profile", "annotate", "classify"}
 
     def test_finite_figures_read_the_ilp_cells(self):
-        from repro.experiments.context import TABLE_ENTRIES, TABLE_WAYS
-        from repro.workloads import TABLE_4_1_NAMES
-
         graph = build_experiment_graph(["fig-5.3"], make_context())
         assert {job.kind for job in graph.order()} == {
             "compile", "profile", "annotate", "ilp", "experiment"
         }
         deps = graph["experiment:fig-5.3"].deps
         ilp_deps = [dep for dep in deps if graph[dep].kind == "ilp"]
-        assert ilp_deps == [
-            ilp_id(name, TABLE_ENTRIES, TABLE_WAYS) for name in TABLE_4_1_NAMES
-        ]
+        assert ilp_deps == [f"ilp:{name}" for name in TABLE_4_1_NAMES]
         assert len(ilp_deps) == 9
+
+    def test_paper_cold_graph(self):
+        """The twelve paper tables expand to 129 jobs in a pinned order."""
+        graph = build_experiment_graph(PAPER_TABLES, ExperimentContext(scale=0.01))
+        expected = [f"compile:{name}" for name in TABLE_4_1_NAMES]
+        for name in TABLE_4_1_NAMES:
+            expected += [f"profile:{name}:{run}" for run in range(5)]
+            expected += [f"annotate:{name}:{th:g}" for th in PAPER_THRESHOLDS]
+            expected += [f"classify:{name}", f"ilp:{name}"]
+        expected += [f"experiment:{table}" for table in PAPER_TABLES]
+        assert [job.job_id for job in graph.order()] == expected
+        assert Counter(job.kind for job in graph.order()) == {
+            "compile": 9, "profile": 45, "annotate": 45,
+            "classify": 9, "ilp": 9, "experiment": 12,
+        }
+        assert graph[f"annotate:{WORKLOAD}:90"].label == (
+            f"annotate({WORKLOAD}, th=90)"
+        )
+        assert graph[f"profile:{WORKLOAD}:4"].label == f"profile({WORKLOAD}, run 4)"
 
     def test_order_respects_dependencies(self):
         context = make_context()
@@ -198,6 +238,11 @@ class TestGraph:
 
 
 EXPERIMENT = "fig-4.2"
+
+PAPER_TABLES = (
+    "table-2.1", "fig-2.2", "fig-2.3", "fig-4.1", "fig-4.2", "fig-4.3",
+    "fig-5.1", "fig-5.2", "table-5.1", "fig-5.3", "fig-5.4", "table-5.2",
+)
 
 
 def run_engine(jobs=1, cache_dir=None):
@@ -230,7 +275,11 @@ class TestEngine:
         assert second == first
         assert second_outcome.cached_jobs > 0
         # Every profile cell and the finished table come from the cache.
-        cached_kinds = {r.kind for r in second_outcome.records if r.cached}
+        cached_kinds = {
+            entry.kind
+            for entry in second_outcome.report.jobs
+            if entry.status == "cached"
+        }
         assert "profile" in cached_kinds and "experiment" in cached_kinds
 
     def test_run_experiments_parallel_output_matches_serial(
@@ -325,7 +374,7 @@ class TestEngine:
         assert again == first
         # The corrupt table entry was discarded, not served.
         record = outcome.record_for(f"experiment:{EXPERIMENT}")
-        assert record is not None and not record.cached
+        assert record is not None and record.status == "ok"
 
 
 class TestCellCache:
@@ -395,14 +444,14 @@ def degraded_graph() -> JobGraph:
     """
     graph = JobGraph()
     for workload in GOOD:
-        graph.add(Job(compile_id(workload), "compile", workload, inline=True))
-    chains = [(workload, (compile_id(workload),), 2) for workload in GOOD]
+        graph.add(Job(job_id("compile", workload), "compile", workload, inline=True))
+    chains = [(workload, (job_id("compile", workload),), 2) for workload in GOOD]
     chains.append((MISSING, (), 1))
     for workload, profile_deps, runs in chains:
         profiles = tuple(
             graph.add(
                 Job(
-                    profile_id(workload, run_index),
+                    job_id("profile", workload, run_index),
                     "profile",
                     workload,
                     params=(run_index,),
@@ -412,11 +461,14 @@ def degraded_graph() -> JobGraph:
             for run_index in range(runs)
         )
         annotate = graph.add(
-            Job(annotate_id(workload, 90.0), "annotate", workload,
+            Job(job_id("annotate", workload, 90.0), "annotate", workload,
                 params=(90.0,), deps=profiles)
         )
         graph.add(
-            Job(classify_id(workload), "classify", workload, deps=(annotate.job_id,))
+            Job(
+                job_id("classify", workload), "classify", workload,
+                deps=(annotate.job_id,),
+            )
         )
     return graph
 
@@ -434,27 +486,27 @@ class TestDegradedRun:
         outcome = execute_graph(graph, make_context(), jobs=jobs)
         report = outcome.report
         assert not report.ok and report.exit_code == 1
-        victim = profile_id(MISSING, 0)
-        skipped = {annotate_id(MISSING, 90.0), classify_id(MISSING)}
+        victim = job_id("profile", MISSING, 0)
+        skipped = {job_id("annotate", MISSING, 90.0), job_id("classify", MISSING)}
         assert [entry.job_id for entry in report.failed] == [victim]
         assert {entry.job_id for entry in report.skipped} == skipped
         assert set(graph.transitive_dependents(victim)) == skipped
-        for job_id, status in statuses(report).items():
-            if job_id != victim and job_id not in skipped:
-                assert status == "ok", job_id
+        for entry_id, status in statuses(report).items():
+            if entry_id != victim and entry_id not in skipped:
+                assert status == "ok", entry_id
         failed = report.job(victim)
         assert failed.attempts == 1
         assert len(failed.causes) == 1 and failed.causes[0].startswith("KeyError:")
         assert MISSING in failed.causes[0]
-        for job_id in skipped:
-            assert report.job(job_id).attempts == 0
-            assert report.job(job_id).causes == (f"dependency {victim} failed",)
-        assert all(classify_id(workload) in outcome.values for workload in GOOD)
+        for entry_id in skipped:
+            assert report.job(entry_id).attempts == 0
+            assert report.job(entry_id).causes == (f"dependency {victim} failed",)
+        assert all(job_id("classify", workload) in outcome.values for workload in GOOD)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cache_probe_failure_fails_its_job(self, jobs, tmp_path):
         # With a cache the coordinator derives the victim's disk key
-        # before launching it, and keys.profile_key raises for an
+        # before launching it, and the profile key raises for an
         # unregistered workload: the job fails, the run still degrades.
         expected = execute_graph(degraded_graph(), make_context(), jobs=jobs).report
         report = execute_graph(
@@ -462,7 +514,8 @@ class TestDegradedRun:
         ).report
         assert not report.ok
         assert statuses(report) == statuses(expected)
-        assert report.job(profile_id(MISSING, 0)).causes[0].startswith("KeyError:")
+        victim = report.job(job_id("profile", MISSING, 0))
+        assert victim.causes[0].startswith("KeyError:")
 
 
 class _BreakingPool:
