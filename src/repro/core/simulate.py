@@ -28,19 +28,21 @@ plain :class:`~repro.predictors.StridePredictor` or
 :class:`~repro.predictors.LastValuePredictor` driven by one of the
 stock classification schemes reduce the scheme to membership policies
 (or, for the hardware scheme, to saturating counters kept as ints in
-the kernel) and run the stride kernel of :mod:`repro.predictors.stride`
-— the same code phase-2 profiling runs — which replicates
+the kernel's rows) and run the stride kernels of
+:mod:`repro.predictors.stride`, which replicate
 :meth:`PredictionEngine.step`, including table LRU/eviction order and
 the FSM counters' end state, without a per-record Python call;
 everything else falls back to ``step`` per candidate.  An infinite
-table walks :func:`~repro.predictors.stride.walk_unbounded`, and so
-does a finite table that *cannot evict*: one that starts empty and
-none of whose sets receives more than ``ways`` of the engine's
-allocatable addresses (every candidate, or the profile's directive
-members).  Any other finite table walks
-:func:`~repro.predictors.stride.walk_set_associative`.  The kernel
-counts into address-keyed slots that one fold adds to the engine's
-statistics and table meters after the last batch.  Results are
+table walks :func:`~repro.predictors.stride.walk_leader` (allocation on
+every miss) or :func:`~repro.predictors.stride.walk_members`
+(allocation of the profile's members), and so does a finite table that
+*cannot evict*: one that starts empty and none of whose sets receives
+more than ``ways`` of the engine's allocatable addresses (every
+candidate, or the profile's directive members).  Any other finite table
+walks :func:`~repro.predictors.stride.walk_set_associative`.  A kernel
+keeps one row per address; after the last batch one fold adds the rows'
+counts to the engine's statistics and table meters, and the rows become
+the table's entries again.  Results are
 bit-identical either way, with three deliberate internal-only
 divergences on the fast path: ``may_allocate`` is consulted only on
 misses (the stock schemes are pure, so skipping the unconditional call
@@ -55,7 +57,7 @@ address's entry evolves on its own — additionally *share* that
 evolution.  One leader that allocates every address walks the stream,
 and every stride sibling whose take policy is static (a constant or an
 address membership test, no FSM) folds its statistics from the leader's
-slots at the end and clones the final table state, paying zero
+rows at the end and clones the final table state, paying zero
 per-record cost.  A follower may allocate only its members (the
 profile scheme): those addresses' entries are the leader's, and its
 other addresses count executions only.  A hardware-scheme engine leads
@@ -73,18 +75,32 @@ other.
 from __future__ import annotations
 
 import time
-from collections import Counter, namedtuple
+from collections import Counter, OrderedDict, namedtuple
 from functools import partial
 from operator import mul
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from ..isa import Directive, Number, Program
 from ..machine import TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import HybridPredictor, StridePredictor, ValuePredictor
 from ..predictors.fsm import SaturatingCounter
-from ..predictors.stride import KERNEL_PREDICTORS, StrideEntry
-from ..predictors.stride import walk_set_associative, walk_unbounded
+from ..predictors.stride import (
+    ALLOCATIONS,
+    ATTEMPTS,
+    CORRECT,
+    KERNEL_PREDICTORS,
+    MISSES,
+    SET,
+    STATE,
+    TAKEN,
+    TAKEN_CORRECT,
+    table_rows,
+    walk_leader,
+    walk_members,
+    walk_set_associative,
+    write_back,
+)
 from ..telemetry import get_registry
 from .results import PredictionStats
 from .schemes import (
@@ -250,13 +266,13 @@ def _build_consumers(engine_list, codes=None):
     Fast-path engines whose predictor evolution is stream-determined (see
     :class:`_SharedStride`) are grouped: one leader walks, and every
     *static* sibling (membership take policy, no FSM) is planned as a
-    finisher-only fold over the leader's slots.  The leader must allocate
+    finisher-only fold over the leader's rows.  The leader must allocate
     unconditionally, so a follower that allocates only its members finds
     its members' entries in the leader's table.  A dynamic engine (FSM
     counters) is preferred as leader since its walk must run anyway; if no
     engine can lead, a hidden probe (unconditional allocation, take all)
-    leads two or more followers.  Follower finishers are ordered before
-    the leader's, which zeroes the shared slots when it folds.
+    leads two or more followers.  No finisher changes the rows another
+    reads, so they run in any order.
 
     ``codes``, when given, holds one slot per engine, and the consumers
     leave each engine's outcome codes for the current batch in its slot
@@ -279,17 +295,16 @@ def _build_consumers(engine_list, codes=None):
     if leader is not None and followers:
         lead = plans[leader][2]
     elif len(followers) >= 2:
-        lead = _SharedStride({}, {}, True, None, None)  # the hidden probe
+        lead = _SharedStride({}, True, None, None)  # the hidden probe
     else:
         leader, followers, lead = None, [], None
     hit_codes = [None]
 
     consumers = []
     finishers = []
-    leader_finish = None
     paths = {"walked": 0, "followed": len(followers), "stepped": 0}
     if lead is not None and leader is None:
-        probe = partial(walk_unbounded, lead.entries, lead.acc)
+        probe = partial(walk_leader, lead.rows)
         consumers.append(_leader_consumer(probe, None, codes, hit_codes))
     for index, (engine, plan) in enumerate(zip(engine_list, plans)):
         if index in followers:
@@ -305,10 +320,7 @@ def _build_consumers(engine_list, codes=None):
         else:
             paths["walked"] += 1
             consume, finish, _shared = plan
-            if index == leader:
-                leader_finish = finish
-            else:
-                finishers.append(finish)
+            finishers.append(finish)
         if index == leader:
             # Followers read the leader's hit codes of the same batch.
             consumers.insert(0, _leader_consumer(consume, index, codes, hit_codes))
@@ -316,9 +328,6 @@ def _build_consumers(engine_list, codes=None):
             consumers.append(_coded_consumer(consume, codes, index))
         else:
             consumers.append(consume)
-    if leader_finish is not None:
-        # The leader's fold empties the slots its followers read.
-        finishers.append(leader_finish)
     return consumers, finishers, paths
 
 
@@ -407,34 +416,43 @@ def check_distinct_engines(engines) -> None:
 #: Share handle exposed by a fast consumer whose table evolution is a pure
 #: function of the candidate stream: a stride table that starts empty and
 #: never evicts (infinite, or see :func:`_cannot_evict`), so each address's
-#: entry evolves on its own.  ``static`` additionally marks a take policy
+#: row evolves on its own.  ``static`` additionally marks a take policy
 #: with no per-record state (a constant or ``take_members`` membership, no
 #: FSM) — the whole engine is then a pure function of the stream and can
-#: fold from the slots and entries of a leader that allocates every
-#: address.  ``alloc_members`` is the allocation policy (``None`` =
-#: unconditional).
-_SharedStride = namedtuple(
-    "_SharedStride", "acc entries static alloc_members take_members"
-)
+#: fold from the rows of a leader that allocates every address.
+#: ``alloc_members`` is the allocation policy (``None`` = unconditional).
+_SharedStride = namedtuple("_SharedStride", "rows static alloc_members take_members")
 
 
-#: The engine statistics behind a kernel slot's first six counters.
-_SLOT_FIELDS = (
+#: The engine statistics a fold adds, in the order of its count tuples.
+_STAT_FIELDS = (
     "executions", "attempts", "would_correct", "taken", "taken_correct", "allocations"
 )
 
 
-def _fold_slots(engine: PredictionEngine, acc, evictions: int = 0) -> None:
-    """Add a kernel's address-keyed slots (see :mod:`repro.predictors.stride`)
-    to ``engine``'s statistics and its table's meters."""
+def _row_counts(row):
+    """A kernel row's counts in :data:`_STAT_FIELDS` order."""
+    attempts = row[ATTEMPTS]
+    return (
+        row[MISSES] + attempts, attempts, row[CORRECT],
+        row[TAKEN], row[TAKEN_CORRECT], row[ALLOCATIONS],
+    )
+
+
+def _fold_counts(engine: PredictionEngine, counts, evictions: int = 0) -> None:
+    """Add ``counts``, ``(address, counts)`` pairs in :data:`_STAT_FIELDS`
+    order, to ``engine``'s statistics and its table's meters.  An address
+    that never executed is skipped, so it gets no statistics entry."""
     stats = engine.stats
-    sums = [0] * len(_SLOT_FIELDS)
-    for address, slot in acc.items():
+    sums = [0] * len(_STAT_FIELDS)
+    for address, values in counts:
+        if not values[0]:
+            continue
         entry_stats = stats.address_stats(address)
-        for index, name in enumerate(_SLOT_FIELDS):
-            setattr(entry_stats, name, getattr(entry_stats, name) + slot[index])
-            sums[index] += slot[index]
-    for name, total in zip(_SLOT_FIELDS, sums):
+        for index, name in enumerate(_STAT_FIELDS):
+            setattr(entry_stats, name, getattr(entry_stats, name) + values[index])
+            sums[index] += values[index]
+    for name, total in zip(_STAT_FIELDS, sums):
         setattr(stats, name, getattr(stats, name) + total)
     stats.evictions += evictions
     table = engine.predictor.table
@@ -448,31 +466,35 @@ def _follower_finisher(engine: PredictionEngine, shared, leader):
 
     The leader observed the identical candidate stream in a table that
     never evicts and allocates every address, and so does this engine for
-    the addresses it allocates: their slots equal the leader's verbatim
-    except taken and taken_correct, which are the attempts and
-    would_correct of the addresses its static policy takes, and their
-    final entries are clones of the leader's.  An address it may not
-    allocate never hits, so it counts executions only.
+    the addresses it allocates: their counts equal the leader's except
+    taken and taken_correct, which are the attempts and correct
+    predictions of the addresses its static policy takes, and their
+    final entries are the leader's.  An address it may not allocate
+    never hits, so it counts executions only.
     """
     alloc_members = shared.alloc_members
     take_members = shared.take_members
 
-    def finish() -> None:
-        acc = {}
-        for address, slot in leader.acc.items():
+    def counts(rows):
+        for address, row in rows.items():
+            attempts = row[ATTEMPTS]
+            executions = row[MISSES] + attempts
             if alloc_members is not None and address not in alloc_members:
-                acc[address] = [slot[0], 0, 0, 0, 0, 0]
+                yield address, (executions, 0, 0, 0, 0, 0)
                 continue
+            correct = row[CORRECT]
             took = take_members is None or address in take_members
-            acc[address] = slot[:3] + (slot[1:3] if took else [0, 0]) + slot[5:6]
-        _fold_slots(engine, acc)
-        # Sharing requires an empty table, so every entry is a new clone.
-        table = engine.predictor.table
-        for address, entry in leader.entries.items():
-            if alloc_members is None or address in alloc_members:
-                table._set_for(address)[address] = StrideEntry(
-                    entry.last_value, entry.stride
-                )
+            yield address, (
+                executions, attempts, correct,
+                attempts if took else 0, correct if took else 0, row[ALLOCATIONS],
+            )
+
+    def finish() -> None:
+        _fold_counts(engine, counts(leader.rows))
+        rows = leader.rows
+        if alloc_members is not None:
+            rows = {a: row for a, row in rows.items() if a in alloc_members}
+        write_back(engine.predictor.table, rows, True)
 
     return finish
 
@@ -494,34 +516,27 @@ _STOCK_SCHEMES = (
     LearnedClassification,
 )
 
+#: What the kernels need of an engine: the stride flag, the membership
+#: policies (``None`` = every address) and the hardware scheme's
+#: :class:`~repro.predictors.FsmClassifier`, if any.
+_KernelPolicy = namedtuple(
+    "_KernelPolicy", "learns alloc_members take_members classifier"
+)
 
-def _fast_stride_consumer(engine: PredictionEngine):
-    """Batch consumer running ``engine`` on the shared stride kernel, or
-    ``None``.
+
+def _kernel_policy(engine: PredictionEngine):
+    """``engine``'s :class:`_KernelPolicy`, or ``None`` when the kernels
+    cannot play it.
 
     Eligibility requires a plain :class:`StridePredictor` or
     :class:`~repro.predictors.LastValuePredictor` (the kernel with the
     stride held at 0) and a stock scheme (optionally wrapped in
     :class:`ProbeScheme`): those schemes' ``may_allocate``/``should_take``
-    are pure and statically known, so they reduce to the kernel's
-    membership policies, and a :class:`HardwareClassification`'s counters
-    run inside the kernel as ints, written back into its
-    :class:`~repro.predictors.FsmClassifier` by ``finish``.  The kernel
-    checks allocation on misses only and skips the no-op ``record`` and
-    ``on_evict`` calls of the other stock schemes.
-
-    An infinite table, or a finite one that starts empty and cannot
-    evict (:func:`_cannot_evict` over the engine's allocatable
-    addresses: all candidates, or the profile's directive members), runs
-    :func:`~repro.predictors.stride.walk_unbounded`; ``finish`` writes a
-    finite table's entries back into their own sets.  Any other finite
-    table runs :func:`~repro.predictors.stride.walk_set_associative`.
-
-    Returns ``(consume, finish, shared)`` where ``shared`` is a
-    :class:`_SharedStride` handle when the engine qualifies for
-    leader/follower sharing, else ``None``.  ``consume(pairs, outcomes)``
-    also writes each taken candidate's outcome code (1 correct, 2 wrong)
-    into ``outcomes`` when one is passed.
+    are pure and statically known, so they reduce to membership policies
+    and, for :class:`HardwareClassification`, FSM counters that the
+    kernel keeps as ints in its rows.  A counter of an address the table
+    holds no entry for has no row to live in, so it sends the engine to
+    ``step``.
     """
     learns = KERNEL_PREDICTORS.get(type(engine.predictor))
     if learns is None:
@@ -532,66 +547,107 @@ def _fast_stride_consumer(engine: PredictionEngine):
         return None
     if type(inner) not in _STOCK_SCHEMES:
         return None
-
-    table = engine.predictor.table
+    classifier = inner.fsm if type(inner) is HardwareClassification else None
+    if classifier is not None and any(
+        address not in engine.predictor.table for address in classifier._counters
+    ):
+        return None
     # Allocation policy: every stock scheme but a directive map
     # (ProfileClassification or its learned form, unwrapped) allocates
-    # unconditionally.
-    alloc_members = (
-        scheme._directives if isinstance(scheme, ProfileClassification) else None
+    # unconditionally.  Take policy: constant (always), membership
+    # (profile), or the FSM counters (hardware).
+    return _KernelPolicy(
+        learns,
+        scheme._directives if isinstance(scheme, ProfileClassification) else None,
+        inner._directives if isinstance(inner, ProfileClassification) else None,
+        classifier,
     )
-    # Take policy: constant (always), membership (profile), or the FSM
-    # counters (hardware), which the kernel keeps as ints.
-    take_members = (
-        inner._directives if isinstance(inner, ProfileClassification) else None
-    )
-    fsm = None
-    if type(inner) is HardwareClassification:
-        classifier = inner.fsm
-        states = {address: c.value for address, c in classifier._counters.items()}
-        maximum = (1 << classifier.bits) - 1
-        fsm = (states, classifier.initial, classifier.take_threshold, maximum)
 
-    acc: "dict[int, List[int]]" = {}
+
+def _fast_stride_consumer(engine: PredictionEngine):
+    """Batch consumer running ``engine`` on the stride kernels, or ``None``
+    (see :func:`_kernel_policy`).
+
+    The kernels check allocation on misses only and skip the no-op
+    ``record`` and ``on_evict`` calls of the other stock schemes.  An
+    infinite table, or a finite one that starts empty and cannot evict
+    (:func:`_cannot_evict` over the engine's allocatable addresses: all
+    candidates, or the profile's directive members), runs
+    :func:`~repro.predictors.stride.walk_leader` when it allocates every
+    miss and :func:`~repro.predictors.stride.walk_members` otherwise.  Any
+    other finite table runs
+    :func:`~repro.predictors.stride.walk_set_associative`.  ``finish``
+    folds the rows into the engine's statistics and writes their entries
+    and FSM counters back into its table and classifier.
+
+    Returns ``(consume, finish, shared)`` where ``shared`` is a
+    :class:`_SharedStride` handle when the engine qualifies for
+    leader/follower sharing, else ``None``.  ``consume(pairs, outcomes)``
+    also writes each taken candidate's outcome code (1 correct, 2 wrong)
+    into ``outcomes`` when one is passed.
+    """
+    policy = _kernel_policy(engine)
+    if policy is None:
+        return None
+    learns, alloc_members, take_members, classifier = policy
+    table = engine.predictor.table
+    fsm = None
+    states = None
+    if classifier is not None:
+        fsm = (
+            classifier.initial, classifier.take_threshold, (1 << classifier.bits) - 1
+        )
+        states = {address: c.value for address, c in classifier._counters.items()}
+    rows = table_rows(table, states)
     evictions = [0]
     shared = None
-    entries = None
-    if table.is_infinite:
-        entries = table._set_for(0)
-    elif not len(table) and _cannot_evict(
+    sets = None
+    if table.is_infinite or not rows and _cannot_evict(
         table,
         engine.program.candidate_addresses if alloc_members is None else alloc_members,
     ):
-        entries = {}
-    if entries is not None:
         # Only stride engines share: the fold clones stride entries.
-        if learns and not entries:
-            shared = _SharedStride(
-                acc, entries, fsm is None, alloc_members, take_members
+        if learns and not rows:
+            shared = _SharedStride(rows, fsm is None, alloc_members, take_members)
+        if alloc_members is None:
+            consume = partial(
+                walk_leader, rows, fsm=fsm, take_members=take_members, learns=learns
             )
-        consume = partial(
-            walk_unbounded, entries, acc, alloc_members=alloc_members,
-            take_members=take_members, fsm=fsm, learns=learns,
-        )
+        else:
+            consume = partial(
+                walk_members, rows, alloc_members=alloc_members,
+                take_members=take_members, learns=learns,
+            )
     else:
+        sets = {index: OrderedDict() for index in range(table.num_sets)}
+        for index, table_set in table._sets.items():
+            for address in table_set:
+                row = sets[index][address] = rows[address]
+                row[SET] = sets[index]
 
         def consume(pairs, outcomes=None) -> None:
             evictions[0] += walk_set_associative(
-                table, acc, pairs, outcomes,
+                sets, table.ways, rows, pairs, outcomes,
                 alloc_members, take_members, fsm, learns,
             )
 
     def finish() -> None:
-        _fold_slots(engine, acc, evictions[0])
-        evictions[0] = 0
-        acc.clear()
-        if entries is not None and not table.is_infinite:
-            for address, entry in entries.items():
-                table._set_for(address)[address] = entry
-        if fsm is not None:
+        _fold_counts(
+            engine,
+            ((address, _row_counts(row)) for address, row in rows.items()),
+            evictions[0],
+        )
+        if sets is not None:
+            # A row and its set refer to each other; break the cycle so
+            # that both are freed with the table, not by the collector.
+            for row in rows.values():
+                row[SET] = None
+        write_back(table, rows, learns, sets)
+        if classifier is not None:
             classifier._counters = {
-                address: SaturatingCounter(classifier.bits, state)
-                for address, state in states.items()
+                address: SaturatingCounter(classifier.bits, row[STATE])
+                for address, row in rows.items()
+                if row[STATE] is not None
             }
 
     return consume, finish, shared

@@ -2,11 +2,12 @@
 
 A *cell* is one artifact of the paper's pipeline, named by a tuple
 ``(kind, name, *params)``: ``("compile", w)``, ``("profile", w, run)``,
-``("merged", w)``, ``("annotate", w, threshold)``, ``("classify", w)``,
-``("ilp", w)`` or ``("experiment", id)``.  :data:`KINDS` holds one
-:class:`CellKind` per kind, and that entry is everything the engine
-knows about the kind: the context computes, holds, keys and encodes a
-cell through it, and the job graph takes its edges from it.
+``("merged", w)``, ``("annotate", w, threshold)``, ``("test-profile",
+w)``, ``("classify", w)``, ``("ilp", w)`` or ``("experiment", id)``.
+:data:`KINDS` holds one :class:`CellKind` per kind, and that entry is
+everything the engine knows about the kind: the context computes,
+holds, keys and encodes a cell through it, and the job graph takes its
+edges from it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from ..core import (
 )
 from ..ilp import IlpResult, measure_ilp_many
 from ..isa import assemble, disassemble
-from ..predictors import StridePredictor
+from ..predictors import LastValuePredictor, StridePredictor
 from ..profiling import collect_profile, dumps_profile, loads_profile, merge_profiles
+from ..profiling.phases import collect_phase_images
 from ..runner import keys
 from ..workloads import REGISTRY, TEST_INDEX, get_workload
 from .tables import ExperimentTable
@@ -112,6 +114,19 @@ def _annotate(context, name: str, threshold: float):
     """The phase-3 binary for one benchmark at one threshold."""
     return annotate_program(
         context.program(name), context.merged_profile(name), context.policy(threshold)
+    )
+
+
+def _test_profile(context, name: str):
+    """The test run profiled once, phase-split, under an unbounded
+    stride (``S``) and last-value (``L``) predictor: ``{predictor:
+    {phase: image}}``, read by Table 2.1 (both, all phases) and Figure
+    2.2 (``S``'s phases of the FP benchmarks)."""
+    return collect_phase_images(
+        context.program(name),
+        context.test_inputs(name),
+        {"S": StridePredictor(), "L": LastValuePredictor()},
+        store=context.traces,
     )
 
 
@@ -280,6 +295,8 @@ KINDS: Dict[str, CellKind] = {
         codec=Codec("asm", disassemble, assemble),
         label="{}, th={:g}",
     ),
+    # Shared by the experiments of one process, never a job of its own.
+    "test-profile": CellKind(_test_profile, tier=MEMO),
     "classify": CellKind(
         _classification_grid,
         deps=("annotate",),

@@ -15,11 +15,7 @@ computation phases show the fuller spread.
 
 from __future__ import annotations
 
-from ..profiling import (
-    HISTOGRAM_LABELS,
-    collect_phase_profiles,
-    interval_percentages,
-)
+from ..profiling import HISTOGRAM_LABELS, interval_percentages
 from ..workloads import all_workloads
 from .context import ExperimentContext
 from .tables import ExperimentTable
@@ -48,11 +44,7 @@ def run(context: ExperimentContext) -> ExperimentTable:
     for workload in all_workloads():
         if workload.suite == "fp":
             # Phase-split presentation, as in the paper's SPEC-FP panel.
-            images = collect_phase_profiles(
-                workload.compile(),
-                workload.test_inputs(scale=context.scale),
-                store=context.traces,
-            )
+            images = context.cell(("test-profile", workload.name))["S"]
             for phase in sorted(images):
                 if phase == 0:
                     continue

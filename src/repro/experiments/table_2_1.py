@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..isa import Category
-from ..predictors import LastValuePredictor, StridePredictor
-from ..profiling import GroupStats, collect_profiles
+from ..profiling import GroupStats
 from ..workloads import all_workloads
 from .context import ExperimentContext
 from .tables import ExperimentTable
@@ -38,22 +37,17 @@ def run(context: ExperimentContext) -> ExperimentTable:
     totals: Dict[Tuple[str, int, Category, str], GroupStats] = {}
 
     for workload in all_workloads():
-        program = workload.compile()
-        images = collect_profiles(
-            program,
-            workload.test_inputs(scale=context.scale),
-            predictors={"S": StridePredictor(), "L": LastValuePredictor()},
-            store=context.traces,
-        )
-        for predictor_name, image in images.items():
-            for (category, phase), group in image.groups.items():
-                # Integer benchmarks are single-phase; fold them to phase 0.
-                effective_phase = phase if workload.suite == "fp" else 0
-                key = (workload.suite, effective_phase, category, predictor_name)
-                into = totals.setdefault(key, GroupStats())
-                into.executions += group.executions
-                into.attempts += group.attempts
-                into.correct += group.correct
+        profile = context.cell(("test-profile", workload.name))
+        for predictor_name, images in profile.items():
+            for image in images.values():
+                for (category, phase), group in image.groups.items():
+                    # Integer benchmarks are single-phase; fold them to phase 0.
+                    effective_phase = phase if workload.suite == "fp" else 0
+                    key = (workload.suite, effective_phase, category, predictor_name)
+                    into = totals.setdefault(key, GroupStats())
+                    into.executions += group.executions
+                    into.attempts += group.attempts
+                    into.correct += group.correct
 
     def accuracy(suite: str, phase: int, category: Category, predictor: str) -> float:
         group = totals.get((suite, phase, category, predictor))

@@ -41,7 +41,9 @@ that follows a leader's walk does not walk: its codes are the leader's
 per-pair hit codes (1 correct hit, 2 wrong hit, 0 miss) masked with its
 take set, so a Table 5.2 cell whose FSM table cannot evict walks once
 for its six engines.  Each machine then schedules the batch in one
-tight loop over its columns.  No engine reads scheduler
+tight loop over lists of its columns.  Labels whose engines decide the
+same codes (see :func:`_lane_key`) under equal configs schedule on one
+machine, and each still gets its own result.  No engine reads scheduler
 state, so an engine's (taken, correct) outcomes depend on the candidate
 stream alone and running it a batch ahead of the scheduler changes no
 result.  The engines' statistics are published under ``core.*`` and
@@ -56,13 +58,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import NUM_REGISTERS, Number, Opcode, Program, RA, ZERO
 from ..machine import TraceRecord, TraceStore
 from ..machine.tracestore import replay_or_run
 from ..core.simulate import PredictionEngine, check_distinct_engines
-from ..core.simulate import _build_consumers, _publish_engine_metrics
+from ..core.simulate import _build_consumers, _kernel_policy, _publish_engine_metrics
 from ..telemetry import get_registry
 
 
@@ -443,21 +445,26 @@ def measure_ilp_many(
     configs = configs or {}
     decoded = _decode_for_scheduling(program)
     tables: Dict[Tuple[bool, bool], List[_Slot]] = {}
-    machines: Dict[str, _BatchMachine] = {}
-    lanes = []  # (machine, index of its engine's codes or None), one per label
+    machines: Dict[Hashable, _BatchMachine] = {}  # by lane key
+    labels: Dict[str, _BatchMachine] = {}
+    lanes = []  # (machine, index of its engine's codes or None), one per machine
     engine_list: List[PredictionEngine] = []
     for label, engine in engines.items():
         machine_config = configs.get(label, config) or IlpConfig()
-        variant = (machine_config.track_memory_dependencies, engine is not None)
-        table = tables.get(variant)
-        if table is None:
-            table = tables[variant] = _scheduling_table(decoded, *variant)
-        machine = machines[label] = _BatchMachine(table, machine_config)
         index = None
         if engine is not None:
             index = len(engine_list)
             engine_list.append(engine)
-        lanes.append((machine, index))
+        key = (machine_config, _lane_key(engine, index))
+        machine = machines.get(key)
+        if machine is None:
+            variant = (machine_config.track_memory_dependencies, engine is not None)
+            table = tables.get(variant)
+            if table is None:
+                table = tables[variant] = _scheduling_table(decoded, *variant)
+            machine = machines[key] = _BatchMachine(table, machine_config)
+            lanes.append((machine, index))
+        labels[label] = machine
     codes: List[Optional[bytearray]] = [None] * len(engine_list)
     consumers, finishers, paths = _build_consumers(engine_list, codes)
     started = time.perf_counter()
@@ -467,8 +474,9 @@ def measure_ilp_many(
             pairs = batch.candidates()[0] if engine_list else ()
             for consume in consumers:
                 consume(pairs)
-            addresses = batch.addresses
-            mems = batch.mems
+            # Lists index faster than the batch's arrays.
+            addresses = batch.addresses.tolist()
+            mems = list(batch.mems)
             for machine, index in lanes:
                 machine.schedule(
                     addresses, mems, None if index is None else codes[index]
@@ -481,11 +489,47 @@ def measure_ilp_many(
             telemetry.timer("ilp.schedule").add(time.perf_counter() - started)
             telemetry.counter("ilp.runs").add(1)
             telemetry.counter("ilp.records").add(
-                sum(machine.instructions for machine in machines.values())
+                sum(machine.instructions for machine in labels.values())
             )
+            telemetry.counter("ilp.lanes.shared").add(len(labels) - len(machines))
             if engine_list:
                 _publish_engine_metrics(telemetry, engine_list, paths)
-    return {label: machine.result() for label, machine in machines.items()}
+    return {label: machine.result() for label, machine in labels.items()}
+
+
+def _lane_key(engine: Optional[PredictionEngine], index: Optional[int]) -> Hashable:
+    """What decides the outcome codes ``engine`` feeds its machine.
+
+    Engines that start empty with equal kernel policies (predictor kind
+    and geometry, allocation and take sets, FSM parameters) predict the
+    same candidates the same way, so their labels, with equal configs,
+    schedule identically and share one machine; ``None`` (no value
+    prediction) shares too.  Any other engine, the ``index``-th, keys
+    its own machine.
+    """
+    if engine is None:
+        return None
+    policy = _kernel_policy(engine)
+    if policy is None:
+        return index
+    table = engine.predictor.table
+    classifier = policy.classifier
+    if len(table) or (classifier is not None and classifier._counters):
+        return index
+
+    def members(directives):
+        return None if directives is None else frozenset(directives)
+
+    return (
+        policy.learns,
+        table.capacity,
+        table.ways,
+        members(policy.alloc_members),
+        members(policy.take_members),
+        None if classifier is None else (
+            classifier.bits, classifier.initial, classifier.take_threshold
+        ),
+    )
 
 
 def ilp_increase(with_prediction: IlpResult, baseline: IlpResult) -> float:

@@ -18,7 +18,7 @@ class LastValueEntry:
 
     __slots__ = ("last_value",)
 
-    #: A stride held at 0, read by the stride kernels (``learns=False``).
+    #: A stride held at 0, read when the stride kernels seed rows from entries.
     stride = 0
 
     def __init__(self, last_value: Number) -> None:

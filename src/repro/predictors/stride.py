@@ -5,43 +5,59 @@ subtraction of two recent consecutive destination values".  The prediction
 is ``last value + stride``.  A freshly allocated entry starts with a zero
 stride, so its first prediction degenerates to last-value.
 
-The module also holds the batch kernels, :func:`walk_unbounded` and
-:func:`walk_set_associative`: the inlined table walks that phase-2
-profiling and the classified simulation (and, through it, the ILP model)
-run for the predictors of :data:`KERNEL_PREDICTORS`.  They sit here,
-below both, because ``repro.core`` imports ``repro.profiling``.  Each
-plays the predictor's ``access`` over ``pairs``, any re-iterable of a
-batch's candidate ``(address, value)`` pairs (such as the view
-:meth:`~repro.machine.TraceBatch.candidates` returns), and counts into
-``acc``, a dict of address-keyed slots
-``[executions, attempts, would_correct, taken, taken_correct,
-allocations, nonzero_stride_correct, held]``.  Every candidate looks the
-table up and every hit is an attempt, so the table's lookup and hit
-meters are the sums of slots 0 and 1.  Last-value is stride with the
-stride held at 0: with ``learns=False`` the kernels allocate
-:class:`LastValueEntry` objects and never write a stride, so slot 6
-stays 0.
+The module also holds the batch kernels: the inlined table walks that
+phase-2 profiling and the classified simulation (and, through it, the
+ILP model) run for the predictors of :data:`KERNEL_PREDICTORS`.  They sit
+here, below both, because ``repro.core`` imports ``repro.profiling``.
+Each plays the predictor's ``access`` over ``pairs``, any re-iterable of
+a batch's candidate ``(address, value)`` pairs (such as the view
+:meth:`~repro.machine.TraceBatch.candidates` returns).
 
-A policy argument of ``None`` is the unconditional choice: allocate on
-every miss, take every hit.  ``alloc_members`` and ``take_members``
-restrict allocation and taking to member addresses.  ``fsm`` is the
-:class:`~repro.predictors.FsmClassifier` rule instead, as ``(states,
-initial, threshold, maximum)``: one int per address in ``states``
-(``initial`` when absent), a hit is taken when its state is at least
-``threshold``, then steps up on a correct and down on a wrong
-prediction within ``[0, maximum]``; an evicted address loses its state.
+A walk keeps one *row* per address, a list in one dict ``rows``::
+
+    [last, stride, misses, attempts, correct, nonzero_stride_correct,
+     held, taken, taken_correct, allocations, set, state]
+
+``last`` and ``stride`` are the entry (:data:`NO_ENTRY` in ``last`` when
+the address holds none); the eight counters follow, so a pair costs one
+dict lookup.  Every candidate is a miss or a hit, and every hit is an
+attempt: executions are ``misses + attempts``, and a table's lookup and
+hit meters are their sums.  ``set`` is the LRU set of a set-associative
+walk that holds the row, ``state`` an FSM counter (``None``: none yet).
+:func:`table_rows` seeds rows from a table's entries and
+:func:`write_back` hands rows back when the walk is over; they become
+:class:`StrideEntry` or :class:`LastValueEntry` objects only when the
+table is next read
+(:meth:`~repro.predictors.table.PredictionTable.defer`), so no entry
+object is touched per pair.  Last-value is stride with the stride held
+at 0 (``learns=False``), so its ``nonzero_stride_correct`` stays 0.
+
+Each walk role has its own body:
+
+* :func:`walk_take_all` — phase-2 profiling over a table that starts
+  empty: allocate on every miss, take every hit, no codes.  It counts
+  ``misses``, ``attempts``, ``correct`` and ``nonzero_stride_correct``,
+  and with ``held=True`` also ``held``: the hits whose value equals the
+  entry's last value, exactly the correct predictions of an unbounded
+  last-value table over the same stream, which profiling folds its
+  last-value image from.
+* :func:`walk_leader` — an unbounded engine that allocates on every
+  miss and takes the hits of ``take_members`` (``None``: every hit), or
+  takes by ``fsm``, the :class:`~repro.predictors.FsmClassifier` rule
+  ``(initial, threshold, maximum)``: a hit is taken when its state
+  (``initial`` when absent) is at least ``threshold``, then steps up on
+  a correct and down on a wrong prediction within ``[0, maximum]``.
+  ``hits``, when given, receives one code per hit whether taken or not
+  (1 correct, 2 wrong), from which the ILP model masks the outcomes of
+  engines that share the walk.
+* :func:`walk_members` — an unbounded engine that allocates only
+  ``alloc_members`` and takes only ``take_members``.
+* :func:`walk_set_associative` — a finite LRU table, with the policies
+  of both engine bodies; an evicted address loses its entry and its FSM
+  state.
+
 ``outcomes``, when given, receives one code per taken pair: 1 correct,
 2 wrong.
-
-Two more outputs of :func:`walk_unbounded` let other consumers fold
-from one walk instead of walking again.  ``hits``, when given, receives
-one code per hit whether taken or not (1 correct, 2 wrong), from which
-the ILP model masks out the outcomes of engines that share the walk.
-``held=True`` counts in slot 7 the hits whose value equals the entry's
-last value: exactly the correct predictions of an unbounded last-value
-table over the same stream, which profiling folds its last-value image
-from.  A walk that asks for neither pays one flag test per hit for
-each, and its slot 7 stays 0.
 """
 
 from __future__ import annotations
@@ -126,137 +142,217 @@ class StridePredictor(ValuePredictor):
 #: Predictor types the kernels play, each with its "stride learns" flag.
 KERNEL_PREDICTORS = {StridePredictor: True, LastValuePredictor: False}
 
+#: The ``last`` of a row whose address holds no entry.
+NO_ENTRY = object()
 
-def walk_unbounded(
-    entries, acc, pairs, outcomes=None,
-    alloc_members=None, take_members=None, fsm=None, learns=True,
-    hits=None, held=False,
-) -> None:
-    """Walk ``pairs`` over a table that never evicts.
+#: Row slot indexes (see the module docstring).
+LAST, STRIDE, MISSES, ATTEMPTS, CORRECT, NONZERO, HELD = range(7)
+TAKEN, TAKEN_CORRECT, ALLOCATIONS, SET, STATE = range(7, 12)
 
-    ``entries`` is the one dict of the table's entries: the one set of an
-    unbounded table, or the entries of a finite table whose sets can
-    never fill, which the caller writes back into their sets.  Its LRU
-    order is not refreshed on hits, which no observer can see in a table
-    that never evicts.
+#: The counters of a row, from ``MISSES`` to ``ALLOCATIONS``.
+ZERO_COUNTS = (0,) * 8
+
+
+def table_rows(table, states=None):
+    """Rows seeded from ``table``'s entries, with their FSM ``states``."""
+    states = states or {}
+    return {
+        address: [entry.last_value, entry.stride, *ZERO_COUNTS, None,
+                  states.get(address)]
+        for address, entry in table
+    }
+
+
+def write_back(table, rows, learns, sets=None) -> None:
+    """Make the ``rows``' entries ``table``'s, built when it is next read.
+
+    ``sets``, the LRU sets of a set-associative walk, give each set's
+    order; otherwise each set keeps the rows' first-allocation order.
+    The rows must not change afterwards.
     """
-    new_entry = StrideEntry if learns else LastValueEntry
-    if fsm is not None:
-        states, initial, threshold, maximum = fsm
-        get_state = states.get
-    get_entry = entries.get
-    get_slot = acc.get
-    for position, (address, value) in enumerate(pairs):
-        slot = get_slot(address)
-        if slot is None:
-            slot = acc[address] = [0, 0, 0, 0, 0, 0, 0, 0]
-        slot[0] += 1
-        entry = get_entry(address)
-        if entry is None:
-            if alloc_members is None or address in alloc_members:
-                entries[address] = new_entry(value)
-                slot[5] += 1
+    make = (lambda row: StrideEntry(row[0], row[1])) if learns else (
+        lambda row: LastValueEntry(row[0])
+    )
+    num_sets = table.num_sets  # read here: ``build`` must not hold the table
+
+    def build():
+        if sets is not None:
+            return {
+                index: OrderedDict(
+                    (address, make(row)) for address, row in table_set.items()
+                )
+                for index, table_set in sets.items()
+                if table_set
+            }
+        built = {}
+        for address, row in rows.items():
+            if row[0] is not NO_ENTRY:
+                index = address % num_sets
+                table_set = built.get(index)
+                if table_set is None:
+                    table_set = built[index] = OrderedDict()
+                table_set[address] = make(row)
+        return built
+
+    table.defer(build)
+
+
+def walk_take_all(rows, pairs, learns=True, held=False) -> None:
+    """Profile ``pairs`` over an unbounded table that started empty."""
+    get = rows.get
+    for address, value in pairs:
+        row = get(address)
+        if row is None:
+            rows[address] = [value, 0, 1, 0, 0, 0, 0, 0, 0, 1, None, None]
             continue
-        last = entry.last_value
-        stride = entry.stride
-        correct = last + stride == value
-        if learns:
-            entry.stride = value - last
-        entry.last_value = value
-        slot[1] += 1
-        if correct:
-            slot[2] += 1
+        last = row[0]
+        stride = row[1]
+        row[3] += 1
+        if last + stride == value:
+            row[4] += 1
             if stride != 0:
-                slot[6] += 1
+                row[5] += 1
         if held and value == last:
-            slot[7] += 1
+            row[6] += 1
+        if learns:
+            row[1] = value - last
+        row[0] = value
+
+
+def walk_leader(
+    rows, pairs, outcomes=None, hits=None, fsm=None, take_members=None, learns=True
+) -> None:
+    """Walk ``pairs`` over an unbounded table that allocates every miss.
+
+    A hit is taken by ``fsm`` when given, else when ``take_members`` is
+    ``None`` or holds its address.  The table's LRU order is not
+    refreshed on hits, which no observer can see in a table that never
+    evicts.
+    """
+    if fsm is not None:
+        initial, threshold, maximum = fsm
+    get = rows.get
+    for position, (address, value) in enumerate(pairs):
+        row = get(address)
+        if row is None:
+            rows[address] = [value, 0, 1, 0, 0, 0, 0, 0, 0, 1, None, None]
+            continue
+        last = row[0]
+        correct = last + row[1] == value
+        if learns:
+            row[1] = value - last
+        row[0] = value
+        row[3] += 1
+        if correct:
+            row[4] += 1
         if hits is not None:
             hits[position] = 1 if correct else 2
         if fsm is not None:
-            state = get_state(address, initial)
-            took = state >= threshold
-            states[address] = (
-                state + (state < maximum) if correct else state - (state > 0)
-            )
-        elif take_members is None:
-            took = True
-        else:
-            took = address in take_members
-        if took:
-            slot[3] += 1
+            state = row[11]
+            if state is None:
+                state = initial
+            row[11] = state + (state < maximum) if correct else state - (state > 0)
+            if state < threshold:
+                continue
+        elif take_members is not None and address not in take_members:
+            continue
+        row[7] += 1
+        if correct:
+            row[8] += 1
+        if outcomes is not None:
+            outcomes[position] = 1 if correct else 2
+
+
+def walk_members(
+    rows, pairs, outcomes=None, alloc_members=(), take_members=None, learns=True
+) -> None:
+    """Walk ``pairs`` over an unbounded table that allocates only
+    ``alloc_members`` and takes only ``take_members`` (``None``: every
+    hit)."""
+    get = rows.get
+    for position, (address, value) in enumerate(pairs):
+        row = get(address)
+        if row is None:
+            if address in alloc_members:
+                rows[address] = [value, 0, 1, 0, 0, 0, 0, 0, 0, 1, None, None]
+            else:
+                rows[address] = [NO_ENTRY, 0, 1, 0, 0, 0, 0, 0, 0, 0, None, None]
+            continue
+        last = row[0]
+        if last is NO_ENTRY:
+            row[2] += 1
+            continue
+        correct = last + row[1] == value
+        if learns:
+            row[1] = value - last
+        row[0] = value
+        row[3] += 1
+        if correct:
+            row[4] += 1
+        if take_members is None or address in take_members:
+            row[7] += 1
             if correct:
-                slot[4] += 1
+                row[8] += 1
             if outcomes is not None:
                 outcomes[position] = 1 if correct else 2
 
 
 def walk_set_associative(
-    table, acc, pairs, outcomes=None,
+    sets, ways, rows, pairs, outcomes=None,
     alloc_members=None, take_members=None, fsm=None, learns=True,
 ) -> int:
-    """Walk ``pairs`` over a finite LRU ``table``; return the evictions.
+    """Walk ``pairs`` over a finite LRU table; return the evictions.
 
-    Hits refresh LRU order and allocations displace the least recently
-    used entry of a full set, in the order ``PredictionTable.lookup``/
-    ``insert`` would.
+    ``sets`` holds one ordered dict of rows per set index, every index
+    present.  Hits refresh LRU order and allocations displace the least
+    recently used row of a full set, in the order
+    ``PredictionTable.lookup``/``insert`` would.
     """
-    new_entry = StrideEntry if learns else LastValueEntry
     if fsm is not None:
-        states, initial, threshold, maximum = fsm
-        get_state = states.get
-    num_sets = table.num_sets
-    ways = table.ways
-    sets = table._sets
+        initial, threshold, maximum = fsm
+    num_sets = len(sets)
     evictions = 0
-    get_slot = acc.get
+    get = rows.get
     for position, (address, value) in enumerate(pairs):
-        slot = get_slot(address)
-        if slot is None:
-            slot = acc[address] = [0, 0, 0, 0, 0, 0, 0, 0]
-        slot[0] += 1
-        index = address % num_sets
-        table_set = sets.get(index)
-        if table_set is None:
-            table_set = sets[index] = OrderedDict()
-            entry = None
-        else:
-            entry = table_set.get(address)
-        if entry is None:
+        row = get(address)
+        if row is None:
+            row = rows[address] = [NO_ENTRY, 0, 0, 0, 0, 0, 0, 0, 0, 0, None, None]
+        last = row[0]
+        if last is NO_ENTRY:
+            row[2] += 1
             if alloc_members is None or address in alloc_members:
+                table_set = sets[address % num_sets]
                 if len(table_set) >= ways:
-                    evicted, _ = table_set.popitem(last=False)
+                    _, evicted = table_set.popitem(last=False)
+                    evicted[0] = NO_ENTRY
+                    evicted[10] = evicted[11] = None
                     evictions += 1
-                    if fsm is not None:
-                        states.pop(evicted, None)
-                table_set[address] = new_entry(value)
-                slot[5] += 1
+                table_set[address] = row
+                row[0] = value
+                row[1] = 0
+                row[9] += 1
+                row[10] = table_set
             continue
-        table_set.move_to_end(address)
-        last = entry.last_value
-        stride = entry.stride
-        correct = last + stride == value
+        row[10].move_to_end(address)
+        correct = last + row[1] == value
         if learns:
-            entry.stride = value - last
-        entry.last_value = value
-        slot[1] += 1
+            row[1] = value - last
+        row[0] = value
+        row[3] += 1
         if correct:
-            slot[2] += 1
-            if stride != 0:
-                slot[6] += 1
+            row[4] += 1
         if fsm is not None:
-            state = get_state(address, initial)
-            took = state >= threshold
-            states[address] = (
-                state + (state < maximum) if correct else state - (state > 0)
-            )
-        elif take_members is None:
-            took = True
-        else:
-            took = address in take_members
-        if took:
-            slot[3] += 1
-            if correct:
-                slot[4] += 1
-            if outcomes is not None:
-                outcomes[position] = 1 if correct else 2
+            state = row[11]
+            if state is None:
+                state = initial
+            row[11] = state + (state < maximum) if correct else state - (state > 0)
+            if state < threshold:
+                continue
+        elif take_members is not None and address not in take_members:
+            continue
+        row[7] += 1
+        if correct:
+            row[8] += 1
+        if outcomes is not None:
+            outcomes[position] = 1 if correct else 2
     return evictions

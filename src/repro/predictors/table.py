@@ -103,6 +103,24 @@ class PredictionTable(Generic[Entry]):
         for table_set in self._sets.values():
             yield from table_set.items()
 
+    def defer(self, build: Callable[[], Dict[int, "OrderedDict[int, Entry]"]]) -> None:
+        """Replace the table's entries with the sets ``build()`` returns,
+        built the first time anything reads the table.
+
+        The stride kernels keep their state in rows of their own and hand
+        it back this way, so a table nobody reads again costs no entry
+        objects.
+        """
+        self._build = build
+        self.__dict__.pop("_sets", None)
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: ``_sets`` while deferred.
+        if name == "_sets" and "_build" in self.__dict__:
+            self._sets = self.__dict__.pop("_build")()
+            return self._sets
+        raise AttributeError(name)
+
     def clear(self) -> None:
         self._sets.clear()
         self.lookups = 0

@@ -11,16 +11,16 @@ and per (category, phase) the aggregate accuracies behind Table 2.1.
 
 Candidates come from :meth:`~repro.machine.TraceBatch.candidates`, the
 walk the classified simulation and the ILP model also use.  An unbounded
-stride or last-value predictor plays them through the stride kernel of
-:mod:`repro.predictors.stride`, the one the simulation's engines run;
-any other predictor makes one ``access`` per candidate.  Both count
-into address-keyed slots, and one fold per phase run adds them to the
-images.  An unbounded last-value predictor beside an unbounded stride
-predictor (both starting empty, as Table 2.1 profiles them) does not
-walk: it allocates and hits where the stride table does, so its
-correct predictions are the stride walk's held-value hits, which the
-kernel counts when asked; its table gets the same meters and a
-:class:`~repro.predictors.last_value.LastValueEntry` per stride entry.
+stride or last-value predictor whose table starts empty plays them
+through the take-all kernel of :mod:`repro.predictors.stride`; any
+other predictor makes one ``access`` per candidate.  Both count into
+address-keyed rows, and one fold per phase run adds them to the images.
+An unbounded last-value predictor beside an unbounded stride predictor
+(both starting empty, as Table 2.1 profiles them) does not walk: it
+allocates and hits where the stride table does, so its correct
+predictions are the stride walk's held-value hits, which the kernel
+counts when asked; its table gets the same meters and a
+:class:`~repro.predictors.last_value.LastValueEntry` per stride row.
 :func:`repro.check.profile_records` is the per-record reference
 the ``profile-sampled`` and ``phase-profiles-batch-vs-record`` oracle
 pairs hold this loop to.
@@ -37,8 +37,18 @@ from ..isa import Category, Number, Program
 from ..machine import TraceBatch, TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import LastValuePredictor, StridePredictor, ValuePredictor
-from ..predictors.last_value import LastValueEntry
-from ..predictors.stride import KERNEL_PREDICTORS, walk_unbounded
+from ..predictors.stride import (
+    ATTEMPTS,
+    CORRECT,
+    HELD,
+    KERNEL_PREDICTORS,
+    MISSES,
+    NONZERO,
+    SET,
+    ZERO_COUNTS,
+    walk_take_all,
+    write_back,
+)
 from ..telemetry import get_registry
 
 
@@ -265,20 +275,30 @@ def collect_profiles(
         lambda name, phase: images[name],
         sample_every,
     )
+    _publish_run([next(iter(images.values()))], started, sample_every)
+    return images
+
+
+def _publish_run(
+    images: Iterable[ProfileImage], started: float, sample_every: int
+) -> None:
+    """Count one profiled run whose first predictor filled ``images``."""
     telemetry = get_registry()
     if telemetry.enabled:
-        # Candidate records observed = per-image executions (identical
-        # across images, so read the first); records/sec derives from the
+        # Candidate records observed = one predictor's executions (the
+        # same for every predictor); records/sec derives from the
         # profiling.collect timer downstream.
-        first = next(iter(images.values()))
-        observed = sum(profile.executions for profile in first.instructions.values())
+        observed = sum(
+            profile.executions
+            for image in images
+            for profile in image.instructions.values()
+        )
         telemetry.counter("profiling.records").add(observed)
         telemetry.counter("profiling.runs").add(1)
         telemetry.timer("profiling.collect").add(time.perf_counter() - started)
         if sample_every > 1:
             telemetry.counter("profiling.sampled.runs").add(1)
             telemetry.counter("profiling.sampled.records").add(observed)
-    return images
 
 
 def _check_sample_every(sample_every) -> None:
@@ -300,53 +320,63 @@ def _profile_run(
     """Feed one run's ``batches`` to every predictor; fold the counts.
 
     The one profiling loop behind :func:`collect_profiles` and
-    :func:`~repro.profiling.phases.collect_phase_profiles`.  Each
-    predictor's consumer counts into its own address-keyed slots (the
-    layout of :mod:`repro.predictors.stride`'s kernels); at every change
-    of phase, and once more at the end — even when the trace raises
-    mid-run — one fold adds those counts into ``image_for(name, phase)``
-    and empties them.  Candidates and the global-position
-    ``sample_every`` rule come from :meth:`TraceBatch.candidates`.  A
-    last-value predictor that :func:`_last_value_followers` pairs with a
-    stride predictor has no consumer: the stride walk also counts held-value
-    hits, and the fold reads the last-value counts from its slots.
+    :mod:`~repro.profiling.phases`.  Each predictor's consumer counts
+    into its own address-keyed rows (the layout of
+    :mod:`repro.predictors.stride`); at every change of phase, and once
+    more at the end — even when the trace raises mid-run — one fold adds
+    the counts of every row that executed since the last fold into
+    ``image_for(name, phase)`` and zeroes them.  Candidates and the
+    global-position ``sample_every`` rule come from
+    :meth:`TraceBatch.candidates`.  An unbounded stride or last-value
+    predictor whose table starts empty walks
+    :func:`~repro.predictors.stride.walk_take_all`, and its table gets
+    the rows' entries at the end; any other predictor makes one
+    ``access`` per candidate.  A last-value predictor that
+    :func:`_last_value_followers` pairs with a stride predictor has no
+    consumer: the stride walk also counts held-value hits, and the fold
+    reads the last-value counts from its rows.
     """
     categories = [instruction.category for instruction in program.instructions]
     profilers = {name: _profiler(each) for name, each in predictors.items()}
     followers = _last_value_followers(predictors, profilers)
     leader = next(iter(followers.values()), None)
     walks = [
-        partial(consume, held=True) if name == leader else consume
-        for name, (consume, _counts, _table) in profilers.items()
+        access or partial(walk_take_all, rows, learns=learns, held=name == leader)
+        for name, (rows, _table, learns, access) in profilers.items()
         if name not in followers
     ]
-    # A follower reads its stride leader's slots: its correct predictions
-    # are the held-value hits (slot 7), and it never uses a stride.
+    # A follower reads its stride leader's rows: its correct predictions
+    # are the held-value hits, and it never uses a stride.
     folds = [
-        (name, profilers[followers.get(name, name)][1], table, name in followers)
-        for name, (_consume, _counts, table) in profilers.items()
+        (name, profilers[followers.get(name, name)][0], table, name in followers)
+        for name, (_rows, table, _learns, _access) in profilers.items()
     ]
 
     def fold(phase: int) -> None:
-        for name, counts, table, follows in folds:
+        for name, rows, table, follows in folds:
             image = image_for(name, phase)
-            correct = 7 if follows else 2
-            for address, slot in counts.items():
+            correct = HELD if follows else CORRECT
+            for address, row in rows.items():
+                attempts = row[ATTEMPTS]
+                executions = row[MISSES] + attempts
+                if not executions:
+                    continue
                 profile = image.profile_for(address)
-                profile.executions += slot[0]
-                profile.attempts += slot[1]
-                profile.correct += slot[correct]
+                profile.executions += executions
+                profile.attempts += attempts
+                profile.correct += row[correct]
                 if not follows:
-                    profile.nonzero_stride_correct += slot[6]
+                    profile.nonzero_stride_correct += row[NONZERO]
                 group = image.group_slot(categories[address], phase, address)
-                group[0] += slot[0]
-                group[1] += slot[1]
-                group[2] += slot[correct]
+                group[0] += executions
+                group[1] += attempts
+                group[2] += row[correct]
                 if table is not None:
-                    table.lookups += slot[0]
-                    table.hits += slot[1]
-        for _consume, counts, _table in profilers.values():
-            counts.clear()
+                    table.lookups += executions
+                    table.hits += attempts
+        for rows, _table, _learns, _access in profilers.values():
+            for row in rows.values():
+                row[MISSES:SET] = ZERO_COUNTS
 
     phase = None
     offset = 0  # global position of the current batch's first record
@@ -368,32 +398,32 @@ def _profile_run(
         # record profile of the same prefix would.
         if phase is not None:
             fold(phase)
-        for name, stride_name in followers.items():
-            entries = predictors[name].table._set_for(0)
-            for address, entry in predictors[stride_name].table._set_for(0).items():
-                entries[address] = LastValueEntry(entry.last_value)
+        for name, (_rows, table, learns, _access) in profilers.items():
+            if table is not None:
+                write_back(table, profilers[followers.get(name, name)][0], learns)
     telemetry = get_registry()
     if telemetry.enabled and followers:
         telemetry.counter("profiling.predictors.followed").add(len(followers))
 
 
 def _profiler(predictor: ValuePredictor):
-    """``(consume, counts, table)`` for one predictor.
+    """``(rows, table, learns, access)`` for one predictor.
 
     An unbounded :class:`StridePredictor` or
-    :class:`~repro.predictors.LastValuePredictor` (its stride held at 0)
-    runs the shared stride kernel — allocate on every miss, take every
-    hit — and ``table`` is the table whose lookup and hit meters the fold
-    keeps; any other predictor goes through :func:`_generic_profiler`,
-    whose ``access`` calls keep their own meters (``table`` is ``None``).
+    :class:`~repro.predictors.LastValuePredictor` (``learns`` false: its
+    stride held at 0) whose table starts empty walks
+    :func:`~repro.predictors.stride.walk_take_all` over ``rows``;
+    ``table`` is the table whose meters the fold keeps and whose entries
+    the rows become, and ``access`` is ``None``.  Any other predictor
+    counts into ``rows`` through ``access``, its
+    :func:`_generic_profiler` consumer, whose calls keep the table's
+    meters (``table`` is ``None``).
     """
-    counts: Dict[int, List[int]] = {}
+    rows: Dict[int, List] = {}
     learns = KERNEL_PREDICTORS.get(type(predictor))
-    if learns is not None and predictor.table.is_infinite:
-        entries = predictor.table._set_for(0)
-        consume = partial(walk_unbounded, entries, counts, learns=learns)
-        return consume, counts, predictor.table
-    return _generic_profiler(predictor, counts), counts, None
+    if learns is not None and predictor.table.is_infinite and not len(predictor.table):
+        return rows, predictor.table, learns, None
+    return rows, None, learns, _generic_profiler(predictor, rows)
 
 
 def _last_value_followers(predictors, profilers) -> Dict[str, str]:
@@ -407,40 +437,36 @@ def _last_value_followers(predictors, profilers) -> Dict[str, str]:
     Both must take the kernel (``table`` is not ``None``).
     """
 
-    def fresh(name, kind) -> bool:
-        predictor = predictors[name]
-        return (
-            type(predictor) is kind
-            and profilers[name][2] is not None
-            and not len(predictor.table)
-        )
+    def kernel(name, kind) -> bool:
+        return type(predictors[name]) is kind and profilers[name][1] is not None
 
-    leader = next((name for name in predictors if fresh(name, StridePredictor)), None)
+    leader = next((name for name in predictors if kernel(name, StridePredictor)), None)
     if leader is None:
         return {}
     return {
-        name: leader for name in predictors if fresh(name, LastValuePredictor)
+        name: leader for name in predictors if kernel(name, LastValuePredictor)
     }
 
 
-def _generic_profiler(predictor: ValuePredictor, counts):
+def _generic_profiler(predictor: ValuePredictor, rows):
     """Batch consumer for arbitrary predictors: one ``access`` per
-    candidate, counted into the kernel's slot layout."""
+    candidate, counted into the kernel's row layout."""
 
     def consume(pairs) -> None:
         access = predictor.access
-        get_slot = counts.get
+        get = rows.get
         for address, value in pairs:
-            slot = get_slot(address)
-            if slot is None:
-                slot = counts[address] = [0, 0, 0, 0, 0, 0, 0, 0]
-            slot[0] += 1
+            row = get(address)
+            if row is None:
+                row = rows[address] = [None, None, *ZERO_COUNTS, None, None]
             result = access(address, value)
-            if result.hit:
-                slot[1] += 1
-                if result.correct:
-                    slot[2] += 1
-                    if result.nonzero_stride:
-                        slot[6] += 1
+            if not result.hit:
+                row[MISSES] += 1
+                continue
+            row[ATTEMPTS] += 1
+            if result.correct:
+                row[CORRECT] += 1
+                if result.nonzero_stride:
+                    row[NONZERO] += 1
 
     return consume

@@ -215,3 +215,32 @@ class TestExperimentModules:
                 wins += 1
         # The paper: profile-guided beats SC "in most benchmarks".
         assert wins >= len(TABLE_4_1_NAMES) // 2 + 1
+
+
+class TestSharedTestProfile:
+    def test_table_2_1_and_fig_2_2_walk_each_test_run_once(self):
+        """Run together in one context, Table 2.1 and Figure 2.2 read one
+        profile of each test run: the pair walks one run per FP
+        benchmark fewer than the two run apart, and both tables are the
+        ones they give apart."""
+        import io
+
+        from repro.experiments.runner import run_experiments
+        from repro.telemetry import Telemetry, use_registry
+        from repro.workloads import all_workloads
+
+        def run(names):
+            registry = Telemetry()
+            context = ExperimentContext(scale=0.01, training_runs=1)
+            with use_registry(registry):
+                tables = run_experiments(names, context, stream=io.StringIO())
+            runs = registry.snapshot()["counters"]["profiling.runs"]
+            return {table.experiment_id: table.to_tsv() for table in tables}, runs
+
+        table, table_runs = run(["table-2.1"])
+        figure, figure_runs = run(["fig-2.2"])
+        both, both_runs = run(["table-2.1", "fig-2.2"])
+        assert both == {**table, **figure}
+        fp = sum(workload.suite == "fp" for workload in all_workloads())
+        assert fp > 0
+        assert both_runs == table_runs + figure_runs - fp

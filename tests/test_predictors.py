@@ -71,6 +71,26 @@ class TestPredictionTable:
             table.insert(address, address)
         assert len(table) <= 8
 
+    def test_deferred_entries_are_built_once_when_read(self):
+        from collections import OrderedDict
+
+        table = PredictionTable(entries=4, ways=2)
+        table.insert(1, "old")
+        built = []
+
+        def build():
+            built.append(True)
+            return {0: OrderedDict([(2, "x")]), 1: OrderedDict([(3, "y")])}
+
+        table.defer(build)
+        assert built == []
+        assert table.peek(2) == "x"
+        assert sorted(table) == [(2, "x"), (3, "y")]
+        assert 1 not in table
+        assert built == [True]
+        with pytest.raises(AttributeError):
+            table.missing_attribute
+
 
 class TestLastValuePredictor:
     def test_first_access_is_a_miss_that_allocates(self):

@@ -371,24 +371,24 @@ comp:
 
 
 def count_consumers(monkeypatch):
-    """Count the predictors the collector's stride kernel walked (by
-    accumulator) and the ``access`` consumers it built."""
+    """Count the predictors the collector's take-all kernel walked (by
+    rows) and the ``access`` consumers it built."""
     import repro.profiling.collector as collector
 
-    walked = set()
+    walked = {}  # id -> rows, held so that no id is reused
     built = {"access": 0}
-    kernel = collector.walk_unbounded
+    kernel = collector.walk_take_all
     generic = collector._generic_profiler
 
-    def kernel_wrapper(entries, acc, *args, **kwargs):
-        walked.add(id(acc))
-        return kernel(entries, acc, *args, **kwargs)
+    def kernel_wrapper(rows, *args, **kwargs):
+        walked[id(rows)] = rows
+        return kernel(rows, *args, **kwargs)
 
     def generic_wrapper(*args):
         built["access"] += 1
         return generic(*args)
 
-    monkeypatch.setattr(collector, "walk_unbounded", kernel_wrapper)
+    monkeypatch.setattr(collector, "walk_take_all", kernel_wrapper)
     monkeypatch.setattr(collector, "_generic_profiler", generic_wrapper)
     return lambda: {"inlined": len(walked), "access": built["access"]}
 

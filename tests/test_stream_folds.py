@@ -3,15 +3,18 @@
 A finite table that cannot evict walks as an unbounded one; static
 engines follow a leader's walk (member-only ones too, under a leader
 that allocates every address); ILP followers mask the leader's hit
-codes with their take sets; and an unbounded last-value profiler folds
+codes with their take sets; ILP labels whose engines decide the same
+codes share one machine; and an unbounded last-value profiler folds
 from the stride walk's held-value hits.  Each route is held to its
 per-record reference, and each test checks that the route it covers
-really ran.
+really ran.  The take-all profiling body is held to ``access`` itself.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check.generator import generate_case
 from repro.check.oracle import _engine_grid, _observe_engine
@@ -23,11 +26,22 @@ from repro.core import (
     ProfileClassification,
 )
 from repro.core.simulate import _cannot_evict, simulate_prediction_many
-from repro.ilp import WindowScheduler, measure_ilp_many
+from repro.ilp import IlpConfig, WindowScheduler, measure_ilp_many
 from repro.isa import Directive, assemble
 from repro.machine import trace_program
 from repro.machine.tracestore import replay_or_run
-from repro.predictors import LastValuePredictor, StridePredictor
+from repro.predictors import LastValuePredictor, StrideEntry, StridePredictor
+from repro.predictors.stride import (
+    ATTEMPTS,
+    CORRECT,
+    HELD,
+    MISSES,
+    NONZERO,
+    SET,
+    ZERO_COUNTS,
+    walk_take_all,
+    write_back,
+)
 from repro.predictors.table import PredictionTable
 from repro.profiling import collect_profiles, dumps_profile
 from repro.profiling.collector import ProfileImage, _profile_run
@@ -84,10 +98,10 @@ def loop_members(program):
 
 
 def count_kernels(monkeypatch):
-    """Count the simulate module's kernel calls by walk."""
+    """Count the simulate module's kernel calls by body."""
     import repro.core.simulate as simulate
 
-    calls = {"walk_unbounded": 0, "walk_set_associative": 0}
+    calls = {"walk_leader": 0, "walk_members": 0, "walk_set_associative": 0}
     for name in calls:
         kernel = getattr(simulate, name)
 
@@ -172,10 +186,16 @@ class TestCannotEvict:
         assert fast == reference
         assert routes == {"walked": 1, "followed": 0, "stepped": 0}
         if spare == 0:
-            assert calls == {"walk_unbounded": 1, "walk_set_associative": 0}
+            # Profile engines allocate members only; the others every miss.
+            body = "walk_members" if scheme == "profile" else "walk_leader"
+            assert calls == {
+                "walk_leader": 0, "walk_members": 0, "walk_set_associative": 0,
+                body: 1,
+            }
         else:
-            assert calls["walk_unbounded"] == 0
-            assert calls["walk_set_associative"] == 1
+            assert calls == {
+                "walk_leader": 0, "walk_members": 0, "walk_set_associative": 1
+            }
             # The contested set really evicts.
             assert reference[1]["vp"]["tables"]["table0"]["meters"][2] > 0
 
@@ -218,7 +238,7 @@ class TestFollowers:
         assert fast == reference
         assert routes == {"walked": 0, "followed": 2, "stepped": 0}
         # The hidden probe is the one walk.
-        assert calls == {"walk_unbounded": 1, "walk_set_associative": 0}
+        assert calls == {"walk_leader": 1, "walk_members": 0, "walk_set_associative": 0}
 
     def test_follower_outcomes_differ_from_the_leaders(self, program):
         """The masks matter: a follower takes fewer predictions than the
@@ -263,8 +283,9 @@ class TestOracleGridRoutes:
         assert counters["core.engines.walked"] == 9
         assert counters["core.engines.stepped"] == 4
         # stride/fsm, stride/probe-fsm, roomy/fsm and the two unbounded
-        # last-value engines walk unbounded; the four 8-entry ones evict.
-        assert calls == {"walk_unbounded": 5, "walk_set_associative": 4}
+        # last-value engines allocate every miss of a table that never
+        # evicts; the four 8-entry ones evict.
+        assert calls == {"walk_leader": 5, "walk_members": 0, "walk_set_associative": 4}
 
 
 class TestTablePathCounters:
@@ -339,18 +360,238 @@ class TestLastValueFollower:
         assert last_value_state(together["L"]) == last_value_state(alone["L"])
 
     def test_a_used_last_value_table_walks_itself(self, monkeypatch):
+        """A last-value table that already holds entries neither follows
+        the stride walk nor takes the take-all kernel: it steps through
+        ``access``."""
         import repro.profiling.collector as collector
 
         program = assemble(PHASED_ASM)
         warm = LastValuePredictor()
         collect_profiles(program, predictors={"L": warm})
         walked = []
-        kernel = collector.walk_unbounded
+        accessed = []
+        kernel = collector.walk_take_all
+        generic = collector._generic_profiler
 
-        def counting(entries, acc, *args, **kwargs):
+        def counting(rows, *args, **kwargs):
             walked.append(kwargs.get("learns", True))
-            return kernel(entries, acc, *args, **kwargs)
+            return kernel(rows, *args, **kwargs)
 
-        monkeypatch.setattr(collector, "walk_unbounded", counting)
-        collect_profiles(program, predictors={"S": StridePredictor(), "L": warm})
-        assert sorted(set(walked)) == [False, True]
+        def counting_generic(predictor, rows):
+            accessed.append(predictor)
+            return generic(predictor, rows)
+
+        monkeypatch.setattr(collector, "walk_take_all", counting)
+        monkeypatch.setattr(collector, "_generic_profiler", counting_generic)
+        registry = Telemetry()
+        with use_registry(registry):
+            collect_profiles(program, predictors={"S": StridePredictor(), "L": warm})
+        assert sorted(set(walked)) == [True]
+        assert accessed == [warm]
+        assert "profiling.predictors.followed" not in registry.snapshot()["counters"]
+
+
+class TestSharedLanes:
+    """ILP labels whose engines decide the same codes under the same
+    config schedule on one machine; each still gets its own result and
+    engine statistics."""
+
+    def engines(self, program, finite=True):
+        members = loop_members(program)
+        some = dict(list(members.items())[:2])
+
+        def profile(chosen):
+            return PredictionEngine(
+                program,
+                StridePredictor(512, 2) if finite else StridePredictor(),
+                ProfileClassification.from_directives(chosen),
+            )
+
+        return {
+            "novp": None,
+            "fsm": PredictionEngine(
+                program, StridePredictor(512, 2), HardwareClassification()
+            ),
+            "fsm-again": PredictionEngine(
+                program, StridePredictor(512, 2), HardwareClassification()
+            ),
+            "prof90": profile(members),
+            "prof80": profile(dict(members)),
+            "prof-some": profile(some),
+        }
+
+    def measure(self, monkeypatch, program, make_engines, configs=None):
+        import repro.ilp.model as model
+
+        built = []
+        init = model._BatchMachine.__init__
+
+        def counting(machine, *args):
+            built.append(machine)
+            init(machine, *args)
+
+        monkeypatch.setattr(model._BatchMachine, "__init__", counting)
+        engines = make_engines()
+        registry = Telemetry()
+        with use_registry(registry):
+            results = measure_ilp_many(program, (), engines, configs=configs)
+        shared = registry.snapshot()["counters"]["ilp.lanes.shared"]
+        return results, observe(engines), len(built), shared
+
+    @pytest.mark.parametrize("finite", [True, False], ids=["finite", "unbounded"])
+    def test_equal_directive_sets_build_one_machine(self, monkeypatch, program, finite):
+        def make_engines():
+            return self.engines(program, finite)
+
+        results, states, built, shared = self.measure(monkeypatch, program, make_engines)
+        # novp, fsm (twice), the full directive set (twice), prof-some.
+        assert (built, shared) == (4, 2)
+        assert results["fsm"] == results["fsm-again"]
+        assert results["prof90"] == results["prof80"]
+        assert results["prof90"] != results["prof-some"]
+        reference_engines = make_engines()
+        assert results == reference_ilp(program, reference_engines)
+        assert states == observe(reference_engines)
+        assert states["prof90"] == states["prof80"]
+
+    def test_a_config_keeps_its_own_machine(self, monkeypatch, program):
+        config = IlpConfig(misprediction_penalty=9)
+
+        def make_engines():
+            engines = self.engines(program)
+            return {label: engines[label] for label in ("fsm", "fsm-again")}
+
+        results, _states, built, shared = self.measure(
+            monkeypatch, program, make_engines, configs={"fsm-again": config}
+        )
+        assert (built, shared) == (2, 0)
+        engines = make_engines()
+        schedulers = {
+            "fsm": WindowScheduler(program, engine=engines["fsm"]),
+            "fsm-again": WindowScheduler(
+                program, engine=engines["fsm-again"], config=config
+            ),
+        }
+        for record in trace_program(program):
+            for scheduler in schedulers.values():
+                scheduler.feed(record)
+        expected = {label: each.result() for label, each in schedulers.items()}
+        assert results == expected
+        assert results["fsm"] != results["fsm-again"]
+
+    def test_a_used_engine_keeps_its_own_machine(self, monkeypatch, program):
+        def make_engines():
+            engines = self.engines(program)
+            warm = engines["prof80"]
+            warm.predictor.table.insert(0, StrideEntry(7, 1))
+            return {label: engines[label] for label in ("prof90", "prof80")}
+
+        _results, _states, built, shared = self.measure(
+            monkeypatch, program, make_engines
+        )
+        assert (built, shared) == (2, 0)
+
+
+_MIXED_VALUES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 0.0, -0.0, float("nan"), 2**63, 2**63 + 1, -(2**63) - 1]),
+)
+#: Phases of a stream: lists of (address, value) over a few addresses.
+_PHASES = st.lists(
+    st.lists(st.tuples(st.integers(0, 5), _MIXED_VALUES), max_size=60),
+    min_size=1,
+    max_size=4,
+)
+
+
+def canon(value):
+    """A value that tells NaN, -0.0 and an int from its float twin apart."""
+    return type(value).__name__, repr(value)
+
+
+def canon_entries(table):
+    return sorted(
+        (address, canon(entry.last_value), canon(getattr(entry, "stride", 0)))
+        for address, entry in table
+    )
+
+
+class TestTakeAllBody:
+    @settings(max_examples=200, deadline=None)
+    @given(_PHASES, st.booleans(), st.booleans())
+    def test_matches_access(self, phases, learns, held):
+        """Each phase's counts and the final entries equal one ``access``
+        per pair of a stride (or, not learning, last-value) predictor;
+        the held count equals a last-value predictor's correct ones."""
+        make = StridePredictor if learns else LastValuePredictor
+        reference = make()
+        last_value = LastValuePredictor()
+        rows = {}
+        for phase in phases:
+            walk_take_all(rows, phase, learns=learns, held=held)
+            expected = {}
+            for address, value in phase:
+                counts = expected.setdefault(address, [0, 0, 0, 0, 0])
+                result = reference.access(address, value)
+                followed = last_value.access(address, value)
+                if not result.hit:
+                    counts[0] += 1
+                    continue
+                counts[1] += 1
+                counts[2] += result.correct
+                counts[3] += result.nonzero_stride
+                counts[4] += held and followed.correct
+            observed = {
+                address: [row[MISSES], row[ATTEMPTS], row[CORRECT], row[NONZERO],
+                          row[HELD]]
+                for address, row in rows.items()
+                if row[MISSES] + row[ATTEMPTS]
+            }
+            assert observed == expected
+            for row in rows.values():
+                row[MISSES:SET] = ZERO_COUNTS
+        table = make().table
+        write_back(table, rows, learns)
+        assert canon_entries(table) == canon_entries(reference.table)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 20), _MIXED_VALUES), min_size=1, max_size=8),
+        st.sampled_from([StridePredictor, LastValuePredictor]),
+    )
+    def test_a_prepopulated_table_steps_through_access(self, warm, make):
+        """A table that already holds entries profiles through ``access``,
+        not the take-all body, and equals the per-record reference."""
+        import repro.profiling.collector as collector
+        from repro.check import profile_records
+
+        program = assemble(PHASED_ASM)
+
+        def prepopulated():
+            predictor = make()
+            for address, value in warm:
+                predictor.access(address, value)
+            return predictor
+
+        walked = []
+        kernel = collector.walk_take_all
+
+        def counting(rows, *args, **kwargs):
+            walked.append(rows)
+            return kernel(rows, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(collector, "walk_take_all", counting)
+            predictor = prepopulated()
+            image = collect_profiles(program, predictors={"p": predictor})["p"]
+        assert walked == []
+        reference_predictor = prepopulated()
+        reference = profile_records(
+            program, list(trace_program(program)), reference_predictor
+        )
+        assert dumps_profile(image) == dumps_profile(reference)
+        assert canon_entries(predictor.table) == canon_entries(
+            reference_predictor.table
+        )

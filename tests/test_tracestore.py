@@ -392,21 +392,21 @@ class TestBatchedConsumerDifferential:
             )
 
         walked = []
-        kernel = collector.walk_unbounded
+        kernel = collector.walk_take_all
 
         def counting_kernel(*args, **kwargs):
-            walked.append(args[1])
+            walked.append(args[0])
             return kernel(*args, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(collector, "walk_unbounded", counting_kernel)
+            patch.setattr(collector, "walk_take_all", counting_kernel)
             fast = profiles()
         # Without this the comparison could pit the access path against itself.
         assert walked
 
         def access_only(predictor):
-            counts = {}
-            return collector._generic_profiler(predictor, counts), counts, None
+            rows = {}
+            return rows, None, None, collector._generic_profiler(predictor, rows)
 
         monkeypatch.setattr(collector, "_profiler", access_only)
         slow = profiles()
