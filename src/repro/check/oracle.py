@@ -3,8 +3,15 @@
 Each :class:`OraclePair` names one equivalence the codebase relies on:
 
 ``batch-vs-record``
-    ``Executor.run_batches`` columns, decoded by hand, against the
-    ``Executor.run`` per-record adapter.
+    ``Executor.run_batches`` columns, decoded by hand, in default and
+    tiny chunks, and the ``Executor.run`` per-record adapter, against
+    :class:`~repro.check.stepper.Stepper`, an independent per-record
+    interpreter: records, fault, end state.  Besides the case itself it
+    runs the case at budgets one short of its length and exactly at it,
+    and variants whose end faults or leaves the code segment: a
+    fall-through past the last instruction, ``call``/``jr`` to the last
+    instruction, past it and below 0, and a load and a store at a
+    negative address.
 ``trace-replay-memory`` / ``trace-replay-disk``
     a trace replayed from a :class:`~repro.machine.TraceStore` (LRU /
     directory-backed) against a fresh capture.
@@ -18,6 +25,10 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     byte-identical dump, ``save → load → merge`` against merging the
     in-memory images, and a round trip of the merged image itself.
 ``profile-sampled``
+    ``collect_profiles`` of a fresh run under the default stride
+    predictor, profiled inside the interpreter's closures — the case,
+    the case cut by a budget and its faulting tail variants — against
+    :func:`profile_records` over the records the stepper retired; and
     ``collect_profiles`` at ``sample_every`` 1, 2, 3 and 7 (and
     unsampled) under unbounded stride, finite stride and last-value
     predictors — the stride kernel, the last-value fold from the stride
@@ -76,7 +87,7 @@ import tempfile
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..isa import Directive, Instruction, Opcode, disassemble
-from ..machine import Executor, TraceStore
+from ..machine import DEFAULT_CHUNK, Executor, TraceStore
 from ..machine.errors import ExecutionError
 from ..machine.tracestore import trace_key
 from ..profiling import merge_profiles
@@ -131,23 +142,57 @@ def _observe_run(case: CheckCase, budget: int, program=None) -> Dict[str, object
     return _observe_records(executor.run())
 
 
-def _observe_batches_raw(case: CheckCase, budget: int) -> Dict[str, object]:
+def _end_state(machine) -> Dict[str, object]:
+    """The machine state a run leaves behind (executor or stepper)."""
+    state = machine.state
+    return {
+        "instructions": machine.instruction_count,
+        "registers": [_canon_value(value) for value in state.registers],
+        "memory": {
+            address: _canon_value(value) for address, value in sorted(state.memory.items())
+        },
+        "outputs": [_canon_value(value) for value in state.outputs],
+        "halted": state.halted,
+        "pc": state.pc,
+        "phase": state.phase,
+        "inputs_read": state.input_cursor,
+    }
+
+
+def _observe_stepper(program, inputs, budget: int) -> Dict[str, object]:
+    """Reference observation: the independent :class:`Stepper`."""
+    from .stepper import Stepper
+
+    stepper = Stepper(program, inputs=list(inputs), max_instructions=budget)
+    observed = _observe_records(stepper.run())
+    observed["end"] = _end_state(stepper)
+    return observed
+
+
+def _observe_adapter(program, inputs, budget: int) -> Dict[str, object]:
+    """``Executor.run``, the per-record adapter, with its end state."""
+    executor = Executor(program, inputs=list(inputs), max_instructions=budget)
+    observed = _observe_records(executor.run())
+    observed["end"] = _end_state(executor)
+    return observed
+
+
+def _observe_batches_raw(
+    program, inputs, budget: int, chunk_size: int = DEFAULT_CHUNK
+) -> Dict[str, object]:
     """Fast-side observation: decode the columnar batches by hand.
 
     Deliberately re-implements the column walk (phase segments, dense
     ``mems`` cursor against the static ``mem_flags`` bitmap, the
     candidates' ``values`` cursor against ``candidate_flags`` and the
     other producers' ``others`` cursor against ``value_flags``) instead
-    of calling ``TraceBatch.records`` — the adapter is the thing under
-    test.
+    of calling ``TraceBatch.records`` — the adapter is under test too.
     """
-    executor = Executor(
-        case.program, inputs=list(case.inputs), max_instructions=budget
-    )
+    executor = Executor(program, inputs=list(inputs), max_instructions=budget)
     records: List[Tuple[int, str, int, object]] = []
     outcome: Tuple[str, ...] = ("halt",)
     try:
-        for batch in executor.run_batches():
+        for batch in executor.run_batches(chunk_size):
             flags = batch.mem_flags
             cflags = batch.candidate_flags
             vflags = batch.value_flags
@@ -176,7 +221,7 @@ def _observe_batches_raw(case: CheckCase, budget: int) -> Dict[str, object]:
                     )
     except ExecutionError as exc:
         outcome = ("error", type(exc).__name__, str(exc))
-    return {"records": records, "outcome": outcome}
+    return {"records": records, "outcome": outcome, "end": _end_state(executor)}
 
 
 def _observe_image(image) -> Dict[str, object]:
@@ -254,10 +299,83 @@ class Divergence:
 # -- the pairs --------------------------------------------------------------
 
 
-def _check_batch_vs_record(case: CheckCase, budget: int):
-    return first_divergence(
-        _observe_batches_raw(case, budget), _observe_run(case, budget)
+def _tail_variants(program) -> Dict[str, object]:
+    """Variants of ``program`` whose end faults or leaves the code segment.
+
+    The generated programs end in ``halt``, never leave the segment nor
+    call, and address memory inside their data regions; each variant
+    replaces that ``halt``: with a ``nop`` (a fall-through past the
+    end), with ``call`` into a ``jr ra`` tail that returns to a final
+    ``halt``, with ``li``/``jr`` to that final ``halt``, one past it and
+    -1, and with a load and a store at a negative address.
+    """
+    from ..isa import RA, build_program
+
+    code = list(program.instructions)
+    if not code or code[-1].opcode is not Opcode.HALT:
+        return {}
+    body = code[:-1]
+    size = len(body) + 3
+    target = 20  # no generated program writes it
+
+    def variant(*tail):
+        return build_program(body + list(tail), data=program.data, name=program.name)
+
+    variants = {
+        "fall-through": variant(Instruction(Opcode.NOP)),
+        "call-return": variant(
+            Instruction(Opcode.CALL, target=size - 1),
+            Instruction(Opcode.HALT),
+            Instruction(Opcode.JR, srcs=(RA,)),
+        ),
+    }
+    for name, to in (("jr-last", size - 1), ("jr-past", size), ("jr-negative", -1)):
+        variants[name] = variant(
+            Instruction(Opcode.LI, dest=target, imm=to),
+            Instruction(Opcode.JR, srcs=(target,)),
+            Instruction(Opcode.HALT),
+        )
+    variants["load-fault"] = variant(
+        Instruction(Opcode.LI, dest=target, imm=-3),
+        Instruction(Opcode.LD, dest=target, srcs=(target,), imm=1),
+        Instruction(Opcode.HALT),
     )
+    variants["store-fault"] = variant(
+        Instruction(Opcode.LI, dest=target, imm=-3),
+        Instruction(Opcode.ST, srcs=(target, target), imm=1),
+        Instruction(Opcode.HALT),
+    )
+    return variants
+
+
+def _check_batch_vs_record(case: CheckCase, budget: int):
+    inputs = list(case.inputs)
+    reference = _observe_stepper(case.program, inputs, budget)
+    length = len(reference["records"])
+    runs = [("case", case.program, budget)]
+    if reference["outcome"] == ("halt",):
+        runs += [
+            ("budget-short", case.program, length - 1),
+            ("budget-exact", case.program, length),
+        ]
+    runs += [
+        (name, program, budget)
+        for name, program in _tail_variants(case.program).items()
+    ]
+    for name, program, run_budget in runs:
+        expected = _observe_stepper(program, inputs, run_budget)
+        sides = (
+            ("batches", _observe_batches_raw(program, inputs, run_budget)),
+            ("small-batches", _observe_batches_raw(
+                program, inputs, run_budget, _SMALL_CHUNK
+            )),
+            ("records", _observe_adapter(program, inputs, run_budget)),
+        )
+        for side, observed in sides:
+            found = first_divergence(observed, expected, f"${name}.{side}")
+            if found is not None:
+                return found
+    return None
 
 
 def _check_trace_replay(case: CheckCase, budget: int, directory=None):
@@ -498,6 +616,72 @@ def _observe_images(collect) -> Dict[str, object]:
     }
 
 
+def _table_state(table) -> Dict[str, object]:
+    """An unbounded stride table's entries (whose order no observer of a
+    table that never evicts can see) and its meters."""
+    return {
+        "entries": sorted(
+            (address, _canon_value(entry.last_value), _canon_value(entry.stride))
+            for address, entry in table
+        ),
+        "meters": (table.lookups, table.hits),
+    }
+
+
+def _check_profile_inline(case: CheckCase, budget: int):
+    """A fresh, unsampled run under the default stride predictor takes
+    the in-closure route, and equals :func:`profile_records` over the
+    records the run retired: the image when it halts, the table's
+    entries and meters (the counts folded up to a fault) either way.
+    Runs: the case, the case cut by a budget, and its tail variants."""
+    from ..predictors import StridePredictor
+    from ..profiling import collect_profiles
+    from ..telemetry import Telemetry, use_registry
+    from .stepper import Stepper
+
+    runs = [("case", case.program, budget), ("overrun", case.program, 64)]
+    runs += [
+        (name, program, budget)
+        for name, program in _tail_variants(case.program).items()
+    ]
+    for name, program, run_budget in runs:
+        inputs = list(case.inputs)
+        predictor = StridePredictor()
+        registry = Telemetry()
+        fast: Dict[str, object] = {"outcome": ("halt",)}
+        try:
+            with use_registry(registry):
+                fast["image"] = _observe_image(
+                    collect_profiles(
+                        program, inputs, {"p": predictor}, run_label="train",
+                        max_instructions=run_budget,
+                    )["p"]
+                )
+        except ExecutionError as exc:
+            fast["outcome"] = ("error", type(exc).__name__, str(exc))
+        else:
+            counters = registry.snapshot()["counters"]
+            fast["route"] = counters.get("profiling.runs.inline", 0)
+        fast["table"] = _table_state(predictor.table)
+
+        records = []
+        expected: Dict[str, object] = {"outcome": ("halt",)}
+        try:
+            records.extend(Stepper(program, inputs, run_budget).run())
+        except ExecutionError as exc:
+            expected["outcome"] = ("error", type(exc).__name__, str(exc))
+        reference_predictor = StridePredictor()
+        image = profile_records(program, records, reference_predictor, run_label="train")
+        if expected["outcome"] == ("halt",):
+            expected["image"] = _observe_image(image)
+            expected["route"] = 1
+        expected["table"] = _table_state(reference_predictor.table)
+        found = first_divergence(fast, expected, f"$inline[{name}]")
+        if found is not None:
+            return found
+    return None
+
+
 def _check_profile_sampled(case: CheckCase, budget: int):
     # The sampling rule is defined over the *full* dynamic stream
     # (global record position modulo k, before the candidate filter).
@@ -540,6 +724,9 @@ def _check_profile_sampled(case: CheckCase, budget: int):
             **sampling,
         )
 
+    found = _check_profile_inline(case, budget)
+    if found is not None:
+        return found
     small = _small_batch_store(case, budget)
     for k in (1, 2, 3, 7):
         expected = _observe_images(lambda: reference(k))
@@ -1035,7 +1222,7 @@ class OraclePair:
 _PAIRS: Tuple[OraclePair, ...] = (
     OraclePair(
         "batch-vs-record",
-        "run_batches columns decoded by hand vs the run() record adapter",
+        "run_batches columns and the run() adapter vs the independent Stepper",
         True, _check_batch_vs_record,
     ),
     OraclePair(

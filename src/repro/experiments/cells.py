@@ -76,6 +76,9 @@ class CellKind:
     ``codec`` its exact text form between processes and on disk.
     ``label`` formats a job's progress label from ``(name, *params)``;
     ``inline`` jobs run in the parent and never cross processes.
+    ``readers(name, *params)`` names the experiments that read a cell
+    through :meth:`~repro.experiments.ExperimentContext.read`; once each
+    has, the cell leaves memory.
     """
 
     compute: Callable[..., Any]
@@ -86,6 +89,7 @@ class CellKind:
     codec: Optional[Codec] = None
     label: str = "{}"
     inline: bool = False
+    readers: Optional[Callable[..., Tuple[str, ...]]] = None
 
 
 # -- computes ----------------------------------------------------------------
@@ -128,6 +132,13 @@ def _test_profile(context, name: str):
         {"S": StridePredictor(), "L": LastValuePredictor()},
         store=context.traces,
     )
+
+
+def _test_profile_readers(name: str) -> Tuple[str, ...]:
+    """Table 2.1 reads every test profile, Figure 2.2 the FP ones."""
+    if get_workload(name).suite == "fp":
+        return ("table-2.1", "fig-2.2")
+    return ("table-2.1",)
 
 
 def _classification_grid(context, name: str) -> Dict[str, PredictionStats]:
@@ -296,7 +307,7 @@ KINDS: Dict[str, CellKind] = {
         label="{}, th={:g}",
     ),
     # Shared by the experiments of one process, never a job of its own.
-    "test-profile": CellKind(_test_profile, tier=MEMO),
+    "test-profile": CellKind(_test_profile, tier=MEMO, readers=_test_profile_readers),
     "classify": CellKind(
         _classification_grid,
         deps=("annotate",),

@@ -93,6 +93,8 @@ class ExperimentContext:
         self._cells: Dict[Cell, Any] = {}
         #: Cells whose disk entry was probed and missing, until stored.
         self._missed: Set[Cell] = set()
+        #: Readers still to read a cell whose kind names its readers.
+        self._unread: Dict[Cell, Set[str]] = {}
 
     # -- basic artifacts -----------------------------------------------------
 
@@ -120,6 +122,22 @@ class ExperimentContext:
                     cell[0], key, kind.codec.encode(value), kind.codec.extension
                 )
                 self._missed.discard(cell)
+        return value
+
+    def read(self, cell: Cell, reader: str) -> Any:
+        """:meth:`cell` for the experiment ``reader``, one of the cell
+        kind's ``readers``; the cell leaves memory once each has read it
+        (a later read computes it again)."""
+        value = self.cell(cell)
+        unread = self._unread.get(cell)
+        if unread is None:
+            unread = set(KINDS[cell[0]].readers(*cell[1:]))
+        unread.discard(reader)
+        if unread:
+            self._unread[cell] = unread
+        else:
+            self._unread.pop(cell, None)
+            self._held(KINDS[cell[0]]).pop(cell, None)
         return value
 
     def from_disk(self, cell: Cell) -> Any:

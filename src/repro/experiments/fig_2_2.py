@@ -44,7 +44,7 @@ def run(context: ExperimentContext) -> ExperimentTable:
     for workload in all_workloads():
         if workload.suite == "fp":
             # Phase-split presentation, as in the paper's SPEC-FP panel.
-            images = context.cell(("test-profile", workload.name))["S"]
+            images = context.read(("test-profile", workload.name), EXPERIMENT_ID)["S"]
             for phase in sorted(images):
                 if phase == 0:
                     continue

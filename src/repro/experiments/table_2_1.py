@@ -37,7 +37,7 @@ def run(context: ExperimentContext) -> ExperimentTable:
     totals: Dict[Tuple[str, int, Category, str], GroupStats] = {}
 
     for workload in all_workloads():
-        profile = context.cell(("test-profile", workload.name))
+        profile = context.read(("test-profile", workload.name), EXPERIMENT_ID)
         for predictor_name, images in profile.items():
             for image in images.values():
                 for (category, phase), group in image.groups.items():

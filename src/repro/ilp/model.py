@@ -40,13 +40,16 @@ taken correct prediction, 2 a taken wrong one, 0 otherwise.  An engine
 that follows a leader's walk does not walk: its codes are the leader's
 per-pair hit codes (1 correct hit, 2 wrong hit, 0 miss) masked with its
 take set, so a Table 5.2 cell whose FSM table cannot evict walks once
-for its six engines.  Each machine then schedules the batch in one
-tight loop over lists of its columns.  Labels whose engines decide the
-same codes (see :func:`_lane_key`) under equal configs schedule on one
-machine, and each still gets its own result.  No engine reads scheduler
-state, so an engine's (taken, correct) outcomes depend on the candidate
-stream alone and running it a batch ahead of the scheduler changes no
-result.  The engines' statistics are published under ``core.*`` and
+for its six engines.  Labels whose engines decide the same codes (see
+:func:`_lane_key`) under equal configs schedule on one machine, a
+*lane*, and each still gets its own result.  Every lane that shares a
+scheduling table (equal ``track_memory_dependencies``) schedules the
+batch in one loop (:func:`_scheduler`): a record's table lookup, shape
+test and ``mems`` and candidate cursors run once, then each lane's
+ready, window and retire updates follow in locals.  No engine reads
+scheduler state, so an engine's (taken, correct) outcomes depend on the
+candidate stream alone and running it a batch ahead of the scheduler
+changes no result.  The engines' statistics are published under ``core.*`` and
 ``predictor.*`` as a simulation's are; Figures 5.3/5.4 read their taken
 counts from these results rather than simulating the same engines again.
 :class:`WindowScheduler` is the per-record reference the
@@ -279,43 +282,55 @@ def measure_ilp(
 
 
 #: One static instruction as the batch scheduler sees it:
-#: ``(src1, src2, dest, memory, candidate)``.  Missing sources are
-#: padded with ``ZERO``, whose ready cycle is never written; ``dest`` is
-#: 0 when the instruction writes no register (or writes ``ZERO``);
-#: ``memory`` is 1 for a load, 2 for a store (the records carrying a
-#: ``mems`` entry) and 0 otherwise — or 0 throughout when memory
-#: dependencies are not tracked; ``candidate`` marks instructions whose
-#: outcome code the engine wrote.
-_Slot = Tuple[int, int, int, int, bool]
+#: ``(src1, src2, dest, shape)``.  Missing sources are padded with
+#: ``ZERO``, whose ready cycle is never written; ``dest`` is 0 when the
+#: instruction writes no register (or writes ``ZERO``).  ``shape`` sums
+#: the record's static flags: :data:`_DEST` when ``dest`` is set,
+#: :data:`_LOAD` or :data:`_STORE` for the records carrying a ``mems``
+#: entry — neither when memory dependencies are not tracked — and
+#: :data:`_CANDIDATE` for the prediction candidates, whose outcome codes
+#: the engines write.
+_Slot = Tuple[int, int, int, int]
+
+_DEST, _LOAD, _STORE, _CANDIDATE = 1, 2, 4, 8
+
+#: Every shape a record can have, the common ones first: a scheduling
+#: loop tests them in this order.
+_SHAPES = (
+    _DEST | _CANDIDATE,
+    0,
+    _DEST | _LOAD | _CANDIDATE,
+    _STORE,
+    _DEST,
+    _CANDIDATE,
+    _LOAD | _CANDIDATE,
+    _DEST | _LOAD,
+    _LOAD,
+    _DEST | _STORE,
+    _STORE | _CANDIDATE,
+    _DEST | _STORE | _CANDIDATE,
+)
 
 
-def _scheduling_table(
-    decoded: List[_Decoded], track_memory: bool, predicting: bool
-) -> List[_Slot]:
+def _scheduling_table(decoded: List[_Decoded], track_memory: bool) -> List[_Slot]:
     table: List[_Slot] = []
     for srcs, dest, reads_memory, writes_memory, is_candidate in decoded:
         src1, src2 = (tuple(srcs) + (ZERO, ZERO))[:2]
-        memory = 0
+        dest = dest if dest is not None else ZERO
+        shape = _CANDIDATE if is_candidate else 0
+        if dest != ZERO:
+            shape |= _DEST
         if track_memory:
-            memory = 1 if reads_memory else 2 if writes_memory else 0
-        table.append(
-            (
-                src1,
-                src2,
-                dest if dest is not None else ZERO,
-                memory,
-                predicting and is_candidate,
-            )
-        )
+            shape |= _LOAD if reads_memory else _STORE if writes_memory else 0
+        table.append((src1, src2, dest, shape))
     return table
 
 
 class _BatchMachine:
-    """One machine configuration scheduling a trace batch by batch.
+    """One machine configuration's scheduling state between batches.
 
-    Holds the :class:`WindowScheduler` state between batches; the
-    per-record work is :meth:`schedule`, one loop over a batch's columns
-    with that state in locals.  ``window`` starts full of zeros, so
+    The per-record work is a scheduling loop (:func:`_scheduler`) that
+    keeps this state in locals.  ``window`` starts full of zeros, so
     ``window[0]`` is the retire cycle of the instruction ``window_size``
     positions earlier — or 0 while the window is filling — exactly the
     reference's pop-when-full rule, since retire cycles are never
@@ -323,7 +338,6 @@ class _BatchMachine:
     """
 
     __slots__ = (
-        "table",
         "penalty",
         "register_ready",
         "memory_ready",
@@ -335,8 +349,7 @@ class _BatchMachine:
         "mispredicted",
     )
 
-    def __init__(self, table: List[_Slot], config: IlpConfig) -> None:
-        self.table = table
+    def __init__(self, config: IlpConfig) -> None:
         self.penalty = config.misprediction_penalty
         self.register_ready = [0] * NUM_REGISTERS
         self.memory_ready: Dict[int, int] = {}
@@ -347,58 +360,10 @@ class _BatchMachine:
         self.correct = 0
         self.mispredicted = 0
 
-    def schedule(self, addresses, mems, outcomes) -> None:
-        """Schedule one batch; ``outcomes`` holds its candidates' codes."""
-        table = self.table
-        penalty = self.penalty
-        register_ready = self.register_ready
-        memory_ready = self.memory_ready
-        memory_get = memory_ready.get
-        window = self.window
-        append = window.append
-        retire = self.retire
-        mem_cursor = 0
-        candidate_cursor = 0
-        for address in addresses:
-            src1, src2, dest, memory, candidate = table[address]
-            enter = window[0]
-            ready = enter
-            source_ready = register_ready[src1]
-            if source_ready > ready:
-                ready = source_ready
-            source_ready = register_ready[src2]
-            if source_ready > ready:
-                ready = source_ready
-            if memory:
-                location = mems[mem_cursor]
-                mem_cursor += 1
-                if memory == 1:
-                    source_ready = memory_get(location, 0)
-                    if source_ready > ready:
-                        ready = source_ready
-            complete = ready + 1
-            if candidate:
-                code = outcomes[candidate_cursor]
-                candidate_cursor += 1
-                if dest:
-                    if code == 1:
-                        # Collapsed dependence: consumers see the predicted
-                        # value as soon as the producer is in flight.
-                        register_ready[dest] = enter
-                    elif code == 2:
-                        register_ready[dest] = complete + penalty
-                    else:
-                        register_ready[dest] = complete
-            elif dest:
-                register_ready[dest] = complete
-            if memory == 2:
-                memory_ready[location] = complete
-            if complete > retire:
-                retire = complete
-            append(retire)
-        self.retire = retire
-        self.instructions += len(addresses)
-        if candidate_cursor:
+    def count(self, records: int, outcomes: Optional[bytearray]) -> None:
+        """Count a scheduled batch; ``outcomes`` holds its candidates' codes."""
+        self.instructions += records
+        if outcomes:
             correct = outcomes.count(1)
             mispredicted = outcomes.count(2)
             self.correct += correct
@@ -413,6 +378,86 @@ class _BatchMachine:
             correct_predictions=self.correct,
             mispredictions=self.mispredicted,
         )
+
+
+def _lane_code(lane: int, shape: int, predicting: bool) -> List[str]:
+    """One lane's scheduling of one record of ``shape``, as source lines."""
+    i = lane
+    lines = [
+        f"e = w{i}[0]",
+        f"r = rr{i}[src1]",
+        "if e > r: r = e",
+        f"x = rr{i}[src2]",
+        "if x > r: r = x",
+    ]
+    if shape & _LOAD:
+        lines += [f"x = mg{i}(location, 0)", "if x > r: r = x"]
+    lines.append("c = r + 1")
+    if shape & _DEST:
+        if shape & _CANDIDATE and predicting:
+            # Collapsed dependence: a correct taken prediction is visible
+            # as soon as the producer is in flight.
+            lines += [
+                f"k = k{i}[cursor]",
+                f"if k == 1: rr{i}[dest] = e",
+                f"elif k == 2: rr{i}[dest] = c + pen{i}",
+                f"else: rr{i}[dest] = c",
+            ]
+        else:
+            lines.append(f"rr{i}[dest] = c")
+    if shape & _STORE:
+        lines.append(f"mr{i}[location] = c")
+    lines += [f"if c > ret{i}: ret{i} = c", f"a{i}(ret{i})"]
+    return lines
+
+
+_SCHEDULERS: Dict[Tuple[bool, ...], object] = {}
+
+
+def _scheduler(predicting: Tuple[bool, ...]):
+    """The scheduling loop of one lane tuple, compiled once per process.
+
+    ``predicting[i]`` says whether lane ``i`` reads outcome codes.  The
+    loop is ``schedule(table, addresses, mems, machines, outcomes)``: it
+    looks each record up once, branches on its shape, advances the
+    ``mems`` and candidate cursors once, and schedules the record on
+    every lane (``machines[i]``, with ``outcomes[i]`` its codes).
+    """
+    schedule = _SCHEDULERS.get(predicting)
+    if schedule is not None:
+        return schedule
+    lanes = range(len(predicting))
+    lines = ["def schedule(table, addresses, mems, machines, outcomes):"]
+    lines.append(f"    {''.join(f'm{i}, ' for i in lanes)}= machines")
+    for i in lanes:
+        lines += [
+            f"    rr{i} = m{i}.register_ready",
+            f"    mr{i} = m{i}.memory_ready",
+            f"    mg{i} = mr{i}.get",
+            f"    w{i} = m{i}.window",
+            f"    a{i} = w{i}.append",
+            f"    ret{i} = m{i}.retire",
+            f"    pen{i} = m{i}.penalty",
+        ]
+        if predicting[i]:
+            lines.append(f"    k{i} = outcomes[{i}]")
+    lines += ["    cursor = 0", "    mem_cursor = 0", "    for address in addresses:"]
+    lines.append("        src1, src2, dest, shape = table[address]")
+    for index, shape in enumerate(_SHAPES):
+        lines.append(f"        {'if' if index == 0 else 'elif'} shape == {shape}:")
+        body = []
+        if shape & (_LOAD | _STORE):
+            body += ["location = mems[mem_cursor]", "mem_cursor += 1"]
+        for i in lanes:
+            body += _lane_code(i, shape, predicting[i])
+        if shape & _CANDIDATE and any(predicting):
+            body.append("cursor += 1")
+        lines += ["            " + line for line in body]
+    lines += [f"    m{i}.retire = ret{i}" for i in lanes]
+    namespace: Dict[str, object] = {}
+    exec("\n".join(lines), namespace)
+    schedule = _SCHEDULERS[predicting] = namespace["schedule"]
+    return schedule
 
 
 def measure_ilp_many(
@@ -444,10 +489,11 @@ def measure_ilp_many(
     check_distinct_engines(engines)
     configs = configs or {}
     decoded = _decode_for_scheduling(program)
-    tables: Dict[Tuple[bool, bool], List[_Slot]] = {}
     machines: Dict[Hashable, _BatchMachine] = {}  # by lane key
     labels: Dict[str, _BatchMachine] = {}
-    lanes = []  # (machine, index of its engine's codes or None), one per machine
+    # One scheduling loop per table (memory tracked or not): its lanes,
+    # one per machine, with the index of each one's engine's codes.
+    groups: Dict[bool, List[Tuple[_BatchMachine, Optional[int]]]] = {}
     engine_list: List[PredictionEngine] = []
     for label, engine in engines.items():
         machine_config = configs.get(label, config) or IlpConfig()
@@ -458,29 +504,39 @@ def measure_ilp_many(
         key = (machine_config, _lane_key(engine, index))
         machine = machines.get(key)
         if machine is None:
-            variant = (machine_config.track_memory_dependencies, engine is not None)
-            table = tables.get(variant)
-            if table is None:
-                table = tables[variant] = _scheduling_table(decoded, *variant)
-            machine = machines[key] = _BatchMachine(table, machine_config)
-            lanes.append((machine, index))
+            machine = machines[key] = _BatchMachine(machine_config)
+            track = machine_config.track_memory_dependencies
+            groups.setdefault(track, []).append((machine, index))
         labels[label] = machine
+    loops = [
+        (
+            _scheduling_table(decoded, track),
+            _scheduler(tuple(index is not None for _machine, index in lanes)),
+            tuple(machine for machine, _index in lanes),
+            [index for _machine, index in lanes],
+        )
+        for track, lanes in groups.items()
+    ]
     codes: List[Optional[bytearray]] = [None] * len(engine_list)
     consumers, finishers, paths = _build_consumers(engine_list, codes)
     started = time.perf_counter()
     batches = replay_or_run(program, inputs, max_instructions, store)
     try:
         for batch in batches:
-            pairs = batch.candidates()[0] if engine_list else ()
-            for consume in consumers:
-                consume(pairs)
-            # Lists index faster than the batch's arrays.
+            # Lists index faster than the batch's arrays; the candidate
+            # walk reuses the address list.
             addresses = batch.addresses.tolist()
+            if engine_list:
+                pairs = batch.candidates(addresses=addresses)[0]
+                for consume in consumers:
+                    consume(pairs)
             mems = list(batch.mems)
-            for machine, index in lanes:
-                machine.schedule(
-                    addresses, mems, None if index is None else codes[index]
-                )
+            records = len(addresses)
+            for table, schedule, lane_machines, indexes in loops:
+                outcomes = [None if index is None else codes[index] for index in indexes]
+                schedule(table, addresses, mems, lane_machines, outcomes)
+                for machine, lane_outcomes in zip(lane_machines, outcomes):
+                    machine.count(records, lane_outcomes)
     finally:
         for finish in finishers:
             finish()

@@ -77,9 +77,9 @@ class Program:
         )
 
     def __getstate__(self) -> Dict[str, object]:
-        # The machine memoizes its decoded instructions on the program
-        # (``repro.machine.executor.machine_tables``); their handlers do
-        # not pickle, so a copy leaves the memo behind and rebuilds it.
+        # The machine memoizes its tables on the program
+        # (``repro.machine.executor.machine_tables``); a copy leaves the
+        # memo behind and rebuilds it.
         state = dict(self.__dict__)
         state.pop("_machine_tables", None)
         return state

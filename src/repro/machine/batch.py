@@ -39,7 +39,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from ..isa import Number
 from .trace import TraceRecord
@@ -120,7 +120,10 @@ class TraceBatch:
                 yield start, end, phase
 
     def candidates(
-        self, sample_every: int = 1, offset: int = 0
+        self,
+        sample_every: int = 1,
+        offset: int = 0,
+        addresses: Optional[List[int]] = None,
     ) -> Tuple[CandidatePairs, List[Tuple[int, int]]]:
         """The batch's candidate ``(address, value)`` pairs, with phases.
 

@@ -1,59 +1,70 @@
 """The trace-generating functional simulator (the paper's SHADE stand-in).
 
-:class:`Executor` interprets a :class:`~repro.isa.program.Program`.  The
-native emission path is :meth:`Executor.run_batches`, which retires
+:class:`Executor` interprets a :class:`~repro.isa.program.Program`.  Like
+SHADE, it translates each static instruction once per program: the
+factories of :mod:`~repro.machine.closures` bind one closure per
+instruction to a run's registers, memory, state and column appends, and
+the interpreter loop is ``for count in range(...): pc = code[pc]()`` —
+each closure executes its instruction, records it and returns the next
+pc.  The loop's bound is the chunk and the instruction budget; ``halt``
+ends it with a private exception.
+
+The native emission path is :meth:`Executor.run_batches`, which retires
 instructions in fixed-size chunks and fills the parallel columns of a
 :class:`~repro.machine.batch.TraceBatch` — an ``array('q')`` of static
 addresses, the prediction candidates' values, the other producers'
 values, run-length-encoded phases and a dense effective-address column.
-Each handler appends to the value column its opcode belongs to, so the
-candidates' values need no later pass over the records.  Dispatch is one
-call through the pre-decoded instruction: :func:`machine_tables` decodes
-the program into fixed-shape operand tuples that carry their handler
-(from :data:`~repro.machine.handlers.HANDLERS`) and builds the batches'
-static flag bitmaps, once per program.
+Each closure appends to the value column its opcode belongs to, so the
+candidates' values need no later pass over the records.
+:func:`machine_tables` builds the batches' static flag bitmaps, once per
+program.  :meth:`Executor.run_profiled` runs the profile-mode closures,
+which append no column: each prediction candidate plays an unbounded
+stride table over its own values, and phase changes fold the counts.
 
 The classic per-record iterator, :meth:`Executor.run`, survives as a
 thin adapter that re-materialises one
 :class:`~repro.machine.trace.TraceRecord` per column entry.  Both views
 observe the identical trace: same records, same exceptions at the same
-points, same machine end-state.
+points, same machine end-state.  :mod:`repro.check.stepper` is an
+independent per-record interpreter the ``batch-vs-record`` oracle pair
+holds this one to.
 
-Error timing across a batch boundary: when an instruction faults
-mid-chunk, the partial batch of successfully retired instructions is
+Fault timing: an instruction that faults raises before it records
+anything; control flow leaving the code segment — a fall-through past
+the last instruction, or a ``jr`` to a bad target — raises right after
+the record of the instruction that leaves; a run past its budget raises
+once the budget's last instruction has retired.  Across a batch
+boundary, the partial batch of successfully retired instructions is
 yielded first and the :class:`ExecutionError` is raised when the
 consumer requests the *next* batch — so record-level consumers (via the
-adapter) see exactly the prefix the old per-record generator produced
+adapter) see exactly the prefix a record-at-a-time machine produces
 before the same exception.
 
 Instruction accounting: ``machine.instructions`` counts instructions the
-interpreter *executed*.  The batched path executes up to one chunk ahead
-of what a record-level consumer has pulled, so a generator abandoned
-mid-batch reports the executed count (a clean halt, a budget overrun or
-a fully drained trace report identical numbers on both paths).
+interpreter *executed*, a faulting one and the fetch past the budget
+included.  The batched path executes up to one chunk ahead of what a
+record-level consumer has pulled, so a generator abandoned mid-batch
+reports the executed count (a clean halt, a budget overrun or a fully
+drained trace report identical numbers on both paths).
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from array import array
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..isa import Instruction, Number, Opcode, Program
+from ..isa import Number, Opcode, Program
 from ..telemetry import get_registry
 from .batch import DEFAULT_CHUNK, TraceBatch
+from .closures import PROFILE, TRACE, Halt, checkin, checkout, left
 from .errors import ExecutionError, InstructionBudgetExceeded
-from .handlers import HANDLERS, ORDINALS, BatchContext
 from .state import MachineState
 from .trace import RunResult, TraceRecord
 
 #: Default cap on dynamic instructions per run.
 DEFAULT_BUDGET = 50_000_000
-
-#: Decoded shape: (handler, dest, src1, src2, imm, target).  The handler
-#: is resolved through :data:`~repro.machine.handlers.HANDLERS` at decode
-#: time, so the hot loop dispatches with one tuple unpack and one call.
-_Decoded = Tuple[object, int, int, int, Optional[Number], int]
 
 _MEM_OPCODES = frozenset((Opcode.LD, Opcode.ST, Opcode.FLD, Opcode.FST))
 
@@ -75,30 +86,17 @@ _SILENT_OPCODES = frozenset(
 )
 
 
-def _decode(instruction: Instruction) -> _Decoded:
-    """Flatten an instruction into a fixed-shape tuple for the hot loop."""
-    srcs = instruction.srcs
-    src1 = srcs[0] if len(srcs) > 0 else 0
-    src2 = srcs[1] if len(srcs) > 1 else 0
-    dest = instruction.dest if instruction.dest is not None else 0
-    target = instruction.target if instruction.target is not None else 0
-    handler = HANDLERS[ORDINALS[instruction.opcode]]
-    return (handler, dest, src1, src2, instruction.imm, target)
-
-
 class MachineTables(NamedTuple):
-    """The static per-program tables of the interpreter and its batches.
+    """The static per-program bitmaps of a run's batches.
 
-    ``decoded`` holds one :data:`_Decoded` tuple per instruction.  The
-    three bitmaps, indexed by static address, say which records have an
-    entry in which batch column: ``mem_flags`` marks loads and stores
-    (``mems``), ``value_flags`` every value producer (``values`` or
-    ``others``) and ``candidate_flags`` the prediction candidates
-    (``values``).  All four are opcode properties, so a run carries no
-    per-record ``None`` slot for them.
+    Indexed by static address, they say which records have an entry in
+    which batch column: ``mem_flags`` marks loads and stores (``mems``),
+    ``value_flags`` every value producer (``values`` or ``others``) and
+    ``candidate_flags`` the prediction candidates (``values``).  All
+    three are opcode properties, so a run carries no per-record ``None``
+    slot for them.
     """
 
-    decoded: Tuple[_Decoded, ...]
     mem_flags: bytes
     value_flags: bytes
     candidate_flags: bytes
@@ -108,14 +106,12 @@ def machine_tables(program: Program) -> MachineTables:
     """The program's :class:`MachineTables`, built once per program.
 
     Memoized on the program object, as its ``candidate_mask`` is;
-    ``Program`` leaves the memo out of its pickled state, because the
-    decoded handlers do not pickle.
+    ``Program`` leaves the memo out of its pickled state.
     """
     tables = getattr(program, "_machine_tables", None)
     if tables is None:
         instructions = program.instructions
         tables = MachineTables(
-            tuple(_decode(instruction) for instruction in instructions),
             bytes(i.opcode in _MEM_OPCODES for i in instructions),
             bytes(i.opcode not in _SILENT_OPCODES for i in instructions),
             bytes(program.candidate_mask),
@@ -146,6 +142,47 @@ class Executor:
         self.instruction_count = 0
         self.tables = machine_tables(program)
 
+    def _retire(self, code, pc: int, count: int, stop: int):
+        """Retire the instructions at run positions ``count`` to ``stop``
+        (the budget bounds ``stop``) through the closures ``code``.
+
+        Returns ``(pc, count, end)``: the next pc, the instructions
+        executed so far — one that faulted or halted included, and the
+        fetch past the budget, as it faults — and ``None`` when ``stop``
+        was reached within the budget, :class:`Halt` after ``halt``, or
+        the :class:`ExecutionError` that ends the run.
+        """
+        budget = self.max_instructions
+        if budget is not None and stop > budget:
+            stop = budget
+        if not 0 <= pc < len(code):
+            return pc, count, left(pc)
+        start = count
+        try:
+            for count in range(start, stop):
+                pc = code[pc]()
+        except Halt:
+            self.instruction_count = count + 1
+            return pc, count + 1, Halt
+        except ExecutionError as exc:
+            return pc, count + 1, exc
+        if budget is not None and stop >= budget:
+            return pc, stop + 1, InstructionBudgetExceeded(
+                f"exceeded budget of {budget} dynamic instructions"
+            )
+        return pc, stop, None
+
+    def _bind_run(self, closures) -> None:
+        state = self.state
+        closures.bind(
+            regs=state.registers,
+            memory=state.memory,
+            load=state.memory.get,
+            state=state,
+            put_output=state.outputs.append,
+            phase=state.phase,
+        )
+
     def run_batches(self, chunk_size: int = DEFAULT_CHUNK) -> Iterator[TraceBatch]:
         """Execute to completion, yielding columnar chunks of the trace.
 
@@ -156,85 +193,80 @@ class Executor:
                 the partial batch of retired instructions, then raises on
                 the next request.
         """
-        # Hot-loop local bindings.
+        program = self.program
         tables = self.tables
-        decoded = tables.decoded
-        state = self.state
-        code_size = len(decoded)
-        budget = (
-            self.max_instructions
-            if self.max_instructions is not None
-            else float("inf")
-        )
-        count = self.instruction_count
-
-        ctx = BatchContext()
-        ctx.pc = state.pc
-        ctx.phase = state.phase
-        ctx.regs = state.registers
-        ctx.memory = state.memory
-        ctx.state = state
-
+        translation, closures = checkout(program, TRACE)
+        self._bind_run(closures)
+        code = closures.code
+        phase = closures.cells["phase"]
+        pc = self.state.pc
+        count = initial_count = self.instruction_count
         telemetry = get_registry()
-        initial_count = count
         produced_total = 0
         started = time.perf_counter()
         try:
-            halted = False
-            while not halted:
+            end = None
+            while end is None:
                 addresses: List[int] = []
                 values: List[Number] = []
                 others: List[Number] = []
                 mems: List[int] = []
-                phase_runs: List[Tuple[int, int]] = [(0, ctx.phase)]
-                ctx.addresses = addresses
-                ctx.values = values
-                ctx.others = others
-                ctx.mems = mems
-                ctx.phase_runs = phase_runs
-                error: Optional[ExecutionError] = None
-                # ``count`` advances by exactly one per loop iteration, so
-                # the chunk boundary folds into a single compare against a
-                # precomputed stop mark instead of a len() call per record.
-                stop = count + chunk_size
-                try:
-                    while count < stop:
-                        pc = ctx.pc
-                        if pc >= code_size or pc < 0:
-                            raise ExecutionError(
-                                f"control flow left the code segment (pc={pc})"
-                            )
-                        count += 1
-                        if count > budget:
-                            raise InstructionBudgetExceeded(
-                                f"exceeded budget of {budget} dynamic instructions"
-                            )
-                        handler, dest, src1, src2, imm, target = decoded[pc]
-                        ctx.pc = pc + 1
-                        if handler(ctx, pc, dest, src1, src2, imm, target):
-                            halted = True
-                            self.instruction_count = count
-                            break
-                except ExecutionError as exc:
-                    error = exc
+                phase_runs: List[Tuple[int, int]] = [(0, phase.cell_contents)]
+                closures.bind(
+                    addresses=addresses,
+                    put_address=addresses.append,
+                    put_value=values.append,
+                    put_other=others.append,
+                    put_mem=mems.append,
+                    put_phase_run=phase_runs.append,
+                )
+                pc, count, end = self._retire(code, pc, count, count + chunk_size)
                 if addresses:
                     produced_total += len(values) + len(others)
                     yield TraceBatch(
-                        array("q", addresses),
-                        values,
-                        others,
-                        phase_runs,
-                        mems,
-                        tables,
+                        array("q", addresses), values, others, phase_runs, mems, tables
                     )
-                if error is not None:
-                    raise error
+                if end is not None and end is not Halt:
+                    raise end
         finally:
+            checkin(translation, closures)
             # Bulk-publish however far the run got — a clean halt, a budget
             # overrun, or an abandoned trace generator alike.  One counter
             # add and one timer add per run keeps the loop itself clean.
             telemetry.counter("machine.instructions").add(count - initial_count)
             telemetry.counter("machine.columns.values").add(produced_total)
+            telemetry.timer("machine.run").add(time.perf_counter() - started)
+
+    def run_profiled(self, rows: Dict[int, list], fold: Callable[[int], None]) -> None:
+        """Execute to completion, profiling inside the closures.
+
+        Each prediction candidate's closure plays an unbounded stride
+        table that starts empty over its own values, counting into its
+        row of ``rows`` (:func:`~repro.predictors.stride.walk_take_all`'s
+        layout and first-execution order).  ``fold(phase)`` runs when a
+        ``phase`` instruction changes the phase, with the phase it
+        leaves, and once more with the last phase when the run ends —
+        even when it raises, so the counts up to a fault are folded.  No
+        column is built.
+
+        Raises:
+            ExecutionError: as :meth:`run_batches` does, after the fold.
+        """
+        program = self.program
+        translation, closures = checkout(program, PROFILE)
+        self._bind_run(closures)
+        closures.bind(rows=rows, fold=fold)
+        count = initial_count = self.instruction_count
+        started = time.perf_counter()
+        try:
+            _pc, count, end = self._retire(closures.code, self.state.pc, count, sys.maxsize)
+            if end is not Halt:
+                raise end
+        finally:
+            fold(closures.cells["phase"].cell_contents)
+            checkin(translation, closures)
+            telemetry = get_registry()
+            telemetry.counter("machine.instructions").add(count - initial_count)
             telemetry.timer("machine.run").add(time.perf_counter() - started)
 
     def run(self) -> Iterator[TraceRecord]:

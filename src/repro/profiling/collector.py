@@ -9,8 +9,14 @@ instance of every value-prediction candidate.  The result records, per
 static instruction, its prediction accuracy and stride efficiency ratio,
 and per (category, phase) the aggregate accuracies behind Table 2.1.
 
-Candidates come from :meth:`~repro.machine.TraceBatch.candidates`, the
-walk the classified simulation and the ILP model also use.  An unbounded
+A fresh, unsampled run under one unbounded stride predictor whose
+table starts empty — every phase-2 training run — is profiled inside the
+interpreter, as SHADE runs the predictor emulation inline: each
+candidate's closure updates its own take-all row
+(:meth:`~repro.machine.Executor.run_profiled`), and no batch is built.
+Every other run walks batches.  Candidates come from
+:meth:`~repro.machine.TraceBatch.candidates`, the walk the classified
+simulation and the ILP model also use.  An unbounded
 stride or last-value predictor whose table starts empty plays them
 through the take-all kernel of :mod:`repro.predictors.stride`; any
 other predictor makes one ``access`` per candidate.  Both count into
@@ -23,7 +29,7 @@ counts when asked; its table gets the same meters and a
 :class:`~repro.predictors.last_value.LastValueEntry` per stride row.
 :func:`repro.check.profile_records` is the per-record reference
 the ``profile-sampled`` and ``phase-profiles-batch-vs-record`` oracle
-pairs hold this loop to.
+pairs hold both routes to.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import Category, Number, Program
-from ..machine import TraceBatch, TraceStore
+from ..machine import DEFAULT_BUDGET, Executor, TraceBatch, TraceStore
 from ..machine.tracestore import replay_or_run
 from ..predictors import LastValuePredictor, StridePredictor, ValuePredictor
 from ..predictors.stride import (
@@ -268,19 +274,28 @@ def collect_profiles(
         name: ProfileImage(program.name, run_label=run_label) for name in predictors
     }
     started = time.perf_counter()
-    _profile_run(
-        program,
-        replay_or_run(program, inputs, max_instructions, store),
-        predictors,
-        lambda name, phase: images[name],
-        sample_every,
-    )
-    _publish_run([next(iter(images.values()))], started, sample_every)
+    inline = store is None and sample_every == 1 and _profiles_inline(predictors)
+    if inline:
+        _profile_inline(
+            program, inputs, max_instructions, predictors, lambda name, phase: images[name]
+        )
+    else:
+        _profile_run(
+            program,
+            replay_or_run(program, inputs, max_instructions, store),
+            predictors,
+            lambda name, phase: images[name],
+            sample_every,
+        )
+    _publish_run([next(iter(images.values()))], started, sample_every, inline)
     return images
 
 
 def _publish_run(
-    images: Iterable[ProfileImage], started: float, sample_every: int
+    images: Iterable[ProfileImage],
+    started: float,
+    sample_every: int,
+    inline: bool = False,
 ) -> None:
     """Count one profiled run whose first predictor filled ``images``."""
     telemetry = get_registry()
@@ -295,6 +310,8 @@ def _publish_run(
         )
         telemetry.counter("profiling.records").add(observed)
         telemetry.counter("profiling.runs").add(1)
+        if inline:
+            telemetry.counter("profiling.runs.inline").add(1)
         telemetry.timer("profiling.collect").add(time.perf_counter() - started)
         if sample_every > 1:
             telemetry.counter("profiling.sampled.runs").add(1)
@@ -336,7 +353,6 @@ def _profile_run(
     consumer: the stride walk also counts held-value hits, and the fold
     reads the last-value counts from its rows.
     """
-    categories = [instruction.category for instruction in program.instructions]
     profilers = {name: _profiler(each) for name, each in predictors.items()}
     followers = _last_value_followers(predictors, profilers)
     leader = next(iter(followers.values()), None)
@@ -347,36 +363,14 @@ def _profile_run(
     ]
     # A follower reads its stride leader's rows: its correct predictions
     # are the held-value hits, and it never uses a stride.
-    folds = [
-        (name, profilers[followers.get(name, name)][0], table, name in followers)
-        for name, (_rows, table, _learns, _access) in profilers.items()
-    ]
-
-    def fold(phase: int) -> None:
-        for name, rows, table, follows in folds:
-            image = image_for(name, phase)
-            correct = HELD if follows else CORRECT
-            for address, row in rows.items():
-                attempts = row[ATTEMPTS]
-                executions = row[MISSES] + attempts
-                if not executions:
-                    continue
-                profile = image.profile_for(address)
-                profile.executions += executions
-                profile.attempts += attempts
-                profile.correct += row[correct]
-                if not follows:
-                    profile.nonzero_stride_correct += row[NONZERO]
-                group = image.group_slot(categories[address], phase, address)
-                group[0] += executions
-                group[1] += attempts
-                group[2] += row[correct]
-                if table is not None:
-                    table.lookups += executions
-                    table.hits += attempts
-        for rows, _table, _learns, _access in profilers.values():
-            for row in rows.values():
-                row[MISSES:SET] = ZERO_COUNTS
+    fold = _folder(
+        program,
+        [
+            (name, profilers[followers.get(name, name)][0], table, name in followers)
+            for name, (_rows, table, _learns, _access) in profilers.items()
+        ],
+        image_for,
+    )
 
     phase = None
     offset = 0  # global position of the current batch's first record
@@ -404,6 +398,90 @@ def _profile_run(
     telemetry = get_registry()
     if telemetry.enabled and followers:
         telemetry.counter("profiling.predictors.followed").add(len(followers))
+
+
+def _folder(program: Program, folds, image_for) -> Callable[[int], None]:
+    """The fold of one profiled run.
+
+    ``folds`` lists ``(name, rows, table, follows)``: the rows a
+    predictor's image folds from, the table whose meters the fold keeps
+    (``None``: its ``access`` calls keep them) and whether it follows a
+    stride leader (its correct predictions are the held-value hits, and
+    it never uses a stride).  ``fold(phase)`` adds the counts of every
+    row that executed since the last fold into ``image_for(name,
+    phase)``, which it asks for only when a row did, and zeroes them.
+    """
+    categories = [instruction.category for instruction in program.instructions]
+    distinct = list({id(rows): rows for _name, rows, _table, _follows in folds}.values())
+
+    def fold(phase: int) -> None:
+        for name, rows, table, follows in folds:
+            image = None
+            correct = HELD if follows else CORRECT
+            for address, row in rows.items():
+                attempts = row[ATTEMPTS]
+                executions = row[MISSES] + attempts
+                if not executions:
+                    continue
+                if image is None:
+                    image = image_for(name, phase)
+                profile = image.profile_for(address)
+                profile.executions += executions
+                profile.attempts += attempts
+                profile.correct += row[correct]
+                if not follows:
+                    profile.nonzero_stride_correct += row[NONZERO]
+                group = image.group_slot(categories[address], phase, address)
+                group[0] += executions
+                group[1] += attempts
+                group[2] += row[correct]
+                if table is not None:
+                    table.lookups += executions
+                    table.hits += attempts
+        for rows in distinct:
+            for row in rows.values():
+                row[MISSES:SET] = ZERO_COUNTS
+
+    return fold
+
+
+def _profiles_inline(predictors: Mapping[str, ValuePredictor]) -> bool:
+    """Whether a fresh, unsampled run profiles inside the closures.
+
+    It does for one unbounded :class:`StridePredictor` whose table
+    starts empty: the take-all body, which the profile-mode closures
+    of :mod:`repro.machine.closures` play per candidate.
+    """
+    if len(predictors) != 1:
+        return False
+    predictor = next(iter(predictors.values()))
+    table = predictor.table
+    return type(predictor) is StridePredictor and table.is_infinite and not len(table)
+
+
+def _profile_inline(
+    program: Program,
+    inputs: Iterable[Number],
+    max_instructions: Optional[int],
+    predictors: Mapping[str, ValuePredictor],
+    image_for: Callable[[str, int], ProfileImage],
+) -> None:
+    """Profile one executed run inside the interpreter's closures.
+
+    The counterpart of :func:`_profile_run` for the runs
+    :func:`_profiles_inline` accepts: each candidate's closure updates
+    its own take-all row, ``phase`` folds, and the run ends with a fold
+    (even when it raises) and the table's write-back, as there.  No
+    batch is built.
+    """
+    (name, predictor), = predictors.items()
+    rows: Dict[int, List] = {}
+    fold = _folder(program, [(name, rows, predictor.table, False)], image_for)
+    budget = max_instructions if max_instructions is not None else DEFAULT_BUDGET
+    try:
+        Executor(program, inputs=inputs, max_instructions=budget).run_profiled(rows, fold)
+    finally:
+        write_back(predictor.table, rows, True)
 
 
 def _profiler(predictor: ValuePredictor):

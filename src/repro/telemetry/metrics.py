@@ -64,6 +64,8 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         # profiling: phase-2 profile collection.
         "profiling.records",
         "profiling.runs",
+        # Runs profiled inside the interpreter's closures, without a batch.
+        "profiling.runs.inline",
         "profiling.collect",
         "profiling.sampled.runs",
         "profiling.sampled.records",

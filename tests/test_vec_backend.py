@@ -314,7 +314,7 @@ def test_batch_candidates_keep_escaped_values_and_phases():
         others=[10, 11],
         phase_runs=[(0, 0), (2, 4), (3, 4), (4, 9), (5, 0)],
         mems=[],
-        tables=MachineTables((), bytes(3), bytes([1, 1, 1]), bytes([1, 0, 1])),
+        tables=MachineTables(bytes(3), bytes([1, 1, 1]), bytes([1, 0, 1])),
     )
     pairs, runs = batch.candidates()
     assert len(pairs) == len(produced)
@@ -339,8 +339,8 @@ def test_machine_tables_are_built_once_per_program():
     assert tables.candidate_flags == bytes(program.candidate_mask)
     batch = next(trace_batches(program, AWKWARD_INPUTS))
     assert batch.candidate_flags is tables.candidate_flags
-    # The memo holds interpreter handlers, which do not pickle: a copy of
-    # the program (as sent to a worker process) leaves it behind.
+    # A copy of the program (as sent to a worker process) leaves the memo
+    # behind and rebuilds an equal one.
     clone = pickle.loads(pickle.dumps(program))
     assert clone == program and machine_tables(clone) == tables
 
