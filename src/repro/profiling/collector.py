@@ -274,7 +274,7 @@ def collect_profiles(
         name: ProfileImage(program.name, run_label=run_label) for name in predictors
     }
     started = time.perf_counter()
-    inline = store is None and sample_every == 1 and _profiles_inline(predictors)
+    inline = store is None and sample_every == 1 and _inline_eligible(predictors)
     if inline:
         _profile_inline(
             program, inputs, max_instructions, predictors, lambda name, phase: images[name]
@@ -445,7 +445,7 @@ def _folder(program: Program, folds, image_for) -> Callable[[int], None]:
     return fold
 
 
-def _profiles_inline(predictors: Mapping[str, ValuePredictor]) -> bool:
+def _inline_eligible(predictors: Mapping[str, ValuePredictor]) -> bool:
     """Whether a fresh, unsampled run profiles inside the closures.
 
     It does for one unbounded :class:`StridePredictor` whose table
@@ -469,7 +469,7 @@ def _profile_inline(
     """Profile one executed run inside the interpreter's closures.
 
     The counterpart of :func:`_profile_run` for the runs
-    :func:`_profiles_inline` accepts: each candidate's closure updates
+    :func:`_inline_eligible` accepts: each candidate's closure updates
     its own take-all row, ``phase`` folds, and the run ends with a fold
     (even when it raises) and the table's write-back, as there.  No
     batch is built.

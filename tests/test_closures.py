@@ -110,10 +110,17 @@ class TestInterpreter:
             Executor(case.program, case.inputs).run_batches(chunk_size=5)
             for _ in range(2)
         ]
-        left = [batch.addresses.tolist() for batch in runs[0]]
-        # The second run starts while the first is alive and gets its own set.
-        right = [batch.addresses.tolist() for batch in runs[1]]
-        assert left == right and left
+        # Batch by batch, so each run executes while the other is alive
+        # and the second gets its own closure set.
+        left, right = zip(*(
+            (first.addresses.tolist(), second.addresses.tolist())
+            for first, second in zip(*runs)
+        ))
+        assert left == right and len(left) > 1
+        assert left == tuple(
+            batch.addresses.tolist()
+            for batch in Executor(case.program, case.inputs).run_batches(chunk_size=5)
+        )
 
 
 class TestProfileInline:
