@@ -348,7 +348,19 @@ def _tail_variants(program) -> Dict[str, object]:
     return variants
 
 
-def _check_batch_vs_record(case: CheckCase, budget: int):
+#: Records per batch of the small-batch runs and of
+#: :func:`_small_batch_store`'s capture: small enough that every
+#: generated run spans many batches.
+_SMALL_CHUNK = 7
+
+
+def _check_batch_vs_record(
+    case: CheckCase, budget: int, small_chunk: int = _SMALL_CHUNK
+):
+    """The batches, in the default and in ``small_chunk``-record chunks,
+    and the ``Executor.run`` adapter against the stepper: the case, the
+    case cut one record short of and exactly at its length, and its tail
+    variants."""
     inputs = list(case.inputs)
     reference = _observe_stepper(case.program, inputs, budget)
     length = len(reference["records"])
@@ -367,7 +379,7 @@ def _check_batch_vs_record(case: CheckCase, budget: int):
         sides = (
             ("batches", _observe_batches_raw(program, inputs, run_budget)),
             ("small-batches", _observe_batches_raw(
-                program, inputs, run_budget, _SMALL_CHUNK
+                program, inputs, run_budget, small_chunk
             )),
             ("records", _observe_adapter(program, inputs, run_budget)),
         )
@@ -1021,11 +1033,6 @@ def _ilp_by_batch(case: CheckCase, store=None):
         )
 
     return measure
-
-
-#: Records per batch of :func:`_small_batch_store`'s capture: small
-#: enough that every generated run spans many batches.
-_SMALL_CHUNK = 7
 
 
 def _small_batch_store(case: CheckCase, budget: int) -> TraceStore:

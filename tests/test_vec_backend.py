@@ -332,6 +332,33 @@ def test_batch_candidates_keep_escaped_values_and_phases():
     assert runs == [(0, 4), (1, 0)]
 
 
+def test_batch_candidates_walk_the_callers_address_list():
+    """A caller's converted address list is walked, not converted again."""
+
+    class Counted(array):
+        conversions = 0
+
+        def tolist(self):
+            self.conversions += 1
+            return super().tolist()
+
+    batch = TraceBatch(
+        addresses=Counted("q", [0, 1, 2, 0, 1, 2]),
+        values=[5, 6, 7, 8],
+        others=[],
+        phase_runs=[(0, 0), (3, 1)],
+        mems=[],
+        tables=MachineTables(bytes([1, 0, 1]), bytes([1, 0, 1]), bytes(3)),
+    )
+    expected = batch.candidates()
+    assert batch.addresses.conversions == 1
+    given = batch.addresses.tolist()
+    assert batch.addresses.conversions == 2
+    pairs, runs = batch.candidates(addresses=given)
+    assert batch.addresses.conversions == 2
+    assert (list(pairs), runs) == (list(expected[0]), expected[1])
+
+
 def test_machine_tables_are_built_once_per_program():
     program = assemble(AWKWARD_ASM)
     tables = machine_tables(program)
