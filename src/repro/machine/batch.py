@@ -5,11 +5,14 @@ parallel columns instead of one :class:`~repro.machine.trace.TraceRecord`
 object per retired instruction:
 
 ``addresses``
-    an ``array('q')`` of static instruction addresses, one per record;
+    an array of static instruction addresses, one per record, in the
+    narrowest unsigned typecode for the program's size (``'B'``,
+    ``'H'``, else ``'I'``); a replayed batch gets the captured array;
 ``values``
     the values the batch's prediction candidates produced, in trace
     order: the interpreter's list in a live batch, the stored
-    ``array('q')``/``array('d')`` (or decoded list) in a replayed one;
+    ``array('i')``/``array('q')``/``array('d')`` (or decoded list) in a
+    replayed one;
 ``others``
     the values of the other producers — ``call``, ``in`` and ``fin``,
     which are not candidates — in trace order;
@@ -18,7 +21,8 @@ object per retired instruction:
     first always at offset 0;
 ``mems``
     effective addresses of the loads/stores in the batch, in trace
-    order.
+    order: a list in a live batch, the stored ``array('I')`` (else
+    ``array('q')``, or a decoded list) in a replayed one.
 
 Which records have an entry in ``values``, ``others`` and ``mems`` is
 static per program: the batch carries the program's

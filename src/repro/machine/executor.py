@@ -11,9 +11,11 @@ ends it with a private exception.
 
 The native emission path is :meth:`Executor.run_batches`, which retires
 instructions in fixed-size chunks and fills the parallel columns of a
-:class:`~repro.machine.batch.TraceBatch` — an ``array('q')`` of static
-addresses, the prediction candidates' values, the other producers'
-values, run-length-encoded phases and a dense effective-address column.
+:class:`~repro.machine.batch.TraceBatch` — an array of static addresses
+in the narrowest unsigned typecode for the program's size (see
+:func:`address_typecode`), the prediction candidates' values, the other
+producers' values, run-length-encoded phases and a dense
+effective-address column.
 Each closure appends to the value column its opcode belongs to, so the
 candidates' values need no later pass over the records.
 :func:`machine_tables` builds the batches' static flag bitmaps, once per
@@ -100,6 +102,20 @@ class MachineTables(NamedTuple):
     mem_flags: bytes
     value_flags: bytes
     candidate_flags: bytes
+
+
+#: The unsigned typecodes of a batch's address array, narrowest first.
+ADDRESS_TYPECODES = ("B", "H", "I", "Q")
+
+
+def address_typecode(size: int) -> str:
+    """The narrowest of :data:`ADDRESS_TYPECODES` holding every static
+    address of a program of ``size`` instructions."""
+    return next(
+        typecode
+        for typecode in ADDRESS_TYPECODES
+        if size <= 1 << 8 * array(typecode).itemsize
+    )
 
 
 def machine_tables(program: Program) -> MachineTables:
@@ -195,6 +211,7 @@ class Executor:
         """
         program = self.program
         tables = self.tables
+        typecode = address_typecode(len(program.instructions))
         translation, closures = checkout(program, TRACE)
         self._bind_run(closures)
         code = closures.code
@@ -224,7 +241,12 @@ class Executor:
                 if addresses:
                     produced_total += len(values) + len(others)
                     yield TraceBatch(
-                        array("q", addresses), values, others, phase_runs, mems, tables
+                        array(typecode, addresses),
+                        values,
+                        others,
+                        phase_runs,
+                        mems,
+                        tables,
                     )
                 if end is not None and end is not Halt:
                     raise end

@@ -22,26 +22,43 @@ granularity:
   overrun, say) re-raises the same error type and message after its last
   batch, so replay is observationally identical to fresh execution.
 
-The packed format, ``# repro-trace-pack v2``, is the only stored trace
-format (the textual ``# repro-trace v1`` of :mod:`repro.machine.tracefile`
-is export only).  A JSON header line describes the batches; raw bytes
-follow.  Addresses and effective addresses are ``array('q')`` bytes.
-Each batch's two value columns — the candidates' ``values`` and the
-``others`` of ``call``/``in``/``fin`` — are packed once at capture: an
-``array('q')`` when every value fits int64 (the common case), an
-``array('d')`` when every value is a float, and a tagged
-int64/float/bigint form otherwise, so arbitrary-precision integers and
-exact float identity survive the round trip.  Replay hands a stored
-array to the batch unchanged, creating no per-value Python object.
+Every stored column is an array in the narrowest typecode that holds it
+exactly, and replay hands the arrays to the batch unchanged, creating no
+per-value Python object:
+
+- static addresses keep the live batch's array, whose unsigned typecode
+  the executor picks once per program from its size (``'B'``, ``'H'``,
+  else ``'I'``);
+- each batch's two value columns — the candidates' ``values`` and the
+  ``others`` of ``call``/``in``/``fin`` — are packed once at capture:
+  an ``array('i')`` when every value fits int32, else an ``array('q')``
+  when every value fits int64, else an ``array('d')`` when every value
+  is a float, else a tagged form whose int section is narrowed the same
+  way, so arbitrary-precision integers and exact float identity survive
+  the round trip;
+- effective addresses are packed the same way, but try ``array('I')``
+  before ``array('q')``: they are never negative.
+
+Each column is built narrow first and widened on ``OverflowError``, so
+the common case makes no pass over the values beyond the build itself.
 Batches carry no per-record ``None`` value slots or memory addresses:
 which records own an entry in which column is static per program (see
-:func:`~repro.machine.executor.machine_tables`).  A file in another
-format, an older version included, or with a header of the wrong shape
-fails decoding with ``ValueError`` and is dropped as a miss.
+:func:`~repro.machine.executor.machine_tables`).
+
+The packed format, ``# repro-trace-pack v3``, is the only stored trace
+format (the textual ``# repro-trace v1`` of :mod:`repro.machine.tracefile`
+is export only).  A JSON header line describes the batches, each
+column's typecode and item size included; the columns' raw bytes
+follow.  A file in another format, an older version included, with a
+header of the wrong shape, an unknown typecode or an item size this
+platform does not share fails decoding with ``ValueError`` and is
+dropped as a miss.
 
 Telemetry: capture publishes the ``machine.trace.capture`` timer and
-``machine.trace.captures``/``machine.trace.captured_records`` counters;
-replay the ``machine.trace.replay`` timer and matching ``replays``/
+``machine.trace.captures``/``machine.trace.captured_records`` counters,
+and a committed capture adds its packed column bytes to
+``machine.trace.stored_bytes``; replay publishes the
+``machine.trace.replay`` timer and matching ``replays``/
 ``replayed_records`` counters.  Like ``machine.run``, the timers span
 the generator's lifetime and therefore include consumer time between
 batches.
@@ -72,9 +89,9 @@ from .errors import (
     InstructionBudgetExceeded,
     InvalidMemoryAccess,
 )
-from .executor import DEFAULT_BUDGET, Executor, machine_tables
+from .executor import ADDRESS_TYPECODES, DEFAULT_BUDGET, Executor, machine_tables
 
-_MAGIC = b"# repro-trace-pack v2\n"
+_MAGIC = b"# repro-trace-pack v3\n"
 
 _ERROR_TYPES = {
     cls.__name__: cls
@@ -151,38 +168,60 @@ _TYPE_TAGS = {int: 0, float: 1}
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
-#: A packed value column: the ``array('q')``/``array('d')`` itself, or the
-#: tagged form ``(tags, ints, floats, bigints)`` for a mixed column.
+#: The typecodes a value column's integers are tried in, narrowest first;
+#: effective addresses, never negative, try an unsigned one first.
+_INT_CODES = ("i", "q")
+_MEM_CODES = ("I", "q")
+
+#: A packed column: the array itself, or the tagged form
+#: ``(tags, ints, floats, bigints)`` for a mixed column.
 _Packed = Union[array, Tuple[bytes, array, array, List[int]]]
 
 #: One packed batch: (addresses, values, others, phase_runs, mems).
-_PackedBatch = Tuple[array, _Packed, _Packed, List[Tuple[int, int]], array]
+_PackedBatch = Tuple[array, _Packed, _Packed, List[Tuple[int, int]], _Packed]
 
 
-def _pack(values: Sequence[Number]) -> _Packed:
+def _narrowest(values: Sequence[int], typecodes: Tuple[str, ...]) -> array:
+    """``values`` in the first of ``typecodes`` that holds each exactly.
+
+    Narrow first, widened on ``OverflowError``: no scan for the range.
+    Past the last typecode the ``OverflowError`` propagates, and a float
+    raises ``TypeError`` at the first typecode.
+    """
+    for typecode in typecodes[:-1]:
+        try:
+            return array(typecode, values)
+        except OverflowError:
+            pass
+    return array(typecodes[-1], values)
+
+
+def _pack(values: Sequence[Number], codes: Tuple[str, ...] = _INT_CODES) -> _Packed:
     """Pack one value column.
 
-    An ``array('q')`` when every value fits int64, else an ``array('d')``
-    when every value is a float, else the tagged form: one tag per value
-    (0 int64, 1 float, 2 beyond int64) and a section per tag, so ``3.0``
-    stays a float and arbitrary-precision integers survive.  A list of
-    Python objects is never stored: it costs several times the memory.
+    An array in the first of ``codes`` that holds every value when all
+    are integers, else an ``array('d')`` when every value is a float,
+    else the tagged form: one tag per value (0 int64, 1 float, 2 beyond
+    int64) and a section per tag, its ints in ``'i'`` or ``'q'``, so
+    ``3.0`` stays a float and arbitrary-precision integers survive.  A
+    list of Python objects is never stored: it costs several times the
+    memory.
     """
     try:
-        return array("q", values)
+        return _narrowest(values, codes)
     except (OverflowError, TypeError):
         pass
     tags = bytes(map(_TYPE_TAGS.__getitem__, map(type, values)))
     if 0 not in tags:
         return array("d", values)
     try:
-        ints = array("q", _section(values, tags, 0))
+        ints = _narrowest(list(_section(values, tags, 0)), _INT_CODES)
     except OverflowError:
         tags = bytes(
             2 if tag == 0 and not _INT64_MIN <= value <= _INT64_MAX else tag
             for value, tag in zip(values, tags)
         )
-        ints = array("q", _section(values, tags, 0))
+        ints = _narrowest(list(_section(values, tags, 0)), _INT_CODES)
     floats = array("d", _section(values, tags, 1))
     return (tags, ints, floats, list(_section(values, tags, 2)))
 
@@ -202,37 +241,74 @@ def _unpack(packed: _Packed) -> Sequence[Number]:
     return list(map(next, map(sections.__getitem__, tags)))
 
 
+def _stored_bytes(packed: _Packed) -> int:
+    """The bytes of a packed column's buffers; integers past int64, kept
+    as Python ints, are not counted."""
+    if type(packed) is array:
+        return len(packed) * packed.itemsize
+    tags, ints, floats, _bigints = packed
+    return len(tags) + _stored_bytes(ints) + _stored_bytes(floats)
+
+
+def _array_meta(column: array, payload: List[bytes]) -> dict:
+    """Append an array's bytes to ``payload``; its typecode descriptor."""
+    payload.append(column.tobytes())
+    return {"k": column.typecode, "w": column.itemsize}
+
+
 def _column_meta(packed: _Packed, payload: List[bytes]) -> dict:
     """Append one packed column's bytes to ``payload``; its descriptor."""
     if type(packed) is array:
-        payload.append(packed.tobytes())
-        return {"k": packed.typecode, "n": len(packed)}
+        return {**_array_meta(packed, payload), "n": len(packed)}
     tags, ints, floats, bigints = packed
+    payload.append(tags)
+    ints_meta = _array_meta(ints, payload)
+    floats_meta = _array_meta(floats, payload)
     # Hex, because decimal conversion refuses integers past 4300 digits.
     blob = ",".join(map(hex, bigints)).encode()
-    payload.extend((tags, ints.tobytes(), floats.tobytes(), blob))
-    return {"k": "x", "n": len(tags), "bb": len(blob)}
+    payload.append(blob)
+    return {
+        "k": "x",
+        "n": len(tags),
+        "ints": ints_meta,
+        "floats": floats_meta,
+        "bb": len(blob),
+    }
 
 
-def _read_column(meta: object, take: Callable[[int], bytes]) -> _Packed:
-    """Decode one packed column described by ``meta``; ``ValueError`` if
-    the descriptor or the bytes are malformed."""
+def _read_array(
+    meta: object, count: int, kinds: Tuple[str, ...], take: Callable[[int], bytes]
+) -> array:
+    """Decode ``count`` items of an array described by ``meta``;
+    ``ValueError`` for a typecode outside ``kinds`` or an item size this
+    platform does not share."""
     kind = _field(meta, "k", str)
+    if kind not in kinds:
+        raise ValueError(f"packed trace: unknown typecode {kind!r}")
+    column = array(kind)
+    if _field(meta, "w", int) != column.itemsize:
+        raise ValueError(
+            f"packed trace: {kind!r} items are {column.itemsize} bytes here"
+        )
+    column.frombytes(take(column.itemsize * count))
+    return column
+
+
+def _read_column(
+    meta: object, take: Callable[[int], bytes], codes: Tuple[str, ...] = _INT_CODES
+) -> _Packed:
+    """Decode one column packed by ``_pack(values, codes)`` and described
+    by ``meta``; ``ValueError`` if the descriptor or the bytes are
+    malformed."""
     n = _count(meta, "n")
-    if kind in ("q", "d"):
-        column = array(kind)
-        column.frombytes(take(8 * n))
-        return column
-    if kind != "x":
-        raise ValueError(f"packed trace: unknown column kind {kind!r}")
+    if _field(meta, "k", str) != "x":
+        return _read_array(meta, n, codes + ("d",), take)
     tags = take(n)
-    ints = array("q")
-    ints.frombytes(take(8 * tags.count(0)))
-    floats = array("d")
-    floats.frombytes(take(8 * tags.count(1)))
+    ints = _read_array(meta.get("ints"), tags.count(0), _INT_CODES, take)
+    floats = _read_array(meta.get("floats"), tags.count(1), ("d",), take)
     blob = take(_count(meta, "bb"))
     bigints = [int(part, 16) for part in blob.decode().split(",")] if blob else []
-    if len(bigints) != tags.count(2) or tags.count(0) + len(floats) + len(bigints) != n:
+    if len(bigints) != tags.count(2) or len(ints) + len(floats) + len(bigints) != n:
         raise ValueError("packed trace: tagged column does not match its tags")
     return (tags, ints, floats, bigints)
 
@@ -291,6 +367,17 @@ class PackedTrace:
         self.halted = halted
         self.error = error
 
+    def stored_bytes(self) -> int:
+        """The bytes of the packed columns' buffers, every batch's
+        addresses, value columns and effective addresses."""
+        return sum(
+            _stored_bytes(addresses)
+            + _stored_bytes(values)
+            + _stored_bytes(others)
+            + _stored_bytes(mems)
+            for addresses, values, others, _phase_runs, mems in self.batches
+        )
+
     def raise_stored_error(self) -> None:
         """Re-raise the capture's terminal error, if it had one."""
         if self.error is not None:
@@ -311,7 +398,7 @@ class PackedTrace:
                 _unpack(values),
                 _unpack(others),
                 list(phase_runs),
-                mems,
+                _unpack(mems),
                 tables,
             )
         self.raise_stored_error()
@@ -321,17 +408,17 @@ class PackedTrace:
         meta_batches = []
         payload: List[bytes] = []
         for addresses, values, others, phase_runs, mems in self.batches:
-            payload.append(addresses.tobytes())
+            # Built in payload order: addresses, values, others, mems.
             meta_batches.append(
                 {
                     "n": len(addresses),
                     "phases": [list(run) for run in phase_runs],
+                    "addresses": _array_meta(addresses, payload),
                     "values": _column_meta(values, payload),
                     "others": _column_meta(others, payload),
-                    "nm": len(mems),
+                    "mems": _column_meta(mems, payload),
                 }
             )
-            payload.append(mems.tobytes())
         meta = {
             "byteorder": sys.byteorder,
             "records": self.records,
@@ -378,13 +465,15 @@ class PackedTrace:
 
         batches: List[_PackedBatch] = []
         for descriptor in _field(meta, "batches", list):
-            addresses = array("q")
-            addresses.frombytes(take(8 * _count(descriptor, "n")))
+            # _count first: it checks that the descriptor is a JSON object.
+            records = _count(descriptor, "n")
+            addresses = _read_array(
+                descriptor.get("addresses"), records, ADDRESS_TYPECODES, take
+            )
             phase_runs = _pairs(descriptor.get("phases"))
             values = _read_column(descriptor.get("values"), take)
             others = _read_column(descriptor.get("others"), take)
-            mems = array("q")
-            mems.frombytes(take(8 * _count(descriptor, "nm")))
+            mems = _read_column(descriptor.get("mems"), take, _MEM_CODES)
             batches.append((addresses, values, others, phase_runs, mems))
         return cls(
             batches=batches,
@@ -512,7 +601,7 @@ class TraceStore:
                             _pack(batch.values),
                             _pack(batch.others),
                             batch.phase_runs,
-                            array("q", batch.mems),
+                            _pack(batch.mems, _MEM_CODES),
                         )
                     )
                     records += len(batch)
@@ -541,6 +630,9 @@ class TraceStore:
                         error=error,
                     )
                     self._commit(key, packed)
+                    telemetry.counter("machine.trace.stored_bytes").add(
+                        packed.stored_bytes()
+                    )
         finally:
             telemetry.counter("machine.trace.captures").add(1)
             telemetry.counter("machine.trace.captured_records").add(records)

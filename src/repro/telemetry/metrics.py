@@ -30,6 +30,8 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "machine.trace.replays",
         "machine.trace.replayed_records",
         "machine.trace.replay",
+        # Bytes of packed column buffers each committed capture adds.
+        "machine.trace.stored_bytes",
         "machine.columns.values",
         # capture.shard: multi-process sharded trace capture.
         "capture.shard.runs",

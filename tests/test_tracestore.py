@@ -10,8 +10,12 @@ produces results bit-identical to the record-at-a-time reference path.
 from __future__ import annotations
 
 import json
+import math
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.schemes import (
     AlwaysClassification,
@@ -32,9 +36,13 @@ from repro.machine import (
     trace_key,
     trace_program,
 )
+from repro.machine.executor import address_typecode
+from repro.machine.tracestore import _MEM_CODES, _pack, _unpack
 from repro.telemetry import Telemetry, use_registry
 from repro.predictors import LastValuePredictor, StridePredictor
 from repro.profiling import collect_profiles
+from repro.workloads import get_workload
+from tests.test_vec_backend import _kind, _same_value
 
 LOOP_ASM = """
 .text
@@ -493,3 +501,239 @@ class TestMalformedHeader:
         assert registry.snapshot()["counters"]["machine.trace.captures"] == 1
         # The capture rewrote a well-formed entry in place of the bad one.
         assert PackedTrace.from_bytes(path.read_bytes()).records == len(fresh)
+
+
+
+#: Integers at every typecode edge: int32, int64 and past int64.
+INT_EDGES = [
+    0,
+    -1,
+    (1 << 31) - 1,
+    1 << 31,
+    -(1 << 31),
+    -(1 << 31) - 1,
+    (1 << 63) - 1,
+    1 << 63,
+    -(1 << 63),
+    -(1 << 63) - 1,
+    -(1 << 100),
+]
+FLOAT_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 3.0, 5e-324]
+MEM_EDGES = [0, (1 << 32) - 1, 1 << 32, (1 << 63) - 1, 1 << 63]
+
+ints = st.one_of(st.sampled_from(INT_EDGES), st.integers())
+floats = st.one_of(st.sampled_from(FLOAT_EDGES), st.floats())
+value_columns = st.one_of(
+    st.lists(st.integers(-(1 << 31), (1 << 31) - 1), max_size=20),
+    st.lists(ints, max_size=20),
+    st.lists(floats, max_size=20),
+    st.lists(st.one_of(ints, floats), max_size=20),
+    # Tagged columns whose int section needs 'q'.
+    st.lists(st.one_of(st.sampled_from(INT_EDGES[3:9]), floats), max_size=20),
+)
+mem_columns = st.lists(
+    st.one_of(st.sampled_from(MEM_EDGES), st.integers(min_value=0)), max_size=20
+)
+
+
+def holds(code):
+    """The integers an array of typecode ``code`` holds."""
+    bits = 8 * array(code).itemsize
+    if code.isupper():
+        return range(1 << bits)
+    return range(-(1 << (bits - 1)), 1 << (bits - 1))
+
+
+def expected_kind(values, codes=("i", "q")):
+    """The kind ``_pack(values, codes)`` must give, found by a range scan."""
+    if all(type(value) is int for value in values):
+        return next(
+            (code for code in codes if all(value in holds(code) for value in values)),
+            "x",
+        )
+    if all(type(value) is float for value in values):
+        return "d"
+    return "x"
+
+
+def assert_same_column(column, values):
+    column = list(column)
+    assert len(column) == len(values)
+    assert all(_same_value(a, b) for a, b in zip(column, values)), (column, values)
+
+
+def buffers(packed):
+    """The buffers of a packed column: an array, or a tagged form's
+    tags, ints and floats."""
+    return [packed] if type(packed) is array else list(packed[:3])
+
+
+class TestNarrowTypecodes:
+    """Every stored column is held in its narrowest exact typecode and
+    comes back from memory and from disk exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=value_columns, mems=mem_columns)
+    def test_columns_round_trip_in_their_narrowest_typecode(self, values, mems):
+        packed = _pack(values)
+        assert _kind(packed) == expected_kind(values)
+        if _kind(packed) == "x":
+            int64s = [v for v in values if type(v) is int and v in holds("q")]
+            assert packed[1].typecode == expected_kind(int64s)
+        packed_mems = _pack(mems, _MEM_CODES)
+        assert _kind(packed_mems) == expected_kind(mems, ("I", "q"))
+        addresses = array("H", range(len(values) + 1))
+        trace = PackedTrace(
+            [(addresses, packed, _pack(values[::-1]), [(0, 0)], packed_mems)],
+            len(addresses),
+            len(addresses),
+            [],
+            True,
+            None,
+        )
+        disk = PackedTrace.from_bytes(trace.to_bytes())
+        for stored in (trace, disk):
+            (batch,) = stored.batches
+            assert batch[0] == addresses and batch[0].typecode == "H"
+            assert_same_column(_unpack(batch[1]), values)
+            assert_same_column(_unpack(batch[2]), values[::-1])
+            assert_same_column(_unpack(batch[4]), mems)
+            assert [_kind(batch[i]) for i in (1, 2, 4)] == [
+                _kind(column) for column in (packed, trace.batches[0][2], packed_mems)
+            ]
+            if _kind(batch[1]) == "x":
+                assert batch[1][1].typecode == packed[1].typecode
+
+    def test_empty_columns_round_trip(self):
+        empty = _pack([])
+        assert _kind(empty) == "i" and len(empty) == 0
+        trace = PackedTrace(
+            [(array("B"), empty, _pack([]), [(0, 0)], _pack([], _MEM_CODES))],
+            0,
+            0,
+            [],
+            True,
+            None,
+        )
+        (batch,) = PackedTrace.from_bytes(trace.to_bytes()).batches
+        assert [len(batch[i]) for i in (0, 1, 2, 4)] == [0, 0, 0, 0]
+        assert [_kind(batch[i]) for i in (0, 1, 2, 4)] == ["B", "i", "i", "I"]
+
+    def test_address_typecode_is_the_narrowest_for_the_program_size(self):
+        assert [address_typecode(n) for n in (1, 256, 257, 65_536, 65_537)] == [
+            "B", "B", "H", "H", "I",
+        ]
+        batch = next(trace_batches_via_executor(assemble(LOOP_ASM), [3], None))
+        assert batch.addresses.typecode == "B"
+
+    def test_a_program_past_65536_instructions_keeps_every_address(self, tmp_path):
+        size = 66_000
+        program = assemble(
+            ".text\n    li r1, 0\n"
+            + "    addi r1, r1, 1\n" * size
+            + "    out r1\n    halt\n"
+        )
+        expected = list(range(size + 3))
+        live = list(trace_batches_via_executor(program, [], None))
+        captured = list(TraceStore(tmp_path).batches(program, []))
+        store = TraceStore(tmp_path)  # empty memory: a disk replay
+        disk = list(store.batches(program, []))
+        memory = list(store.batches(program, []))
+        for batches in (live, captured, disk, memory):
+            assert {batch.addresses.typecode for batch in batches} == {"I"}
+            assert [a for batch in batches for a in batch.addresses] == expected
+        assert store.fetch(program, []).outputs == [size]
+
+    @pytest.mark.parametrize("square", [False, True], ids=["2**32", "2**64"])
+    def test_effective_addresses_past_32_bits_round_trip(self, tmp_path, square):
+        asm = (
+            ".text\n    li r1, 4294967296\n"
+            + ("    mul r1, r1, r1\n" if square else "")
+            + "    st r1, r1, 0\n    ld r2, r1, 0\n    out r2\n    halt\n"
+        )
+        program = assemble(asm)
+        fresh = as_tuples(trace_program(program))
+        captured = as_tuples(records_of(TraceStore(tmp_path).batches(program, [])))
+        disk = as_tuples(records_of(TraceStore(tmp_path).batches(program, [])))
+        assert captured == fresh and disk == fresh
+        (batch,) = TraceStore(tmp_path).fetch(program, []).batches
+        assert _kind(batch[4]) == ("x" if square else "q")
+
+
+def _set_version(blob):
+    return blob.replace(b"# repro-trace-pack v3\n", b"# repro-trace-pack v2\n", 1)
+
+
+def _set_addresses(field, value):
+    def mutate(blob):
+        magic_end = blob.index(b"\n") + 1
+        header_end = blob.index(b"\n", magic_end)
+        header = json.loads(blob[magic_end:header_end])
+        header["batches"][0]["addresses"][field] = value
+        return blob[:magic_end] + json.dumps(header).encode() + blob[header_end:]
+
+    return mutate
+
+
+class TestFormatV3:
+    """A file of the older format, with an unknown typecode or with an
+    item size this platform does not share, is a miss."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_set_version, _set_addresses("k", "f"), _set_addresses("w", 8)],
+        ids=["version-2", "unknown-typecode", "item-size-mismatch"],
+    )
+    def test_unreadable_file_is_a_miss(self, tmp_path, mutate):
+        program = assemble(LOOP_ASM)
+        fresh = as_tuples(trace_program(program, inputs=[3]))
+        list(TraceStore(tmp_path).batches(program, [3]))
+        (path,) = tmp_path.glob("*/*.trace")
+        blob = path.read_bytes()
+        path.write_bytes(mutate(blob))
+        with pytest.raises(ValueError):
+            PackedTrace.from_bytes(path.read_bytes())
+        registry = Telemetry()
+        with use_registry(registry):
+            again = as_tuples(records_of(TraceStore(tmp_path).batches(program, [3])))
+        assert again == fresh
+        assert registry.snapshot()["counters"]["machine.trace.captures"] == 1
+        assert path.read_bytes() == blob
+
+
+class TestStoredBytes:
+    def test_counter_sums_the_column_buffers_of_committed_captures(self):
+        registry = Telemetry()
+        store = TraceStore(None)
+        runs = [(LOOP_ASM, [3]), (FLOAT_ASM, [2.25]), (BIGINT_ASM, [])]
+        with use_registry(registry):
+            for asm, inputs in runs:
+                program = assemble(asm)
+                list(store.batches(program, inputs, chunk_size=16))
+                list(store.batches(program, inputs))  # a replay adds nothing
+            abandoned = store.batches(assemble(LOOP_ASM), [4], chunk_size=16)
+            next(abandoned)
+            abandoned.close()  # nor does a capture that commits nothing
+        expected = 0
+        for asm, inputs in runs:
+            for addresses, values, others, _runs, mems in store.fetch(
+                assemble(asm), inputs
+            ).batches:
+                columns = [addresses] + buffers(values) + buffers(others) + buffers(mems)
+                expected += sum(memoryview(column).nbytes for column in columns)
+        counters = registry.snapshot()["counters"]
+        assert counters["machine.trace.stored_bytes"] == expected > 0
+
+    @pytest.mark.parametrize(
+        "name, most", [("134.perl", 6.83), ("101.tomcatv", 9.97)]
+    )
+    def test_test_run_footprint_per_record(self, name, most):
+        """Measured at 6.83 and 9.97 bytes per record (17.65 and 20.14
+        with every column int64)."""
+        workload = get_workload(name)
+        program = workload.compile()
+        inputs = workload.test_inputs(0.01)
+        store = TraceStore(None)
+        list(store.batches(program, inputs))
+        packed = store.fetch(program, inputs)
+        assert packed.stored_bytes() / packed.records <= most

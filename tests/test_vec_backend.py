@@ -2,9 +2,10 @@
 
 A batch stores the prediction candidates' values in ``values`` and the
 other producers' (``call``, ``in``, ``fin``) in ``others``; the trace
-store packs each column as ``array('q')``, ``array('d')`` or a tagged
-form.  Every test here holds the column walk against a per-record
-reference:
+store packs each column as ``array('i')``, ``array('q')``,
+``array('d')`` or a tagged form (``tests/test_tracestore.py`` holds the
+typecode edges).  Every test here holds the column walk against a
+per-record reference:
 
 * ``TraceBatch.candidates()`` — the candidate walk every batch consumer
   shares — must equal ``TraceBatch.records()`` filtered by candidate
@@ -241,8 +242,9 @@ def test_awkward_run_walks_match_records_from_every_source(tmp_path):
             _assert_same_walk(_records(batches), reference)
             for k in (1, 2, 3, 7):
                 _assert_same_walk(_walk(batches, k), _reference(live, k))
-    # Replay handed over every packing kind: all-int64, all-float and tagged.
-    assert kinds == {"q", "d", "x"}
+    # Replay handed over every packing kind: int32 (the one-value batches
+    # of small ints), int64, all-float and tagged.
+    assert kinds == {"i", "q", "d", "x"}
 
 
 def test_awkward_run_has_every_awkward_case():
@@ -299,7 +301,7 @@ def test_version_1_trace_file_is_a_miss(tmp_path):
     with use_registry(registry):
         replayed = _drain(TraceStore(tmp_path).batches(program, inputs, BUDGET))
     assert registry.snapshot()["counters"]["machine.trace.captures"] == 1
-    assert path.read_bytes().startswith(b"# repro-trace-pack v2\n")
+    assert path.read_bytes().startswith(b"# repro-trace-pack v3\n")
     live = _drain(trace_batches(program, inputs, max_instructions=BUDGET))
     _assert_same_walk(_walk(replayed, 1), _walk(live, 1))
 
