@@ -50,8 +50,12 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     :class:`~repro.ilp.WindowScheduler` per label fed record by record,
     over the simulate grid and no-VP machines; at the default machine, a
     narrow high-penalty machine without memory dependencies, and a
-    budget overrun that must raise the same error.  A replay of the
-    run captured in tiny batches puts every batch boundary under test.
+    budget overrun that must raise the same error.  Two more runs hand
+    part of the grid to ``observers`` (lane-less engines, stepped per
+    candidate in the reference): unbounded probe engines beside finite
+    member-only lanes, and an unbounded FSM observer leading lanes whose
+    finite tables cannot evict.  A replay of the run captured in tiny
+    batches puts every batch boundary under test.
 ``phase-profiles-batch-vs-record``
     ``collect_phase_profiles`` over batch columns (fresh, replayed and
     replayed from tiny batches) against :func:`profile_records` with
@@ -973,16 +977,40 @@ def _ilp_grid(program):
     return engines
 
 
-def _ilp_observation(measure, case: CheckCase, budget: int, config, configs):
-    """One ILP run over a fresh grid: results (or the error) + engine state."""
+#: The labels of :func:`_ilp_grid` that ride an ILP run as lane-less
+#: observers, per split.  ``probes`` is the Section-5 grid's mix:
+#: unbounded probe engines, the FSM one among them, observe beside
+#: lanes with finite member-only tables and follow a lane's walk
+#: (``stride/fsm`` leads).  In ``unbounded`` the infinite stride engines
+#: and ``roomy/fsm`` observe, so an observer (``stride/fsm``) leads the
+#: lanes whose finite tables cannot evict (``roomy/always`` and the
+#: member-only ``roomy/profile``), and ``finite/*`` lanes that evict run
+#: before it in the plan.
+_OBSERVER_SPLITS = {
+    "none": (),
+    "probes": (
+        "stride/probe-always", "stride/probe-profile", "stride/probe-fsm",
+        "hybrid/probe-fsm",
+    ),
+    "unbounded": (
+        "stride/always", "stride/fsm", "stride/profile", "stride/probe-always",
+        "stride/probe-profile", "stride/probe-fsm", "roomy/fsm",
+    ),
+}
+
+
+def _ilp_observation(measure, case: CheckCase, budget: int, config, configs, split):
+    """One ILP run over a fresh grid, the ``split`` labels observing:
+    the lanes' results (or the error) + every engine's state."""
     engines = _ilp_grid(case.program)
+    observers = {label: engines.pop(label) for label in _OBSERVER_SPLITS[split]}
     outcome: Tuple[str, ...] = ("halt",)
     results = {}
     try:
         results = {
             label: result.to_dict()
             for label, result in measure(
-                engines, list(case.inputs), budget, config, configs
+                engines, observers, list(case.inputs), budget, config, configs
             ).items()
         }
     except ExecutionError as exc:
@@ -992,27 +1020,34 @@ def _ilp_observation(measure, case: CheckCase, budget: int, config, configs):
         "results": results,
         "engines": {
             label: _observe_engine(engine)
-            for label, engine in engines.items()
+            for label, engine in {**engines, **observers}.items()
             if engine is not None
         },
     }
 
 
 def _ilp_by_record(case: CheckCase):
-    """Reference: one ``WindowScheduler.feed`` per record per label."""
+    """Reference: one ``WindowScheduler.feed`` per record per label, and
+    one ``step`` per candidate per observer."""
     from ..ilp.model import WindowScheduler
     from ..machine import trace_program
 
-    def measure(engines, inputs, budget, config, configs):
+    is_candidate = case.program.candidate_mask
+
+    def measure(engines, observers, inputs, budget, config, configs):
         schedulers = {
             label: WindowScheduler(
                 case.program, engine=engine, config=configs.get(label, config)
             )
             for label, engine in engines.items()
         }
+        steps = [engine.step for engine in observers.values()]
         for record in trace_program(case.program, inputs, max_instructions=budget):
             for scheduler in schedulers.values():
                 scheduler.feed(record)
+            if is_candidate[record.address]:
+                for step in steps:
+                    step(record.address, record.value)
         return {label: scheduler.result() for label, scheduler in schedulers.items()}
 
     return measure
@@ -1021,7 +1056,7 @@ def _ilp_by_record(case: CheckCase):
 def _ilp_by_batch(case: CheckCase, store=None):
     from ..ilp import measure_ilp_many
 
-    def measure(engines, inputs, budget, config, configs):
+    def measure(engines, observers, inputs, budget, config, configs):
         return measure_ilp_many(
             case.program,
             inputs,
@@ -1030,6 +1065,7 @@ def _ilp_by_batch(case: CheckCase, store=None):
             configs=configs,
             max_instructions=budget,
             store=store,
+            observers=observers,
         )
 
     return measure
@@ -1065,13 +1101,15 @@ def _check_ilp_batch_vs_record(case: CheckCase, budget: int):
         window_size=3, misprediction_penalty=4, track_memory_dependencies=False
     )
     machines = (
-        ("default", budget, None, {}),
-        ("custom", budget, custom, {"novp": IlpConfig(window_size=1)}),
-        ("overrun", 64, None, {}),
+        ("default", budget, None, {}, "none"),
+        ("custom", budget, custom, {"novp": IlpConfig(window_size=1)}, "none"),
+        ("overrun", 64, None, {}, "none"),
+        ("probes", budget, None, {}, "probes"),
+        ("unbounded", budget, custom, {}, "unbounded"),
     )
-    for name, run_budget, config, configs in machines:
+    for name, run_budget, config, configs, split in machines:
         reference = _ilp_observation(
-            _ilp_by_record(case), case, run_budget, config, configs
+            _ilp_by_record(case), case, run_budget, config, configs, split
         )
         store = TraceStore()
         sides = (
@@ -1084,7 +1122,9 @@ def _check_ilp_batch_vs_record(case: CheckCase, budget: int):
             ),
         )
         for side, measure in sides:
-            fast = _ilp_observation(measure, case, run_budget, config, configs)
+            fast = _ilp_observation(
+                measure, case, run_budget, config, configs, split
+            )
             found = first_divergence(fast, reference, f"$ilp[{name}].{side}")
             if found is not None:
                 return found

@@ -11,13 +11,15 @@ plays one step of the predictor + classification-scheme protocol:
    (``may_allocate`` — this is where profile-guided classification keeps
    unpredictable instructions from polluting the table).
 
-The same driver serves the infinite-table classification-accuracy study
-(Figures 5.1/5.2), the predictor and table ablations and, through
-:func:`engine_consumer`, the ILP model, which reads each candidate's
+The same driver serves the predictor and table ablations and, through
+:func:`_build_consumers`, the ILP model, which reads each candidate's
 (taken, correct) outcome back from the same batch consumers.  The
-finite-table pressure study (Figures 5.3/5.4) is read from that ILP
-pass: its engines are the same 512-entry 2-way tables under the same
-schemes, so the stream is walked once for both.
+Section-5 grid rides the ILP pass: the infinite-table
+classification-accuracy engines (Figures 5.1/5.2) observe the stream
+beside the machines' engines, and the finite-table pressure study
+(Figures 5.3/5.4) reads its taken counts from the machines' engines,
+the same 512-entry 2-way tables under the same schemes.  So one walk
+of the test run feeds all three.
 
 The trace is consumed in columnar batches
 (:meth:`~repro.machine.Executor.run_batches`, optionally captured
@@ -62,9 +64,10 @@ per-record cost.  A follower may allocate only its members (the
 profile scheme): those addresses' entries are the leader's, and its
 other addresses count executions only.  A hardware-scheme engine leads
 when there is one, since its walk runs anyway; otherwise a hidden
-take-all probe walks for two or more followers.  The six-engine Figure
-5.1/5.2 grid therefore does one predictor's work per record, not six,
-and so does each Table 5.2 ILP cell whose FSM table cannot evict.
+take-all probe walks for two or more followers.  The six Figure 5.1/5.2
+engines therefore do one predictor's work per record, not six, and the
+Table 5.2 engines whose finite tables cannot evict follow the same
+leader.
 
 :meth:`PredictionEngine.step` is the reference semantics and the kernel
 consumer, with its shared fold, is the only fast path; the
@@ -230,7 +233,7 @@ def simulate_prediction_many(
     """
     if not engines:
         raise ValueError("need at least one engine")
-    check_distinct_engines(engines)
+    check_distinct_engines(engines.items())
     engine_list = list(engines.values())
     consumers, finishers, paths = _build_consumers(engine_list)
     started = time.perf_counter()
@@ -274,11 +277,15 @@ def _build_consumers(engine_list, codes=None):
     leads two or more followers.  No finisher changes the rows another
     reads, so they run in any order.
 
-    ``codes``, when given, holds one slot per engine, and the consumers
-    leave each engine's outcome codes for the current batch in its slot
-    (see :meth:`~repro.ilp.model._BatchMachine.schedule`): walkers write
-    them, and a follower's are the leader's hit codes masked with its take
-    set.
+    ``codes``, when given, holds one slot for each engine that feeds an
+    ILP lane, the first ``len(codes)`` of ``engine_list``; the engines
+    after them observe only.  The consumers leave each lane engine's
+    outcome codes for the current batch in its slot (see
+    :func:`~repro.ilp.model._scheduler`): walkers write them, and a
+    follower's are the leader's hit codes masked with its take set.  The
+    leader, a lane engine or an observer, leaves hit codes only when a
+    follower feeds a lane, and no observer gets a slot or a coded
+    consumer.
     """
     plans = [_fast_stride_consumer(engine) for engine in engine_list]
     shareable = [
@@ -298,20 +305,22 @@ def _build_consumers(engine_list, codes=None):
         lead = _SharedStride({}, True, None, None)  # the hidden probe
     else:
         leader, followers, lead = None, [], None
-    hit_codes = [None]
+    coded = 0 if codes is None else len(codes)
+    hit_codes = [None] if any(index < coded for index in followers) else None
 
     consumers = []
     finishers = []
     paths = {"walked": 0, "followed": len(followers), "stepped": 0}
     if lead is not None and leader is None:
         probe = partial(walk_leader, lead.rows)
-        consumers.append(_leader_consumer(probe, None, codes, hit_codes))
+        consumers.append(_coded_consumer(probe, codes, None, hit_codes))
     for index, (engine, plan) in enumerate(zip(engine_list, plans)):
+        slot = index if index < coded else None
         if index in followers:
             finishers.append(_follower_finisher(engine, plan[2], lead))
-            if codes is not None:
+            if slot is not None:
                 consumers.append(_follower_consumer(
-                    engine, plan[2].take_members, codes, index, hit_codes
+                    engine, plan[2].take_members, codes, slot, hit_codes
                 ))
             continue
         if plan is None:
@@ -323,27 +332,33 @@ def _build_consumers(engine_list, codes=None):
             finishers.append(finish)
         if index == leader:
             # Followers read the leader's hit codes of the same batch.
-            consumers.insert(0, _leader_consumer(consume, index, codes, hit_codes))
-        elif codes is not None:
-            consumers.append(_coded_consumer(consume, codes, index))
+            consumers.insert(0, _coded_consumer(consume, codes, slot, hit_codes))
         else:
-            consumers.append(consume)
+            consumers.append(_coded_consumer(consume, codes, slot))
     return consumers, finishers, paths
 
 
-def _leader_consumer(walk, index, codes, hit_codes):
-    """A leader's walk; in coded runs it also leaves the batch's hit codes
-    in ``hit_codes[0]`` and, unless it is the probe (``index`` is
-    ``None``), its own outcome codes in ``codes[index]``."""
-    if codes is None:
+def _coded_consumer(walk, codes, index, hit_codes=None):
+    """``walk`` as a batch consumer that leaves its outcome codes in
+    ``codes[index]`` unless ``index`` is ``None`` and, for a leader
+    (a ``walk_leader`` walk) given ``hit_codes``, the batch's hit codes
+    in ``hit_codes[0]``."""
+    if hit_codes is not None:
+
+        def consume(pairs) -> None:
+            hits = hit_codes[0] = bytearray(len(pairs))
+            outcomes = None
+            if index is not None:
+                outcomes = codes[index] = bytearray(len(pairs))
+            walk(pairs, outcomes, hits=hits)
+
+        return consume
+    if index is None:
         return walk
 
     def consume(pairs) -> None:
-        hits = hit_codes[0] = bytearray(len(pairs))
-        outcomes = None
-        if index is not None:
-            outcomes = codes[index] = bytearray(len(pairs))
-        walk(pairs, outcomes, hits=hits)
+        outcomes = codes[index] = bytearray(len(pairs))
+        walk(pairs, outcomes)
 
     return consume
 
@@ -367,16 +382,6 @@ def _follower_consumer(engine, take_members, codes, index, hit_codes):
     return consume
 
 
-def _coded_consumer(walk, codes, index):
-    """A walker that leaves its outcome codes in ``codes[index]``."""
-
-    def consume(pairs) -> None:
-        outcomes = codes[index] = bytearray(len(pairs))
-        walk(pairs, outcomes)
-
-    return consume
-
-
 def _generic_consumer(engine: PredictionEngine):
     """Batch consumer for arbitrary engines: one ``step`` per candidate.
 
@@ -394,15 +399,16 @@ def _generic_consumer(engine: PredictionEngine):
     return consume
 
 
-def check_distinct_engines(engines) -> None:
+def check_distinct_engines(labelled) -> None:
     """Reject one engine object registered under two labels.
 
-    Every label steps its own engine once per candidate, so a shared
-    engine would be stepped twice and report wrong statistics for both
-    labels.  ``None`` (no value prediction) may repeat.
+    ``labelled`` holds ``(label, engine)`` pairs.  Every label steps its
+    own engine once per candidate, so a shared engine would be stepped
+    twice and report wrong statistics for both labels.  ``None`` (no
+    value prediction) may repeat.
     """
     seen = {}
-    for label, engine in engines.items():
+    for label, engine in labelled:
         if engine is None:
             continue
         other = seen.setdefault(id(engine), label)

@@ -3,11 +3,16 @@
 A *cell* is one artifact of the paper's pipeline, named by a tuple
 ``(kind, name, *params)``: ``("compile", w)``, ``("profile", w, run)``,
 ``("merged", w)``, ``("annotate", w, threshold)``, ``("test-profile",
-w)``, ``("classify", w)``, ``("ilp", w)`` or ``("experiment", id)``.
-:data:`KINDS` holds one :class:`CellKind` per kind, and that entry is
-everything the engine knows about the kind: the context computes,
-holds, keys and encodes a cell through it, and the job graph takes its
-edges from it.
+w)``, ``("grid", w)`` or ``("experiment", id)``.  :data:`KINDS` holds
+one :class:`CellKind` per kind, and that entry is everything the engine
+knows about the kind: the context computes, holds, keys and encodes a
+cell through it, and the job graph takes its edges from it.
+
+The cells a paper table reads run their test runs live, with no trace
+store: a workload's ``grid`` cell feeds both Section-5 grids from one
+walk, and its ``test-profile`` cell profiles the run once for Table 2.1
+and Figure 2.2.  The store (``context.traces``) serves the studies that
+replay a run many times: the ablations and the corpus studies.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from ..core import (
     PredictionStats,
     ProbeScheme,
     ProfileClassification,
-    simulate_prediction_many,
 )
 from ..ilp import IlpResult, measure_ilp_many
 from ..isa import assemble, disassemble
@@ -130,7 +134,6 @@ def _test_profile(context, name: str):
         context.program(name),
         context.test_inputs(name),
         {"S": StridePredictor(), "L": LastValuePredictor()},
-        store=context.traces,
     )
 
 
@@ -141,40 +144,27 @@ def _test_profile_readers(name: str) -> Tuple[str, ...]:
     return ("table-2.1",)
 
 
-def _classification_grid(context, name: str) -> Dict[str, PredictionStats]:
-    """Infinite-table take/avoid study for one benchmark (Figs 5.1/5.2).
+def _grid(context, name: str) -> Dict[str, Dict[str, Any]]:
+    """Both Section-5 grids of one benchmark, from one live walk of its
+    test run: ``{"classify": {label: PredictionStats}, "ilp": {label:
+    IlpResult}}``.
 
-    Every scheme sees the identical, fully allocated unbounded stride
-    predictor (via :class:`ProbeScheme`); only the take decision differs.
+    ``classify`` is the infinite-table take/avoid study (Figs 5.1/5.2):
+    ``fsm`` and ``profX`` per threshold, every scheme over the identical,
+    fully allocated unbounded stride predictor (via :class:`ProbeScheme`),
+    so only the take decision differs.  ``ilp`` is the abstract-machine
+    study (Table 5.2, and the taken counts of Figs 5.3/5.4): ``novp``,
+    ``fsm`` and ``profX`` on the paper's finite stride table and default
+    machine.  The probe engines ride the ILP run as observers.
     """
     program = context.program(name)
-    engines: Dict[str, PredictionEngine] = {
+    probes: Dict[str, PredictionEngine] = {
         FSM_LABEL: PredictionEngine(
             program,
             predictor=StridePredictor(),
             scheme=ProbeScheme(HardwareClassification()),
         )
     }
-    for threshold in THRESHOLDS:
-        annotated = context.annotated(name, threshold)
-        engines[threshold_label(threshold)] = PredictionEngine(
-            program,
-            predictor=StridePredictor(),
-            scheme=ProbeScheme(ProfileClassification(annotated)),
-        )
-    return simulate_prediction_many(
-        program, context.test_inputs(name), engines, store=context.traces
-    )
-
-
-def _ilp_grid(context, name: str) -> Dict[str, IlpResult]:
-    """Abstract-machine ILP for one benchmark (Table 5.2).
-
-    Labels: ``novp`` (baseline), ``fsm`` (VP+SC) and ``profX`` per
-    threshold — all scheduled against a single execution, with the
-    paper's finite stride table and default machine.
-    """
-    program = context.program(name)
     engines: Dict[str, Optional[PredictionEngine]] = {
         "novp": None,
         FSM_LABEL: PredictionEngine(
@@ -185,14 +175,24 @@ def _ilp_grid(context, name: str) -> Dict[str, IlpResult]:
     }
     for threshold in THRESHOLDS:
         annotated = context.annotated(name, threshold)
-        engines[threshold_label(threshold)] = PredictionEngine(
+        label = threshold_label(threshold)
+        probes[label] = PredictionEngine(
+            program,
+            predictor=StridePredictor(),
+            scheme=ProbeScheme(ProfileClassification(annotated)),
+        )
+        engines[label] = PredictionEngine(
             annotated,
             predictor=StridePredictor(TABLE_ENTRIES, TABLE_WAYS),
             scheme=ProfileClassification(annotated),
         )
-    return measure_ilp_many(
-        program, context.test_inputs(name), engines, store=context.traces
+    ilp = measure_ilp_many(
+        program, context.test_inputs(name), engines, observers=probes
     )
+    return {
+        "classify": {label: engine.stats for label, engine in probes.items()},
+        "ilp": ilp,
+    }
 
 
 def _experiment(context, identifier: str) -> ExperimentTable:
@@ -220,7 +220,7 @@ def _merged_key(context, name: str) -> Tuple[str, ...]:
 
 
 def _grid_key(context, name: str) -> Tuple[str, ...]:
-    """Both grids are functions of the annotations and the test input."""
+    """A grid is a function of the annotations and the test input."""
     return (
         _merged_key(context, name)
         + tuple(repr(threshold) for threshold in THRESHOLDS)
@@ -250,19 +250,30 @@ def _experiment_key(context, identifier: str) -> Tuple[str, ...]:
 # -- codecs ------------------------------------------------------------------
 
 
-def _grid_codec(result_type) -> Codec:
-    """``{label: result}`` as sorted JSON of each result's ``to_dict``."""
-    return Codec(
-        "json",
-        lambda grid: json.dumps(
-            {label: result.to_dict() for label, result in grid.items()},
-            sort_keys=True,
-        ),
-        lambda payload: {
-            label: result_type.from_dict(result)
-            for label, result in json.loads(payload).items()
+#: The result type of each half of a grid cell.
+_GRID_HALVES = {"classify": PredictionStats, "ilp": IlpResult}
+
+
+def _encode_grid(grid) -> str:
+    """Each half's ``{label: result}`` as sorted JSON of ``to_dict``."""
+    return json.dumps(
+        {
+            half: {label: result.to_dict() for label, result in results.items()}
+            for half, results in grid.items()
         },
+        sort_keys=True,
     )
+
+
+def _decode_grid(payload: str):
+    halves = json.loads(payload)
+    return {
+        half: {
+            label: result_type.from_dict(result)
+            for label, result in halves[half].items()
+        }
+        for half, result_type in _GRID_HALVES.items()
+    }
 
 
 def _load_table(payload: str) -> ExperimentTable:
@@ -308,21 +319,13 @@ KINDS: Dict[str, CellKind] = {
     ),
     # Shared by the experiments of one process, never a job of its own.
     "test-profile": CellKind(_test_profile, tier=MEMO, readers=_test_profile_readers),
-    "classify": CellKind(
-        _classification_grid,
+    "grid": CellKind(
+        _grid,
         deps=("annotate",),
         fan_out=_one_job,
         tier=MEMO,
         key=_grid_key,
-        codec=_grid_codec(PredictionStats),
-    ),
-    "ilp": CellKind(
-        _ilp_grid,
-        deps=("annotate",),
-        fan_out=_one_job,
-        tier=MEMO,
-        key=_grid_key,
-        codec=_grid_codec(IlpResult),
+        codec=Codec("json", _encode_grid, _decode_grid),
     ),
     "experiment": CellKind(
         _experiment,

@@ -69,11 +69,13 @@ class ExperimentContext:
             and annotated binaries stay warm.
         artifacts: the :class:`ArtifactCache` under ``cache_dir``, or
             ``None`` when no disk cache was requested.
-        traces: the session's :class:`~repro.machine.TraceStore` — every
-            profiling/simulation pass captures or replays through it, so
-            each distinct (program, inputs, budget) execution is
+        traces: the session's :class:`~repro.machine.TraceStore`, for
+            the studies that walk one run several times (the ablations,
+            characterization and the corpus studies): each distinct
+            (program, inputs, budget) execution they replay is
             interpreted once per session (once per machine with a
-            ``cache_dir``) no matter how many analyses consume it.
+            ``cache_dir``).  The paper tables' cells run their test runs
+            live and keep no trace.
     """
 
     scale: float = 1.0

@@ -21,7 +21,7 @@ EXPERIMENT_ID = "fig-5.1"
 
 #: Shared cells this experiment consumes; the parallel engine
 #: precomputes them across benchmarks (see repro.runner.jobs).
-CELLS = ("classify",)
+CELLS = ("grid",)
 
 _HEADERS = ["benchmark", "FSM"] + [f"Prof th={t:g}%" for t in THRESHOLDS]
 

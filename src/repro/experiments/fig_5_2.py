@@ -20,7 +20,7 @@ EXPERIMENT_ID = "fig-5.2"
 
 #: Shared cells this experiment consumes; the parallel engine
 #: precomputes them across benchmarks (see repro.runner.jobs).
-CELLS = ("classify",)
+CELLS = ("grid",)
 
 _HEADERS = ["benchmark", "FSM"] + [f"Prof th={t:g}%" for t in THRESHOLDS]
 

@@ -22,7 +22,7 @@ EXPERIMENT_ID = "fig-5.3"
 
 #: Shared cells this experiment consumes; the parallel engine
 #: precomputes them across benchmarks (see repro.runner.jobs).
-CELLS = ("ilp",)
+CELLS = ("grid",)
 
 
 def run(context: ExperimentContext) -> ExperimentTable:

@@ -19,7 +19,7 @@ EXPERIMENT_ID = "fig-5.4"
 
 #: Shared cells this experiment consumes; the parallel engine
 #: precomputes them across benchmarks (see repro.runner.jobs).
-CELLS = ("ilp",)
+CELLS = ("grid",)
 
 
 def run(context: ExperimentContext) -> ExperimentTable:

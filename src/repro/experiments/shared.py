@@ -1,12 +1,12 @@
-"""The two grids shared between experiment modules.
+"""The two Section-5 grids shared between experiment modules.
 
-Figures 5.1/5.2 and Table 5.1 are views of one simulation per
-benchmark, the ``("classify", name)`` cell; Figures 5.3/5.4 and the
-columns of Table 5.2 are views of another, the ``("ilp", name)`` cell.
-Both are computed, held and cached by
+Figures 5.1/5.2 and Table 5.1 are views of the infinite-table
+simulation of each benchmark; Figures 5.3/5.4 and the columns of Table
+5.2 are views of its ILP run.  Both halves come from one walk of the
+test run, the ``("grid", name)`` cell, computed, held and cached by
 :class:`~repro.experiments.context.ExperimentContext` as the cell-kind
 table (:mod:`repro.experiments.cells`) declares; these accessors name
-them for the experiment modules.
+the halves for the experiment modules.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ def classification_accuracy_stats(
 ) -> Dict[str, PredictionStats]:
     """Infinite-table take/avoid study for one benchmark (Figs 5.1/5.2):
     ``fsm`` and ``profX`` per threshold on one unbounded stride table."""
-    return context.cell(("classify", name))
+    return context.cell(("grid", name))["classify"]
 
 
 def ilp_results(context: ExperimentContext, name: str) -> Dict[str, IlpResult]:
     """Abstract-machine ILP for one benchmark (Table 5.2): ``novp``,
     ``fsm`` and ``profX`` per threshold on the 512-entry 2-way table."""
-    return context.cell(("ilp", name))
+    return context.cell(("grid", name))["ilp"]
 
 
 def finite_table_stats(context: ExperimentContext, name: str) -> Dict[str, IlpResult]:
@@ -49,8 +49,8 @@ def finite_table_stats(context: ExperimentContext, name: str) -> Dict[str, IlpRe
     2-way stride table.  Those are the engines of :func:`ilp_results`
     over the same test trace, so each label's ``correct_predictions``
     and ``mispredictions`` are its taken-correct and taken-wrong counts:
-    read from the ILP cell, not walked again.  It stays a module
+    read from the grid's ILP half, not walked again.  It stays a module
     attribute because perfbench wraps it by name; once perfbench reads
-    the program's own spans (ROADMAP item 5) the figures can inline it.
+    the program's own spans (ROADMAP item 9) the figures can inline it.
     """
     return ilp_results(context, name)

@@ -19,7 +19,7 @@ EXPERIMENT_ID = "table-5.1"
 
 #: Shared cells this experiment consumes; the parallel engine
 #: precomputes them across benchmarks (see repro.runner.jobs).
-CELLS = ("classify",)
+CELLS = ("grid",)
 
 
 def run(context: ExperimentContext) -> ExperimentTable:

@@ -24,7 +24,7 @@ EXPERIMENT_ID = "table-5.2"
 
 #: Shared cells this experiment consumes; the parallel engine
 #: precomputes them across benchmarks (see repro.runner.jobs).
-CELLS = ("ilp",)
+CELLS = ("grid",)
 
 _HEADERS = ["benchmark", "VP+SC"] + [f"VP+Prof {t:g}%" for t in THRESHOLDS]
 

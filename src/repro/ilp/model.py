@@ -30,28 +30,32 @@ a pure register-dataflow limit study.
 :func:`measure_ilp_many` schedules several machine configurations (e.g.
 no-VP, VP+SC, VP+Prof at five thresholds) against a *single* trace, in
 columnar batches — replayed from a :class:`~repro.machine.TraceStore`
-when one is passed (the simulation studies have usually captured the
-same run already), executed otherwise.  Per batch, each engine runs
+when one is passed, executed otherwise.  Per batch, each engine runs
 once over the batch's candidates
 (:meth:`~repro.machine.TraceBatch.candidates`) through the same
 consumers as :func:`~repro.core.simulate.simulate_prediction_many`,
-planned the same way, and leaves one outcome code per candidate: 1 a
-taken correct prediction, 2 a taken wrong one, 0 otherwise.  An engine
-that follows a leader's walk does not walk: its codes are the leader's
-per-pair hit codes (1 correct hit, 2 wrong hit, 0 miss) masked with its
-take set, so a Table 5.2 cell whose FSM table cannot evict walks once
-for its six engines.  Labels whose engines decide the same codes (see
-:func:`_lane_key`) under equal configs schedule on one machine, a
-*lane*, and each still gets its own result.  Every lane that shares a
-scheduling table (equal ``track_memory_dependencies``) schedules the
-batch in one loop (:func:`_scheduler`): a record's table lookup, shape
-test and ``mems`` and candidate cursors run once, then each lane's
-ready, window and retire updates follow in locals.  No engine reads
+planned the same way, and an engine that feeds a machine leaves one
+outcome code per candidate: 1 a taken correct prediction, 2 a taken
+wrong one, 0 otherwise.  An engine that follows a leader's walk does
+not walk: its codes are the leader's per-pair hit codes (1 correct hit,
+2 wrong hit, 0 miss) masked with its take set, so a Table 5.2 grid whose
+FSM table cannot evict walks once for its six engines.  Labels whose
+engines decide the same codes (see :func:`_lane_key`) under equal
+configs schedule on one machine, a *lane*, and each still gets its own
+result.  *Observers* are engines that drive no machine: they join the
+same plan, may lead the lane engines or follow them, and leave no
+codes, so the Section-5 grid runs its six infinite-table engines in the
+ILP run's walk.  Every lane that shares a scheduling table (equal
+``track_memory_dependencies``) schedules the batch in one loop
+(:func:`_scheduler`): a record's table lookup, shape test and ``mems``
+and candidate cursors run once, then each lane's ready, window and
+retire updates follow in locals.  No engine reads
 scheduler state, so an engine's (taken, correct) outcomes depend on the
 candidate stream alone and running it a batch ahead of the scheduler
-changes no result.  The engines' statistics are published under ``core.*`` and
-``predictor.*`` as a simulation's are; Figures 5.3/5.4 read their taken
-counts from these results rather than simulating the same engines again.
+changes no result.  Every engine's statistics, the observers' too, are
+published once under ``core.*`` and ``predictor.*`` as a simulation's
+are; Figures 5.3/5.4 read their taken counts from these results rather
+than simulating the same engines again.
 :class:`WindowScheduler` is the per-record reference the
 ``ilp-batch-vs-record`` oracle pair holds the batch path to.
 """
@@ -468,6 +472,7 @@ def measure_ilp_many(
     configs: Optional[Mapping[str, IlpConfig]] = None,
     max_instructions: Optional[int] = None,
     store: Optional[TraceStore] = None,
+    observers: Optional[Mapping[str, PredictionEngine]] = None,
 ) -> Dict[str, IlpResult]:
     """Schedule several machine configurations against one execution.
 
@@ -477,7 +482,11 @@ def measure_ilp_many(
     so the program executes at most once — and not at all when
     ``store`` already holds the trace.  ``configs`` optionally overrides
     the shared ``config`` per label — e.g. to sweep window sizes or
-    penalties in the same pass.
+    penalties in the same pass.  ``observers`` maps labels to engines
+    that see the same candidate stream but drive no machine, as
+    :func:`~repro.core.simulate.simulate_prediction_many` would run
+    them; they get no result here, and the caller reads each one's
+    statistics from its engine.
 
     Results equal feeding every record to a :class:`WindowScheduler`
     per label; an :class:`~repro.machine.ExecutionError` raised by the
@@ -486,7 +495,11 @@ def measure_ilp_many(
     """
     if engines is None:
         engines = {"baseline": None}
-    check_distinct_engines(engines)
+    observers = observers or {}
+    check_distinct_engines(
+        list(engines.items())
+        + [(f"observer {label}", engine) for label, engine in observers.items()]
+    )
     configs = configs or {}
     decoded = _decode_for_scheduling(program)
     machines: Dict[Hashable, _BatchMachine] = {}  # by lane key
@@ -494,19 +507,23 @@ def measure_ilp_many(
     # One scheduling loop per table (memory tracked or not): its lanes,
     # one per machine, with the index of each one's engine's codes.
     groups: Dict[bool, List[Tuple[_BatchMachine, Optional[int]]]] = {}
-    engine_list: List[PredictionEngine] = []
+    lane_engines: List[PredictionEngine] = []
+    # Engines of labels that share an earlier label's machine: no lane
+    # reads their codes, so they observe like the observers.
+    silent: List[PredictionEngine] = []
     for label, engine in engines.items():
         machine_config = configs.get(label, config) or IlpConfig()
-        index = None
-        if engine is not None:
-            index = len(engine_list)
-            engine_list.append(engine)
+        index = None if engine is None else len(lane_engines)
         key = (machine_config, _lane_key(engine, index))
         machine = machines.get(key)
         if machine is None:
             machine = machines[key] = _BatchMachine(machine_config)
             track = machine_config.track_memory_dependencies
             groups.setdefault(track, []).append((machine, index))
+            if engine is not None:
+                lane_engines.append(engine)
+        elif engine is not None:
+            silent.append(engine)
         labels[label] = machine
     loops = [
         (
@@ -517,7 +534,9 @@ def measure_ilp_many(
         )
         for track, lanes in groups.items()
     ]
-    codes: List[Optional[bytearray]] = [None] * len(engine_list)
+    # One code slot per lane engine; the engines after them get none.
+    codes: List[Optional[bytearray]] = [None] * len(lane_engines)
+    engine_list = lane_engines + silent + list(observers.values())
     consumers, finishers, paths = _build_consumers(engine_list, codes)
     started = time.perf_counter()
     batches = replay_or_run(program, inputs, max_instructions, store)
@@ -526,7 +545,7 @@ def measure_ilp_many(
             # Lists index faster than the batch's arrays; the candidate
             # walk reuses the address list.
             addresses = batch.addresses.tolist()
-            if engine_list:
+            if consumers:
                 pairs = batch.candidates(addresses=addresses)[0]
                 for consume in consumers:
                     consume(pairs)

@@ -6,15 +6,14 @@ dependencies::
     compile(w)                                   [inline: parent process]
       └─ profile(w, run)                         one per training run
            └─ annotate(w, threshold)             merge + directive insertion
-                ├─ classify(w)                   Figs 5.1/5.2 grid
-                └─ ilp(w)                        Figs 5.3/5.4, Table 5.2 grid
+                └─ grid(w)                       Figs 5.1-5.4, Tables 5.1/5.2
     experiment(id)                               one per requested table
 
 The edges, the params of each kind's jobs and their labels come from
 the cell-kind table (:data:`repro.experiments.cells.KINDS`); this
 module knows no kind by name but ``experiment``.  Each experiment
 module declares which cell kinds it consumes in a module-level
-``CELLS`` tuple (e.g. ``CELLS = ("classify",)`` for Figure 5.1); the
+``CELLS`` tuple (e.g. ``CELLS = ("grid",)`` for Figure 5.1); the
 builder instantiates the union of the requested cells across the
 Table 4.1 benchmarks and makes each experiment job depend on every
 cell of its kinds' closure, so a pool worker running the experiment

@@ -392,6 +392,70 @@ class TestBatchScheduler:
         assert "core.simulate" not in snapshot["timers"]
 
 
+class TestObservers:
+    """Engines that see an ILP run's candidates but drive no machine."""
+
+    @staticmethod
+    def observers(program):
+        from repro.core import ProbeScheme
+
+        return {
+            "probe-fsm": PredictionEngine(
+                program, StridePredictor(), ProbeScheme(HardwareClassification())
+            ),
+            "probe-always": PredictionEngine(
+                program, StridePredictor(), ProbeScheme(AlwaysClassification())
+            ),
+            "always": PredictionEngine(
+                program, StridePredictor(), AlwaysClassification()
+            ),
+        }
+
+    def test_observers_match_a_simulation_and_change_no_result(self):
+        from repro.core import simulate_prediction_many
+
+        program = assemble(STRIDE_LOOP)
+        observers = self.observers(program)
+        results = measure_ilp_many(
+            program, (), TestBatchScheduler.grid(program), observers=observers
+        )
+        assert results == _reference_results(program, TestBatchScheduler.grid(program))
+        expected = simulate_prediction_many(program, (), self.observers(program))
+        assert {label: engine.stats.to_dict() for label, engine in observers.items()} == {
+            label: stats.to_dict() for label, stats in expected.items()
+        }
+
+    def test_observer_counts_published_once(self):
+        from repro.telemetry import Telemetry, use_registry
+
+        program = assemble(STRIDE_LOOP)
+        engines = TestBatchScheduler.grid(program)
+        observers = self.observers(program)
+        registry = Telemetry()
+        with use_registry(registry):
+            measure_ilp_many(program, (), engines, observers=observers)
+        counters = registry.snapshot()["counters"]
+        every = [engine for engine in engines.values() if engine is not None]
+        every += observers.values()
+        assert counters["core.simulations"] == len(every)
+        for counter, field in (
+            ("core.candidates", "executions"),
+            ("core.taken_correct", "taken_correct"),
+        ):
+            assert counters[counter] == sum(
+                getattr(engine.stats, field) for engine in every
+            )
+        assert counters["predictor.lookups"] == sum(
+            table.lookups for engine in every for table in engine.predictor.tables()
+        )
+
+    def test_observer_sharing_a_lane_engine_rejected(self):
+        program = assemble(STRIDE_LOOP)
+        engine = PredictionEngine(program, StridePredictor(), AlwaysClassification())
+        with pytest.raises(ValueError, match="share one PredictionEngine"):
+            measure_ilp_many(program, (), {"a": engine}, observers={"a": engine})
+
+
 class TestSharedEngineRejected:
     def test_measure_ilp_many_rejects_shared_engine(self):
         program = assemble(STRIDE_LOOP)

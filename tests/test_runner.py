@@ -54,11 +54,7 @@ KEY_INPUTS = [
     (PROFILE, {"scale", "program text"}),
     (("merged", WORKLOAD), {"scale", "training runs", "program text"}),
     (
-        ("classify", WORKLOAD),
-        {"scale", "training runs", "stride threshold", "program text"},
-    ),
-    (
-        ("ilp", WORKLOAD),
+        ("grid", WORKLOAD),
         {"scale", "training runs", "stride threshold", "program text"},
     ),
     (
@@ -121,27 +117,34 @@ class TestKeys:
             assert key_of(cell, tmp_path) is None
         assert make_context().key(PROFILE) is None
 
-    def test_ilp_cell_is_held_and_stored_once(self, tmp_path):
-        """``("ilp", name)`` is one memo entry and one disk entry, and a
-        fresh context reads it back from the disk."""
+    def test_grid_cell_is_held_and_stored_once(self, tmp_path):
+        """``("grid", name)`` is one memo entry and one disk entry that
+        both accessors read, and a fresh context reads it back from the
+        disk."""
         context = make_context(cache_dir=tmp_path)
         first = shared.ilp_results(context, WORKLOAD)
+        classify = shared.classification_accuracy_stats(context, WORKLOAD)
         assert shared.ilp_results(context, WORKLOAD) is first
-        assert [cell for cell in context.memo if cell[0] == "ilp"] == [
-            ("ilp", WORKLOAD)
+        assert [cell for cell in context.memo if cell[0] == "grid"] == [
+            ("grid", WORKLOAD)
         ]
         entries = [
             path for path in ArtifactCache(tmp_path).entries()
-            if path.parent.parent.name == "ilp"
+            if path.parent.parent.name == "grid"
         ]
         assert len(entries) == 1
         registry = Telemetry()
         with use_registry(registry):
-            again = shared.ilp_results(make_context(cache_dir=tmp_path), WORKLOAD)
+            fresh = make_context(cache_dir=tmp_path)
+            again = shared.ilp_results(fresh, WORKLOAD)
+            again_classify = shared.classification_accuracy_stats(fresh, WORKLOAD)
         counters = registry.snapshot()["counters"]
-        assert counters["cache.hit.ilp"] == 1
-        assert "cache.store.ilp" not in counters
+        assert counters["cache.hit.grid"] == 1
+        assert "cache.store.grid" not in counters
         assert again == first
+        assert {label: stats.to_dict() for label, stats in again_classify.items()} == {
+            label: stats.to_dict() for label, stats in classify.items()
+        }
 
 
 class TestArtifactCache:
@@ -166,9 +169,9 @@ class TestArtifactCache:
 
     def test_store_overwrites_atomically(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.store("classify", self.KEY, "old")
-        cache.store("classify", self.KEY, "new")
-        assert cache.load("classify", self.KEY) == "new"
+        cache.store("grid", self.KEY, "old")
+        cache.store("grid", self.KEY, "new")
+        assert cache.load("grid", self.KEY) == "new"
         assert len(list(cache.entries())) == 1
 
     def test_unreadable_entry_treated_as_miss(self, tmp_path):
@@ -184,36 +187,36 @@ class TestGraph:
         context = make_context()
         graph = build_experiment_graph(["fig-5.1"], context)
         kinds = {job.kind for job in graph.order()}
-        assert {"compile", "profile", "annotate", "classify", "experiment"} <= kinds
+        assert {"compile", "profile", "annotate", "grid", "experiment"} <= kinds
         experiment = graph["experiment:fig-5.1"]
         dep_kinds = {graph[dep].kind for dep in experiment.deps}
-        # fig-5.1 declares CELLS = ("classify",); the closure pulls in the
+        # fig-5.1 declares CELLS = ("grid",); the closure pulls in the
         # profile and annotate cells those simulations are built from.
-        assert dep_kinds == {"profile", "annotate", "classify"}
+        assert dep_kinds == {"profile", "annotate", "grid"}
 
-    def test_finite_figures_read_the_ilp_cells(self):
+    def test_finite_figures_read_the_grid_cells(self):
         graph = build_experiment_graph(["fig-5.3"], make_context())
         assert {job.kind for job in graph.order()} == {
-            "compile", "profile", "annotate", "ilp", "experiment"
+            "compile", "profile", "annotate", "grid", "experiment"
         }
         deps = graph["experiment:fig-5.3"].deps
-        ilp_deps = [dep for dep in deps if graph[dep].kind == "ilp"]
-        assert ilp_deps == [f"ilp:{name}" for name in TABLE_4_1_NAMES]
-        assert len(ilp_deps) == 9
+        grid_deps = [dep for dep in deps if graph[dep].kind == "grid"]
+        assert grid_deps == [f"grid:{name}" for name in TABLE_4_1_NAMES]
+        assert len(grid_deps) == 9
 
     def test_paper_cold_graph(self):
-        """The twelve paper tables expand to 129 jobs in a pinned order."""
+        """The twelve paper tables expand to 120 jobs in a pinned order."""
         graph = build_experiment_graph(PAPER_TABLES, ExperimentContext(scale=0.01))
         expected = [f"compile:{name}" for name in TABLE_4_1_NAMES]
         for name in TABLE_4_1_NAMES:
             expected += [f"profile:{name}:{run}" for run in range(5)]
             expected += [f"annotate:{name}:{th:g}" for th in PAPER_THRESHOLDS]
-            expected += [f"classify:{name}", f"ilp:{name}"]
+            expected += [f"grid:{name}"]
         expected += [f"experiment:{table}" for table in PAPER_TABLES]
         assert [job.job_id for job in graph.order()] == expected
+        assert len(expected) == 120
         assert Counter(job.kind for job in graph.order()) == {
-            "compile": 9, "profile": 45, "annotate": 45,
-            "classify": 9, "ilp": 9, "experiment": 12,
+            "compile": 9, "profile": 45, "annotate": 45, "grid": 9, "experiment": 12,
         }
         assert graph[f"annotate:{WORKLOAD}:90"].label == (
             f"annotate({WORKLOAD}, th=90)"
@@ -400,7 +403,7 @@ class TestCellCache:
         counts = {}
         for job in graph.order():
             counts[job.kind] = counts.get(job.kind, 0) + 1
-        for kind in ("profile", "classify", "experiment"):
+        for kind in ("profile", "grid", "experiment"):
             assert counters[f"cache.miss.{kind}"] == counts[kind], kind
             assert counters[f"cache.store.{kind}"] == counts[kind], kind
         if jobs == 1:
@@ -436,7 +439,7 @@ GOOD = ("129.compress", "107.mgrid")
 
 
 def degraded_graph() -> JobGraph:
-    """Two workloads' compile → profile → annotate → classify chains, plus
+    """Two workloads' compile → profile → annotate → grid chains, plus
     a profile job for an unregistered workload with its own chain.
 
     The missing workload's profile job raises ``KeyError`` wherever it
@@ -466,7 +469,7 @@ def degraded_graph() -> JobGraph:
         )
         graph.add(
             Job(
-                job_id("classify", workload), "classify", workload,
+                job_id("grid", workload), "grid", workload,
                 deps=(annotate.job_id,),
             )
         )
@@ -487,7 +490,7 @@ class TestDegradedRun:
         report = outcome.report
         assert not report.ok and report.exit_code == 1
         victim = job_id("profile", MISSING, 0)
-        skipped = {job_id("annotate", MISSING, 90.0), job_id("classify", MISSING)}
+        skipped = {job_id("annotate", MISSING, 90.0), job_id("grid", MISSING)}
         assert [entry.job_id for entry in report.failed] == [victim]
         assert {entry.job_id for entry in report.skipped} == skipped
         assert set(graph.transitive_dependents(victim)) == skipped
@@ -501,7 +504,7 @@ class TestDegradedRun:
         for entry_id in skipped:
             assert report.job(entry_id).attempts == 0
             assert report.job(entry_id).causes == (f"dependency {victim} failed",)
-        assert all(job_id("classify", workload) in outcome.values for workload in GOOD)
+        assert all(job_id("grid", workload) in outcome.values for workload in GOOD)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cache_probe_failure_fails_its_job(self, jobs, tmp_path):
@@ -583,9 +586,9 @@ class TestRunReport:
                     causes=("KeyError: unknown workload 'w'",),
                 ),
                 JobReport(
-                    "classify:w",
-                    "classify",
-                    "classify(w)",
+                    "grid:w",
+                    "grid",
+                    "grid(w)",
                     "skipped",
                     0,
                     0.0,
@@ -600,7 +603,7 @@ class TestRunReport:
         assert not report.ok
         assert report.exit_code == 1
         assert [entry.job_id for entry in report.failed] == ["profile:w:0"]
-        assert [entry.job_id for entry in report.skipped] == ["classify:w"]
+        assert [entry.job_id for entry in report.skipped] == ["grid:w"]
         assert report.job("compile:w").status == "ok"
         assert report.job("missing") is None
 
@@ -611,7 +614,7 @@ class TestRunReport:
         )
         assert "profile:w:0 — 3.50s" in text
         assert "KeyError: unknown workload 'w'" in text
-        assert "classify:w — dependency profile:w:0 failed" in text
+        assert "grid:w — dependency profile:w:0 failed" in text
 
     def test_json_schema(self):
         payload = json.loads(self.report().to_json())
