@@ -480,7 +480,10 @@ def profile_records(
     ``trace_program`` walk, a drained fault prefix, an address-filtered
     list.  Records whose 0-based position is not a multiple of
     ``sample_every`` are skipped before the candidate filter.  The
-    default predictor is an unbounded stride predictor.
+    default predictor is an unbounded stride predictor.  Group counts go
+    through :meth:`~repro.profiling.ProfileImage.group_slot`, so every
+    address keeps explicit slots: the reference never takes the homes
+    that the collector's fold and the merge store.
 
     Returns one :class:`~repro.profiling.ProfileImage`, or with
     ``by_phase`` a phase -> image dict (labelled

@@ -35,9 +35,12 @@ plus the profiling service (one shared trace store, many tenants)::
 
 ``repro client`` prefixes a batch command line: the daemon parses it with
 this module's parser and runs the same handler in-process.  A handler
-takes ``(arguments, io)``.  Its :class:`CommandIO` reads the input files
-and takes the output and the stderr log: the disk and the terminal for
-``main``, the job's uploaded files and two buffers in the service.
+takes ``(arguments, io)``, and :func:`run_command` runs it.  Its
+:class:`CommandIO` reads the input files and takes the output and the
+stderr log: the disk and the terminal for ``main``, the job's uploaded
+files and two buffers in the service.  A reader that cannot read or
+parse its file raises :class:`InputError`; the command then prints
+``<command>: bad <kind>: <message>`` and exits 2.
 
 Programs on disk are stored in the textual assembly format
 (:mod:`repro.isa.assembler`); ``compile`` turns mini-C into it, and every
@@ -55,8 +58,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .annotate import AnnotationPolicy, annotate_program, annotation_report
-from .isa import Program, assemble, disassemble
-from .lang import compile_source
+from .isa import AssemblerError, Program, ProgramError, assemble, disassemble
+from .lang import CompileError, compile_source
 from .machine import ExecutionError, run_program
 from .machine.tracefile import trace_output, write_trace
 from .machine.tracestore import replay_or_run
@@ -109,6 +112,15 @@ def input_files(arguments: argparse.Namespace) -> List[InputFile]:
     ]
 
 
+class InputError(ValueError):
+    """An input file is missing, unreadable or malformed: ``kind`` names
+    what it should hold (``program``, ``source`` or ``model``)."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
 class CommandIO:
     """Where a command reads its input files and writes its output and log.
 
@@ -137,11 +149,36 @@ class CommandIO:
             return Path(path).read_text(encoding="utf-8")
         return self.files[path]
 
+    def _read(self, path: str, kind: str) -> str:
+        try:
+            return self.read_text(path)
+        except (OSError, UnicodeDecodeError) as error:
+            raise InputError(kind, str(error)) from error
+
+    def read_program(self, path: str) -> Program:
+        """An assembly file, assembled."""
+        text = self._read(path, "program")
+        try:
+            return assemble(text, name=Path(path).stem)
+        except (AssemblerError, ProgramError) as error:
+            raise InputError("program", str(error)) from error
+
+    def read_source(self, path: str, optimize: bool = True) -> Program:
+        """A mini-C source file, compiled."""
+        text = self._read(path, "source")
+        try:
+            return compile_source(text, name=Path(path).stem, optimize=optimize)
+        except CompileError as error:
+            raise InputError("source", str(error)) from error
+
     def read_profile(self, path: str) -> ProfileImage:
-        """A profile image file; malformed content raises
+        """A profile image file; a missing or malformed one raises
         :class:`~repro.profiling.ProfileFormatError`."""
         if self.files is None:
-            return read_profile(path)
+            try:
+                return read_profile(path)
+            except OSError as error:
+                raise ProfileFormatError(str(error)) from error
         # An upload's non-UTF-8 bytes arrive as surrogate escapes; they
         # are refused exactly as reading the file from disk refuses them.
         data = self.files[path].encode("utf-8", "surrogateescape")
@@ -151,6 +188,16 @@ class CommandIO:
             raise ProfileFormatError(
                 f"{path}: not a text profile image (undecodable bytes: {error})"
             ) from error
+
+    def read_model(self, path: str):
+        """A classifier model file."""
+        from .classify import ModelFormatError, loads_model
+
+        text = self._read(path, "model")
+        try:
+            return loads_model(text)
+        except ModelFormatError as error:
+            raise InputError("model", str(error)) from error
 
     def glob(self, pattern: str) -> List[str]:
         if self.files is None:
@@ -180,10 +227,6 @@ class CommandIO:
         if self.files is not None:
             return contextlib.nullcontext(self.stdout)
         return trace_output(output)
-
-
-def _load_program(io: CommandIO, path: str) -> Program:
-    return assemble(io.read_text(path), name=Path(path).stem)
 
 
 def _parse_number(token: str) -> Number:
@@ -236,11 +279,7 @@ def parse_input_sets(
 
 
 def _command_compile(arguments: argparse.Namespace, io: CommandIO) -> int:
-    program = compile_source(
-        io.read_text(arguments.source),
-        name=Path(arguments.source).stem,
-        optimize=not arguments.no_optimize,
-    )
+    program = io.read_source(arguments.source, optimize=not arguments.no_optimize)
     io.write_output(disassemble(program), arguments.output)
     print(
         f"compiled {arguments.source}: {len(program)} instructions, "
@@ -251,7 +290,7 @@ def _command_compile(arguments: argparse.Namespace, io: CommandIO) -> int:
 
 
 def _command_run(arguments: argparse.Namespace, io: CommandIO) -> int:
-    program = _load_program(io, arguments.program)
+    program = io.read_program(arguments.program)
     result = run_program(
         program,
         inputs=parse_input_stream(arguments.inputs or [], io.read_text),
@@ -269,7 +308,7 @@ def _command_run(arguments: argparse.Namespace, io: CommandIO) -> int:
 def _command_profile(arguments: argparse.Namespace, io: CommandIO) -> int:
     import tempfile
 
-    program = _load_program(io, arguments.program)
+    program = io.read_program(arguments.program)
     sample_every = getattr(arguments, "sample_every", 1)
     jobs = getattr(arguments, "jobs", 1)
     store_dir = getattr(arguments, "store", None)
@@ -330,14 +369,10 @@ def _command_fuse(arguments: argparse.Namespace, io: CommandIO) -> int:
             return 2
         paths.extend(match for match in matches if match not in paths)
 
-    try:
-        image = merge_profiles(
-            (io.read_profile(path) for path in paths),
-            require_common=arguments.require_common,
-        )
-    except ProfileFormatError as error:
-        print(f"fuse: bad profile: {error}", file=io.stderr)
-        return 2
+    image = merge_profiles(
+        (io.read_profile(path) for path in paths),
+        require_common=arguments.require_common,
+    )
     io.save_profile(image, arguments.output)
     destination = (
         arguments.output if arguments.output and arguments.output != "-" else "stdout"
@@ -452,12 +487,8 @@ def _command_corpus(arguments: argparse.Namespace, io: CommandIO) -> int:
 
 
 def _command_annotate(arguments: argparse.Namespace, io: CommandIO) -> int:
-    program = _load_program(io, arguments.program)
-    try:
-        image = io.read_profile(arguments.profile)
-    except ProfileFormatError as error:
-        print(f"annotate: bad profile: {error}", file=io.stderr)
-        return 2
+    program = io.read_program(arguments.program)
+    image = io.read_profile(arguments.profile)
     policy = AnnotationPolicy(
         accuracy_threshold=arguments.threshold,
         stride_threshold=arguments.stride_threshold,
@@ -475,7 +506,7 @@ def _command_annotate(arguments: argparse.Namespace, io: CommandIO) -> int:
 
 
 def _command_trace(arguments: argparse.Namespace, io: CommandIO) -> int:
-    program = _load_program(io, arguments.program)
+    program = io.read_program(arguments.program)
     if arguments.store:
         # Sharded capture: each --inputs flag is its own run, captured
         # into one content-addressed TraceStore across --jobs workers.
@@ -544,19 +575,15 @@ def _command_trace(arguments: argparse.Namespace, io: CommandIO) -> int:
 
 
 def _command_disasm(arguments: argparse.Namespace, io: CommandIO) -> int:
-    program = _load_program(io, arguments.program)
+    program = io.read_program(arguments.program)
     io.write_output(disassemble(program), arguments.output)
     return 0
 
 
 def _command_report(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Rank instructions by profiled value predictability."""
-    program = _load_program(io, arguments.program)
-    try:
-        image = io.read_profile(arguments.profile)
-    except ProfileFormatError as error:
-        print(f"report: bad profile: {error}", file=io.stderr)
-        return 2
+    program = io.read_program(arguments.program)
+    image = io.read_profile(arguments.profile)
     rows = []
     for address, profile in image.instructions.items():
         if profile.attempts < arguments.min_attempts:
@@ -650,19 +677,10 @@ def _command_classify_train(arguments: argparse.Namespace, io: CommandIO) -> int
 
 def _command_classify_predict(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Re-tag a program with model-predicted directives (no profile)."""
-    from .classify import (
-        ModelFormatError,
-        annotate_with_model,
-        loads_model,
-        model_digest,
-    )
+    from .classify import annotate_with_model, model_digest
 
-    try:
-        model = loads_model(io.read_text(arguments.model))
-    except ModelFormatError as error:
-        print(f"classify: bad model: {error}", file=io.stderr)
-        return 2
-    program = _load_program(io, arguments.program)
+    model = io.read_model(arguments.model)
+    program = io.read_program(arguments.program)
     annotated = annotate_with_model(model, program)
     io.write_output(disassemble(annotated), arguments.output)
     print(
@@ -676,20 +694,9 @@ def _command_classify_predict(arguments: argparse.Namespace, io: CommandIO) -> i
 
 def _command_classify_eval(arguments: argparse.Namespace, io: CommandIO) -> int:
     """Held-out per-instruction label accuracy vs the majority baseline."""
-    from .classify import (
-        LABEL_NAMES,
-        ModelFormatError,
-        build_dataset,
-        dataset_rows,
-        loads_model,
-        majority_label,
-    )
+    from .classify import LABEL_NAMES, build_dataset, dataset_rows, majority_label
 
-    try:
-        model = loads_model(io.read_text(arguments.model))
-    except ModelFormatError as error:
-        print(f"classify: bad model: {error}", file=io.stderr)
-        return 2
+    model = io.read_model(arguments.model)
     _training, held_out = _classify_corpus(arguments)
     labeled = build_dataset(
         held_out,
@@ -1087,9 +1094,26 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     return parser
 
 
+def run_command(arguments: argparse.Namespace, io: CommandIO) -> int:
+    """Run a parsed command line against ``io``; returns its exit status.
+
+    An :class:`InputError`, or a
+    :class:`~repro.profiling.ProfileFormatError` from
+    :meth:`CommandIO.read_profile`, prints ``<command>: bad <kind>:
+    <message>`` and exits 2.
+    """
+    try:
+        return arguments.handler(arguments, io)
+    except InputError as error:
+        kind, message = error.kind, error
+    except ProfileFormatError as error:
+        kind, message = "profile", error
+    print(f"{arguments.command}: bad {kind}: {message}", file=io.stderr)
+    return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    arguments = build_parser().parse_args(argv)
-    return arguments.handler(arguments, CommandIO())
+    return run_command(build_parser().parse_args(argv), CommandIO())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,9 +24,9 @@ runs (no store) — the ``repro corpus --jobs N`` passthrough.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..isa import Number, Program
@@ -35,6 +35,18 @@ from .batch import DEFAULT_CHUNK
 from .errors import ExecutionError
 from .executor import DEFAULT_BUDGET, Executor
 from .tracestore import TraceStore, trace_key
+
+
+def __getattr__(name: str):
+    # ``ProcessPoolExecutor`` is imported when a pool is first built: it
+    # loads ``multiprocessing``, which a serial run never needs.  The
+    # pool is built through this module attribute, so a test can patch
+    # in a stand-in.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _pool_map(function: Callable, payloads: List[Tuple], workers: int) -> list:
@@ -46,10 +58,10 @@ def _pool_map(function: Callable, payloads: List[Tuple], workers: int) -> list:
     results: list = [None] * len(payloads)
     if workers > 1 and len(payloads) > 1:
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
                 for position, result in enumerate(pool.map(function, payloads)):
                     results[position] = result
-        except BrokenProcessPool:
+        except BrokenExecutor:
             pass
     return [
         function(payload) if result is None else result

@@ -103,6 +103,10 @@ class GroupStats:
         return 100.0 * self.correct / self.attempts
 
 
+#: A ``(category, phase)`` group of :attr:`ProfileImage.group_detail`.
+GroupKey = Tuple[Category, int]
+
+
 class ProfileImage:
     """The output of one profiling run (paper Section 3.2, Table 3.1).
 
@@ -110,10 +114,17 @@ class ProfileImage:
     and run labels.  The (category, phase) aggregates ride along for the
     Table 2.1 measurements.
 
-    Group accounting is stored at *per-address* granularity
-    (:attr:`group_detail`: ``(category, phase) -> {address: [executions,
-    attempts, correct]}``) and the coarse :attr:`groups` view is derived
-    by summation.  The detail is what makes two operations exact that an
+    Group accounting is kept per address, and each count is stored once.
+    An address whose only group slot equals its instruction's
+    ``(executions, attempts, correct)`` — every address of a
+    single-phase run — keeps just its shared ``(category, phase)`` key,
+    its *home*, in :attr:`homes`.  Only the other addresses keep explicit
+    ``[executions, attempts, correct]`` slots, in :attr:`splits`: one
+    that ran in several phases, or one whose group rows, hand-made or
+    loaded, disagree with its instruction row.  :attr:`group_detail`
+    (``(category, phase) -> {address: [executions, attempts, correct]}``)
+    and the coarse :attr:`groups` are views derived from both.  The
+    per-address detail is what makes two operations exact that an
     aggregate-only image cannot support: filtering group counts to a
     subset of instructions (``merge_profiles(require_common=True)``) and
     the lossless save→load→merge round trip of
@@ -124,8 +135,12 @@ class ProfileImage:
         self.program_name = program_name
         self.run_label = run_label
         self.instructions: Dict[int, InstructionProfile] = {}
-        #: (category, phase) -> address -> [executions, attempts, correct]
-        self.group_detail: Dict[Tuple[Category, int], Dict[int, List[int]]] = {}
+        #: address -> its home, the one group its instruction counts fill
+        self.homes: Dict[int, GroupKey] = {}
+        #: address -> (category, phase) -> [executions, attempts, correct]
+        self.splits: Dict[int, Dict[GroupKey, List[int]]] = {}
+        # One key object per group, shared by every home and split slot.
+        self._keys: Dict[GroupKey, GroupKey] = {}
 
     def profile_for(self, address: int) -> InstructionProfile:
         profile = self.instructions.get(address)
@@ -134,29 +149,128 @@ class ProfileImage:
             self.instructions[address] = profile
         return profile
 
+    def add_counts(
+        self,
+        address: int,
+        key: Optional[GroupKey],
+        executions: int,
+        attempts: int,
+        correct: int,
+        nonzero_stride_correct: int = 0,
+    ) -> None:
+        """Add counts to ``address``'s instruction row and, unless ``key``
+        is ``None``, the same ``(executions, attempts, correct)`` to its
+        ``key`` group.
+
+        A new address takes ``key`` as its home; counts for any other
+        group first turn the home into an explicit slot.
+        """
+        profile = self.instructions.get(address)
+        if profile is None:
+            profile = self.instructions[address] = InstructionProfile(address)
+            if key is not None and address not in self.splits:
+                self.homes[address] = self._keys.setdefault(key, key)
+        if self.homes.get(address) != key:
+            if key is not None:
+                slot = self.group_slot(key[0], key[1], address)
+                slot[0] += executions
+                slot[1] += attempts
+                slot[2] += correct
+            else:
+                self._split(address)
+        profile.executions += executions
+        profile.attempts += attempts
+        profile.correct += correct
+        profile.nonzero_stride_correct += nonzero_stride_correct
+
     def group_slot(self, category: Category, phase: int, address: int) -> List[int]:
         """The mutable ``[executions, attempts, correct]`` accumulator for
-        ``address`` within the ``(category, phase)`` group."""
-        key = (category, phase)
-        members = self.group_detail.get(key)
-        if members is None:
-            members = self.group_detail[key] = {}
-        slot = members.get(address)
+        ``address`` within the ``(category, phase)`` group.
+
+        A homed address first gets its home back as an explicit slot.
+        """
+        slots = self._split(address)
+        key = self._keys.setdefault((category, phase), (category, phase))
+        slot = slots.get(key)
         if slot is None:
-            slot = members[address] = [0, 0, 0]
+            slot = slots[key] = [0, 0, 0]
         return slot
 
+    def _split(self, address: int) -> Dict[GroupKey, List[int]]:
+        """``address``'s explicit slots, its home turned into one."""
+        slots = self.splits.get(address)
+        if slots is None:
+            slots = self.splits[address] = {}
+            home = self.homes.pop(address, None)
+            if home is not None:
+                profile = self.instructions[address]
+                slots[home] = [profile.executions, profile.attempts, profile.correct]
+        return slots
+
+    def discard(self, address: int) -> None:
+        """Drop ``address``: its instruction row and its group counts."""
+        self.instructions.pop(address, None)
+        self.homes.pop(address, None)
+        self.splits.pop(address, None)
+
     @property
-    def groups(self) -> Dict[Tuple[Category, int], GroupStats]:
+    def group_detail(self) -> Dict[GroupKey, Dict[int, List[int]]]:
+        """``(category, phase) -> {address: [executions, attempts,
+        correct]}``, built afresh from the homes and the explicit slots;
+        change counts through :meth:`group_slot` or :meth:`add_counts`."""
+        detail: Dict[GroupKey, Dict[int, List[int]]] = {}
+        for address, key in self.homes.items():
+            profile = self.instructions[address]
+            members = detail.get(key)
+            if members is None:
+                members = detail[key] = {}
+            members[address] = [profile.executions, profile.attempts, profile.correct]
+        for address, slots in self.splits.items():
+            for key, counts in slots.items():
+                members = detail.get(key)
+                if members is None:
+                    members = detail[key] = {}
+                members[address] = list(counts)
+        return detail
+
+    @group_detail.setter
+    def group_detail(self, detail: Mapping[GroupKey, Mapping[int, List[int]]]) -> None:
+        """Replace the group accounting with ``detail``; each address
+        whose only slot equals its instruction's counts is homed."""
+        self.homes = {}
+        self.splits = {}
+        for key, members in detail.items():
+            key = self._keys.setdefault(key, key)
+            for address, counts in members.items():
+                self.splits.setdefault(address, {})[key] = list(counts)
+        for address, slots in list(self.splits.items()):
+            profile = self.instructions.get(address)
+            if profile is None or len(slots) != 1:
+                continue
+            (key, counts), = slots.items()
+            if counts == [profile.executions, profile.attempts, profile.correct]:
+                self.homes[address] = key
+                del self.splits[address]
+
+    @property
+    def groups(self) -> Dict[GroupKey, GroupStats]:
         """The (category, phase) aggregates, summed from the detail."""
-        aggregated: Dict[Tuple[Category, int], GroupStats] = {}
-        for key, members in self.group_detail.items():
-            stats = GroupStats()
-            for executions, attempts, correct in members.values():
-                stats.executions += executions
-                stats.attempts += attempts
-                stats.correct += correct
-            aggregated[key] = stats
+        aggregated: Dict[GroupKey, GroupStats] = {}
+
+        def add(key: GroupKey, executions: int, attempts: int, correct: int) -> None:
+            stats = aggregated.get(key)
+            if stats is None:
+                stats = aggregated[key] = GroupStats()
+            stats.executions += executions
+            stats.attempts += attempts
+            stats.correct += correct
+
+        for address, key in self.homes.items():
+            profile = self.instructions[address]
+            add(key, profile.executions, profile.attempts, profile.correct)
+        for slots in self.splits.values():
+            for key, (executions, attempts, correct) in slots.items():
+                add(key, executions, attempts, correct)
         return aggregated
 
     @property
@@ -200,7 +314,7 @@ class ProfileImage:
         return (
             f"ProfileImage({self.program_name!r}, run={self.run_label!r}, "
             f"{len(self.instructions)} instructions, "
-            f"{len(self.group_detail)} groups)"
+            f"{len(self.groups)} groups)"
         )
 
 
@@ -412,9 +526,11 @@ def _folder(program: Program, folds, image_for) -> Callable[[int], None]:
     phase)``, which it asks for only when a row did, and zeroes them.
     """
     categories = [instruction.category for instruction in program.instructions]
+    kinds = list(dict.fromkeys(categories))
     distinct = list({id(rows): rows for _name, rows, _table, _follows in folds}.values())
 
     def fold(phase: int) -> None:
+        keys = {category: (category, phase) for category in kinds}
         for name, rows, table, follows in folds:
             image = None
             correct = HELD if follows else CORRECT
@@ -425,16 +541,14 @@ def _folder(program: Program, folds, image_for) -> Callable[[int], None]:
                     continue
                 if image is None:
                     image = image_for(name, phase)
-                profile = image.profile_for(address)
-                profile.executions += executions
-                profile.attempts += attempts
-                profile.correct += row[correct]
-                if not follows:
-                    profile.nonzero_stride_correct += row[NONZERO]
-                group = image.group_slot(categories[address], phase, address)
-                group[0] += executions
-                group[1] += attempts
-                group[2] += row[correct]
+                image.add_counts(
+                    address,
+                    keys[categories[address]],
+                    executions,
+                    attempts,
+                    row[correct],
+                    0 if follows else row[NONZERO],
+                )
                 if table is not None:
                     table.lookups += executions
                     table.hits += attempts

@@ -27,6 +27,13 @@ load the instruction table.  The loader validates group rows exactly
 like instruction rows — integer fields, ``0 <= correct <= attempts <=
 executions`` — and rejects duplicate rows, so a save→load→merge
 pipeline is bit-for-bit identical to merging the in-memory images.
+
+An image stores most group counts only once (an address homed in its
+one group reuses its instruction counts), but the file does not show
+it: every member address still gets its own row, written from the
+derived ``group_detail`` view.  The loader homes each address whose
+only group row equals its instruction row and keeps explicit slots for
+the rest, so every file it accepts writes back the same bytes.
 """
 
 from __future__ import annotations
@@ -200,16 +207,18 @@ def load_profile(stream: TextIO) -> ProfileImage:
             correct=correct,
             nonzero_stride_correct=nonzero,
         )
+    detail: dict = {}
     for line_number, (category, phase, address, executions, attempts, correct) in (
         group_rows
     ):
-        members = image.group_detail.setdefault((category, phase), {})
+        members = detail.setdefault((category, phase), {})
         if address in members:
             raise ProfileFormatError(
                 f"line {line_number}: duplicate group row for "
                 f"{category.value} phase {phase} address {address}"
             )
         members[address] = [executions, attempts, correct]
+    image.group_detail = detail
     return image
 
 

@@ -21,7 +21,7 @@ import time
 from typing import Iterable, List, Optional, Set, Union
 
 from ..telemetry import get_registry
-from .collector import InstructionProfile, ProfileImage
+from .collector import ProfileImage
 from .image_io import load_profile
 
 #: ``merge_profiles`` accepts images or open v1 text streams.
@@ -88,7 +88,10 @@ def merge_profiles(
     Under ``require_common`` each fold first drops the accumulated
     addresses the incoming image lacks (they can never rejoin: the
     intersection is monotone), then adds the incoming counts for the
-    survivors.  Group rows are pruned with the same addresses.
+    survivors.  Group rows are pruned with the same addresses.  An
+    address homed in the same group in every image it ran in stays homed
+    (:class:`~repro.profiling.collector.ProfileImage`); any other gets
+    explicit group slots.
     """
     telemetry = get_registry()
     merged: Optional[ProfileImage] = None
@@ -104,26 +107,23 @@ def merge_profiles(
                 if address not in image.instructions
             ]
             for address in stale:
-                del merged.instructions[address]
-            for key, members in list(merged.group_detail.items()):
-                for address in stale:
-                    members.pop(address, None)
-                if not members:
-                    del merged.group_detail[key]
+                merged.discard(address)
+        homes = image.homes
         for address, profile in image.instructions.items():
-            into = merged.instructions.get(address)
-            if into is None:
-                if restrict:
-                    continue
-                into = merged.instructions[address] = InstructionProfile(address)
-            into.executions += profile.executions
-            into.attempts += profile.attempts
-            into.correct += profile.correct
-            into.nonzero_stride_correct += profile.nonzero_stride_correct
-        for (category, phase), members in image.group_detail.items():
-            for address, counts in members.items():
-                if require_common and address not in merged.instructions:
-                    continue
+            if restrict and address not in merged.instructions:
+                continue
+            merged.add_counts(
+                address,
+                homes.get(address),
+                profile.executions,
+                profile.attempts,
+                profile.correct,
+                profile.nonzero_stride_correct,
+            )
+        for address, slots in image.splits.items():
+            if require_common and address not in merged.instructions:
+                continue
+            for (category, phase), counts in slots.items():
                 slot = merged.group_slot(category, phase, address)
                 slot[0] += counts[0]
                 slot[1] += counts[1]

@@ -33,9 +33,9 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from typing import Dict, List, Optional, Set, TextIO
 
 from ..telemetry import get_registry
@@ -43,6 +43,18 @@ from . import worker
 from .cache import PayloadError
 from .jobs import Job, JobGraph
 from .report import CACHED, FAILED, OK, SKIPPED, JobReport, RunReport
+
+
+def __getattr__(name: str):
+    # ``ProcessPoolExecutor`` is imported when a pool is first built: it
+    # loads ``multiprocessing``, which a serial run never needs.  The
+    # pool is built through this module attribute, so a test can patch
+    # in a stand-in.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Cause recorded on a job whose pool worker was lost with the pool.
 POOL_BROKE = "worker pool broke; rerun in-process"
@@ -85,7 +97,7 @@ def _describe(error: BaseException) -> str:
 
 def _lost(future: concurrent.futures.Future) -> bool:
     """Whether a finished pool future died with its pool."""
-    return future.cancelled() or isinstance(future.exception(), BrokenProcessPool)
+    return future.cancelled() or isinstance(future.exception(), BrokenExecutor)
 
 
 def execute_graph(
@@ -140,7 +152,7 @@ def execute_graph(
     seconds_of: Dict[str, float] = {}
 
     use_pool = workers > 1 and any(not job.inline for job in order)
-    pool = ProcessPoolExecutor(max_workers=workers) if use_pool else None
+    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if use_pool else None
     futures: Dict[concurrent.futures.Future, Job] = {}
 
     def record_job(job: Job, job_status: str, seconds: float) -> None:
@@ -273,7 +285,7 @@ def execute_graph(
             try:
                 futures[pool.submit(worker.run_pool_job, spec, job, dep_items)] = job
                 return
-            except BrokenProcessPool:
+            except BrokenExecutor:
                 # The pool died since the last wait.
                 abandon_pool()
         compute_inline(job)

@@ -131,7 +131,7 @@ class ServiceEngine:
         stdout, stderr = io.StringIO(), io.StringIO()
         try:
             try:
-                status = arguments.handler(
+                status = cli.run_command(
                     arguments, cli.CommandIO(job.files, stdout, stderr, self.traces)
                 )
             except SystemExit as exit:

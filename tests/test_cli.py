@@ -246,6 +246,46 @@ class TestPipeline:
         assert len(lines) == 1
         assert lines[0].startswith(f"{command}: bad profile: ")
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["run", "{missing}.asm"], "run: bad program: "),
+            (["disasm", "{bad_asm}"], "disasm: bad program: "),
+            (["run", "{binary}"], "run: bad program: "),
+            (["compile", "{bad_mc}"], "compile: bad source: "),
+            (["compile", "{missing}.mc"], "compile: bad source: "),
+            (["annotate", "{assembly}", "{missing}.profile"], "annotate: bad profile: "),
+            (["classify", "predict", "{missing}.model", "{assembly}"],
+             "classify: bad model: "),
+        ],
+        ids=[
+            "run-missing", "disasm-unknown-mnemonic", "run-non-utf8",
+            "compile-parse-error", "compile-missing", "annotate-missing-profile",
+            "classify-missing-model",
+        ],
+    )
+    def test_bad_input_file_is_a_usage_error(self, demo, capsys, argv, prefix):
+        directory, source = demo
+        assembly = directory / "demo.asm"
+        main(["compile", str(source), "-o", str(assembly)])
+        (directory / "bad.asm").write_text("    frobnicate r1\n", encoding="utf-8")
+        (directory / "bad.mc").write_text("int main( {\n", encoding="utf-8")
+        (directory / "binary.asm").write_bytes(bytes(range(256)))
+        names = {
+            "missing": str(directory / "missing"),
+            "bad_asm": str(directory / "bad.asm"),
+            "bad_mc": str(directory / "bad.mc"),
+            "binary": str(directory / "binary.asm"),
+            "assembly": str(assembly),
+        }
+        capsys.readouterr()
+        assert main([part.format(**names) for part in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(prefix)
+
 
 def test_cli_and_daemon_import_without_numpy():
     """The CLI and the service daemon load no numerical stack.

@@ -39,6 +39,12 @@ def counts(draw):
     return executions, attempts, correct, nonzero
 
 
+#: How an address's group accounting is drawn: none, homed (one group,
+#: equal to its instruction row), disagreeing (one group row with its own
+#: counts), in several phases, or a group row with no instruction row.
+_SHAPES = ("none", "home", "disagree", "phases", "orphan")
+
+
 @st.composite
 def profile_images(draw):
     image = ProfileImage(
@@ -49,19 +55,29 @@ def profile_images(draw):
         st.lists(st.integers(min_value=0, max_value=500), max_size=12, unique=True)
     )
     for address in addresses:
-        executions, attempts, correct, nonzero = draw(counts())
-        image.instructions[address] = InstructionProfile(
-            address=address,
-            executions=executions,
-            attempts=attempts,
-            correct=correct,
-            nonzero_stride_correct=nonzero,
-        )
-    # Group detail references a subset of the instruction addresses,
-    # the way real collection populates it.
-    for address in addresses:
-        if draw(st.booleans()):
-            category = draw(st.sampled_from(_CATEGORIES))
+        shape = draw(st.sampled_from(_SHAPES))
+        category = draw(st.sampled_from(_CATEGORIES))
+        if shape in ("home", "phases"):
+            # Collected this way: one add per phase run, as the fold does.
+            phases = [0]
+            if shape == "phases":
+                phases = draw(
+                    st.lists(st.integers(min_value=0, max_value=3), min_size=2,
+                             max_size=3, unique=True)
+                )
+            for phase in phases:
+                image.add_counts(address, (category, phase), *draw(counts()))
+            continue
+        if shape != "orphan":
+            executions, attempts, correct, nonzero = draw(counts())
+            image.instructions[address] = InstructionProfile(
+                address=address,
+                executions=executions,
+                attempts=attempts,
+                correct=correct,
+                nonzero_stride_correct=nonzero,
+            )
+        if shape in ("disagree", "orphan"):
             phase = draw(st.integers(min_value=0, max_value=2))
             executions, attempts, correct, _ = draw(counts())
             slot = image.group_slot(category, phase, address)
@@ -113,6 +129,43 @@ class TestRoundTrip:
         image.instructions[3] = InstructionProfile(3, 10, 9, 8, 7)
         assert loads_profile(dumps_profile(image)) == image
         assert "group:" not in dumps_profile(image)
+
+
+class TestStoredOnce:
+    @settings(max_examples=200, deadline=None)
+    @given(profile_images())
+    def test_loader_homes_each_agreeing_address(self, image):
+        """A loaded address keeps explicit slots only when it must."""
+        loaded = loads_profile(dumps_profile(image))
+        for address, slots in loaded.splits.items():
+            profile = loaded.instructions.get(address)
+            if profile is None or len(slots) > 1:
+                continue
+            (counts,) = slots.values()
+            assert counts != [profile.executions, profile.attempts, profile.correct]
+        assert not set(loaded.homes) & set(loaded.splits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile_images(), profile_images(), profile_images())
+    def test_merge_is_byte_exact_through_the_format(self, first, second, third):
+        """dumps -> loads -> merge gives the bytes of the in-memory merge,
+        in either argument order, in both ``require_common`` modes."""
+        images = [first, second, third]
+        for require_common in (False, True):
+            direct = dumps_profile(
+                merge_profiles(images, program_name="p", require_common=require_common)
+            )
+            via_disk = merge_profiles(
+                [loads_profile(dumps_profile(image)) for image in images],
+                program_name="p",
+                require_common=require_common,
+            )
+            assert dumps_profile(via_disk) == direct
+            assert loads_profile(direct) == via_disk
+            backward = merge_profiles(
+                images[::-1], program_name="p", require_common=require_common
+            )
+            assert dumps_profile(backward) == direct
 
 
 class TestMergeAlgebra:

@@ -469,3 +469,68 @@ class TestSharedConsumers:
         with use_registry(registry):
             collect_profile(self.program)
         assert registry.counter("profiling.runs").value == 1
+
+
+class TestGroupsStoredOnce:
+    """Each address's group counts are stored once (ProfileImage.homes).
+
+    The serialized images must not change: the sha256 of ``dumps_profile``
+    for two merged scale-0.01 images is pinned from the layout that kept
+    an explicit ``[executions, attempts, correct]`` slot per address.
+    """
+
+    PINNED = {
+        "126.gcc": "681e9e53b8aa6f964c06b50160425edb553ff3e512013799f80fe50852905a3b",
+        "107.mgrid": "6e993282660315f678277d82e3e936259e8cfbefa6a1510f50fb276c523d03f7",
+    }
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        from repro.experiments.context import ExperimentContext
+
+        return ExperimentContext(scale=0.01, training_runs=5)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_merged_image_bytes_are_pinned(self, context, name):
+        import hashlib
+
+        merged = context.merged_profile(name)
+        digest = hashlib.sha256(dumps_profile(merged).encode("utf-8")).hexdigest()
+        assert digest == self.PINNED[name]
+        reloaded = merge_profiles(
+            [loads_profile(dumps_profile(image)) for image in context.training_profiles(name)],
+            program_name=name,
+        )
+        assert dumps_profile(reloaded) == dumps_profile(merged)
+
+    def test_collected_int_image_holds_no_group_lists(self, context):
+        for image in [*context.training_profiles("126.gcc"), context.merged_profile("126.gcc")]:
+            assert image.splits == {}
+            assert sorted(image.homes) == image.addresses
+            assert loads_profile(dumps_profile(image)).splits == {}
+
+    def test_multi_phase_addresses_keep_explicit_slots(self, context):
+        image = context.training_profiles("107.mgrid")[0]
+        assert image.splits and image.homes
+        for address, slots in image.splits.items():
+            assert len(slots) > 1
+            assert address not in image.homes
+        phases = {phase for slots in image.splits.values() for _category, phase in slots}
+        assert len(phases) > 1
+        reloaded = loads_profile(dumps_profile(image))
+        assert reloaded == image
+        assert sorted(reloaded.splits) == sorted(image.splits)
+
+    def test_group_slot_splits_a_home(self):
+        image = ProfileImage("p")
+        image.add_counts(3, (Category.INT_ALU, 0), 10, 9, 8, 7)
+        assert image.homes == {3: (Category.INT_ALU, 0)}
+        slot = image.group_slot(Category.INT_ALU, 1, 3)
+        slot[0] += 1
+        assert image.homes == {}
+        assert image.group_detail == {
+            (Category.INT_ALU, 0): {3: [10, 9, 8]},
+            (Category.INT_ALU, 1): {3: [1, 0, 0]},
+        }
+        # The split address's instruction row is unchanged by group_slot.
+        assert image.instructions[3] == InstructionProfile(3, 10, 9, 8, 7)

@@ -16,13 +16,18 @@ from __future__ import annotations
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import shared
 from repro.experiments.context import THRESHOLDS as PAPER_THRESHOLDS
 from repro.experiments.context import ExperimentContext
@@ -569,6 +574,31 @@ class TestBrokenPool:
         lost = [entry.job_id for entry in broken.report.jobs if entry.causes]
         assert lost == [pool_jobs[1]]
         assert broken.report.job(pool_jobs[1]).causes == (POOL_BROKE,)
+
+
+def test_serial_import_loads_no_process_pool():
+    """The runner loads ``multiprocessing`` only when it builds a pool.
+
+    Checked in a fresh interpreter, since this test process has built
+    pools already.  A serial run would pay the import's memory for
+    nothing.
+    """
+    script = (
+        "import sys\n"
+        "import repro.experiments.runner\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.split('.')[0] == 'multiprocessing'\n"
+        "             or name == 'concurrent.futures.process'))\n"
+    )
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source_root},
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestRunReport:
