@@ -772,10 +772,10 @@ def _engine_grid(program):
     (always, profile, probe-always, probe-profile) fold from the FSM
     leader's slots; the profile one allocates its members only.  Roomy
     1024-entry 2-way stride tables, whose 512 sets hold every candidate
-    of a generated program, cannot evict: they walk as unbounded tables
-    (the FSM one) or follow the leader (always, profile).  Finite 8-entry
-    set-associative stride tables run the evicting kernel, which must
-    drop an evicted address's FSM counter.
+    of a generated program, cannot evict: the FSM one walks its own
+    sets, the always and profile ones follow the leader.  Finite 8-entry
+    set-associative stride tables evict, which must drop an evicted
+    address's FSM counter.
     Last-value engines take the kernel with the stride held at 0
     (``finite-lv/profile`` is ablation-hybrid's shape); two-delta and
     hybrid engines fall back to ``step``.  Every third candidate stays
@@ -863,10 +863,10 @@ def _engine_grid(program):
 def _observe_engine(engine) -> Dict[str, object]:
     """Canonical engine end-state: stats, tables, entries, FSM counters.
 
-    Entries are keyed by sorted address (infinite-table insertion order
-    is an internal detail the pure fast and step paths already disagree
-    on); values go through :func:`_canon_value` so a float-valued entry
-    can never masquerade as its int twin.
+    Entries are keyed by sorted address (a follower's within-set order
+    is an internal detail the fold and step paths disagree on); values
+    go through :func:`_canon_value` so a float-valued entry can never
+    masquerade as its int twin.
     """
     from ..predictors.last_value import LastValueEntry
     from ..predictors.stride import StrideEntry

@@ -113,8 +113,9 @@ def input_files(arguments: argparse.Namespace) -> List[InputFile]:
 
 
 class InputError(ValueError):
-    """An input file is missing, unreadable or malformed: ``kind`` names
-    what it should hold (``program``, ``source`` or ``model``)."""
+    """An input file or ``--inputs`` spec is missing, unreadable or
+    malformed: ``kind`` names what it should hold (``program``,
+    ``source``, ``model`` or ``inputs``)."""
 
     def __init__(self, kind: str, message: str) -> None:
         super().__init__(message)
@@ -144,14 +145,11 @@ class CommandIO:
         self.stderr = sys.stderr if stderr is None else stderr
         self.traces = traces
 
-    def read_text(self, path: str) -> str:
-        if self.files is None:
-            return Path(path).read_text(encoding="utf-8")
-        return self.files[path]
-
     def _read(self, path: str, kind: str) -> str:
+        if self.files is not None:
+            return self.files[path]
         try:
-            return self.read_text(path)
+            return Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as error:
             raise InputError(kind, str(error)) from error
 
@@ -188,6 +186,10 @@ class CommandIO:
             raise ProfileFormatError(
                 f"{path}: not a text profile image (undecodable bytes: {error})"
             ) from error
+
+    def read_inputs(self, path: str) -> str:
+        """The text of an ``--inputs @file``."""
+        return self._read(path, "inputs")
 
     def read_model(self, path: str):
         """A classifier model file."""
@@ -233,7 +235,11 @@ def _parse_number(token: str) -> Number:
     try:
         return int(token)
     except ValueError:
+        pass
+    try:
         return float(token)
+    except ValueError:
+        raise InputError("inputs", f"not a number: {token!r}") from None
 
 
 def parse_inputs_spec(
@@ -243,12 +249,14 @@ def parse_inputs_spec(
 
     The single parser behind every subcommand's ``--inputs`` flag, so the
     spec syntax cannot drift between commands.  ``read_text`` reads the
-    ``@file`` (default: from disk; a service job reads its uploads).
+    ``@file`` (default: :meth:`CommandIO.read_inputs` from disk; a service
+    job reads its uploads).  A token that is not a number raises
+    :class:`InputError`.
     """
     if not spec:
         return []
     if spec.startswith("@"):
-        text = (read_text or CommandIO().read_text)(spec[1:])
+        text = (read_text or CommandIO().read_inputs)(spec[1:])
         return [_parse_number(token) for token in text.split()]
     return [_parse_number(token) for token in spec.split(",") if token]
 
@@ -293,7 +301,7 @@ def _command_run(arguments: argparse.Namespace, io: CommandIO) -> int:
     program = io.read_program(arguments.program)
     result = run_program(
         program,
-        inputs=parse_input_stream(arguments.inputs or [], io.read_text),
+        inputs=parse_input_stream(arguments.inputs or [], io.read_inputs),
         max_instructions=arguments.max_instructions,
     )
     for value in result.outputs:
@@ -312,7 +320,7 @@ def _command_profile(arguments: argparse.Namespace, io: CommandIO) -> int:
     sample_every = getattr(arguments, "sample_every", 1)
     jobs = getattr(arguments, "jobs", 1)
     store_dir = getattr(arguments, "store", None)
-    input_sets = parse_input_sets(arguments.inputs or [""], io.read_text)
+    input_sets = parse_input_sets(arguments.inputs or [""], io.read_inputs)
     with contextlib.ExitStack() as stack:
         store = io.traces
         if jobs > 1 or store_dir:
@@ -519,7 +527,7 @@ def _command_trace(arguments: argparse.Namespace, io: CommandIO) -> int:
                 file=io.stderr,
             )
             return 2
-        input_sets = parse_input_sets(arguments.inputs or [""], io.read_text)
+        input_sets = parse_input_sets(arguments.inputs or [""], io.read_inputs)
         report = capture_sharded(
             program,
             input_sets,
@@ -555,14 +563,12 @@ def _command_trace(arguments: argparse.Namespace, io: CommandIO) -> int:
             file=io.stderr,
         )
         return 2
+    inputs = parse_input_stream(arguments.inputs or [], io.read_inputs)
     try:
         with io.open_output(arguments.output) as stream:
             count = write_trace(
                 replay_or_run(
-                    program,
-                    parse_input_stream(arguments.inputs or [], io.read_text),
-                    arguments.max_instructions,
-                    store=io.traces,
+                    program, inputs, arguments.max_instructions, store=io.traces
                 ),
                 stream,
                 program.name,

@@ -30,44 +30,40 @@ plain :class:`~repro.predictors.StridePredictor` or
 :class:`~repro.predictors.LastValuePredictor` driven by one of the
 stock classification schemes reduce the scheme to membership policies
 (or, for the hardware scheme, to saturating counters kept as ints in
-the kernel's rows) and run the stride kernels of
-:mod:`repro.predictors.stride`, which replicate
+the kernel's rows) and run the stride kernel
+:func:`~repro.predictors.stride.walk_set_associative`, which replicates
 :meth:`PredictionEngine.step`, including table LRU/eviction order and
 the FSM counters' end state, without a per-record Python call;
-everything else falls back to ``step`` per candidate.  An infinite
-table walks :func:`~repro.predictors.stride.walk_leader` (allocation on
-every miss) or :func:`~repro.predictors.stride.walk_members`
-(allocation of the profile's members), and so does a finite table that
-*cannot evict*: one that starts empty and none of whose sets receives
-more than ``ways`` of the engine's allocatable addresses (every
-candidate, or the profile's directive members).  Any other finite table
-walks :func:`~repro.predictors.stride.walk_set_associative`.  A kernel
-keeps one row per address; after the last batch one fold adds the rows'
-counts to the engine's statistics and table meters, and the rows become
-the table's entries again.  Results are
-bit-identical either way, with three deliberate internal-only
-divergences on the fast path: ``may_allocate`` is consulted only on
-misses (the stock schemes are pure, so skipping the unconditional call
-is unobservable), LRU positions are not refreshed in infinite tables
-(which never evict), and a table that cannot evict keeps its entries
-in first-allocation order within each set, not LRU order (safe because
-such a set never fills, so no victim is ever chosen by that order).
+everything else falls back to ``step`` per candidate.  A finite table
+walks its own sets and ways, an infinite one one set with no way limit.
+A kernel keeps one row per address; after the last batch one fold adds
+the rows' counts to the engine's statistics and table meters, and the
+rows become the table's entries again.  Results are bit-identical
+either way, with one deliberate internal-only divergence on the fast
+path: ``may_allocate`` is consulted only on misses (the stock schemes
+are pure, so skipping the unconditional call is unobservable).
 
 Engines whose predictor evolution is a pure function of the candidate
-stream — a stride table that starts empty and never evicts, so each
-address's entry evolves on its own — additionally *share* that
-evolution.  One leader that allocates every address walks the stream,
-and every stride sibling whose take policy is static (a constant or an
-address membership test, no FSM) folds its statistics from the leader's
-rows at the end and clones the final table state, paying zero
-per-record cost.  A follower may allocate only its members (the
-profile scheme): those addresses' entries are the leader's, and its
-other addresses count executions only.  A hardware-scheme engine leads
-when there is one, since its walk runs anyway; otherwise a hidden
-take-all probe walks for two or more followers.  The six Figure 5.1/5.2
-engines therefore do one predictor's work per record, not six, and the
-Table 5.2 engines whose finite tables cannot evict follow the same
-leader.
+stream — a stride table that starts empty and never evicts (infinite,
+or finite but unable to: none of its sets receives more than ``ways``
+of the engine's allocatable addresses, every candidate or the profile's
+directive members), so each address's entry evolves on its own —
+additionally *share* that evolution.  One leader that allocates every
+address walks the stream, and every stride sibling whose take policy is
+static (a constant or an address membership test, no FSM) folds its
+statistics from the leader's rows at the end and clones the final table
+state, paying zero per-record cost.  A follower may allocate only its
+members (the profile scheme): those addresses' entries are the
+leader's, and its other addresses count executions only.  A
+hardware-scheme engine leads when there is one, since its walk runs
+anyway; otherwise a hidden take-all probe walks for two or more
+followers.  The six Figure 5.1/5.2 engines therefore do one predictor's
+work per record, not six, and the Table 5.2 engines whose finite tables
+cannot evict follow the same leader.  Followers add two more
+internal-only divergences: they refresh no LRU positions, and they
+write their entries back in first-allocation order within each set, not
+LRU order (safe because their sets never fill, so no victim is ever
+chosen by that order).
 
 :meth:`PredictionEngine.step` is the reference semantics and the kernel
 consumer, with its shared fold, is the only fast path; the
@@ -77,6 +73,7 @@ other.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter, OrderedDict, namedtuple
 from functools import partial
@@ -99,8 +96,6 @@ from ..predictors.stride import (
     TAKEN,
     TAKEN_CORRECT,
     table_rows,
-    walk_leader,
-    walk_members,
     walk_set_associative,
     write_back,
 )
@@ -273,9 +268,11 @@ def _build_consumers(engine_list, codes=None):
     unconditionally, so a follower that allocates only its members finds
     its members' entries in the leader's table.  A dynamic engine (FSM
     counters) is preferred as leader since its walk must run anyway; if no
-    engine can lead, a hidden probe (unconditional allocation, take all)
-    leads two or more followers.  No finisher changes the rows another
-    reads, so they run in any order.
+    engine can lead, a hidden probe (an unbounded table that allocates
+    every miss and takes every hit) leads two or more followers.  Every
+    walk, the probe's included, runs
+    :func:`~repro.predictors.stride.walk_set_associative`.  No finisher
+    changes the rows another reads, so they run in any order.
 
     ``codes``, when given, holds one slot for each engine that feeds an
     ILP lane, the first ``len(codes)`` of ``engine_list``; the engines
@@ -312,8 +309,9 @@ def _build_consumers(engine_list, codes=None):
     finishers = []
     paths = {"walked": 0, "followed": len(followers), "stepped": 0}
     if lead is not None and leader is None:
-        probe = partial(walk_leader, lead.rows)
+        probe = partial(walk_set_associative, {0: OrderedDict()}, math.inf, lead.rows)
         consumers.append(_coded_consumer(probe, codes, None, hit_codes))
+        finishers.append(partial(_unlink, lead.rows))
     for index, (engine, plan) in enumerate(zip(engine_list, plans)):
         slot = index if index < coded else None
         if index in followers:
@@ -341,8 +339,7 @@ def _build_consumers(engine_list, codes=None):
 def _coded_consumer(walk, codes, index, hit_codes=None):
     """``walk`` as a batch consumer that leaves its outcome codes in
     ``codes[index]`` unless ``index`` is ``None`` and, for a leader
-    (a ``walk_leader`` walk) given ``hit_codes``, the batch's hit codes
-    in ``hit_codes[0]``."""
+    given ``hit_codes``, the batch's hit codes in ``hit_codes[0]``."""
     if hit_codes is not None:
 
         def consume(pairs) -> None:
@@ -571,26 +568,24 @@ def _kernel_policy(engine: PredictionEngine):
 
 
 def _fast_stride_consumer(engine: PredictionEngine):
-    """Batch consumer running ``engine`` on the stride kernels, or ``None``
+    """Batch consumer running ``engine`` on the stride kernel, or ``None``
     (see :func:`_kernel_policy`).
 
-    The kernels check allocation on misses only and skip the no-op
-    ``record`` and ``on_evict`` calls of the other stock schemes.  An
-    infinite table, or a finite one that starts empty and cannot evict
-    (:func:`_cannot_evict` over the engine's allocatable addresses: all
-    candidates, or the profile's directive members), runs
-    :func:`~repro.predictors.stride.walk_leader` when it allocates every
-    miss and :func:`~repro.predictors.stride.walk_members` otherwise.  Any
-    other finite table runs
-    :func:`~repro.predictors.stride.walk_set_associative`.  ``finish``
-    folds the rows into the engine's statistics and writes their entries
-    and FSM counters back into its table and classifier.
+    The kernel checks allocation on misses only and skips the no-op
+    ``record`` and ``on_evict`` calls of the other stock schemes.  It
+    walks :func:`~repro.predictors.stride.walk_set_associative` over the
+    table's sets, an infinite table as one set with no way limit.
+    ``finish`` folds the rows into the engine's statistics and writes
+    their entries and FSM counters back into its table and classifier.
 
     Returns ``(consume, finish, shared)`` where ``shared`` is a
     :class:`_SharedStride` handle when the engine qualifies for
-    leader/follower sharing, else ``None``.  ``consume(pairs, outcomes)``
-    also writes each taken candidate's outcome code (1 correct, 2 wrong)
-    into ``outcomes`` when one is passed.
+    leader/follower sharing — a stride table that starts empty and is
+    infinite or cannot evict (:func:`_cannot_evict` over the engine's
+    allocatable addresses: all candidates, or the profile's directive
+    members) — else ``None``.  ``consume(pairs, outcomes, hits)`` also
+    writes each taken candidate's outcome code (1 correct, 2 wrong) into
+    ``outcomes`` and each hit's into ``hits`` when they are passed.
     """
     policy = _kernel_policy(engine)
     if policy is None:
@@ -605,37 +600,26 @@ def _fast_stride_consumer(engine: PredictionEngine):
         )
         states = {address: c.value for address, c in classifier._counters.items()}
     rows = table_rows(table, states)
-    evictions = [0]
     shared = None
-    sets = None
-    if table.is_infinite or not rows and _cannot_evict(
+    # Only stride engines share: the fold clones stride entries.
+    if learns and not rows and (table.is_infinite or _cannot_evict(
         table,
         engine.program.candidate_addresses if alloc_members is None else alloc_members,
-    ):
-        # Only stride engines share: the fold clones stride entries.
-        if learns and not rows:
-            shared = _SharedStride(rows, fsm is None, alloc_members, take_members)
-        if alloc_members is None:
-            consume = partial(
-                walk_leader, rows, fsm=fsm, take_members=take_members, learns=learns
-            )
-        else:
-            consume = partial(
-                walk_members, rows, alloc_members=alloc_members,
-                take_members=take_members, learns=learns,
-            )
-    else:
-        sets = {index: OrderedDict() for index in range(table.num_sets)}
-        for index, table_set in table._sets.items():
-            for address in table_set:
-                row = sets[index][address] = rows[address]
-                row[SET] = sets[index]
+    )):
+        shared = _SharedStride(rows, fsm is None, alloc_members, take_members)
+    sets = {index: OrderedDict() for index in range(table.num_sets)}
+    for index, table_set in table._sets.items():
+        for address in table_set:
+            row = sets[index][address] = rows[address]
+            row[SET] = sets[index]
+    ways = math.inf if table.is_infinite else table.ways
+    evictions = [0]
 
-        def consume(pairs, outcomes=None) -> None:
-            evictions[0] += walk_set_associative(
-                sets, table.ways, rows, pairs, outcomes,
-                alloc_members, take_members, fsm, learns,
-            )
+    def consume(pairs, outcomes=None, hits=None) -> None:
+        evictions[0] += walk_set_associative(
+            sets, ways, rows, pairs, outcomes, hits,
+            alloc_members, take_members, fsm, learns,
+        )
 
     def finish() -> None:
         _fold_counts(
@@ -643,11 +627,7 @@ def _fast_stride_consumer(engine: PredictionEngine):
             ((address, _row_counts(row)) for address, row in rows.items()),
             evictions[0],
         )
-        if sets is not None:
-            # A row and its set refer to each other; break the cycle so
-            # that both are freed with the table, not by the collector.
-            for row in rows.values():
-                row[SET] = None
+        _unlink(rows)
         write_back(table, rows, learns, sets)
         if classifier is not None:
             classifier._counters = {
@@ -657,6 +637,16 @@ def _fast_stride_consumer(engine: PredictionEngine):
             }
 
     return consume, finish, shared
+
+
+def _unlink(rows) -> None:
+    """Clear the ``rows``' LRU sets after a walk.
+
+    A row and its set refer to each other; breaking the cycle frees both
+    with the table, not by the collector.
+    """
+    for row in rows.values():
+        row[SET] = None
 
 
 def _publish_engine_metrics(telemetry, engine_list, paths) -> None:

@@ -22,8 +22,9 @@ A walk keeps one *row* per address, a list in one dict ``rows``::
 the address holds none); the eight counters follow, so a pair costs one
 dict lookup.  Every candidate is a miss or a hit, and every hit is an
 attempt: executions are ``misses + attempts``, and a table's lookup and
-hit meters are their sums.  ``set`` is the LRU set of a set-associative
-walk that holds the row, ``state`` an FSM counter (``None``: none yet).
+hit meters are their sums.  ``set`` is the LRU set that holds the row
+during a :func:`walk_set_associative` walk, ``state`` an FSM counter
+(``None``: none yet).
 :func:`table_rows` seeds rows from a table's entries and
 :func:`write_back` hands rows back when the walk is over; they become
 :class:`StrideEntry` or :class:`LastValueEntry` objects only when the
@@ -32,7 +33,7 @@ table is next read
 object is touched per pair.  Last-value is stride with the stride held
 at 0 (``learns=False``), so its ``nonzero_stride_correct`` stays 0.
 
-Each walk role has its own body:
+Two bodies walk the rows:
 
 * :func:`walk_take_all` — phase-2 profiling over a table that starts
   empty: allocate on every miss, take every hit, no codes.  It counts
@@ -41,20 +42,17 @@ Each walk role has its own body:
   entry's last value, exactly the correct predictions of an unbounded
   last-value table over the same stream, which profiling folds its
   last-value image from.
-* :func:`walk_leader` — an unbounded engine that allocates on every
-  miss and takes the hits of ``take_members`` (``None``: every hit), or
-  takes by ``fsm``, the :class:`~repro.predictors.FsmClassifier` rule
-  ``(initial, threshold, maximum)``: a hit is taken when its state
-  (``initial`` when absent) is at least ``threshold``, then steps up on
-  a correct and down on a wrong prediction within ``[0, maximum]``.
-  ``hits``, when given, receives one code per hit whether taken or not
-  (1 correct, 2 wrong), from which the ILP model masks the outcomes of
-  engines that share the walk.
-* :func:`walk_members` — an unbounded engine that allocates only
-  ``alloc_members`` and takes only ``take_members``.
-* :func:`walk_set_associative` — a finite LRU table, with the policies
-  of both engine bodies; an evicted address loses its entry and its FSM
-  state.
+* :func:`walk_set_associative` — the classified simulation: an LRU
+  table, finite or unbounded (one set with no way limit), that
+  allocates every miss or only ``alloc_members`` and takes every hit,
+  the hits of ``take_members``, or by ``fsm``, the
+  :class:`~repro.predictors.FsmClassifier` rule ``(initial, threshold,
+  maximum)``: a hit is taken when its state (``initial`` when absent) is
+  at least ``threshold``, then steps up on a correct and down on a wrong
+  prediction within ``[0, maximum]``.  An evicted address loses its
+  entry and its FSM state.  ``hits``, when given, receives one code per
+  hit whether taken or not (1 correct, 2 wrong), from which the ILP
+  model masks the outcomes of engines that share the walk.
 
 ``outcomes``, when given, receives one code per taken pair: 1 correct,
 2 wrong.
@@ -166,9 +164,11 @@ def table_rows(table, states=None):
 def write_back(table, rows, learns, sets=None) -> None:
     """Make the ``rows``' entries ``table``'s, built when it is next read.
 
-    ``sets``, the LRU sets of a set-associative walk, give each set's
-    order; otherwise each set keeps the rows' first-allocation order.
-    The rows must not change afterwards.
+    ``sets``, the LRU sets of a :func:`walk_set_associative` walk, give
+    each set's order, and the sets come in the order the rows first
+    touched them, as ``PredictionTable`` creates them; otherwise each set
+    keeps the rows' first-allocation order.  The rows must not change
+    afterwards.
     """
     make = (lambda row: StrideEntry(row[0], row[1])) if learns else (
         lambda row: LastValueEntry(row[0])
@@ -179,10 +179,10 @@ def write_back(table, rows, learns, sets=None) -> None:
         if sets is not None:
             return {
                 index: OrderedDict(
-                    (address, make(row)) for address, row in table_set.items()
+                    (address, make(row)) for address, row in sets[index].items()
                 )
-                for index, table_set in sets.items()
-                if table_set
+                for index in dict.fromkeys(address % num_sets for address in rows)
+                if sets[index]
             }
         built = {}
         for address, row in rows.items():
@@ -254,93 +254,16 @@ def walk_take_all(rows, pairs, learns=True, held=False) -> None:
     walk(rows, pairs)
 
 
-def walk_leader(
-    rows, pairs, outcomes=None, hits=None, fsm=None, take_members=None, learns=True
-) -> None:
-    """Walk ``pairs`` over an unbounded table that allocates every miss.
-
-    A hit is taken by ``fsm`` when given, else when ``take_members`` is
-    ``None`` or holds its address.  The table's LRU order is not
-    refreshed on hits, which no observer can see in a table that never
-    evicts.
-    """
-    if fsm is not None:
-        initial, threshold, maximum = fsm
-    get = rows.get
-    for position, (address, value) in enumerate(pairs):
-        row = get(address)
-        if row is None:
-            rows[address] = [value, 0, 1, 0, 0, 0, 0, 0, 0, 1, None, None]
-            continue
-        last = row[0]
-        correct = last + row[1] == value
-        if learns:
-            row[1] = value - last
-        row[0] = value
-        row[3] += 1
-        if correct:
-            row[4] += 1
-        if hits is not None:
-            hits[position] = 1 if correct else 2
-        if fsm is not None:
-            state = row[11]
-            if state is None:
-                state = initial
-            row[11] = state + (state < maximum) if correct else state - (state > 0)
-            if state < threshold:
-                continue
-        elif take_members is not None and address not in take_members:
-            continue
-        row[7] += 1
-        if correct:
-            row[8] += 1
-        if outcomes is not None:
-            outcomes[position] = 1 if correct else 2
-
-
-def walk_members(
-    rows, pairs, outcomes=None, alloc_members=(), take_members=None, learns=True
-) -> None:
-    """Walk ``pairs`` over an unbounded table that allocates only
-    ``alloc_members`` and takes only ``take_members`` (``None``: every
-    hit)."""
-    get = rows.get
-    for position, (address, value) in enumerate(pairs):
-        row = get(address)
-        if row is None:
-            if address in alloc_members:
-                rows[address] = [value, 0, 1, 0, 0, 0, 0, 0, 0, 1, None, None]
-            else:
-                rows[address] = [NO_ENTRY, 0, 1, 0, 0, 0, 0, 0, 0, 0, None, None]
-            continue
-        last = row[0]
-        if last is NO_ENTRY:
-            row[2] += 1
-            continue
-        correct = last + row[1] == value
-        if learns:
-            row[1] = value - last
-        row[0] = value
-        row[3] += 1
-        if correct:
-            row[4] += 1
-        if take_members is None or address in take_members:
-            row[7] += 1
-            if correct:
-                row[8] += 1
-            if outcomes is not None:
-                outcomes[position] = 1 if correct else 2
-
-
 def walk_set_associative(
-    sets, ways, rows, pairs, outcomes=None,
+    sets, ways, rows, pairs, outcomes=None, hits=None,
     alloc_members=None, take_members=None, fsm=None, learns=True,
 ) -> int:
-    """Walk ``pairs`` over a finite LRU table; return the evictions.
+    """Walk ``pairs`` over an LRU table; return the evictions.
 
     ``sets`` holds one ordered dict of rows per set index, every index
-    present.  Hits refresh LRU order and allocations displace the least
-    recently used row of a full set, in the order
+    present; an unbounded table is one set with ``ways`` ``math.inf``.
+    Hits refresh LRU order and allocations displace the least recently
+    used row of a full set, in the order
     ``PredictionTable.lookup``/``insert`` would.
     """
     if fsm is not None:
@@ -376,6 +299,8 @@ def walk_set_associative(
         row[3] += 1
         if correct:
             row[4] += 1
+        if hits is not None:
+            hits[position] = 1 if correct else 2
         if fsm is not None:
             state = row[11]
             if state is None:

@@ -57,6 +57,12 @@ class TestParseInputs:
         assert parse_input_sets(["1,2", "", "3"]) == [[1, 2], [], [3]]
 
 
+#: Commands that take ``--inputs``, with the flags each needs to run.
+_INPUTS_COMMANDS = {"run": [], "trace": ["-o", "{out}"], "profile": []}
+#: A bad inline spec, a missing ``@file`` and a non-UTF-8 one.
+_BAD_INPUTS = {"inline": "1,x", "missing": "@{missing}.txt", "non-utf8": "@{binary}"}
+
+
 class TestPipeline:
     def test_compile_run(self, demo, capsys):
         directory, source = demo
@@ -257,11 +263,22 @@ class TestPipeline:
             (["annotate", "{assembly}", "{missing}.profile"], "annotate: bad profile: "),
             (["classify", "predict", "{missing}.model", "{assembly}"],
              "classify: bad model: "),
+            *(
+                ([command, "{assembly}", *extra, "--inputs", spec],
+                 f"{command}: bad inputs: ")
+                for command, extra in _INPUTS_COMMANDS.items()
+                for spec in _BAD_INPUTS.values()
+            ),
         ],
         ids=[
             "run-missing", "disasm-unknown-mnemonic", "run-non-utf8",
             "compile-parse-error", "compile-missing", "annotate-missing-profile",
             "classify-missing-model",
+            *(
+                f"{command}-inputs-{case}"
+                for command in _INPUTS_COMMANDS
+                for case in _BAD_INPUTS
+            ),
         ],
     )
     def test_bad_input_file_is_a_usage_error(self, demo, capsys, argv, prefix):
@@ -277,6 +294,7 @@ class TestPipeline:
             "bad_mc": str(directory / "bad.mc"),
             "binary": str(directory / "binary.asm"),
             "assembly": str(assembly),
+            "out": str(directory / "out.trace"),
         }
         capsys.readouterr()
         assert main([part.format(**names) for part in argv]) == 2
@@ -285,6 +303,7 @@ class TestPipeline:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(prefix)
+        assert not (directory / "out.trace").exists()
 
 
 def test_cli_and_daemon_import_without_numpy():

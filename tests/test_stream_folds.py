@@ -1,16 +1,21 @@
 """Consumers that fold from one stride walk instead of walking again.
 
-A finite table that cannot evict walks as an unbounded one; static
-engines follow a leader's walk (member-only ones too, under a leader
-that allocates every address); ILP followers mask the leader's hit
-codes with their take sets; ILP labels whose engines decide the same
-codes share one machine; and an unbounded last-value profiler folds
-from the stride walk's held-value hits.  Each route is held to its
-per-record reference, and each test checks that the route it covers
-really ran.  The take-all profiling body is held to ``access`` itself.
+Every walking engine runs the one set-associative kernel, an unbounded
+table as one set with no way limit, and ends in ``step``'s LRU order.
+Static engines whose tables cannot evict, infinite or finite, follow a
+leader's walk (member-only ones too, under a leader that allocates every
+address); ILP followers mask the leader's hit codes with their take
+sets; ILP labels whose engines decide the same codes share one machine;
+and an unbounded last-value profiler folds from the stride walk's
+held-value hits.  Each route is held to its per-record reference, and
+each test checks that the route it covers really ran: the kernel's
+calls and the ``core.engines.walked``/``followed`` counters.  The
+take-all profiling body is held to ``access`` itself.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +87,26 @@ comp:
     halt
 """
 
+# A loop whose mul (address 4) first runs on the second iteration, after
+# the addi 512 instructions on (address 516, the same set of a 512-set
+# table) was allocated: LRU order then differs from allocation order,
+# both in one unbounded set and in that 2-way set.
+LRU_ASM = "\n".join([
+    ".text",
+    "    li r1, 0",
+    "    li r2, 6",
+    "loop:",
+    "    slti r6, r1, 1",
+    "    bnez r6, skip",
+    "    mul r3, r1, r1",
+    "skip:",
+    *["    nop"] * 511,
+    "    addi r1, r1, 1",
+    "    slt r5, r1, r2",
+    "    bnez r5, loop",
+    "    halt",
+])
+
 
 @pytest.fixture(scope="module")
 def program():
@@ -98,18 +123,18 @@ def loop_members(program):
 
 
 def count_kernels(monkeypatch):
-    """Count the simulate module's kernel calls by body."""
+    """Record the ``ways`` of each call of the simulate module's kernel
+    (``math.inf`` for an unbounded table)."""
     import repro.core.simulate as simulate
 
-    calls = {"walk_leader": 0, "walk_members": 0, "walk_set_associative": 0}
-    for name in calls:
-        kernel = getattr(simulate, name)
+    calls = []
+    kernel = simulate.walk_set_associative
 
-        def counting(*args, _kernel=kernel, _name=name, **kwargs):
-            calls[_name] += 1
-            return _kernel(*args, **kwargs)
+    def counting(sets, ways, *args, **kwargs):
+        calls.append(ways)
+        return kernel(sets, ways, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, name, counting)
+    monkeypatch.setattr(simulate, "walk_set_associative", counting)
     return calls
 
 
@@ -160,9 +185,11 @@ class TestCannotEvict:
     @pytest.mark.parametrize("scheme", ["always", "fsm", "profile"])
     @pytest.mark.parametrize("spare", [0, -1], ids=["exactly-ways", "one-over"])
     def test_one_set_at_the_boundary(self, monkeypatch, program, scheme, spare):
-        """A one-set table holding exactly its allocatable addresses walks
-        as an unbounded table; one way fewer walks the evicting kernel.
-        Both match the per-record scheduler, down to table entries."""
+        """A one-set table holding exactly its allocatable addresses
+        cannot evict, so it shares a walk with an unbounded always engine:
+        a static engine follows that engine, an FSM engine leads it.  One
+        way fewer, it walks on its own and evicts.  Both match the
+        per-record scheduler, down to table entries."""
         members = loop_members(program)
         allocatable = len(members) if scheme == "profile" else len(
             program.candidate_addresses
@@ -178,26 +205,59 @@ class TestCannotEvict:
                 chosen = AlwaysClassification()
             return {
                 "novp": None,
+                "unbounded": PredictionEngine(
+                    program, StridePredictor(), AlwaysClassification()
+                ),
                 "vp": PredictionEngine(program, StridePredictor(ways, ways), chosen),
             }
 
         calls = count_kernels(monkeypatch)
         fast, reference, routes = measured(program, make_engines)
         assert fast == reference
-        assert routes == {"walked": 1, "followed": 0, "stepped": 0}
         if spare == 0:
-            # Profile engines allocate members only; the others every miss.
-            body = "walk_members" if scheme == "profile" else "walk_leader"
-            assert calls == {
-                "walk_leader": 0, "walk_members": 0, "walk_set_associative": 0,
-                body: 1,
-            }
+            assert routes == {"walked": 1, "followed": 1, "stepped": 0}
+            # The FSM engine leads in its own table; a static one follows
+            # the unbounded engine's walk.
+            assert calls == [ways if scheme == "fsm" else math.inf]
         else:
-            assert calls == {
-                "walk_leader": 0, "walk_members": 0, "walk_set_associative": 1
-            }
+            assert routes == {"walked": 2, "followed": 0, "stepped": 0}
+            assert sorted(calls) == [ways, math.inf]
             # The contested set really evicts.
             assert reference[1]["vp"]["tables"]["table0"]["meters"][2] > 0
+
+
+class TestLruOrder:
+    @pytest.mark.parametrize("scheme", [AlwaysClassification, HardwareClassification])
+    @pytest.mark.parametrize("entries", [None, 1024], ids=["infinite", "1024x2"])
+    def test_walk_ends_in_steps_order(self, scheme, entries):
+        """A walking engine's table lists its entries in the order the
+        same engine stepped per record leaves them: LRU within each set,
+        sets in the order they were first touched."""
+        program = assemble(LRU_ASM)
+
+        def engine():
+            return PredictionEngine(program, StridePredictor(entries, 2), scheme())
+
+        def listed(each):
+            return [
+                (address, entry.last_value, entry.stride)
+                for address, entry in each.predictor.table
+            ]
+
+        walked = engine()
+        registry = Telemetry()
+        with use_registry(registry):
+            simulate_prediction_many(program, (), {"vp": walked})
+        assert registry.snapshot()["counters"]["core.engines.walked"] == 1
+        stepped = engine()
+        allocated = []
+        for record in trace_program(program):
+            if program.candidate_mask[record.address]:
+                stepped.step(record.address, record.value)
+                if record.address not in allocated:
+                    allocated.append(record.address)
+        assert listed(walked) == listed(stepped)
+        assert [address for address, *_ in listed(stepped)] != allocated
 
 
 class TestFollowers:
@@ -237,8 +297,8 @@ class TestFollowers:
         fast, reference, routes = measured(program, make_engines)
         assert fast == reference
         assert routes == {"walked": 0, "followed": 2, "stepped": 0}
-        # The hidden probe is the one walk.
-        assert calls == {"walk_leader": 1, "walk_members": 0, "walk_set_associative": 0}
+        # The hidden probe, an unbounded table, is the one walk.
+        assert calls == [math.inf]
 
     def test_follower_outcomes_differ_from_the_leaders(self, program):
         """The masks matter: a follower takes fewer predictions than the
@@ -282,10 +342,10 @@ class TestOracleGridRoutes:
         assert counters["core.engines.followed"] == 6
         assert counters["core.engines.walked"] == 9
         assert counters["core.engines.stepped"] == 4
-        # stride/fsm, stride/probe-fsm, roomy/fsm and the two unbounded
-        # last-value engines allocate every miss of a table that never
-        # evicts; the four 8-entry ones evict.
-        assert calls == {"walk_leader": 5, "walk_members": 0, "walk_set_associative": 4}
+        # One walk each: stride/fsm, stride/probe-fsm and the two
+        # unbounded last-value engines in one set with no way limit;
+        # roomy/fsm and the four 8-entry engines in 2-way sets.
+        assert sorted(calls) == [2] * 5 + [math.inf] * 4
 
 
 class TestTablePathCounters:
