@@ -564,18 +564,12 @@ def _command_trace(arguments: argparse.Namespace, io: CommandIO) -> int:
         )
         return 2
     inputs = parse_input_stream(arguments.inputs or [], io.read_inputs)
-    try:
-        with io.open_output(arguments.output) as stream:
-            count = write_trace(
-                replay_or_run(
-                    program, inputs, arguments.max_instructions, store=io.traces
-                ),
-                stream,
-                program.name,
-            )
-    except ExecutionError as error:
-        print(f"trace: {type(error).__name__}: {error}", file=io.stderr)
-        return 1
+    with io.open_output(arguments.output) as stream:
+        count = write_trace(
+            replay_or_run(program, inputs, arguments.max_instructions, store=io.traces),
+            stream,
+            program.name,
+        )
     print(f"wrote {count} records to {arguments.output}", file=io.stderr)
     return 0
 
@@ -767,6 +761,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     # cli -> experiments dependency exists only at parser-build time.
     from .check.cli import add_arguments as add_check_arguments
     from .experiments.runner import add_arguments as add_experiment_arguments
+    from .experiments.runner import positive_int
     from .service.cli import (
         add_client_arguments,
         add_serve_arguments,
@@ -934,10 +929,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     )
     profile_parser.add_argument(
         "--sample-every",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="K",
-        help="keep every K-th dynamic record (1 = full profile, the default)",
+        help="keep every K-th dynamic record, >= 1 (1 = full profile, the default)",
     )
     profile_parser.add_argument(
         "--jobs",
@@ -1106,10 +1101,15 @@ def run_command(arguments: argparse.Namespace, io: CommandIO) -> int:
     An :class:`InputError`, or a
     :class:`~repro.profiling.ProfileFormatError` from
     :meth:`CommandIO.read_profile`, prints ``<command>: bad <kind>:
-    <message>`` and exits 2.
+    <message>`` and exits 2.  A run the machine terminated
+    (:class:`~repro.machine.ExecutionError`) prints ``<command>:
+    <Type>: <message>`` and exits 1.
     """
     try:
         return arguments.handler(arguments, io)
+    except ExecutionError as error:
+        print(f"{arguments.command}: {type(error).__name__}: {error}", file=io.stderr)
+        return 1
     except InputError as error:
         kind, message = error.kind, error
     except ProfileFormatError as error:

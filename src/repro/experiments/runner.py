@@ -189,8 +189,13 @@ def run_experiments(
     return results
 
 
-def _training_runs(text: str) -> int:
-    value = int(text)
+def positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1 (``--training-runs``,
+    ``profile --sample-every``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
     return value
@@ -243,7 +248,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--training-runs",
-        type=_training_runs,
+        type=positive_int,
         default=5,
         help="number of training input sets to profile, >= 1 (default 5)",
     )

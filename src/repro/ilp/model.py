@@ -39,13 +39,13 @@ outcome code per candidate: 1 a taken correct prediction, 2 a taken
 wrong one, 0 otherwise.  An engine that follows a leader's walk does
 not walk: its codes are the leader's per-pair hit codes (1 correct hit,
 2 wrong hit, 0 miss) masked with its take set, so a Table 5.2 grid whose
-FSM table cannot evict walks once for its six engines.  Labels whose
-engines decide the same codes (see :func:`_lane_key`) under equal
-configs schedule on one machine, a *lane*, and each still gets its own
-result.  *Observers* are engines that drive no machine: they join the
-same plan, may lead the lane engines or follow them, and leave no
-codes, so the Section-5 grid runs its six infinite-table engines in the
-ILP run's walk.  Every lane that shares a scheduling table (equal
+FSM table cannot evict walks once for its six engines.  Each label
+schedules on its own machine, a *lane*; which engines walk and which
+follow is decided in :mod:`repro.core.simulate` alone.  *Observers* are
+engines that drive no machine: they join the same plan, may lead the
+lane engines or follow them, and leave no codes, so the Section-5 grid
+runs its six infinite-table engines in the ILP run's walk.  Every lane
+that shares a scheduling table (equal
 ``track_memory_dependencies``) schedules the batch in one loop
 (:func:`_scheduler`): a record's table lookup, shape test and ``mems``
 and candidate cursors run once, then each lane's ready, window and
@@ -65,13 +65,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import NUM_REGISTERS, Number, Opcode, Program, RA, ZERO
 from ..machine import TraceRecord, TraceStore
 from ..machine.tracestore import replay_or_run
 from ..core.simulate import PredictionEngine, check_distinct_engines
-from ..core.simulate import _build_consumers, _kernel_policy, _publish_engine_metrics
+from ..core.simulate import _build_consumers, _publish_engine_metrics
 from ..telemetry import get_registry
 
 
@@ -502,29 +502,20 @@ def measure_ilp_many(
     )
     configs = configs or {}
     decoded = _decode_for_scheduling(program)
-    machines: Dict[Hashable, _BatchMachine] = {}  # by lane key
     labels: Dict[str, _BatchMachine] = {}
     # One scheduling loop per table (memory tracked or not): its lanes,
-    # one per machine, with the index of each one's engine's codes.
+    # one machine per label, with the index of each one's engine's codes.
     groups: Dict[bool, List[Tuple[_BatchMachine, Optional[int]]]] = {}
     lane_engines: List[PredictionEngine] = []
-    # Engines of labels that share an earlier label's machine: no lane
-    # reads their codes, so they observe like the observers.
-    silent: List[PredictionEngine] = []
     for label, engine in engines.items():
         machine_config = configs.get(label, config) or IlpConfig()
-        index = None if engine is None else len(lane_engines)
-        key = (machine_config, _lane_key(engine, index))
-        machine = machines.get(key)
-        if machine is None:
-            machine = machines[key] = _BatchMachine(machine_config)
-            track = machine_config.track_memory_dependencies
-            groups.setdefault(track, []).append((machine, index))
-            if engine is not None:
-                lane_engines.append(engine)
-        elif engine is not None:
-            silent.append(engine)
-        labels[label] = machine
+        machine = labels[label] = _BatchMachine(machine_config)
+        index = None
+        if engine is not None:
+            index = len(lane_engines)
+            lane_engines.append(engine)
+        track = machine_config.track_memory_dependencies
+        groups.setdefault(track, []).append((machine, index))
     loops = [
         (
             _scheduling_table(decoded, track),
@@ -534,9 +525,9 @@ def measure_ilp_many(
         )
         for track, lanes in groups.items()
     ]
-    # One code slot per lane engine; the engines after them get none.
+    # One code slot per lane engine; the observers after them get none.
     codes: List[Optional[bytearray]] = [None] * len(lane_engines)
-    engine_list = lane_engines + silent + list(observers.values())
+    engine_list = lane_engines + list(observers.values())
     consumers, finishers, paths = _build_consumers(engine_list, codes)
     started = time.perf_counter()
     batches = replay_or_run(program, inputs, max_instructions, store)
@@ -566,45 +557,9 @@ def measure_ilp_many(
             telemetry.counter("ilp.records").add(
                 sum(machine.instructions for machine in labels.values())
             )
-            telemetry.counter("ilp.lanes.shared").add(len(labels) - len(machines))
             if engine_list:
                 _publish_engine_metrics(telemetry, engine_list, paths)
     return {label: machine.result() for label, machine in labels.items()}
-
-
-def _lane_key(engine: Optional[PredictionEngine], index: Optional[int]) -> Hashable:
-    """What decides the outcome codes ``engine`` feeds its machine.
-
-    Engines that start empty with equal kernel policies (predictor kind
-    and geometry, allocation and take sets, FSM parameters) predict the
-    same candidates the same way, so their labels, with equal configs,
-    schedule identically and share one machine; ``None`` (no value
-    prediction) shares too.  Any other engine, the ``index``-th, keys
-    its own machine.
-    """
-    if engine is None:
-        return None
-    policy = _kernel_policy(engine)
-    if policy is None:
-        return index
-    table = engine.predictor.table
-    classifier = policy.classifier
-    if len(table) or (classifier is not None and classifier._counters):
-        return index
-
-    def members(directives):
-        return None if directives is None else frozenset(directives)
-
-    return (
-        policy.learns,
-        table.capacity,
-        table.ways,
-        members(policy.alloc_members),
-        members(policy.take_members),
-        None if classifier is None else (
-            classifier.bits, classifier.initial, classifier.take_threshold
-        ),
-    )
 
 
 def ilp_increase(with_prediction: IlpResult, baseline: IlpResult) -> float:

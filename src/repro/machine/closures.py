@@ -226,7 +226,7 @@ def _body(instruction: Instruction, pc: int, size: int, mode: str) -> str:
         lines.append(goto("nxt", pc + 1))
         return lines
 
-    def silent(lines: List[str], mem: bool = False) -> List[str]:
+    def valueless(lines: List[str], mem: bool = False) -> List[str]:
         """A record with no value: the address (and ``mems`` entry)."""
         if not tracing:
             return lines
@@ -264,7 +264,7 @@ def _body(instruction: Instruction, pc: int, size: int, mode: str) -> str:
             f"value = {convert}(raw)",
         ], "other"))
     if opcode in (Opcode.ST, Opcode.FST):
-        lines = silent([
+        lines = valueless([
             "location = regs[src2] + imm",
             "if location < 0:",
             '    raise InvalidMemoryAccess(f"@{pc}: store to {location}")',
@@ -273,11 +273,11 @@ def _body(instruction: Instruction, pc: int, size: int, mode: str) -> str:
         return "\n".join(lines + [goto("nxt", pc + 1)])
     if opcode in (Opcode.BEQZ, Opcode.BNEZ):
         test = "==" if opcode is Opcode.BEQZ else "!="
-        lines = silent([])
+        lines = valueless([])
         lines += [f"if regs[src1] {test} 0:", "    " + goto("target", instruction.target)]
         return "\n".join(lines + [goto("nxt", pc + 1)])
     if opcode is Opcode.JMP:
-        return "\n".join(silent([]) + [goto("target", instruction.target)])
+        return "\n".join(valueless([]) + [goto("target", instruction.target)])
     if opcode is Opcode.CALL:
         lines = [f"regs[{RA}] = nxt"]
         if dest:
@@ -286,13 +286,13 @@ def _body(instruction: Instruction, pc: int, size: int, mode: str) -> str:
             lines += ["put_address(pc)", "put_other(nxt)"]
         return "\n".join(lines + [goto("target", instruction.target)])
     if opcode is Opcode.JR:
-        return "\n".join(silent(["to = regs[src1]"]) + [
+        return "\n".join(valueless(["to = regs[src1]"]) + [
             "if 0 <= to < size:",
             "    return to",
             "raise left(to)",
         ])
     if opcode is Opcode.OUT:
-        return "\n".join(silent(["put_output(regs[src1])"]) + [goto("nxt", pc + 1)])
+        return "\n".join(valueless(["put_output(regs[src1])"]) + [goto("nxt", pc + 1)])
     if opcode is Opcode.PHASE:
         if tracing:
             # Phase-run offsets are record indices; this record's address
@@ -303,10 +303,10 @@ def _body(instruction: Instruction, pc: int, size: int, mode: str) -> str:
             lines = ["if imm != phase:", "    fold(phase)", "    phase = imm"]
         return "\n".join(lines + [goto("nxt", pc + 1)])
     if opcode is Opcode.NOP:
-        return "\n".join(silent([]) + [goto("nxt", pc + 1)])
+        return "\n".join(valueless([]) + [goto("nxt", pc + 1)])
     if opcode is Opcode.HALT:
         lines = ["state.halted = True", "state.pc = nxt", "state.phase = phase"]
-        return "\n".join(silent(lines) + ["raise Halt"])
+        return "\n".join(valueless(lines) + ["raise Halt"])
     raise AssertionError(f"no template for {opcode}")  # pragma: no cover
 
 

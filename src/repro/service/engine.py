@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 from .. import cli
 from ..lang import CompileError
-from ..machine import ExecutionError, TraceStore
+from ..machine import TraceStore
 from ..profiling import ProfileFormatError
 from ..telemetry import get_registry
 from .api import EXECUTION_ERROR, INVALID_JOB, ApiError, Job
@@ -141,8 +141,6 @@ class ServiceEngine:
                     status = 2
             except _JOB_FAULTS as error:
                 raise ApiError(INVALID_JOB, f"{type(error).__name__}: {error}") from error
-            except ExecutionError as error:
-                raise ApiError(EXECUTION_ERROR, f"{type(error).__name__}: {error}") from error
             if status:
                 raise ApiError(
                     INVALID_JOB if status == 2 else EXECUTION_ERROR,

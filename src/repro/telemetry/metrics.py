@@ -61,8 +61,6 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "ilp.schedule",
         "ilp.runs",
         "ilp.records",
-        # Labels scheduled on another label's machine (equal config and codes).
-        "ilp.lanes.shared",
         # profiling: phase-2 profile collection.
         "profiling.records",
         "profiling.runs",

@@ -212,6 +212,42 @@ class TestPipeline:
         assert lines[0].startswith(f"trace: {error}: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_execution_fault_is_one_line(self, tmp_path, capsys, command):
+        assembly = tmp_path / "divide.asm"
+        assembly.write_text(
+            ".text\n    li r1, 7\n    li r2, 0\n    div r3, r1, r2\n"
+            "    out r3\n    halt\n",
+            encoding="utf-8",
+        )
+        profile = tmp_path / "divide.profile"
+        output = ["-o", str(profile)] if command == "profile" else []
+        assert main([command, str(assembly), *output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{command}: DivisionByZero: ")
+        assert not profile.exists()
+
+    @pytest.mark.parametrize("rate", ["0", "-3"])
+    def test_sample_every_below_one_is_a_usage_error(self, demo, capsys, rate):
+        directory, source = demo
+        assembly = directory / "demo.asm"
+        main(["compile", str(source), "-o", str(assembly)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit:
+            main(["profile", str(assembly), "--sample-every", rate])
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"repro profile: error: argument --sample-every: "
+            f"must be an integer >= 1, got {rate}"
+        ]
+
     def test_trace_writes_integers_past_the_decimal_limit_in_hex(
         self, tmp_path, capsys
     ):

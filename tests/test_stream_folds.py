@@ -5,12 +5,12 @@ table as one set with no way limit, and ends in ``step``'s LRU order.
 Static engines whose tables cannot evict, infinite or finite, follow a
 leader's walk (member-only ones too, under a leader that allocates every
 address); ILP followers mask the leader's hit codes with their take
-sets; ILP labels whose engines decide the same codes share one machine;
-and an unbounded last-value profiler folds from the stride walk's
-held-value hits.  Each route is held to its per-record reference, and
-each test checks that the route it covers really ran: the kernel's
-calls and the ``core.engines.walked``/``followed`` counters.  The
-take-all profiling body is held to ``access`` itself.
+sets, each ILP label on its own machine; and an unbounded last-value
+profiler folds from the stride walk's held-value hits.  Each route is
+held to its per-record reference, and each test checks that the route
+it covers really ran: the kernel's calls and the
+``core.engines.walked``/``followed`` counters.  The take-all profiling
+body is held to ``access`` itself.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.ilp import IlpConfig, WindowScheduler, measure_ilp_many
 from repro.isa import Directive, assemble
 from repro.machine import trace_program
 from repro.machine.tracestore import replay_or_run
-from repro.predictors import LastValuePredictor, StrideEntry, StridePredictor
+from repro.predictors import LastValuePredictor, StridePredictor
 from repro.predictors.stride import (
     ATTEMPTS,
     CORRECT,
@@ -453,9 +453,9 @@ class TestLastValueFollower:
         assert "profiling.predictors.followed" not in registry.snapshot()["counters"]
 
 
-class TestSharedLanes:
-    """ILP labels whose engines decide the same codes under the same
-    config schedule on one machine; each still gets its own result and
+class TestIlpLanes:
+    """Each ILP label schedules on its own machine; labels whose engines
+    decide the same codes under the same config get equal results and
     engine statistics."""
 
     def engines(self, program, finite=True):
@@ -494,20 +494,18 @@ class TestSharedLanes:
 
         monkeypatch.setattr(model._BatchMachine, "__init__", counting)
         engines = make_engines()
-        registry = Telemetry()
-        with use_registry(registry):
-            results = measure_ilp_many(program, (), engines, configs=configs)
-        shared = registry.snapshot()["counters"]["ilp.lanes.shared"]
-        return results, observe(engines), len(built), shared
+        results = measure_ilp_many(program, (), engines, configs=configs)
+        assert len(built) == len(engines)
+        return results, observe(engines)
 
     @pytest.mark.parametrize("finite", [True, False], ids=["finite", "unbounded"])
-    def test_equal_directive_sets_build_one_machine(self, monkeypatch, program, finite):
+    def test_equal_directive_sets_give_equal_results(
+        self, monkeypatch, program, finite
+    ):
         def make_engines():
             return self.engines(program, finite)
 
-        results, states, built, shared = self.measure(monkeypatch, program, make_engines)
-        # novp, fsm (twice), the full directive set (twice), prof-some.
-        assert (built, shared) == (4, 2)
+        results, states = self.measure(monkeypatch, program, make_engines)
         assert results["fsm"] == results["fsm-again"]
         assert results["prof90"] == results["prof80"]
         assert results["prof90"] != results["prof-some"]
@@ -516,17 +514,16 @@ class TestSharedLanes:
         assert states == observe(reference_engines)
         assert states["prof90"] == states["prof80"]
 
-    def test_a_config_keeps_its_own_machine(self, monkeypatch, program):
+    def test_a_config_changes_only_its_label(self, monkeypatch, program):
         config = IlpConfig(misprediction_penalty=9)
 
         def make_engines():
             engines = self.engines(program)
             return {label: engines[label] for label in ("fsm", "fsm-again")}
 
-        results, _states, built, shared = self.measure(
+        results, _states = self.measure(
             monkeypatch, program, make_engines, configs={"fsm-again": config}
         )
-        assert (built, shared) == (2, 0)
         engines = make_engines()
         schedulers = {
             "fsm": WindowScheduler(program, engine=engines["fsm"]),
@@ -540,18 +537,6 @@ class TestSharedLanes:
         expected = {label: each.result() for label, each in schedulers.items()}
         assert results == expected
         assert results["fsm"] != results["fsm-again"]
-
-    def test_a_used_engine_keeps_its_own_machine(self, monkeypatch, program):
-        def make_engines():
-            engines = self.engines(program)
-            warm = engines["prof80"]
-            warm.predictor.table.insert(0, StrideEntry(7, 1))
-            return {label: engines[label] for label in ("prof90", "prof80")}
-
-        _results, _states, built, shared = self.measure(
-            monkeypatch, program, make_engines
-        )
-        assert (built, shared) == (2, 0)
 
 
 _MIXED_VALUES = st.one_of(
